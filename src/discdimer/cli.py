@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -24,7 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import click
 
 from . import model as model_lib
-from .fixtures import FIXTURE_BUILDERS
+from .fixtures import FIXTURE_BUILDERS, build_uniform
 from .kclass_weights import (downstream_wedge, kclass_of_matching,
                              muller_speyer_matching,
                              projective_matching_oracle, upstream_matching,
@@ -55,16 +56,25 @@ SCHEMA = 1
 # ---------------------------------------------------------------------------
 
 def _resolve_model(name: str) -> DimerModel:
-    if os.path.exists(name):
+    if os.path.isfile(name):
         return model_lib.load(name)
     fixture_dir = os.environ.get("DIMER_FIXTURES")
     if fixture_dir:
         for candidate in (os.path.join(fixture_dir, name),
                           os.path.join(fixture_dir, name + ".json")):
-            if os.path.exists(candidate):
+            if os.path.isfile(candidate):
                 return model_lib.load(candidate)
     if name in FIXTURE_BUILDERS:
         return FIXTURE_BUILDERS[name]()
+    if name.startswith("uniform-"):
+        match = re.fullmatch(r"uniform-(\d+)-(\d+)", name)
+        if match is None:
+            raise click.ClickException(f"cannot resolve model {name!r}: expected "
+                                       "uniform-K-N with integers 1 <= K < N")
+        try:
+            return build_uniform(int(match[1]), int(match[2]))
+        except ValueError as exc:
+            raise click.ClickException(f"cannot resolve model {name!r}: {exc}")
     raise click.ClickException(f"cannot resolve model {name!r}: not a file, "
                                "not under DIMER_FIXTURES, not a bundled fixture")
 
@@ -158,7 +168,6 @@ def cmd_type(file: str, fmt: str) -> None:
 @click.option("-o", "out", required=True, help="Output model file.")
 def cmd_build_uniform(k: int, n: int, out: str) -> None:
     """Build the uniform (k,n) model and write it to a file."""
-    from .fixtures import build_uniform
     try:
         model = build_uniform(k, n)
     except ValueError as exc:

@@ -24,19 +24,11 @@ def identity(n: int) -> Matrix:
     return m
 
 
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*a)] if a else []
-
-
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
     if not a or not b:
         return []
     bt = list(zip(*b))
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def mat_vec(a: Sequence[Sequence[int]], v: Sequence[int]) -> List[int]:
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
 def column_hermite(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:

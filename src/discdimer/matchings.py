@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .model import BipartiteDual, DimerModel, bipartite_dual, require_valid, type_of
+from .model import (BipartiteDual, DimerModel, bipartite_dual, per_model, require_valid,
+                    type_of)
 from .strands import necklaces
 
 
@@ -44,69 +45,94 @@ def require_matching(model: DimerModel, mu: Matching) -> None:
         raise ValueError("arrow set is not a perfect matching")
 
 
+def _cover(faces: List[Tuple[int, ...]], idx: int, chosen: Set[int], forbidden: Set[int],
+           out: List[Matching]) -> None:
+    """Append to `out` every way of extending `chosen` to faces[idx:].
+
+    State is passed down, not closed over: nested closures would form a
+    reference cycle holding `out`, and keep every matching alive until the
+    cyclic garbage collector ran.
+    """
+    if idx == len(faces):
+        out.append(Matching(frozenset(chosen)))
+        return
+    cycle = faces[idx]
+    count = sum(1 for a in cycle if a in chosen)
+    if count > 1:
+        return
+    if count == 1:
+        _settle(faces, idx, chosen, forbidden, out)
+        return
+    for aid in cycle:
+        if aid in forbidden:
+            continue
+        chosen.add(aid)
+        _settle(faces, idx, chosen, forbidden, out)
+        chosen.remove(aid)
+
+
+def _settle(faces: List[Tuple[int, ...]], idx: int, chosen: Set[int], forbidden: Set[int],
+            out: List[Matching]) -> None:
+    # Once a face is settled, its remaining arrows may not be chosen by the
+    # face on their other side, so they are forbidden in the subtree.
+    newly = [a for a in faces[idx] if a not in chosen and a not in forbidden]
+    forbidden.update(newly)
+    _cover(faces, idx + 1, chosen, forbidden, out)
+    forbidden.difference_update(newly)
+
+
+Orientation = List[Tuple[int, int, bool]]  # (boundary arrow id, label, clockwise)
+
+
+def _orientation(model: DimerModel) -> Orientation:
+    return [(a.id, a.boundary_label, model.is_clockwise(a.id)) for a in model.boundary_arrows]
+
+
+def _boundary_of(orientation: Orientation, mu: Matching) -> FrozenSet[int]:
+    chosen = mu.arrow_set
+    return frozenset(label for aid, label, clockwise in orientation
+                     if (aid in chosen) == clockwise)
+
+
+@per_model()
+def _enumeration(model: DimerModel) -> Tuple[Tuple[Matching, ...],
+                                             Dict[FrozenSet[int], Tuple[Matching, ...]]]:
+    """Every perfect matching in canonical order, and the same matchings
+    grouped by boundary value (in that order within each group). Shared by
+    every caller on the model, so callers must copy before they mutate."""
+    require_valid(model)
+    faces = [f.boundary_cycle for f in sorted(model.faces, key=lambda f: f.id)]
+    found: List[Matching] = []
+    _cover(faces, 0, set(), set(), found)
+    orientation = _orientation(model)
+    groups: Dict[FrozenSet[int], List[Matching]] = {}
+    for mu in found:
+        groups.setdefault(_boundary_of(orientation, mu), []).append(mu)
+    return tuple(found), {I: tuple(pool) for I, pool in groups.items()}
+
+
 def enumerate_matchings(model: DimerModel) -> List[Matching]:
     """All perfect matchings, by exact-cover backtracking over the faces.
 
     Faces are processed in increasing id; within a face, candidate arrows in
     boundary-cycle order, so the output order is canonical.
     """
-    require_valid(model)
-    faces = sorted(model.faces, key=lambda f: f.id)
-    results: List[Matching] = []
-    chosen: Set[int] = set()
-    forbidden: Set[int] = set()
-
-    def descend(idx: int) -> None:
-        # Once a face is settled, its remaining arrows may not be chosen by
-        # the face on their other side, so they are forbidden in the subtree.
-        cycle = faces[idx].boundary_cycle
-        newly = [a for a in cycle if a not in chosen and a not in forbidden]
-        forbidden.update(newly)
-        recurse(idx + 1)
-        forbidden.difference_update(newly)
-
-    def recurse(idx: int) -> None:
-        if idx == len(faces):
-            results.append(Matching(frozenset(chosen)))
-            return
-        cycle = faces[idx].boundary_cycle
-        count = sum(1 for a in cycle if a in chosen)
-        if count > 1:
-            return
-        if count == 1:
-            descend(idx)
-            return
-        for aid in cycle:
-            if aid in forbidden:
-                continue
-            chosen.add(aid)
-            descend(idx)
-            chosen.remove(aid)
-
-    recurse(0)
-    return results
+    return list(_enumeration(model)[0])
 
 
 def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
     """∂μ: label i is included iff boundary arrow i is clockwise (lies in a
     white face) and in μ, or anticlockwise and not in μ."""
-    out = set()
-    for a in model.boundary_arrows:
-        clockwise = model.is_clockwise(a.id)
-        if (a.id in mu.arrow_set) == clockwise:
-            out.add(a.boundary_label)
-    return frozenset(out)
+    return _boundary_of(_orientation(model), mu)
 
 
 def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> List[Matching]:
-    target = frozenset(I)
-    return [mu for mu in enumerate_matchings(model)
-            if boundary_value(model, mu) == target]
+    return list(_enumeration(model)[1].get(frozenset(I), ()))
 
 
 def positroid(model: DimerModel) -> FrozenSet[FrozenSet[int]]:
     """All boundary values of perfect matchings."""
-    return frozenset(boundary_value(model, mu) for mu in enumerate_matchings(model))
+    return frozenset(_enumeration(model)[1])
 
 
 def _gale_leq(smaller: FrozenSet[int], larger: FrozenSet[int], shift: int, n: int) -> bool:

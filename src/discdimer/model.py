@@ -8,12 +8,15 @@ the single boundary cycle; no coordinates are stored.
 
 from __future__ import annotations
 
+import functools
 import json
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 BLACK = "black"
 WHITE = "white"
+
+T = TypeVar("T")
 
 
 class StructuralError(ValueError):
@@ -52,15 +55,28 @@ class DimerModel:
     # -- indexed views (computed once; the dataclass is otherwise immutable) --
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "_vertex_by_id", {v.id: v for v in self.vertices})
-        object.__setattr__(self, "_arrow_by_id", {a.id: a for a in self.arrows})
-        object.__setattr__(self, "_face_by_id", {f.id: f for f in self.faces})
+        # Runs on structurally broken models too (validate reports on them),
+        # so nothing here may assume that ids resolve.
+        face_by_id = {f.id: f for f in self.faces}
         faces_of: Dict[int, List[int]] = {a.id: [] for a in self.arrows}
         for f in self.faces:
             for aid in f.boundary_cycle:
                 if aid in faces_of:
                     faces_of[aid].append(f.id)
-        object.__setattr__(self, "_faces_of_arrow", faces_of)
+        boundary = tuple(a for a in self.arrows if a.is_boundary)
+        index = {
+            "_vertex_by_id": {v.id: v for v in self.vertices},
+            "_arrow_by_id": {a.id: a for a in self.arrows},
+            "_face_by_id": face_by_id,
+            "_faces_of_arrow": faces_of,
+            "_boundary_arrows": boundary,
+            "_internal_arrows": tuple(a for a in self.arrows if not a.is_boundary),
+            # A boundary arrow is clockwise iff its face is white.
+            "_clockwise": {a.id: face_by_id[faces_of[a.id][0]].color == WHITE
+                           for a in boundary if faces_of[a.id]},
+        }
+        for name, value in index.items():
+            object.__setattr__(self, name, value)
 
     def vertex(self, vid: int) -> Vertex:
         return self._vertex_by_id[vid]
@@ -87,11 +103,11 @@ class DimerModel:
 
     @property
     def boundary_arrows(self) -> Tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if a.is_boundary)
+        return self._boundary_arrows
 
     @property
     def internal_arrows(self) -> Tuple[Arrow, ...]:
-        return tuple(a for a in self.arrows if not a.is_boundary)
+        return self._internal_arrows
 
     @property
     def n(self) -> int:
@@ -108,13 +124,53 @@ class DimerModel:
         a = self.arrow(aid)
         if not a.is_boundary:
             raise ValueError(f"arrow {aid} is not a boundary arrow")
-        return self.face(self._faces_of_arrow[aid][0]).color == WHITE
+        try:
+            return self._clockwise[aid]
+        except KeyError:
+            raise ValueError(f"boundary arrow {aid} lies in no face") from None
 
     def cycle_successor(self, fid: int, aid: int) -> int:
         """The arrow after `aid` in face `fid`'s oriented boundary cycle."""
         cyc = self.face(fid).boundary_cycle
         i = cyc.index(aid)
         return cyc[(i + 1) % len(cyc)]
+
+
+def per_model(copy: Callable[[Any], Any] = lambda value: value
+              ) -> Callable[[Callable[[DimerModel], T]], Callable[[DimerModel], T]]:
+    """Decorator: compute a function of a model once per `DimerModel` instance.
+
+    The result is stored in the instance's own ``__dict__``, so it lives and
+    dies with that instance; eq and hash read only the dataclass fields. (A
+    cache keyed by model value would hand one instance's results to another,
+    equal instance.) Every call returns ``copy(result)``, so a caller that
+    changes a mutable result cannot change what later calls get. A
+    ValueError is stored too: every later call raises a new one of the same
+    type with the same message.
+    """
+
+    def decorate(fn: Callable[[DimerModel], T]) -> Callable[[DimerModel], T]:
+        key = f"{fn.__module__}.{fn.__qualname__}"
+
+        @functools.wraps(fn)
+        def cached(model: DimerModel) -> T:
+            memo = model.__dict__
+            entry = memo.get(key)
+            if entry is None:
+                try:
+                    entry = memo[key] = (True, fn(model))
+                except ValueError as exc:
+                    memo[key] = (False, (type(exc), exc.args))
+                    raise
+            ok, value = entry
+            if not ok:
+                error_type, args = value
+                raise error_type(*args)
+            return copy(value)
+
+        return cached
+
+    return decorate
 
 
 @dataclass
@@ -164,6 +220,7 @@ def _check_structure(model: DimerModel) -> None:
             raise StructuralError(f"face {f.id} repeats an arrow in its cycle")
 
 
+@per_model(copy=lambda report: replace(report, checks=dict(report.checks)))
 def validate(model: DimerModel) -> ModelReport:
     """Check every dimer-model axiom; raises StructuralError on dangling ids
     or malformed records, otherwise returns a full per-axiom report."""
@@ -175,18 +232,13 @@ def validate(model: DimerModel) -> ModelReport:
     report.record("no_loops", not loops, f"loop arrows: {loops}")
 
     # Face multiplicity: internal arrows once in a black and once in a white
-    # cycle; boundary arrows in exactly one cycle.
+    # cycle; boundary arrows in exactly one cycle. (_check_structure rules
+    # out an arrow repeated within one cycle.)
     bad_mult = []
     for a in model.arrows:
-        occurrences = []
-        for f in model.faces:
-            occurrences += [f.color] * f.boundary_cycle.count(a.id)
-        if a.is_boundary:
-            if len(occurrences) != 1:
-                bad_mult.append(a.id)
-        else:
-            if sorted(occurrences) != [BLACK, WHITE]:
-                bad_mult.append(a.id)
+        colors = sorted(model.face(fid).color for fid in model.faces_of_arrow(a.id))
+        if not (len(colors) == 1 if a.is_boundary else colors == [BLACK, WHITE]):
+            bad_mult.append(a.id)
     report.record("face_multiplicity", not bad_mult, f"arrows: {bad_mult}")
 
     # Oriented cycles: head of each arrow = tail of the next.
@@ -203,57 +255,18 @@ def validate(model: DimerModel) -> ModelReport:
     # Vertex incidence graphs: a line at boundary vertices, a cycle at
     # internal vertices. Nodes are the incident arrows; edges are consecutive
     # pairs through the vertex in some face cycle.
-    bad_vertices = []
-    for v in model.vertices:
-        nodes = [a.id for a in model.arrows if a.tail == v.id or a.head == v.id]
-        edges: List[Tuple[int, int]] = []
-        for f in model.faces:
-            cyc = f.boundary_cycle
-            for i, aid in enumerate(cyc):
-                nxt = cyc[(i + 1) % len(cyc)]
-                if model.arrow(aid).head == v.id:
-                    edges.append((aid, nxt))
-        if not nodes:
-            bad_vertices.append(v.id)
-            continue
-        degree = {nid: 0 for nid in nodes}
-        ok = True
-        for x, y in edges:
-            if x in degree and y in degree:
-                degree[x] += 1
-                degree[y] += 1
-            else:
-                ok = False
-        # Connectivity of the (multi)graph on `nodes` with `edges`.
-        adj: Dict[int, List[int]] = {nid: [] for nid in nodes}
-        for x, y in edges:
-            if x in adj and y in adj:
-                adj[x].append(y)
-                adj[y].append(x)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        while stack:
-            cur = stack.pop()
-            for nb in adj[cur]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if len(seen) != len(nodes):
-            ok = False
-        if ok:
-            degs = sorted(degree.values())
-            if v.is_boundary:
-                # A line: either a single node, or two endpoints of degree 1
-                # and the rest of degree 2.
-                if len(nodes) == 1:
-                    ok = len(edges) == 0
-                else:
-                    ok = len(edges) == len(nodes) - 1 and degs[:2] == [1, 1] and all(
-                        d == 2 for d in degs[2:])
-            else:
-                ok = len(edges) == len(nodes) and all(d == 2 for d in degs)
-        if not ok:
-            bad_vertices.append(v.id)
+    nodes_at: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
+    edges_at: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
+    for a in model.arrows:
+        nodes_at[a.tail].append(a.id)
+        if a.head != a.tail:
+            nodes_at[a.head].append(a.id)
+    for f in model.faces:
+        cyc = f.boundary_cycle
+        for i, aid in enumerate(cyc):
+            edges_at[model.arrow(aid).head].append((aid, cyc[(i + 1) % len(cyc)]))
+    bad_vertices = [v.id for v in model.vertices
+                    if not _incidence_ok(nodes_at[v.id], edges_at[v.id], v.is_boundary)]
     report.record("vertex_incidence", not bad_vertices, f"vertices: {bad_vertices}")
 
     # Euler characteristic of the disc.
@@ -282,6 +295,41 @@ def validate(model: DimerModel) -> ModelReport:
     report.connected = connected
     report.record("connected", connected, "quiver is disconnected" if not connected else "")
     return report
+
+
+def _incidence_ok(nodes: List[int], edges: List[Tuple[int, int]], on_boundary: bool) -> bool:
+    """Whether the graph on the arrows at one vertex (`nodes`), joined by
+    consecutive pairs through that vertex (`edges`), is a line (boundary
+    vertex) or a cycle (internal vertex)."""
+    if not nodes:
+        return False
+    degree = {nid: 0 for nid in nodes}
+    adj: Dict[int, List[int]] = {nid: [] for nid in nodes}
+    for x, y in edges:
+        if x not in degree or y not in degree:
+            return False
+        degree[x] += 1
+        degree[y] += 1
+        adj[x].append(y)
+        adj[y].append(x)
+    seen = {nodes[0]}
+    stack = [nodes[0]]
+    while stack:
+        for nb in adj[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    if len(seen) != len(nodes):
+        return False
+    degs = sorted(degree.values())
+    if on_boundary:
+        # A line: either a single node, or two endpoints of degree 1 and the
+        # rest of degree 2.
+        if len(nodes) == 1:
+            return not edges
+        return len(edges) == len(nodes) - 1 and degs[:2] == [1, 1] and all(
+            d == 2 for d in degs[2:])
+    return len(edges) == len(nodes) and all(d == 2 for d in degs)
 
 
 def _check_boundary_cycle(model: DimerModel, boundary: Sequence[Arrow]) -> Tuple[bool, str]:
@@ -387,6 +435,7 @@ class BipartiteDual:
         return tuple(x for x in self.nodes if x.color == WHITE)
 
 
+@per_model()
 def bipartite_dual(model: DimerModel) -> BipartiteDual:
     require_valid(model)
     nodes = tuple(DualNode(f.id, f.color) for f in model.faces)
@@ -405,6 +454,7 @@ def bipartite_dual(model: DimerModel) -> BipartiteDual:
                          tuple(v.id for v in model.vertices))
 
 
+@per_model()
 def type_of(model: DimerModel) -> Tuple[int, int]:
     """(k, n) with k = #white - #black + #(half-edges at black nodes)."""
     dual = bipartite_dual(model)
@@ -418,6 +468,7 @@ def type_of(model: DimerModel) -> Tuple[int, int]:
 # Opposite and standardisation
 # ---------------------------------------------------------------------------
 
+@per_model()
 def opposite(model: DimerModel) -> DimerModel:
     """Reverse all arrows and face cycles and swap the face colours; ids and
     boundary labels are preserved."""
@@ -485,21 +536,39 @@ def to_dict(model: DimerModel) -> dict:
     }
 
 
+def _int(value: Any, where: str) -> int:
+    # JSON true/false load as bool, a subclass of int; they are not ids.
+    if type(value) is not int:
+        raise TypeError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _bool(value: Any, where: str) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
 def from_dict(doc: dict) -> DimerModel:
+    """The model a JSON document describes. Ids, endpoints, labels and cycle
+    entries must be integers and flags booleans; nothing is coerced."""
     try:
-        vertices = tuple(Vertex(int(v["id"]), bool(v["is_boundary"]))
-                         for v in doc["vertices"])
+        vertices = tuple(Vertex(_int(v["id"], f"vertices[{i}].id"),
+                                _bool(v["is_boundary"], f"vertices[{i}].is_boundary"))
+                         for i, v in enumerate(doc["vertices"]))
         arrows = []
-        for a in doc["arrows"]:
-            is_boundary = bool(a["is_boundary"])
+        for i, a in enumerate(doc["arrows"]):
+            where = f"arrows[{i}]"
             label = a.get("boundary_label")
-            arrows.append(Arrow(int(a["id"]), int(a["tail"]), int(a["head"]),
-                                is_boundary,
-                                int(label) if label is not None else None))
-        faces = tuple(Face(int(f["id"]), str(f["color"]),
-                           tuple(int(x) for x in f["boundary_cycle"]))
-                      for f in doc["faces"])
-    except (KeyError, TypeError, ValueError) as exc:
+            arrows.append(Arrow(_int(a["id"], f"{where}.id"), _int(a["tail"], f"{where}.tail"),
+                                _int(a["head"], f"{where}.head"),
+                                _bool(a["is_boundary"], f"{where}.is_boundary"),
+                                None if label is None else _int(label, f"{where}.boundary_label")))
+        faces = tuple(Face(_int(f["id"], f"faces[{i}].id"), str(f["color"]),
+                           tuple(_int(x, f"faces[{i}].boundary_cycle[{j}]")
+                                 for j, x in enumerate(f["boundary_cycle"])))
+                      for i, f in enumerate(doc["faces"]))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed document: {exc}") from exc
     model = DimerModel(vertices, tuple(arrows), faces)
     _check_structure(model)

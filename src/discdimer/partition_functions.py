@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .kclass_weights import kclass_of_matching, weights
 from .lattice_maps import eta, lattice_point_of_matching
-from .matchings import boundary_value, enumerate_matchings, matchings_with_boundary
+from .matchings import matchings_with_boundary, positroid
 from .model import BLACK, WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
 
@@ -172,12 +172,13 @@ def boundary_measurement(model: DimerModel,
         raise ValueError("arrow weights must be positive")
     totals: Dict[Tuple[int, ...], Fraction] = {
         tuple(sorted(I)): Fraction(0) for I in combinations(range(1, n + 1), k)}
-    for mu in enumerate_matchings(model):
-        prod = Fraction(1)
-        for aid in mu.arrow_set:
-            prod *= w[aid]
-        key = tuple(sorted(boundary_value(model, mu)))
-        totals[key] += prod
+    for I in positroid(model):
+        key = tuple(sorted(I))
+        for mu in matchings_with_boundary(model, I):
+            prod = Fraction(1)
+            for aid in mu.arrow_set:
+                prod *= w[aid]
+            totals[key] += prod
     return PluckerVector(k, n, tuple(sorted(totals.items())))
 
 

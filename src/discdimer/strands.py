@@ -10,10 +10,11 @@ the boundary arrow whose pending-colour face is missing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import BLACK, WHITE, DimerModel, require_valid
+from .model import BLACK, WHITE, DimerModel, per_model, require_valid
 
 
 def _other(color: str) -> str:
@@ -72,6 +73,7 @@ def _trace(model: DimerModel, start_label: int) -> Strand:
     return Strand(start_label, end.boundary_label, tuple(seq))
 
 
+@per_model(copy=list)
 def strands(model: DimerModel) -> List[Strand]:
     require_valid(model)
     return [_trace(model, label) for label in range(1, model.n + 1)]
@@ -81,6 +83,7 @@ def strand_permutation(model: DimerModel) -> Dict[int, int]:
     return {s.start_label: s.end_label for s in strands(model)}
 
 
+@per_model(copy=copy.copy)
 def check_postnikov(model: DimerModel) -> ConsistencyReport:
     all_strands = strands(model)
     report = ConsistencyReport()
@@ -173,6 +176,8 @@ def _left_region(model: DimerModel, strand: Strand) -> FrozenSet[int]:
     return frozenset(seen)
 
 
+@per_model(copy=lambda table: replace(table, source=dict(table.source),
+                                      target=dict(table.target)))
 def label_table(model: DimerModel) -> LabelTable:
     """Source labels I_j (marked points whose starting strand has tile j on
     its left) and target labels (same, for the strand ending there)."""
@@ -197,6 +202,7 @@ def target_labels(model: DimerModel) -> Dict[int, FrozenSet[int]]:
     return label_table(model).target
 
 
+@per_model(copy=lambda pair: (dict(pair[0]), dict(pair[1])))
 def necklaces(model: DimerModel) -> Tuple[Dict[int, FrozenSet[int]], Dict[int, FrozenSet[int]]]:
     """(source necklace, target necklace): for each boundary position m,
     the source/target label of the boundary tile between marked points m

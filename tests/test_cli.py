@@ -47,6 +47,28 @@ def test_unknown_model(runner):
     assert result.exit_code != 0
 
 
+def test_any_uniform_name_resolves(runner):
+    result = runner.invoke(main, ["type", "uniform-3-7"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "(3, 7)"
+
+
+@pytest.mark.parametrize("name", ["uniform-x-y", "uniform-3-3", "uniform-3"])
+def test_malformed_uniform_name_is_a_one_line_error(runner, name):
+    result = runner.invoke(main, ["type", name])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: cannot resolve model {name!r}")
+    assert result.output.count("\n") == 1
+
+
+def test_directory_named_like_a_fixture_is_not_read(runner, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "gr37").mkdir()
+    result = runner.invoke(main, ["type", "gr37"])
+    assert result.exit_code == 0
+    assert result.output.strip() == "(3, 7)"
+
+
 def test_fixture_dir_env(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["fixtures", str(tmp_path)])
     assert result.exit_code == 0

@@ -63,6 +63,41 @@ def test_from_dict_rejects_missing_keys():
         from_dict({"vertices": [], "arrows": []})
 
 
+@pytest.mark.parametrize("path,value,message", [
+    (("vertices", 9, "is_boundary"), "false",
+     "vertices[9].is_boundary must be true or false, got 'false'"),
+    (("arrows", 2, "is_boundary"), 0, "arrows[2].is_boundary must be true or false, got 0"),
+    (("vertices", 1, "id"), 1.5, "vertices[1].id must be an integer, got 1.5"),
+    (("arrows", 3, "id"), 3.5, "arrows[3].id must be an integer, got 3.5"),
+    (("arrows", 3, "tail"), 0.0, "arrows[3].tail must be an integer, got 0.0"),
+    (("arrows", 3, "head"), True, "arrows[3].head must be an integer, got True"),
+    (("faces", 4, "id"), 4.5, "faces[4].id must be an integer, got 4.5"),
+    (("faces", 4, "boundary_cycle", 0), "7",
+     "faces[4].boundary_cycle[0] must be an integer, got '7'"),
+    (("arrows", 11, "boundary_label"), 4.0,
+     "arrows[11].boundary_label must be an integer, got 4.0"),
+], ids=["string-bool", "int-bool", "float-vertex-id", "float-arrow-id", "float-tail",
+        "bool-head", "float-face-id", "string-cycle-entry", "float-label"])
+def test_from_dict_coerces_nothing(gr37, path, value, message):
+    doc = to_dict(gr37)
+    *keys, last = path
+    entry = doc
+    for key in keys:
+        entry = entry[key]
+    entry[last] = value
+    with pytest.raises(StructuralError) as info:
+        from_dict(doc)
+    assert str(info.value) == f"malformed document: {message}"
+
+
+@pytest.mark.parametrize("section", ["vertices", "arrows", "faces"])
+def test_from_dict_rejects_a_record_that_is_not_an_object(gr37, section):
+    doc = to_dict(gr37)
+    doc[section][0] = [0, 1]
+    with pytest.raises(StructuralError):
+        from_dict(doc)
+
+
 def test_validate_catches_loop(triangle):
     doc = to_dict(triangle)
     doc["arrows"][0]["head"] = doc["arrows"][0]["tail"]
