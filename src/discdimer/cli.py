@@ -7,46 +7,39 @@ fixture (triangle, gr37, inconsistent, uniform-K-N).
 
 Reports are emitted as plain text by default, or as JSON documents with a
 stable ``"schema": 1`` field under ``--format json``. `dimer verify` runs
-the full ordered check suite and exits 0 iff every check passes.
+the ordered check suite of `discdimer.verify` and exits 0 iff every check
+passes. Any ValueError a command raises (a malformed file, a model that
+fails validation or consistency, a failed precondition) is reported as one
+``Error:`` line with exit code 1.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import random
 import re
 import sys
-import time
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 import click
 
 from . import model as model_lib
 from .fixtures import FIXTURE_BUILDERS, build_uniform
-from .kclass_weights import (downstream_wedge, kclass_of_matching,
-                             muller_speyer_matching,
-                             projective_matching_oracle, upstream_matching,
-                             weight_table, weights)
-from .lattice_maps import (check_cluster_ensemble, eta_inverse_basis,
-                           eta_invariant_factors, is_eta_unimodular,
-                           lattice_basis)
-from .matchings import (Matching, boundary_value, enumerate_matchings,
-                        extreme_matchings, is_matching,
-                        matchings_with_boundary, positroid,
-                        positroid_contains_necklace_test)
+from .kclass_weights import downstream_wedge, kclass_of_matching, muller_speyer_matching
+from .lattice_maps import (check_cluster_ensemble, eta_invariant_factors,
+                           is_eta_unimodular, lattice_basis)
+from .matchings import (Matching, enumerate_matchings, extreme_matchings, is_matching,
+                        matchings_with_boundary, positroid)
 from .model import (BLACK, WHITE, DimerModel, StructuralError, opposite,
                     standardise, type_of, validate)
 from .partition_functions import (LaurentPoly, boundary_measurement,
-                                  check_plucker_relations, ms_formula_black,
-                                  ms_formula_white, ms_formula_white_v2,
+                                  check_plucker_relations, ms_formula,
                                   musp_twist_expression, unit_weights)
-from .resolution import (check_resolution, reachable_set, rotate_matching,
-                         saturation_degree)
+from .resolution import check_resolution, rotate_matching
 from .strands import (check_postnikov, source_labels, strands as strands_of,
                       target_labels)
+from .verify import run_checks, three_way_msmatch
 
 SCHEMA = 1
 
@@ -55,7 +48,7 @@ SCHEMA = 1
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _resolve_model(name: str) -> DimerModel:
+def _load(name: str) -> DimerModel:
     if os.path.isfile(name):
         return model_lib.load(name)
     fixture_dir = os.environ.get("DIMER_FIXTURES")
@@ -77,13 +70,6 @@ def _resolve_model(name: str) -> DimerModel:
             raise click.ClickException(f"cannot resolve model {name!r}: {exc}")
     raise click.ClickException(f"cannot resolve model {name!r}: not a file, "
                                "not under DIMER_FIXTURES, not a bundled fixture")
-
-
-def _load(name: str) -> DimerModel:
-    try:
-        return _resolve_model(name)
-    except StructuralError as exc:
-        raise click.ClickException(str(exc))
 
 
 def _parse_ints(text: str, what: str) -> List[int]:
@@ -125,7 +111,18 @@ format_option = click.option("--format", "fmt", type=click.Choice(["text", "json
                              help="Output format.")
 
 
-@click.group()
+class _OneLineErrors(click.Group):
+    """Reports every ValueError a command raises as one `Error:` line with
+    exit code 1. StructuralError and UnicodeDecodeError are ValueErrors."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+
+
+@click.group(cls=_OneLineErrors)
 def main() -> None:
     """Combinatorics of consistent dimer models on the disc."""
 
@@ -168,10 +165,7 @@ def cmd_type(file: str, fmt: str) -> None:
 @click.option("-o", "out", required=True, help="Output model file.")
 def cmd_build_uniform(k: int, n: int, out: str) -> None:
     """Build the uniform (k,n) model and write it to a file."""
-    try:
-        model = build_uniform(k, n)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    model = build_uniform(k, n)
     model_lib.save(model, out)
     click.echo(f"wrote uniform ({k},{n}) model with {len(model.vertices)} vertices to {out}")
 
@@ -298,10 +292,7 @@ def cmd_extremes(file: str, boundary: str, fmt: str) -> None:
     """The flip-minimal and flip-maximal matchings with a given boundary."""
     model = _load(file)
     I = _parse_ints(boundary, "boundary")
-    try:
-        lo, hi = extreme_matchings(model, I)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    lo, hi = extreme_matchings(model, I)
     doc = {"command": "extremes", "boundary": sorted(set(I)),
            "minimal": _serialize_matching(lo), "maximal": _serialize_matching(hi)}
     _emit(doc, fmt, lambda: [f"minimal: {_serialize_matching(lo)}",
@@ -366,7 +357,7 @@ def cmd_wedge(file: str, arrow: int, fmt: str) -> None:
     model = _load(file)
     try:
         wedge = downstream_wedge(model, arrow)
-    except (KeyError, ValueError) as exc:
+    except KeyError as exc:
         raise click.ClickException(str(exc))
     members = sorted(wedge.members)
     doc = {"command": "wedge", "arrow": arrow, "members": members}
@@ -395,24 +386,12 @@ def cmd_kclass(file: str, matching: str, fmt: str) -> None:
 def cmd_verify_msmatch(file: str, fmt: str) -> None:
     """Three-way equality of the distinguished matchings at every vertex."""
     model = _load(file)
-    ok, witness = _three_way_msmatch(model)
+    ok, witness = three_way_msmatch(model)
     doc = {"command": "verify-msmatch", "passed": ok, "witness": witness}
     _emit(doc, fmt, lambda: [f"three-way equality: {'pass' if ok else 'FAIL'}"]
           + ([f"witness: {witness}"] if witness else []))
     if not ok:
         sys.exit(1)
-
-
-def _three_way_msmatch(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    inverse = eta_inverse_basis(model)
-    for v in model.vertices:
-        wedge_mu = muller_speyer_matching(model, v.id).arrow_set
-        inv_mu = frozenset(a for a, x in inverse[v.id].values if x == 1)
-        oracle_mu = projective_matching_oracle(model, v.id).arrow_set
-        if not (wedge_mu == inv_mu == oracle_mu):
-            return False, (f"vertex {v.id}: wedge {sorted(wedge_mu)}, "
-                           f"inverse {sorted(inv_mu)}, oracle {sorted(oracle_mu)}")
-    return True, None
 
 
 # ---------------------------------------------------------------------------
@@ -429,10 +408,7 @@ def cmd_ms(file: str, subset: str, black: bool, fmt: str) -> None:
     """The boundary-weight partition function for a k-subset."""
     model = _load(file)
     I = _parse_ints(subset, "subset")
-    try:
-        poly = (ms_formula_black if black else ms_formula_white)(model, I)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    poly = ms_formula(model, I, BLACK if black else WHITE)
     doc = {"command": "ms", "subset": sorted(set(I)), "polynomial": _poly_doc(poly)}
     _emit(doc, fmt, lambda: [poly.pretty()])
 
@@ -445,10 +421,7 @@ def cmd_twist_expr(file: str, subset: str, fmt: str) -> None:
     """The twist partition function for a k-subset in the positroid."""
     model = _load(file)
     I = _parse_ints(subset, "subset")
-    try:
-        poly = musp_twist_expression(model, I)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    poly = musp_twist_expression(model, I)
     doc = {"command": "twist-expr", "subset": sorted(set(I)),
            "polynomial": _poly_doc(poly)}
     _emit(doc, fmt, lambda: [poly.pretty()])
@@ -509,10 +482,7 @@ def cmd_resolution(file: str, matching: str, dmax: Optional[int], fmt: str) -> N
     """Exactness of all graded resolution pieces for a matching."""
     model = _load(file)
     mu = _matching_from_option(model, matching)
-    try:
-        report = check_resolution(model, mu, dmax)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    report = check_resolution(model, mu, dmax)
     doc = {"command": "resolution", "d_max": report.d_max,
            "pieces_checked": report.pieces_checked,
            "exact": report.passed,
@@ -539,10 +509,7 @@ def cmd_rotate(file: str, matching: str, vertex: int, degree: int, fmt: str) -> 
     """Rotate a matching one degree step toward a vertex."""
     model = _load(file)
     mu = _matching_from_option(model, matching)
-    try:
-        nu = rotate_matching(model, mu, vertex, degree)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    nu = rotate_matching(model, mu, vertex, degree)
     doc = {"command": "rotate", "matching": _serialize_matching(nu)}
     _emit(doc, fmt, lambda: [str(_serialize_matching(nu))])
 
@@ -550,159 +517,6 @@ def cmd_rotate(file: str, matching: str, vertex: int, degree: int, fmt: str) -> 
 # ---------------------------------------------------------------------------
 # Verification suite
 # ---------------------------------------------------------------------------
-
-def _check_validate(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    report = validate(model)
-    return report.passed, (None if report.passed else str(report.failures()))
-
-
-def _check_consistency(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    report = check_postnikov(model)
-    if report.passed:
-        return True, None
-    return False, (f"b1={report.b1_pass}, b2={report.b2_pass}, "
-                   f"closed loops={list(report.closed_loop_arrows)}")
-
-
-def _check_boundary_sizes(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    k, _ = type_of(model)
-    for mu in enumerate_matchings(model):
-        I = boundary_value(model, mu)
-        if len(I) != k:
-            return False, f"matching {_serialize_matching(mu)} has |boundary| {len(I)} != {k}"
-    return True, None
-
-
-def _check_eta_unimodular(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    if is_eta_unimodular(model):
-        return True, None
-    return False, f"invariant factors {eta_invariant_factors(model)}"
-
-
-def _check_ensemble(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    report = check_cluster_ensemble(model)
-    return report.passed, (None if report.passed else "; ".join(report.witnesses))
-
-
-def _check_msmatch(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    return _three_way_msmatch(model)
-
-
-def _check_wedge_labels(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    src = source_labels(model)
-    tgt = target_labels(model)
-    for v in model.vertices:
-        if boundary_value(model, muller_speyer_matching(model, v.id)) != src[v.id]:
-            return False, f"downstream boundary at vertex {v.id} differs from source label"
-        if boundary_value(model, upstream_matching(model, v.id)) != tgt[v.id]:
-            return False, f"upstream boundary at vertex {v.id} differs from target label"
-    return True, None
-
-
-def _check_weight_formula(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    std = standardise(model, WHITE)
-    table = weight_table(std, WHITE)
-    for mu in enumerate_matchings(std):
-        wt, wtd = weights(std, mu, WHITE)
-        alt: Dict[int, int] = {}
-        for a in std.internal_arrows:
-            if a.id in mu.arrow_set:
-                for v, e in table[a.id].as_dict().items():
-                    alt[v] = alt.get(v, 0) + e
-        if {v: e for v, e in wt.as_dict().items() if e} != {v: e for v, e in alt.items() if e}:
-            return False, f"weight formulas disagree on {_serialize_matching(mu)}"
-        # [N_mu] = wtD + sum over boundary labels of p_head - wt(mu).
-        expect = {v: -e for v, e in wt.as_dict().items()}
-        for v, e in wtd.as_dict().items():
-            expect[v] = expect.get(v, 0) + e
-        for i in boundary_value(std, mu):
-            h = std.boundary_arrow_with_label(i).head
-            expect[h] = expect.get(h, 0) + 1
-        cls = kclass_of_matching(std, mu).as_dict()
-        if {v: e for v, e in expect.items() if e} != {v: e for v, e in cls.items() if e}:
-            return False, f"class identity fails on {_serialize_matching(mu)}"
-    return True, None
-
-
-def _check_ms_equality(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    std = standardise(model, WHITE)
-    k, n = type_of(std)
-    for I in combinations(range(1, n + 1), k):
-        if ms_formula_white(std, I) != ms_formula_white_v2(std, I):
-            return False, f"formulas differ at {list(I)}"
-    return True, None
-
-
-def _check_duality(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    std = standardise(model, WHITE)
-    op = opposite(std)
-    k, n = type_of(std)
-    for I in combinations(range(1, n + 1), k):
-        comp = [x for x in range(1, n + 1) if x not in I]
-        if ms_formula_white(std, I) != ms_formula_black(op, comp):
-            return False, f"duality fails at {list(I)}"
-    return True, None
-
-
-def _check_resolution_all(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    for mu in enumerate_matchings(model):
-        report = check_resolution(model, mu)
-        if not report.passed:
-            return False, (f"matching {_serialize_matching(mu)}: "
-                           f"failures {report.failures}, euler {report.euler_failures}")
-    return True, None
-
-
-def _check_rotation(model: DimerModel) -> Tuple[bool, Optional[str]]:
-    for mu in enumerate_matchings(model):
-        sat = saturation_degree(model, mu)
-        for v in model.vertices:
-            for d in range(1, sat + 1):
-                nu = rotate_matching(model, mu, v.id, d)
-                if (reachable_set(model, mu, v.id, d).members
-                        != reachable_set(model, nu, v.id, d - 1).members):
-                    return False, (f"rotation identity fails at matching "
-                                   f"{_serialize_matching(mu)}, vertex {v.id}, degree {d}")
-    return True, None
-
-
-def _check_plucker_draws(model: DimerModel, seed: int) -> Tuple[bool, Optional[str]]:
-    k, n = type_of(model)
-    rng = random.Random(seed)
-    support_expected = positroid(model)
-    gale = frozenset(frozenset(J) for J in combinations(range(1, n + 1), k)
-                     if positroid_contains_necklace_test(model, J))
-    if gale != support_expected:
-        return False, "necklace Gale-order test disagrees with enumeration"
-    for draw in range(3):
-        w = {a.id: Fraction(rng.randint(1, 20), rng.randint(1, 20))
-             for a in model.arrows}
-        vec = boundary_measurement(model, w)
-        report = check_plucker_relations(vec, k, n)
-        if not report.passed:
-            return False, f"draw {draw}: {len(report.failures)} relation failures"
-        support = frozenset(frozenset(I) for I, x in vec.values if x != 0)
-        if support != support_expected:
-            return False, f"draw {draw}: support differs from the positroid"
-    return True, None
-
-
-VERIFY_CHECKS: List[Tuple[str, Callable[..., Tuple[bool, Optional[str]]]]] = [
-    ("validate", _check_validate),
-    ("check_postnikov", _check_consistency),
-    ("boundary_size_sweep", _check_boundary_sizes),
-    ("eta_unimodular", _check_eta_unimodular),
-    ("cluster_ensemble", _check_ensemble),
-    ("msmatch_three_way", _check_msmatch),
-    ("wedge_boundary_labels", _check_wedge_labels),
-    ("weight_double_formula", _check_weight_formula),
-    ("ms_formula_equality", _check_ms_equality),
-    ("black_white_duality", _check_duality),
-    ("resolution_exactness", _check_resolution_all),
-    ("rotation_identities", _check_rotation),
-    ("plucker_relation_draws", _check_plucker_draws),
-]
-
 
 @main.command("verify")
 @click.argument("file")
@@ -712,21 +526,12 @@ VERIFY_CHECKS: List[Tuple[str, Callable[..., Tuple[bool, Optional[str]]]]] = [
 def cmd_verify(file: str, seed: int, fmt: str) -> None:
     """Run the full ordered verification suite; exit 0 iff all checks pass."""
     try:
-        model = _resolve_model(file)
+        model = _load(file)
     except (StructuralError, click.ClickException) as exc:
         click.echo(json.dumps({"schema": SCHEMA, "command": "verify",
                                "error": str(exc)}, indent=1))
         sys.exit(2)
-    results = []
-    for name, fn in VERIFY_CHECKS:
-        start = time.monotonic()
-        try:
-            ok, witness = (fn(model, seed) if name == "plucker_relation_draws"
-                           else fn(model))
-        except Exception as exc:  # a failed precondition is a failed check
-            ok, witness = False, f"{type(exc).__name__}: {exc}"
-        results.append({"name": name, "passed": ok, "witness": witness,
-                        "seconds": round(time.monotonic() - start, 3)})
+    results = run_checks(model, seed)
     passed = all(r["passed"] for r in results)
     doc = {"command": "verify", "seed": seed, "passed": passed, "checks": results}
     _emit(doc, fmt, lambda: [

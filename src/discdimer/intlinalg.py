@@ -217,27 +217,33 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return len(facs) == rows and all(f == 1 for f in facs)
 
 
-def rational_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by exact fraction-free style elimination."""
-    m = [[Fraction(x) for x in row] for row in a]
+def _gauss_jordan(m: List[List[Fraction]], cols: int) -> List[int]:
+    """Reduce m in place to reduced row echelon form in its first `cols`
+    columns, stopping once every row has a pivot; return the pivot columns."""
     rows = len(m)
-    cols = len(m[0]) if rows else 0
-    rank = 0
+    pivots: List[int] = []
     for col in range(cols):
-        pivot = next((i for i in range(rank, rows) if m[i][col] != 0), None)
+        if len(pivots) == rows:
+            break
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
         if pivot is None:
             continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        inv = 1 / m[rank][col]
-        m[rank] = [x * inv for x in m[rank]]
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
         for i in range(rows):
-            if i != rank and m[i][col] != 0:
+            if i != r and m[i][col] != 0:
                 f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[rank])]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return pivots
+
+
+def rational_rank(a: Sequence[Sequence[int]]) -> int:
+    """Rank over the rationals, by exact Gauss-Jordan elimination."""
+    m = [[Fraction(x) for x in row] for row in a]
+    return len(_gauss_jordan(m, len(m[0]) if m else 0))
 
 
 def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:
@@ -250,17 +256,8 @@ def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:
         raise ValueError("matrix is not square")
     m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
          for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(n):
-            if i != col and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
+    if len(_gauss_jordan(m, n)) < n:
+        raise ValueError("matrix is singular")
     out = []
     for row in m:
         vals = row[n:]

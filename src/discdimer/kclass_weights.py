@@ -14,13 +14,13 @@ associated weights.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice_maps import KClass
-from .matchings import Matching, enumerate_matchings, is_matching
-from .model import BLACK, WHITE, DimerModel, is_standardised, opposite
+from .matchings import Matching, enumerate_matchings, is_matching, require_matching
+from .model import BLACK, WHITE, DimerModel, _tiles_reached, is_standardised, opposite
+from .resolution import degrees_toward
 from .strands import Strand, require_consistent
 
 
@@ -50,21 +50,7 @@ def downstream_wedge(model: DimerModel, aid: int) -> Wedge:
     cut = {aid}
     for strand, pos in crossings:
         cut.update(a for a, _ in strand.crossing_sequence[pos + 1:])
-    adjacency: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        if a.id not in cut:
-            adjacency[a.tail].append(a.head)
-            adjacency[a.head].append(a.tail)
-    arrow = model.arrow(aid)
-    seen = {arrow.head}
-    stack = [arrow.head]
-    while stack:
-        cur = stack.pop()
-        for nb in adjacency[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return Wedge(aid, frozenset(seen))
+    return Wedge(aid, frozenset(_tiles_reached(model, [model.arrow(aid).head], cut)))
 
 
 def muller_speyer_matching(model: DimerModel, j: int) -> Matching:
@@ -83,28 +69,6 @@ def upstream_matching(model: DimerModel, j: int) -> Matching:
     return muller_speyer_matching(opposite(model), j)
 
 
-def minimal_path_degrees(model: DimerModel, j: int, mu0: Matching) -> Dict[int, int]:
-    """D(i) = minimal number of μ0-arrows on a directed path j → i."""
-    dist: Dict[int, int] = {j: 0}
-    queue = deque([j])
-    out_arrows: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        out_arrows[a.tail].append((a.head, 1 if a.id in mu0.arrow_set else 0))
-    while queue:
-        cur = queue.popleft()
-        for nb, w in out_arrows[cur]:
-            nd = dist[cur] + w
-            if nb not in dist or nd < dist[nb]:
-                dist[nb] = nd
-                if w == 0:
-                    queue.appendleft(nb)
-                else:
-                    queue.append(nb)
-    if len(dist) != len(model.vertices):
-        raise ValueError(f"vertex {j} does not reach the whole quiver")
-    return dist
-
-
 def projective_matching_oracle(model: DimerModel, j: int,
                                mu0: Optional[Matching] = None) -> Matching:
     """The matching singled out by minimal path degrees from vertex j: the
@@ -116,7 +80,8 @@ def projective_matching_oracle(model: DimerModel, j: int,
         if not pool:
             raise ValueError("model has no perfect matchings")
         mu0 = pool[0]
-    dist = minimal_path_degrees(model, j, mu0)
+    # A path j → i in Q is a path i → j in Q^op, which keeps the arrow ids.
+    dist = degrees_toward(opposite(model), mu0, j)
     arrows = frozenset(a.id for a in model.arrows
                        if dist[a.tail] + (1 if a.id in mu0.arrow_set else 0)
                        - dist[a.head] == 1)
@@ -128,8 +93,7 @@ def projective_matching_oracle(model: DimerModel, j: int,
 
 def kclass_of_matching(model: DimerModel, mu: Matching) -> KClass:
     """[N_μ] = Σ_j p_j − Σ_{γ∉μ} p_{hγ} + Σ_{γ∈μ internal} p_{tγ}."""
-    if not is_matching(model, mu.arrow_set):
-        raise ValueError("arrow set is not a perfect matching")
+    require_matching(model, mu)
     coeffs = {v.id: 1 for v in model.vertices}
     for a in model.arrows:
         if a.id not in mu.arrow_set:
@@ -175,8 +139,7 @@ def weights(model: DimerModel, mu: Matching, color: str = WHITE
     """
     if not is_standardised(model, color):
         raise ValueError(f"model is not standardised with {color} boundary faces")
-    if not is_matching(model, mu.arrow_set):
-        raise ValueError("arrow set is not a perfect matching")
+    require_matching(model, mu)
     wt: Dict[int, int] = {}
     for a in model.internal_arrows:
         if a.id in mu.arrow_set:

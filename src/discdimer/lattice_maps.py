@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from . import intlinalg
-from .matchings import Matching, is_matching
+from .matchings import Matching, require_matching
 from .model import DimerModel, require_valid
 
 
@@ -65,8 +65,7 @@ def require_in_lattice(model: DimerModel, f: LatticePoint) -> None:
 
 
 def lattice_point_of_matching(model: DimerModel, mu: Matching) -> LatticePoint:
-    if not is_matching(model, mu.arrow_set):
-        raise ValueError("arrow set is not a perfect matching")
+    require_matching(model, mu)
     return make_lattice_point(model, 1, {a: 1 for a in mu.arrow_set})
 
 

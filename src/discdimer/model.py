@@ -11,7 +11,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Any, Callable, Collection, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Set, Tuple, TypeVar)
 
 BLACK = "black"
 WHITE = "white"
@@ -312,14 +313,7 @@ def _incidence_ok(nodes: List[int], edges: List[Tuple[int, int]], on_boundary: b
         degree[y] += 1
         adj[x].append(y)
         adj[y].append(x)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        for nb in adj[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    if len(seen) != len(nodes):
+    if len(_flood(adj, [nodes[0]])) != len(nodes):
         return False
     degs = sorted(degree.values())
     if on_boundary:
@@ -370,22 +364,32 @@ def _check_boundary_cycle(model: DimerModel, boundary: Sequence[Arrow]) -> Tuple
 
 
 def _is_connected(model: DimerModel) -> bool:
-    if not model.vertices:
-        return False
-    adj: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        adj[a.tail].append(a.head)
-        adj[a.head].append(a.tail)
-    start = model.vertices[0].id
-    seen = {start}
-    stack = [start]
+    return bool(model.vertices) and (
+        len(_tiles_reached(model, [model.vertices[0].id])) == len(model.vertices))
+
+
+def _flood(adjacency: Mapping[int, Iterable[int]], seeds: Iterable[int]) -> Set[int]:
+    """Every node reachable from the seeds along the adjacency lists."""
+    seen = set(seeds)
+    stack = list(seen)
     while stack:
-        cur = stack.pop()
-        for nb in adj[cur]:
+        for nb in adjacency[stack.pop()]:
             if nb not in seen:
                 seen.add(nb)
                 stack.append(nb)
-    return len(seen) == len(model.vertices)
+    return seen
+
+
+def _tiles_reached(model: DimerModel, seeds: Iterable[int],
+                   cut: Collection[int] = ()) -> Set[int]:
+    """The tiles reachable from the seeds in the undirected tile adjacency
+    graph with the arrows in `cut` removed."""
+    adjacency: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
+    for a in model.arrows:
+        if a.id not in cut:
+            adjacency[a.tail].append(a.head)
+            adjacency[a.head].append(a.tail)
+    return _flood(adjacency, seeds)
 
 
 def require_valid(model: DimerModel) -> ModelReport:
@@ -585,6 +589,8 @@ def load(path) -> DimerModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise StructuralError(f"{path}: not UTF-8 text") from exc
         except json.JSONDecodeError as exc:
             raise StructuralError(f"{path}: invalid JSON at line {exc.lineno}, "
                                   f"column {exc.colno}") from exc

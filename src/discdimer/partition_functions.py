@@ -1,6 +1,6 @@
-"""Exact Laurent-polynomial partition functions over matchings: the white
-and black boundary-weight formulas, the twist expression, and exact
-boundary measurements with Plücker-relation checking.
+"""Exact Laurent-polynomial partition functions over matchings: the
+boundary-weight formula in both colour conventions, the twist expression,
+and exact boundary measurements with Plücker-relation checking.
 
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
@@ -17,7 +17,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from .kclass_weights import kclass_of_matching, weights
 from .lattice_maps import eta, lattice_point_of_matching
 from .matchings import matchings_with_boundary, positroid
-from .model import BLACK, WHITE, DimerModel, is_standardised, type_of
+from .model import WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
 
 ExponentVector = Tuple[Tuple[int, int], ...]  # sorted (index, exponent) pairs
@@ -81,16 +81,18 @@ def _neg(exp: Mapping[int, int]) -> Dict[int, int]:
 VERTEX_BASIS = "vertices"
 
 
-def ms_formula_white(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
-    """MS°[I] = x^{−wtD} Σ_{μ: ∂μ=I} x^{wt°(μ)}; the zero polynomial when
-    no matching has boundary I. Requires a ∘-standardised model."""
-    if not is_standardised(model, WHITE):
-        raise ValueError("model is not standardised with white boundary faces")
+def ms_formula(model: DimerModel, I: Iterable[int], color: str = WHITE) -> LaurentPoly:
+    """MS[I] = x^{−wtD} Σ_{μ: ∂μ=I} x^{wt(μ)} in the colour convention of a
+    model standardised with boundary faces of that colour: MS° for WHITE,
+    MS• for BLACK. The zero polynomial when no matching has boundary I.
+    The two satisfy MS°_D(I) = MS•_{D^op}(I^c) under the shared vertex ids."""
+    if not is_standardised(model, color):
+        raise ValueError(f"model is not standardised with {color} boundary faces")
     require_consistent(model)
     pool = matchings_with_boundary(model, I)
     terms = []
     for mu in pool:
-        wt, wtd = weights(model, mu, WHITE)
+        wt, wtd = weights(model, mu, color)
         exp = dict(wt.as_dict())
         for v, e in wtd.as_dict().items():
             exp[v] = exp.get(v, 0) - e
@@ -100,7 +102,7 @@ def ms_formula_white(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
 
 def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     """MS°[I] = x^{[P_I°]} Σ_{∂μ=I} x^{−[N_μ]}, with
-    [P_I°] = Σ_{i∈I} p_{h α_i}. Equals ms_formula_white exactly."""
+    [P_I°] = Σ_{i∈I} p_{h α_i}. Equals ms_formula(model, I, WHITE) exactly."""
     if not is_standardised(model, WHITE):
         raise ValueError("model is not standardised with white boundary faces")
     require_consistent(model)
@@ -114,23 +116,6 @@ def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
         exp = _neg(kclass_of_matching(model, mu).as_dict())
         for v, e in p_I.items():
             exp[v] = exp.get(v, 0) + e
-        terms.append((exp, 1))
-    return LaurentPoly.from_terms(VERTEX_BASIS, terms)
-
-
-def ms_formula_black(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
-    """MS•[I] = x^{−wtD} Σ_{∂μ=I} x^{wt•(μ)} on a •-standardised model;
-    satisfies MS°_D(I) = MS•_{D^op}(I^c) under the shared vertex ids."""
-    if not is_standardised(model, BLACK):
-        raise ValueError("model is not standardised with black boundary faces")
-    require_consistent(model)
-    pool = matchings_with_boundary(model, I)
-    terms = []
-    for mu in pool:
-        wt, wtd = weights(model, mu, BLACK)
-        exp = dict(wt.as_dict())
-        for v, e in wtd.as_dict().items():
-            exp[v] = exp.get(v, 0) - e
         terms.append((exp, 1))
     return LaurentPoly.from_terms(VERTEX_BASIS, terms)
 

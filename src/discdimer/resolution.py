@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .intlinalg import rational_rank
-from .matchings import Matching, is_matching
+from .matchings import Matching, is_matching, require_matching
 from .model import BLACK, WHITE, DimerModel
 from .strands import require_consistent
 
@@ -92,8 +92,7 @@ def merged_complex_data(model: DimerModel, mu: Matching
                         ) -> Tuple[Tuple[int, ...], Tuple[MergedFace, ...]]:
     """(Q1^μ, Q2^μ): the unmatched arrows, and the merged faces of the
     quotient quiver, one per matched internal arrow."""
-    if not is_matching(model, mu.arrow_set):
-        raise ValueError("arrow set is not a perfect matching")
+    require_matching(model, mu)
     q1 = tuple(sorted(a.id for a in model.arrows if a.id not in mu.arrow_set))
     q2 = []
     for a in sorted(model.internal_arrows, key=lambda a: a.id):
@@ -168,8 +167,7 @@ def check_resolution(model: DimerModel, mu: Matching,
     identity per vertex: Σ_j t^{D(j)} − Σ_{γ∉μ} t^{D(hγ)} + Σ_β t^{D(tβ)}
     equals the constant 1, where β runs over matched internal arrows."""
     require_consistent(model)
-    if not is_matching(model, mu.arrow_set):
-        raise ValueError("arrow set is not a perfect matching")
+    require_matching(model, mu)
     if d_max is None:
         d_max = saturation_degree(model, mu) + 1
     q1, q2 = merged_complex_data(model, mu)

@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import BLACK, WHITE, DimerModel, per_model, require_valid
+from .model import BLACK, WHITE, DimerModel, _tiles_reached, per_model, require_valid
 
 
 def _other(color: str) -> str:
@@ -154,26 +154,12 @@ def _left_region(model: DimerModel, strand: Strand) -> FrozenSet[int]:
     i, j = strand.start_label, strand.end_label
     if i == j:
         raise ValueError(f"strand {i} is a lollipop; not supported")
-    crossed = set(strand.arrows)
-    adj: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        if a.id not in crossed:
-            adj[a.tail].append(a.head)
-            adj[a.head].append(a.tail)
     seeds = []
     m = i
     while m != j:
         seeds.append(boundary_tile(model, m))
         m = m % n + 1
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        cur = stack.pop()
-        for nb in adj[cur]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return frozenset(seen)
+    return frozenset(_tiles_reached(model, seeds, cut=set(strand.arrows)))
 
 
 @per_model(copy=lambda table: replace(table, source=dict(table.source),

@@ -1,0 +1,211 @@
+"""The ordered check suite behind `dimer verify`.
+
+Each check takes a model and returns ``(passed, witness)``, where the
+witness says where a failed check went wrong and is None on a pass.
+`run_checks` runs every check of `VERIFY_CHECKS` in order; an exception
+in a check (a failed precondition) makes that check fail with the
+exception as its witness.
+"""
+
+from __future__ import annotations
+
+import random
+import time
+from fractions import Fraction
+from itertools import combinations
+from typing import Callable, Dict, List, Optional, Tuple
+
+from .kclass_weights import (kclass_of_matching, muller_speyer_matching,
+                             projective_matching_oracle, upstream_matching,
+                             weight_table, weights)
+from .lattice_maps import (check_cluster_ensemble, eta_inverse_basis,
+                           eta_invariant_factors, is_eta_unimodular)
+from .matchings import (boundary_value, enumerate_matchings, positroid,
+                        positroid_contains_necklace_test)
+from .model import BLACK, WHITE, DimerModel, opposite, standardise, type_of, validate
+from .partition_functions import (boundary_measurement, check_plucker_relations,
+                                  ms_formula, ms_formula_white_v2)
+from .resolution import (check_resolution, reachable_set, rotate_matching,
+                         saturation_degree)
+from .strands import check_postnikov, source_labels, target_labels
+
+CheckResult = Tuple[bool, Optional[str]]
+
+
+def three_way_msmatch(model: DimerModel) -> CheckResult:
+    """Whether 𝔪_j from downstream wedges, from η⁻¹ and from minimal path
+    degrees agree at every vertex j."""
+    inverse = eta_inverse_basis(model)
+    for v in model.vertices:
+        wedge_mu = muller_speyer_matching(model, v.id).arrow_set
+        inv_mu = frozenset(a for a, x in inverse[v.id].values if x == 1)
+        oracle_mu = projective_matching_oracle(model, v.id).arrow_set
+        if not (wedge_mu == inv_mu == oracle_mu):
+            return False, (f"vertex {v.id}: wedge {sorted(wedge_mu)}, "
+                           f"inverse {sorted(inv_mu)}, oracle {sorted(oracle_mu)}")
+    return True, None
+
+
+def _check_validate(model: DimerModel) -> CheckResult:
+    report = validate(model)
+    return report.passed, (None if report.passed else str(report.failures()))
+
+
+def _check_consistency(model: DimerModel) -> CheckResult:
+    report = check_postnikov(model)
+    if report.passed:
+        return True, None
+    return False, (f"b1={report.b1_pass}, b2={report.b2_pass}, "
+                   f"closed loops={list(report.closed_loop_arrows)}")
+
+
+def _check_boundary_sizes(model: DimerModel) -> CheckResult:
+    k, _ = type_of(model)
+    for mu in enumerate_matchings(model):
+        I = boundary_value(model, mu)
+        if len(I) != k:
+            return False, f"matching {list(mu.sorted_ids())} has |boundary| {len(I)} != {k}"
+    return True, None
+
+
+def _check_eta_unimodular(model: DimerModel) -> CheckResult:
+    if is_eta_unimodular(model):
+        return True, None
+    return False, f"invariant factors {eta_invariant_factors(model)}"
+
+
+def _check_ensemble(model: DimerModel) -> CheckResult:
+    report = check_cluster_ensemble(model)
+    return report.passed, (None if report.passed else "; ".join(report.witnesses))
+
+
+def _check_wedge_labels(model: DimerModel) -> CheckResult:
+    src = source_labels(model)
+    tgt = target_labels(model)
+    for v in model.vertices:
+        if boundary_value(model, muller_speyer_matching(model, v.id)) != src[v.id]:
+            return False, f"downstream boundary at vertex {v.id} differs from source label"
+        if boundary_value(model, upstream_matching(model, v.id)) != tgt[v.id]:
+            return False, f"upstream boundary at vertex {v.id} differs from target label"
+    return True, None
+
+
+def _check_weight_formula(model: DimerModel) -> CheckResult:
+    std = standardise(model, WHITE)
+    table = weight_table(std, WHITE)
+    for mu in enumerate_matchings(std):
+        wt, wtd = weights(std, mu, WHITE)
+        alt: Dict[int, int] = {}
+        for a in std.internal_arrows:
+            if a.id in mu.arrow_set:
+                for v, e in table[a.id].as_dict().items():
+                    alt[v] = alt.get(v, 0) + e
+        if {v: e for v, e in wt.as_dict().items() if e} != {v: e for v, e in alt.items() if e}:
+            return False, f"weight formulas disagree on {list(mu.sorted_ids())}"
+        # [N_mu] = wtD + sum over boundary labels of p_head - wt(mu).
+        expect = {v: -e for v, e in wt.as_dict().items()}
+        for v, e in wtd.as_dict().items():
+            expect[v] = expect.get(v, 0) + e
+        for i in boundary_value(std, mu):
+            h = std.boundary_arrow_with_label(i).head
+            expect[h] = expect.get(h, 0) + 1
+        cls = kclass_of_matching(std, mu).as_dict()
+        if {v: e for v, e in expect.items() if e} != {v: e for v, e in cls.items() if e}:
+            return False, f"class identity fails on {list(mu.sorted_ids())}"
+    return True, None
+
+
+def _check_ms_equality(model: DimerModel) -> CheckResult:
+    std = standardise(model, WHITE)
+    k, n = type_of(std)
+    for I in combinations(range(1, n + 1), k):
+        if ms_formula(std, I) != ms_formula_white_v2(std, I):
+            return False, f"formulas differ at {list(I)}"
+    return True, None
+
+
+def _check_duality(model: DimerModel) -> CheckResult:
+    std = standardise(model, WHITE)
+    op = opposite(std)
+    k, n = type_of(std)
+    for I in combinations(range(1, n + 1), k):
+        comp = [x for x in range(1, n + 1) if x not in I]
+        if ms_formula(std, I) != ms_formula(op, comp, BLACK):
+            return False, f"duality fails at {list(I)}"
+    return True, None
+
+
+def _check_resolution_all(model: DimerModel) -> CheckResult:
+    for mu in enumerate_matchings(model):
+        report = check_resolution(model, mu)
+        if not report.passed:
+            return False, (f"matching {list(mu.sorted_ids())}: "
+                           f"failures {report.failures}, euler {report.euler_failures}")
+    return True, None
+
+
+def _check_rotation(model: DimerModel) -> CheckResult:
+    for mu in enumerate_matchings(model):
+        sat = saturation_degree(model, mu)
+        for v in model.vertices:
+            for d in range(1, sat + 1):
+                nu = rotate_matching(model, mu, v.id, d)
+                if (reachable_set(model, mu, v.id, d).members
+                        != reachable_set(model, nu, v.id, d - 1).members):
+                    return False, (f"rotation identity fails at matching "
+                                   f"{list(mu.sorted_ids())}, vertex {v.id}, degree {d}")
+    return True, None
+
+
+def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:
+    k, n = type_of(model)
+    rng = random.Random(seed)
+    support_expected = positroid(model)
+    gale = frozenset(frozenset(J) for J in combinations(range(1, n + 1), k)
+                     if positroid_contains_necklace_test(model, J))
+    if gale != support_expected:
+        return False, "necklace Gale-order test disagrees with enumeration"
+    for draw in range(3):
+        w = {a.id: Fraction(rng.randint(1, 20), rng.randint(1, 20))
+             for a in model.arrows}
+        vec = boundary_measurement(model, w)
+        report = check_plucker_relations(vec, k, n)
+        if not report.passed:
+            return False, f"draw {draw}: {len(report.failures)} relation failures"
+        support = frozenset(frozenset(I) for I, x in vec.values if x != 0)
+        if support != support_expected:
+            return False, f"draw {draw}: support differs from the positroid"
+    return True, None
+
+
+VERIFY_CHECKS: List[Tuple[str, Callable[..., CheckResult]]] = [
+    ("validate", _check_validate),
+    ("check_postnikov", _check_consistency),
+    ("boundary_size_sweep", _check_boundary_sizes),
+    ("eta_unimodular", _check_eta_unimodular),
+    ("cluster_ensemble", _check_ensemble),
+    ("msmatch_three_way", three_way_msmatch),
+    ("wedge_boundary_labels", _check_wedge_labels),
+    ("weight_double_formula", _check_weight_formula),
+    ("ms_formula_equality", _check_ms_equality),
+    ("black_white_duality", _check_duality),
+    ("resolution_exactness", _check_resolution_all),
+    ("rotation_identities", _check_rotation),
+    ("plucker_relation_draws", _check_plucker_draws),
+]
+
+
+def run_checks(model: DimerModel, seed: int) -> List[dict]:
+    """Run every check in order: one ``{"name", "passed", "witness",
+    "seconds"}`` record per check. The seed drives the Plücker weight draws."""
+    results = []
+    for name, fn in VERIFY_CHECKS:
+        start = time.monotonic()
+        try:
+            ok, witness = (fn(model, seed) if name == "plucker_relation_draws"
+                           else fn(model))
+        except Exception as exc:  # a failed precondition is a failed check
+            ok, witness = False, f"{type(exc).__name__}: {exc}"
+        results.append({"name": name, "passed": ok, "witness": witness,
+                        "seconds": round(time.monotonic() - start, 3)})
+    return results

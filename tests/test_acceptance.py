@@ -23,10 +23,10 @@ from discdimer.matchings import (Matching, boundary_value,
                                  height, is_matching, matchings_with_boundary,
                                  positroid, positroid_contains_necklace_test,
                                  support_subgraph)
-from discdimer.model import WHITE, opposite, standardise, type_of
+from discdimer.model import BLACK, WHITE, opposite, standardise, type_of
 from discdimer.partition_functions import (boundary_measurement,
                                            check_plucker_relations,
-                                           ms_formula_black, ms_formula_white,
+                                           ms_formula,
                                            ms_formula_white_v2)
 from discdimer.resolution import (check_resolution, merged_complex_data,
                                   reachable_set, rotate_matching,
@@ -227,10 +227,10 @@ def test_criterion_12_partition_function_identities():
         k, n = type_of(model)
         for I in combinations(range(1, n + 1), k):
             comp = [x for x in range(1, n + 1) if x not in I]
-            p1 = ms_formula_white(model, I)
+            p1 = ms_formula(model, I)
             if p1 != ms_formula_white_v2(model, I):
                 ok, detail = False, f"{name}: formulas differ at {list(I)}"
-            if p1 != ms_formula_black(op, comp):
+            if p1 != ms_formula(op, comp, BLACK):
                 ok, detail = False, f"{name}: duality fails at {list(I)}"
     _report(12, "the two boundary-weight formulas agree and satisfy "
                 "black/white duality for every k-subset on gr37 and "

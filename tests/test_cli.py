@@ -189,3 +189,34 @@ def test_verify_structural_error_gives_json(runner, tmp_path):
     result = runner.invoke(main, ["verify", str(path)])
     assert result.exit_code == 2
     assert "error" in json.loads(result.output)
+
+
+def test_verify_non_utf8_file_gives_json(runner, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    result = runner.invoke(main, ["verify", str(path)])
+    assert result.exit_code == 2
+    assert json.loads(result.output)["error"] == f"{path}: not UTF-8 text"
+
+
+EMPTY_MODEL = {"vertices": [], "arrows": [], "faces": []}
+
+
+@pytest.mark.parametrize("args", [
+    *([cmd, "$EMPTY"] for cmd in
+      ["type", "strands", "labels", "positroid", "matchings", "lattice", "check"]),
+    ["labels", "inconsistent"],
+    ["labels", "inconsistent", "--target"],
+    ["ms-matchings", "inconsistent"],
+    ["verify-msmatch", "inconsistent"],
+    ["type", "$UTF16"],
+], ids="-".join)
+def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args):
+    (tmp_path / "empty.json").write_text(json.dumps(EMPTY_MODEL))
+    (tmp_path / "utf16.json").write_bytes(b"\xff\xfe{\x00}\x00")
+    paths = {"$EMPTY": str(tmp_path / "empty.json"), "$UTF16": str(tmp_path / "utf16.json")}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith("Error: ") and result.output.count("\n") == 1
+    assert "Traceback" not in result.output

@@ -18,6 +18,7 @@ CONSISTENT_FIXTURES = [n for n in ALL_FIXTURES if n != "inconsistent"]
 def test_all_fixtures_validate(name):
     report = validate(fx.FIXTURE_BUILDERS[name]())
     assert report.passed, report.failures()
+    assert report.connected is True
 
 
 @pytest.mark.parametrize("name,expected", [
@@ -96,6 +97,20 @@ def test_from_dict_rejects_a_record_that_is_not_an_object(gr37, section):
     doc[section][0] = [0, 1]
     with pytest.raises(StructuralError):
         from_dict(doc)
+
+
+def test_two_disjoint_triangles_are_not_connected(triangle):
+    doc = to_dict(triangle)
+    shift = {"id": 100, "tail": 100, "head": 100, "boundary_label": 3}
+    copy = {section: [{key: (value + shift[key] if key in shift else value)
+                       for key, value in rec.items()} for rec in records]
+            for section, records in doc.items()}
+    for face in copy["faces"]:
+        face["boundary_cycle"] = [a + 100 for a in face["boundary_cycle"]]
+    union = from_dict({section: doc[section] + copy[section] for section in doc})
+    report = validate(union)
+    assert report.connected is False
+    assert report.checks["connected"] == (False, "quiver is disconnected")
 
 
 def test_validate_catches_loop(triangle):

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from discdimer import fixtures as fx
 from discdimer.matchings import (matchings_with_boundary, positroid,
                                  positroid_contains_necklace_test)
-from discdimer.model import WHITE, opposite, standardise, type_of
+from discdimer.model import BLACK, WHITE, opposite, standardise, type_of
 from discdimer.partition_functions import (LaurentPoly, boundary_measurement,
                                            check_plucker_relations,
-                                           ms_formula_black, ms_formula_white,
+                                           ms_formula,
                                            ms_formula_white_v2,
                                            musp_twist_expression, specialize,
                                            unit_weights)
@@ -64,7 +64,7 @@ def test_ms_formulas_agree(name):
     model = standardise(fx.FIXTURE_BUILDERS[name](), WHITE)
     k, n = type_of(model)
     for I in combinations(range(1, n + 1), k):
-        p1 = ms_formula_white(model, I)
+        p1 = ms_formula(model, I)
         p2 = ms_formula_white_v2(model, I)
         assert p1 == p2
         if frozenset(I) not in positroid(model):
@@ -80,20 +80,20 @@ def test_black_white_duality(name):
     k, n = type_of(model)
     for I in combinations(range(1, n + 1), k):
         comp = [x for x in range(1, n + 1) if x not in I]
-        assert ms_formula_white(model, I) == ms_formula_black(op, comp)
+        assert ms_formula(model, I) == ms_formula(op, comp, BLACK)
 
 
 def test_ms_exponent_sums(u24):
     model = standardise(u24, WHITE)
     k, n = type_of(model)
     for I in combinations(range(1, n + 1), k):
-        for key, _ in ms_formula_white(model, I).terms:
+        for key, _ in ms_formula(model, I).terms:
             assert sum(e for _, e in key) == k - 1
 
 
 def test_ms_requires_standardised(gr37):
     with pytest.raises(ValueError):
-        ms_formula_white(gr37, [1, 3, 5])
+        ms_formula(gr37, [1, 3, 5])
 
 
 def test_twist_expression(gr37):
@@ -152,4 +152,4 @@ def test_specialized_ms_at_unit_pluckers_is_one(u24):
     model = standardise(u24, WHITE)
     vec = boundary_measurement(model, unit_weights(model))
     assign = {j: vec[sorted(lab)] for j, lab in source_labels(model).items()}
-    assert specialize(ms_formula_white(model, [1, 3]), assign) == 1
+    assert specialize(ms_formula(model, [1, 3]), assign) == 1

@@ -4,6 +4,7 @@ import pytest
 
 from discdimer import fixtures as fx
 from discdimer.matchings import enumerate_matchings
+from discdimer.model import opposite
 from discdimer.resolution import (check_resolution, degrees_toward,
                                   graded_piece, merged_complex_data,
                                   reachable_set, rotate_matching,
@@ -36,6 +37,33 @@ def test_degrees_zero_at_target(gr37):
         dist = degrees_toward(gr37, mu, v.id)
         assert dist[v.id] == 0
         assert all(x >= 0 for x in dist.values())
+
+
+def bellman_ford_degrees(model, mu, i):
+    """Oracle: the fewest μ-arrows on a directed path j → i, by relaxing
+    every arrow until nothing changes."""
+    dist = {v.id: float("inf") for v in model.vertices}
+    dist[i] = 0
+    changed = True
+    while changed:
+        changed = False
+        for a in model.arrows:
+            through = dist[a.head] + (a.id in mu.arrow_set)
+            if through < dist[a.tail]:
+                dist[a.tail] = through
+                changed = True
+    return dist
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-2-5"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["model", "opposite"])
+def test_degrees_toward_equal_bellman_ford(name, reverse):
+    model = fx.FIXTURE_BUILDERS[name]()
+    mu = enumerate_matchings(model)[0]
+    if reverse:
+        model = opposite(model)
+    for v in model.vertices:
+        assert degrees_toward(model, mu, v.id) == bellman_ford_degrees(model, mu, v.id)
 
 
 def test_merged_faces_count(triangle, gr37):
