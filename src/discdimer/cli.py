@@ -37,8 +37,8 @@ from .partition_functions import (LaurentPoly, boundary_measurement,
                                   check_plucker_relations, ms_formula,
                                   musp_twist_expression, unit_weights)
 from .resolution import check_resolution, rotate_matching
-from .strands import (check_postnikov, source_labels, strands as strands_of,
-                      target_labels)
+from .strands import (check_postnikov, require_consistent, source_labels,
+                      strands as strands_of, target_labels)
 from .verify import run_checks, three_way_msmatch
 
 SCHEMA = 1
@@ -447,6 +447,7 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
             w = {int(a): Fraction(str(x)) for a, x in raw.items()}
         except (OSError, ValueError, json.JSONDecodeError) as exc:
             raise click.ClickException(f"cannot read weights: {exc}")
+    require_consistent(model)  # an inconsistent model is not the weights' fault
     try:
         vec = boundary_measurement(model, w)
     except (KeyError, ValueError) as exc:

@@ -1,13 +1,15 @@
-"""Exact integer and rational linear algebra on small dense matrices.
+"""Exact integer linear algebra on small dense matrices.
 
 Matrices are lists of lists of Python ints (arbitrary precision), row-major.
-Everything here is exact; no floating point. Sizes in this package are tiny
-(at most a few dozen rows/columns), so simple cubic algorithms are fine.
+Everything here is exact; no floating point and no fractions. Rank,
+determinant and inverse share one fraction-free (Bareiss) elimination, in
+which every intermediate entry is an integer; Hermite and Smith forms use
+extended-gcd steps. Sizes in this package are small (at most a few hundred
+rows/columns), so simple cubic algorithms are fine.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import List, Sequence, Tuple
 
 Matrix = List[List[int]]
@@ -206,62 +208,71 @@ def smith_invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:
 
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    """True iff a is square and invertible over the integers."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if rows != cols:
-        return False
-    if rows == 0:
-        return True
-    facs = smith_invariant_factors(a)
-    return len(facs) == rows and all(f == 1 for f in facs)
+    """True iff a is square and invertible over the integers: |det a| = 1."""
+    return all(len(row) == len(a) for row in a) and abs(determinant(a)) == 1
 
 
-def _gauss_jordan(m: List[List[Fraction]], cols: int) -> List[int]:
-    """Reduce m in place to reduced row echelon form in its first `cols`
-    columns, stopping once every row has a pivot; return the pivot columns."""
+def _bareiss(m: Matrix, cols: int, reduced: bool = False) -> Tuple[List[int], int]:
+    """Fraction-free (Bareiss) elimination of m in place over its first
+    `cols` columns, stopping once every row has a pivot. A row becomes
+    (p·row − f·pivot row) / p' for the new pivot p, its entry f in the pivot
+    column and the previous pivot p'; the division is exact, as every entry
+    is then a minor of the input (Sylvester's identity). Rows above a pivot
+    are cleared too if `reduced`; every pivot entry then ends equal to the
+    last pivot. Returns the pivot columns and the last pivot signed by the
+    row swaps: for square m of full rank, det m."""
     rows = len(m)
     pivots: List[int] = []
+    prev, sign = 1, 1
     for col in range(cols):
         if len(pivots) == rows:
             break
         r = len(pivots)
-        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
+        pivot = next((i for i in range(r, rows) if m[i][col]), None)
         if pivot is None:
             continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(rows):
-            if i != r and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top, p = m[r], m[r][col]
+        for i in (range(rows) if reduced else range(r + 1, rows)):
+            f = m[i][col]
+            if i == r or (f == 0 and p == prev):
+                continue
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
         pivots.append(col)
-    return pivots
+    return pivots, sign * prev
 
 
 def rational_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by exact Gauss-Jordan elimination."""
-    m = [[Fraction(x) for x in row] for row in a]
-    return len(_gauss_jordan(m, len(m[0]) if m else 0))
+    """Rank over the rationals, by fraction-free elimination."""
+    m = [list(row) for row in a]
+    return len(_bareiss(m, len(m[0]) if m else 0)[0])
+
+
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free elimination."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    pivots, det = _bareiss([list(row) for row in a], n)
+    return det if len(pivots) == n else 0
 
 
 def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of a unimodular integer matrix, computed exactly.
 
+    Eliminating [a | I] fraction-free leaves [d·I | d·a⁻¹], d = ±det a.
     Raises ValueError if the matrix is not invertible over the integers.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    if len(_gauss_jordan(m, n)) < n:
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    pivots, det = _bareiss(m, n, reduced=True)
+    if len(pivots) < n:
         raise ValueError("matrix is singular")
-    out = []
-    for row in m:
-        vals = row[n:]
-        if any(v.denominator != 1 for v in vals):
-            raise ValueError("matrix is not invertible over the integers")
-        out.append([int(v) for v in vals])
-    return out
+    if abs(det) != 1:
+        raise ValueError("matrix is not invertible over the integers")
+    return [[x // row[i] for x in row[n:]] for i, row in enumerate(m)]

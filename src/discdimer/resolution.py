@@ -6,7 +6,10 @@ reachable set S(μ,i,d) collects the vertices with a path to i of degree at
 most d. Each graded piece of the resolution is a four-term complex of
 finite-dimensional vector spaces built from the quiver with the μ-arrows
 contracted (faces merged across matched internal arrows); the resolution is
-exact iff every piece is exact, which is checked with exact rational ranks.
+exact iff every piece is exact, which is checked with exact ranks. A piece
+depends only on its reachable set, and many (vertex, degree) pairs share
+one, so `check_resolution` computes the degrees toward each vertex once and
+decides exactness once per distinct reachable set.
 """
 
 from __future__ import annotations
@@ -49,11 +52,21 @@ class GradedComplexPiece:
 
     def is_exact(self) -> bool:
         """Exactness of 0 → C2 → C1 → C0 → ℚ → 0 with the all-ones
-        augmentation: checked by rank counting."""
+        augmentation: it is a complex (δ1δ2 = 0, every column of δ1 sums
+        to 0) and the ranks count out."""
         if not self.c0:
             return False
-        r2 = rational_rank([list(r) for r in self.delta2]) if self.c2 else 0
-        r1 = rational_rank([list(r) for r in self.delta1]) if self.c1 else 0
+        for row in self.delta1:  # row of δ1δ2 = Σ_m δ1[r][m] · (row m of δ2)
+            acc = [0] * len(self.c2)
+            for x, row2 in zip(row, self.delta2):
+                if x:
+                    acc = [s + x * y for s, y in zip(acc, row2)]
+            if any(acc):
+                return False
+        if any(sum(col) for col in zip(*self.delta1)):
+            return False
+        r2 = rational_rank(self.delta2) if self.c2 else 0
+        r1 = rational_rank(self.delta1) if self.c1 else 0
         return (r2 == len(self.c2)
                 and r1 == len(self.c1) - r2
                 and len(self.c0) - r1 == 1)
@@ -84,8 +97,7 @@ def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
 def reachable_set(model: DimerModel, mu: Matching, i: int, d: int) -> ReachableSet:
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    dist = degrees_toward(model, mu, i)
-    return ReachableSet(mu, i, d, frozenset(j for j, dd in dist.items() if dd <= d))
+    return ReachableSet(mu, i, d, _within(degrees_toward(model, mu, i), d))
 
 
 def merged_complex_data(model: DimerModel, mu: Matching
@@ -110,8 +122,14 @@ def graded_piece(model: DimerModel, mu: Matching, i: int, d: int) -> GradedCompl
     """The degree-d piece at vertex i: the reduced cochain complex of the
     merged quiver restricted to S(μ,i,d), with δ1(α) = tα − hα and
     δ2(r) = Σ r⁺ − Σ r⁻."""
-    S = reachable_set(model, mu, i, d).members
     q1, q2 = merged_complex_data(model, mu)
+    return _piece(model, reachable_set(model, mu, i, d).members, q1, q2)
+
+
+def _piece(model: DimerModel, S: FrozenSet[int], q1: Tuple[int, ...],
+           q2: Tuple[MergedFace, ...]) -> GradedComplexPiece:
+    """The graded piece on the reachable set S; it depends on μ only
+    through the merged complex data (q1, q2)."""
     c1 = [a for a in q1 if model.arrow(a).head in S]
     c2 = [r for r in q2 if r.head in S]
     c0 = sorted(S)
@@ -141,11 +159,19 @@ def graded_piece(model: DimerModel, mu: Matching, i: int, d: int) -> GradedCompl
 def saturation_degree(model: DimerModel, mu: Matching) -> int:
     """The largest minimal path degree over all (source, target) pairs; for
     d at or beyond it every reachable set is the whole vertex set."""
-    best = 0
-    for v in model.vertices:
-        dist = degrees_toward(model, mu, v.id)
-        best = max(best, max(dist.values()))
-    return best
+    return _degrees(model, mu)[1]
+
+
+def _degrees(model: DimerModel, mu: Matching) -> Tuple[Dict[int, Dict[int, int]], int]:
+    """degrees_toward(model, mu, i) for every vertex i, keyed by i, and
+    the saturation degree: the largest of them."""
+    degrees = {v.id: degrees_toward(model, mu, v.id) for v in model.vertices}
+    return degrees, max((max(dist.values()) for dist in degrees.values()), default=0)
+
+
+def _within(dist: Dict[int, int], d: int) -> FrozenSet[int]:
+    """The members of a reachable set: the vertices at degree at most d."""
+    return frozenset(j for j, e in dist.items() if e <= d)
 
 
 @dataclass
@@ -165,21 +191,29 @@ def check_resolution(model: DimerModel, mu: Matching,
     """Exactness of every graded piece for every vertex i and every degree
     0 ≤ d ≤ d_max (default: saturation + 1), plus the telescoped Euler
     identity per vertex: Σ_j t^{D(j)} − Σ_{γ∉μ} t^{D(hγ)} + Σ_β t^{D(tβ)}
-    equals the constant 1, where β runs over matched internal arrows."""
+    equals the constant 1, where β runs over matched internal arrows.
+
+    A piece depends only on its reachable set, so exactness is decided
+    once per distinct set and every (vertex, degree) reads that answer."""
     require_consistent(model)
     require_matching(model, mu)
+    degrees, saturation = _degrees(model, mu)
     if d_max is None:
-        d_max = saturation_degree(model, mu) + 1
+        d_max = saturation + 1
     q1, q2 = merged_complex_data(model, mu)
+    exact: Dict[FrozenSet[int], bool] = {}
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
     pieces = 0
     for v in model.vertices:
+        dist = degrees[v.id]
         for d in range(d_max + 1):
             pieces += 1
-            if not graded_piece(model, mu, v.id, d).is_exact():
+            S = _within(dist, d)
+            if S not in exact:
+                exact[S] = _piece(model, S, q1, q2).is_exact()
+            if not exact[S]:
                 failures.append((v.id, d))
-        dist = degrees_toward(model, mu, v.id)
         series: Dict[int, int] = {}
         for j in dist:
             series[dist[j]] = series.get(dist[j], 0) + 1
@@ -201,7 +235,11 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     if d < 1:
         raise ValueError("degree must be at least 1")
     require_consistent(model)
-    dist = degrees_toward(model, mu, i)
+    return _rotate(model, mu, degrees_toward(model, mu, i), d)
+
+
+def _rotate(model: DimerModel, mu: Matching, dist: Dict[int, int], d: int) -> Matching:
+    """rotate_matching, given the degrees `dist` toward the target."""
     X = {a.id for a in model.arrows if a.id in mu.arrow_set
          and dist[a.tail] == d and dist[a.head] == d - 1}
     Y = {a.id for a in model.arrows if a.id not in mu.arrow_set

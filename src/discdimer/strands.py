@@ -62,14 +62,16 @@ def _trace(model: DimerModel, start_label: int) -> Strand:
     while True:
         seq.append((cur, cur_color))
         if len(seq) > limit:
-            raise RuntimeError("strand fails to terminate; model is malformed")
+            raise ValueError("strand fails to terminate; model is malformed")
         face = model.face_of_color(cur, cur_color)
         if face is None:
             break
         cur = model.cycle_successor(face.id, cur)
         cur_color = _other(cur_color)
     end = model.arrow(cur)
-    assert end.is_boundary
+    if not end.is_boundary:
+        raise ValueError(f"strand from label {start_label} ends on internal arrow {cur}; "
+                         "model is malformed")
     return Strand(start_label, end.boundary_label, tuple(seq))
 
 

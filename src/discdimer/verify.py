@@ -25,9 +25,8 @@ from .matchings import (boundary_value, enumerate_matchings, positroid,
 from .model import BLACK, WHITE, DimerModel, opposite, standardise, type_of, validate
 from .partition_functions import (boundary_measurement, check_plucker_relations,
                                   ms_formula, ms_formula_white_v2)
-from .resolution import (check_resolution, reachable_set, rotate_matching,
-                         saturation_degree)
-from .strands import check_postnikov, source_labels, target_labels
+from .resolution import _degrees, _rotate, _within, check_resolution, reachable_set
+from .strands import check_postnikov, require_consistent, source_labels, target_labels
 
 CheckResult = Tuple[bool, Optional[str]]
 
@@ -145,13 +144,14 @@ def _check_resolution_all(model: DimerModel) -> CheckResult:
 
 
 def _check_rotation(model: DimerModel) -> CheckResult:
+    require_consistent(model)
     for mu in enumerate_matchings(model):
-        sat = saturation_degree(model, mu)
+        degrees, sat = _degrees(model, mu)
         for v in model.vertices:
+            dist = degrees[v.id]
             for d in range(1, sat + 1):
-                nu = rotate_matching(model, mu, v.id, d)
-                if (reachable_set(model, mu, v.id, d).members
-                        != reachable_set(model, nu, v.id, d - 1).members):
+                nu = _rotate(model, mu, dist, d)
+                if _within(dist, d) != reachable_set(model, nu, v.id, d - 1).members:
                     return False, (f"rotation identity fails at matching "
                                    f"{list(mu.sorted_ids())}, vertex {v.id}, degree {d}")
     return True, None

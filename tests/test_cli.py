@@ -8,7 +8,7 @@ from click.testing import CliRunner
 
 from discdimer import fixtures as fx
 from discdimer.cli import main
-from discdimer.model import save
+from discdimer.model import DimerModel, save
 
 
 @pytest.fixture()
@@ -152,6 +152,26 @@ def test_measure_with_weight_file(runner, tmp_path):
     assert doc["plucker"]["passed"]
 
 
+def test_measure_on_an_inconsistent_model_blames_the_model(runner):
+    result = runner.invoke(main, ["measure", "inconsistent", "--weights", "unit"])
+    assert result.exit_code == 1
+    assert result.output.startswith("Error: model is not consistent: ")
+    assert "bad weights" not in result.output
+
+
+@pytest.mark.parametrize("weights, message", [
+    ({"0": "1"}, "Error: bad weights: 1\n"),
+    ({str(a): "0" for a in range(10)}, "Error: bad weights: arrow weights must be positive\n"),
+], ids=["missing-arrow", "non-positive"])
+def test_measure_bad_weights(runner, tmp_path, weights, message):
+    assert len(fx.build_uniform(2, 4).arrows) == 10
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(weights))
+    result = runner.invoke(main, ["measure", "uniform-2-4", "--weights", str(wfile)])
+    assert result.exit_code == 1
+    assert result.output == message
+
+
 def test_resolution_and_rotate(runner, gr37_file):
     result = runner.invoke(main, ["resolution", gr37_file,
                                   "--matching", "1,3,9,10,15"])
@@ -220,3 +240,11 @@ def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1
     assert "Traceback" not in result.output
+
+
+def test_a_strand_that_never_ends_is_a_one_line_error(runner, monkeypatch):
+    internal = fx.gr37().internal_arrows[0].id
+    monkeypatch.setattr(DimerModel, "cycle_successor", lambda model, fid, aid: internal)
+    result = runner.invoke(main, ["strands", "gr37"])
+    assert result.exit_code == 1
+    assert result.output == "Error: strand fails to terminate; model is malformed\n"

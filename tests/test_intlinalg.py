@@ -1,13 +1,19 @@
-"""Exact integer linear algebra, cross-checked against sympy."""
+"""Exact integer linear algebra, cross-checked against sympy and against a
+`Fraction` Gauss-Jordan elimination kept here as the oracle of the
+fraction-free core."""
 
+from fractions import Fraction
+
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from discdimer.intlinalg import (column_hermite, integer_inverse, is_unimodular,
-                                 kernel_basis, lattices_equal, mat_mul,
-                                 rational_rank, smith_invariant_factors)
+from discdimer.intlinalg import (column_hermite, determinant, identity,
+                                 integer_inverse, is_unimodular, kernel_basis,
+                                 lattices_equal, mat_mul, rational_rank,
+                                 smith_invariant_factors)
 
 small_matrix = st.integers(-6, 6).flatmap(
     lambda _: st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
@@ -64,6 +70,169 @@ def test_smith_handles_unit_heavy_matrix():
 @settings(max_examples=100, deadline=None)
 def test_rational_rank_matches_sympy(a):
     assert rational_rank(a) == sympy.Matrix(a).rank()
+
+
+def gauss_jordan(a, cols):
+    """Oracle: reduced row echelon form over the rationals, in the first
+    `cols` columns, with Fraction arithmetic. Returns the reduced rows, the
+    pivot columns and the determinant of the first `cols` columns when they
+    form a square matrix."""
+    m = [[Fraction(x) for x in row] for row in a]
+    rows = len(m)
+    pivots = []
+    det = Fraction(1)
+    for col in range(cols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, rows) if m[i][col] != 0), None)
+        if pivot is None:
+            det = Fraction(0)
+            continue
+        if pivot != r:
+            m[r], m[pivot] = m[pivot], m[r]
+            det = -det
+        det *= m[r][col]
+        inv = 1 / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(rows):
+            if i != r and m[i][col] != 0:
+                f = m[i][col]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+    return m, pivots, det
+
+
+def fraction_inverse(a):
+    """Oracle: the inverse from the Fraction elimination of [a | I], with the
+    errors integer_inverse raises."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    m, pivots, _ = gauss_jordan([list(row) + unit for row, unit in zip(a, identity(n))], n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    if any(x.denominator != 1 for row in m for x in row[n:]):
+        raise ValueError("matrix is not invertible over the integers")
+    return [[int(x) for x in row[n:]] for row in m]
+
+
+def sympy_matrix(a, cols):
+    return sympy.Matrix(len(a), cols, [x for row in a for x in row])
+
+
+entry = st.one_of(st.integers(-3, 3), st.integers(-10 ** 6, 10 ** 6))
+
+
+@st.composite
+def any_matrix(draw, max_side=7):
+    """Any shape (zero rows or zero columns included, tall and wide), and a
+    rank-deficient product b·c about half the time."""
+    rows, cols = draw(st.integers(0, max_side)), draw(st.integers(0, max_side))
+    if draw(st.booleans()):
+        inner = draw(st.integers(0, max(0, min(rows, cols) - 1)))
+        b = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                          min_size=rows, max_size=rows))
+        c = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=inner, max_size=inner))
+        a = mat_mul(b, c) if inner else [[0] * cols for _ in range(rows)]
+    else:
+        a = draw(st.lists(st.lists(entry, min_size=cols, max_size=cols),
+                          min_size=rows, max_size=rows))
+    return a, cols
+
+
+@st.composite
+def square_matrix(draw, max_side=6):
+    n = draw(st.integers(0, max_side))
+    return draw(st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+
+
+@st.composite
+def unimodular_matrix(draw, max_side=6):
+    """A product of elementary integer matrices: row additions, swaps and
+    negations of the identity."""
+    n = draw(st.integers(1, max_side))
+    m = identity(n)
+    for _ in range(draw(st.integers(0, 3 * n))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        kind = draw(st.sampled_from(["add", "swap", "negate"]))
+        if kind == "add" and i != j:
+            f = draw(st.integers(-3, 3))
+            m[i] = [x + f * y for x, y in zip(m[i], m[j])]
+        elif kind == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif kind == "negate":
+            m[i] = [-x for x in m[i]]
+    return m
+
+
+@given(any_matrix())
+@settings(max_examples=200, deadline=None)
+def test_rank_equals_fraction_oracle_and_sympy(shaped):
+    a, cols = shaped
+    expected = len(gauss_jordan(a, cols)[1])
+    assert rational_rank(a) == expected
+    assert expected == sympy_matrix(a, cols).rank()
+
+
+@given(square_matrix())
+@settings(max_examples=200, deadline=None)
+def test_determinant_equals_fraction_oracle_and_sympy(a):
+    expected = gauss_jordan(a, len(a))[2]
+    assert determinant(a) == expected
+    assert expected == sympy_matrix(a, len(a)).det()
+
+
+def test_determinant_rejects_non_square():
+    with pytest.raises(ValueError, match="matrix is not square"):
+        determinant([[1, 2]])
+
+
+@given(unimodular_matrix())
+@settings(max_examples=200, deadline=None)
+def test_integer_inverse_round_trip_and_oracle(a):
+    inv = integer_inverse(a)
+    assert mat_mul(a, inv) == identity(len(a)) == mat_mul(inv, a)
+    assert inv == fraction_inverse(a)
+    assert sympy_matrix(inv, len(a)) == sympy_matrix(a, len(a)).inv()
+
+
+def error_of(fn, a):
+    try:
+        fn(a)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@given(square_matrix())
+@settings(max_examples=200, deadline=None)
+def test_integer_inverse_errors_equal_the_oracle(a):
+    expected = error_of(fraction_inverse, a)
+    assert error_of(integer_inverse, a) == expected
+    det = sympy_matrix(a, len(a)).det()
+    assert expected == (None if abs(det) == 1 else "matrix is singular" if det == 0
+                        else "matrix is not invertible over the integers")
+
+
+@pytest.mark.parametrize("a, message", [
+    ([[1, 2]], "matrix is not square"),
+    ([[1, 1], [1, 1]], "matrix is singular"),
+    ([[2, 0], [0, 1]], "matrix is not invertible over the integers"),
+    ([[0, 3, 0], [1, 0, 0], [0, 0, 1]], "matrix is not invertible over the integers"),
+])
+def test_integer_inverse_messages(a, message):
+    assert error_of(integer_inverse, a) == error_of(fraction_inverse, a) == message
+
+
+@given(st.one_of(square_matrix(), unimodular_matrix(), any_matrix().map(lambda s: s[0])))
+@settings(max_examples=200, deadline=None)
+def test_is_unimodular_equals_smith_form(a):
+    rows = len(a)
+    square = all(len(row) == rows for row in a)
+    factors = smith_invariant_factors(a)
+    assert is_unimodular(a) == (square and len(factors) == rows
+                                and all(f == 1 for f in factors))
 
 
 def test_integer_inverse_round_trip():

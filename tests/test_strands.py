@@ -3,7 +3,7 @@
 import pytest
 
 from discdimer import fixtures as fx
-from discdimer.model import opposite, type_of
+from discdimer.model import DimerModel, opposite, type_of
 from discdimer.strands import (boundary_tile, check_postnikov, label_table,
                                necklaces, require_consistent, source_labels,
                                strand_permutation, strands, target_labels)
@@ -87,3 +87,21 @@ def test_opposite_complements_labels(gr37):
     full = frozenset(range(1, 8))
     assert source_labels(op) == {v: full - lab for v, lab in target_labels(gr37).items()}
     assert target_labels(op) == {v: full - lab for v, lab in source_labels(gr37).items()}
+
+
+def test_a_walk_ending_on_an_internal_arrow_is_a_value_error(monkeypatch):
+    """The end-of-strand check is an explicit error, so it also holds under
+    `python -O`."""
+    face_of_color = DimerModel.face_of_color
+    monkeypatch.setattr(DimerModel, "face_of_color", lambda model, aid, color: (
+        None if not model.arrow(aid).is_boundary else face_of_color(model, aid, color)))
+    with pytest.raises(ValueError, match="ends on internal arrow"):
+        strands(fx.gr37())
+
+
+def test_a_walk_that_never_ends_is_a_value_error(monkeypatch):
+    model = fx.gr37()
+    internal = model.internal_arrows[0].id
+    monkeypatch.setattr(DimerModel, "cycle_successor", lambda model, fid, aid: internal)
+    with pytest.raises(ValueError, match="fails to terminate"):
+        strands(model)
