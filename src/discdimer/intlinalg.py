@@ -1,11 +1,13 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are lists of lists of Python ints (arbitrary precision), row-major.
-Everything here is exact; no floating point and no fractions. Rank,
-determinant and inverse share one fraction-free (Bareiss) elimination, in
-which every intermediate entry is an integer; Hermite and Smith forms use
-extended-gcd steps. Sizes in this package are small (at most a few hundred
-rows/columns), so simple cubic algorithms are fine.
+Everything here is exact; no floating point and no fractions. Rank and
+determinant come from a fraction-free (Bareiss) elimination, in which every
+intermediate entry is an integer. Everything over the integers (kernels,
+lattice equality, Smith invariant factors and the inverse) comes from the
+column Hermite form, built with extended-gcd steps. Sizes in this package
+are small (at most a few hundred rows/columns), so simple cubic algorithms
+are fine.
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ def column_hermite(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
 
     Returns (h, u) with h = a @ u, u square unimodular, and h in column
     echelon form: pivots move down as columns advance, each pivot positive,
-    entries to the right of a pivot in its row reduced into [0, pivot), and
-    zero columns pushed to the right.
+    entries to the right of a pivot in its row zero and those to its left
+    reduced into [0, pivot), and zero columns pushed to the right.
     """
     rows = len(a)
     cols = len(a[0]) if rows else 0
@@ -139,65 +141,15 @@ def lattices_equal(gens1: Sequence[Sequence[int]], gens2: Sequence[Sequence[int]
 
 def smith_invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:
     """Nonzero invariant factors d1 | d2 | ... of the integer matrix a."""
-    m = [list(row) for row in a]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    factors: List[int] = []
-    top = 0
-    while top < rows and top < cols:
-        # Find a nonzero pivot at or below/right of (top, top).
-        pr = pc = -1
-        for i in range(top, rows):
-            for j in range(top, cols):
-                if m[i][j] != 0:
-                    pr, pc = i, j
-                    break
-            if pr >= 0:
-                break
-        if pr < 0:
-            break
-        m[top], m[pr] = m[pr], m[top]
-        for row in m:
-            row[top], row[pc] = row[pc], row[top]
-        while True:
-            # Clear column top with row operations. When the pivot divides
-            # the entry, plain elimination keeps the pivot row unchanged;
-            # otherwise a unimodular combination strictly shrinks the pivot,
-            # so the outer loop terminates.
-            for i in range(top + 1, rows):
-                if m[i][top] == 0:
-                    continue
-                if m[i][top] % m[top][top] == 0:
-                    f = m[i][top] // m[top][top]
-                    m[i] = [q - f * p for p, q in zip(m[top], m[i])]
-                    continue
-                g, s, t = _exgcd(m[top][top], m[i][top])
-                x, y = m[top][top] // g, m[i][top] // g
-                r_top = [s * p + t * q for p, q in zip(m[top], m[i])]
-                r_i = [-y * p + x * q for p, q in zip(m[top], m[i])]
-                m[top], m[i] = r_top, r_i
-            # Clear row top with column operations; only the non-divisible
-            # case can disturb the already-cleared column.
-            dirty = False
-            for j in range(top + 1, cols):
-                if m[top][j] == 0:
-                    continue
-                if m[top][j] % m[top][top] == 0:
-                    f = m[top][j] // m[top][top]
-                    for row in m:
-                        row[j] -= f * row[top]
-                    continue
-                g, s, t = _exgcd(m[top][top], m[top][j])
-                x, y = m[top][top] // g, m[top][j] // g
-                for row in m:
-                    p, q = row[top], row[j]
-                    row[top] = s * p + t * q
-                    row[j] = -y * p + x * q
-                dirty = True
-            if not dirty and all(m[i][top] == 0 for i in range(top + 1, rows)):
-                break
-        factors.append(abs(m[top][top]))
-        top += 1
+    m: Sequence[Sequence[int]] = a
+    # Each round is a unimodular change of m, so the factors stay. The top
+    # left entry becomes the gcd of the first row, a divisor of the last
+    # one, and the first column holds nothing else. Once that entry stops
+    # shrinking it divides its row, and the reduced Hermite form clears the
+    # row too; the block below then runs the same way, so the loop ends.
+    while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
+        m = list(zip(*column_hermite(m)[0]))
+    factors = [abs(row[i]) for i, row in enumerate(m) if i < len(row) and row[i]]
     # Enforce the divisibility chain d1 | d2 | ...
     for i in range(len(factors)):
         for j in range(i + 1, len(factors)):
@@ -212,15 +164,14 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return all(len(row) == len(a) for row in a) and abs(determinant(a)) == 1
 
 
-def _bareiss(m: Matrix, cols: int, reduced: bool = False) -> Tuple[List[int], int]:
+def _bareiss(m: Matrix, cols: int) -> Tuple[List[int], int]:
     """Fraction-free (Bareiss) elimination of m in place over its first
-    `cols` columns, stopping once every row has a pivot. A row becomes
-    (p·row − f·pivot row) / p' for the new pivot p, its entry f in the pivot
-    column and the previous pivot p'; the division is exact, as every entry
-    is then a minor of the input (Sylvester's identity). Rows above a pivot
-    are cleared too if `reduced`; every pivot entry then ends equal to the
-    last pivot. Returns the pivot columns and the last pivot signed by the
-    row swaps: for square m of full rank, det m."""
+    `cols` columns, stopping once every row has a pivot. A row below the
+    pivot becomes (p·row − f·pivot row) / p' for the new pivot p, its entry
+    f in the pivot column and the previous pivot p'; the division is exact,
+    as every entry is then a minor of the input (Sylvester's identity).
+    Returns the pivot columns and the last pivot signed by the row swaps:
+    for square m of full rank, det m."""
     rows = len(m)
     pivots: List[int] = []
     prev, sign = 1, 1
@@ -235,9 +186,9 @@ def _bareiss(m: Matrix, cols: int, reduced: bool = False) -> Tuple[List[int], in
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
         top, p = m[r], m[r][col]
-        for i in (range(rows) if reduced else range(r + 1, rows)):
+        for i in range(r + 1, rows):
             f = m[i][col]
-            if i == r or (f == 0 and p == prev):
+            if f == 0 and p == prev:
                 continue
             m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
@@ -263,16 +214,17 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
 def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:
     """Inverse of a unimodular integer matrix, computed exactly.
 
-    Eliminating [a | I] fraction-free leaves [d·I | d·a⁻¹], d = ±det a.
-    Raises ValueError if the matrix is not invertible over the integers.
+    a is unimodular exactly when its column Hermite form h = a·u is the
+    identity, and then u = a⁻¹. Raises ValueError if the matrix is not
+    invertible over the integers.
     """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("matrix is not square")
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    pivots, det = _bareiss(m, n, reduced=True)
-    if len(pivots) < n:
+    h, u = column_hermite(a)
+    # Zero columns are pushed right, so a singular h ends in one.
+    if n and not any(row[-1] for row in h):
         raise ValueError("matrix is singular")
-    if abs(det) != 1:
+    if h != identity(n):
         raise ValueError("matrix is not invertible over the integers")
-    return [[x // row[i] for x in row[n:]] for i, row in enumerate(m)]
+    return u

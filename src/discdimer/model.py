@@ -64,12 +64,16 @@ class DimerModel:
             for aid in f.boundary_cycle:
                 if aid in faces_of:
                     faces_of[aid].append(f.id)
+        arrows_into: Dict[int, List[Arrow]] = {}
+        for a in self.arrows:
+            arrows_into.setdefault(a.head, []).append(a)
         boundary = tuple(a for a in self.arrows if a.is_boundary)
         index = {
             "_vertex_by_id": {v.id: v for v in self.vertices},
             "_arrow_by_id": {a.id: a for a in self.arrows},
             "_face_by_id": face_by_id,
             "_faces_of_arrow": faces_of,
+            "_arrows_into": arrows_into,
             "_boundary_arrows": boundary,
             "_internal_arrows": tuple(a for a in self.arrows if not a.is_boundary),
             # A boundary arrow is clockwise iff its face is white.
@@ -88,8 +92,9 @@ class DimerModel:
     def face(self, fid: int) -> Face:
         return self._face_by_id[fid]
 
-    def has_vertex(self, vid: int) -> bool:
-        return vid in self._vertex_by_id
+    def arrows_into(self, vid: int) -> Sequence[Arrow]:
+        """The arrows with head `vid`; do not mutate."""
+        return self._arrows_into.get(vid, ())
 
     def faces_of_arrow(self, aid: int) -> Tuple[int, ...]:
         return tuple(self._faces_of_arrow[aid])

@@ -74,14 +74,12 @@ class GradedComplexPiece:
 
 def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
     """D(j) = minimal number of μ-arrows on a directed path j → i."""
-    in_arrows: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        in_arrows[a.head].append((a.tail, 1 if a.id in mu.arrow_set else 0))
     dist: Dict[int, int] = {i: 0}
     queue = deque([i])
     while queue:
         cur = queue.popleft()
-        for nb, w in in_arrows[cur]:
+        for a in model.arrows_into(cur):
+            nb, w = a.tail, 1 if a.id in mu.arrow_set else 0
             nd = dist[cur] + w
             if nb not in dist or nd < dist[nb]:
                 dist[nb] = nd

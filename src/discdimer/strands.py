@@ -14,7 +14,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import BLACK, WHITE, DimerModel, _tiles_reached, per_model, require_valid
+from .model import BLACK, WHITE, DimerModel, _tiles_reached, per_model, require_valid, type_of
 
 
 def _other(color: str) -> str:
@@ -170,7 +170,6 @@ def label_table(model: DimerModel) -> LabelTable:
     """Source labels I_j (marked points whose starting strand has tile j on
     its left) and target labels (same, for the strand ending there)."""
     all_strands = require_consistent(model)
-    from .model import type_of
     k, n = type_of(model)
     table = LabelTable(k=k, n=n)
     regions = {s.start_label: _left_region(model, s) for s in all_strands}

@@ -230,6 +230,7 @@ EMPTY_MODEL = {"vertices": [], "arrows": [], "faces": []}
     ["ms-matchings", "inconsistent"],
     ["verify-msmatch", "inconsistent"],
     ["type", "$UTF16"],
+    ["rotate", "gr37", "--matching", "0,2,4,6,17", "--vertex", "9999", "--degree", "1"],
 ], ids="-".join)
 def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args):
     (tmp_path / "empty.json").write_text(json.dumps(EMPTY_MODEL))

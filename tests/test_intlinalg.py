@@ -46,24 +46,17 @@ def test_kernel_basis_spans_kernel(a):
         assert rational_rank([list(col) for col in zip(*basis)]) == len(basis)
 
 
-@given(small_matrix)
-@settings(max_examples=100, deadline=None)
-def test_smith_factors_match_sympy(a):
-    factors = smith_invariant_factors(a)
-    m = sympy.Matrix(a)
-    snf = smith_normal_form(m)
-    diag = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
-    assert factors == diag
-    for x, y in zip(factors, factors[1:]):
-        assert y % x == 0
-
-
-def test_smith_handles_unit_heavy_matrix():
-    # a matrix whose pivot/entry gcd steps are all trivial; guards against
-    # non-terminating elimination orders
-    a = [[0, 0, 1], [-1, -1, 0], [0, 1, -1]]
-    assert smith_invariant_factors(a) == [1, 1, 1]
-    assert is_unimodular(a)
+@pytest.mark.parametrize("a, expected", [
+    ([[0, 0, 1], [-1, -1, 0], [0, 1, -1]], [1, 1, 1]),
+    ([[2, 4, 4], [-6, 6, 12], [10, -4, -16]], [2, 6, 12]),
+    ([[6, 4], [4, 6]], [2, 10]),
+    ([[0, 2], [3, 0]], [1, 6]),
+], ids=["unit-heavy", "divisible-3x3", "symmetric-2x2", "antidiagonal"])
+def test_smith_handles_unit_heavy_matrix(a, expected):
+    # matrices whose gcd steps are trivial or whose entries divide each
+    # other; guards against non-terminating elimination orders
+    assert smith_invariant_factors(a) == expected
+    assert is_unimodular(a) == (expected == [1] * len(a))
 
 
 @given(small_matrix)
@@ -164,6 +157,18 @@ def unimodular_matrix(draw, max_side=6):
         elif kind == "negate":
             m[i] = [-x for x in m[i]]
     return m
+
+
+@given(st.one_of(small_matrix.map(lambda a: (a, len(a[0]))), any_matrix()))
+@settings(max_examples=200, deadline=None)
+def test_smith_factors_match_sympy(shaped):
+    a, cols = shaped
+    factors = smith_invariant_factors(a)
+    snf = smith_normal_form(sympy_matrix(a, cols))
+    diag = [abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0]
+    assert factors == diag
+    for x, y in zip(factors, factors[1:]):
+        assert y % x == 0
 
 
 @given(any_matrix())
