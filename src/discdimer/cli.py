@@ -74,10 +74,14 @@ def _load(name: str) -> DimerModel:
 
 def _parse_ints(text: str, what: str) -> List[int]:
     try:
-        return [int(x) for x in text.replace(" ", "").split(",") if x != ""]
+        ids = [int(x) for x in text.replace(" ", "").split(",") if x != ""]
     except ValueError:
         raise click.ClickException(f"cannot parse {what} {text!r}; expected "
                                    "comma-separated integers")
+    repeated = sorted({x for x in ids if ids.count(x) > 1})
+    if repeated:
+        raise click.ClickException(f"{what} {text!r} repeats {repeated[0]}")
+    return ids
 
 
 def _matching_from_option(model: DimerModel, text: str) -> Matching:
@@ -444,8 +448,12 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
         try:
             with open(weights_arg, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ValueError("expected a JSON object mapping arrow ids to weights")
             w = {int(a): Fraction(str(x)) for a, x in raw.items()}
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
+        except ZeroDivisionError as exc:
+            raise click.ClickException(f"cannot read weights: zero denominator in {exc}")
+        except (OSError, ValueError) as exc:
             raise click.ClickException(f"cannot read weights: {exc}")
     require_consistent(model)  # an inconsistent model is not the weights' fault
     try:

@@ -1,13 +1,13 @@
 """Exact integer linear algebra on small dense matrices.
 
 Matrices are lists of lists of Python ints (arbitrary precision), row-major.
-Everything here is exact; no floating point and no fractions. Rank and
-determinant come from a fraction-free (Bareiss) elimination, in which every
-intermediate entry is an integer. Everything over the integers (kernels,
-lattice equality, Smith invariant factors and the inverse) comes from the
-column Hermite form, built with extended-gcd steps. Sizes in this package
-are small (at most a few hundred rows/columns), so simple cubic algorithms
-are fine.
+Everything here is exact; no floating point and no fractions. The column
+Hermite form, built with extended-gcd steps, gives everything over the
+integers: kernels, lattice equality, Smith invariant factors and the
+inverse. A fraction-free (Bareiss) elimination, in which every intermediate
+entry is an integer, gives the determinant for the unimodularity test.
+Sizes in this package are small (at most a few hundred rows/columns), so
+simple cubic algorithms are fine.
 """
 
 from __future__ import annotations
@@ -26,13 +26,6 @@ def identity(n: int) -> Matrix:
     for i in range(n):
         m[i][i] = 1
     return m
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    if not a or not b:
-        return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
 def column_hermite(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
@@ -164,51 +157,33 @@ def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
     return all(len(row) == len(a) for row in a) and abs(determinant(a)) == 1
 
 
-def _bareiss(m: Matrix, cols: int) -> Tuple[List[int], int]:
-    """Fraction-free (Bareiss) elimination of m in place over its first
-    `cols` columns, stopping once every row has a pivot. A row below the
-    pivot becomes (p·row − f·pivot row) / p' for the new pivot p, its entry
-    f in the pivot column and the previous pivot p'; the division is exact,
-    as every entry is then a minor of the input (Sylvester's identity).
-    Returns the pivot columns and the last pivot signed by the row swaps:
-    for square m of full rank, det m."""
-    rows = len(m)
-    pivots: List[int] = []
+def determinant(a: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination. A row below the pivot becomes (p·row − f·pivot row) / p'
+    for the new pivot p, its entry f in the pivot column and the previous
+    pivot p'; the division is exact, as every entry is then a minor of the
+    input (Sylvester's identity). The last pivot, signed by the row swaps,
+    is the determinant."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("matrix is not square")
+    m = [list(row) for row in a]
     prev, sign = 1, 1
-    for col in range(cols):
-        if len(pivots) == rows:
-            break
-        r = len(pivots)
-        pivot = next((i for i in range(r, rows) if m[i][col]), None)
+    for r in range(n):
+        pivot = next((i for i in range(r, n) if m[i][r]), None)
         if pivot is None:
-            continue
+            return 0
         if pivot != r:
             m[r], m[pivot] = m[pivot], m[r]
             sign = -sign
-        top, p = m[r], m[r][col]
-        for i in range(r + 1, rows):
-            f = m[i][col]
+        top, p = m[r], m[r][r]
+        for i in range(r + 1, n):
+            f = m[i][r]
             if f == 0 and p == prev:
                 continue
             m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
-        pivots.append(col)
-    return pivots, sign * prev
-
-
-def rational_rank(a: Sequence[Sequence[int]]) -> int:
-    """Rank over the rationals, by fraction-free elimination."""
-    m = [list(row) for row in a]
-    return len(_bareiss(m, len(m[0]) if m else 0)[0])
-
-
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free elimination."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    pivots, det = _bareiss([list(row) for row in a], n)
-    return det if len(pivots) == n else 0
+    return sign * prev
 
 
 def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:

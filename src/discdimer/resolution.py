@@ -6,10 +6,12 @@ reachable set S(μ,i,d) collects the vertices with a path to i of degree at
 most d. Each graded piece of the resolution is a four-term complex of
 finite-dimensional vector spaces built from the quiver with the μ-arrows
 contracted (faces merged across matched internal arrows); the resolution is
-exact iff every piece is exact, which is checked with exact ranks. A piece
-depends only on its reachable set, and many (vertex, degree) pairs share
-one, so `check_resolution` computes the degrees toward each vertex once and
-decides exactness once per distinct reachable set.
+exact iff every piece is exact. Both maps of a piece are signed incidence
+matrices of graphs, so a piece keeps them as incidences and their ranks
+are counted by union-find. A piece depends only on its reachable set, and
+many (vertex, degree) pairs share one, so `check_resolution` computes the
+degrees toward each vertex once and decides exactness once per distinct
+reachable set.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .intlinalg import rational_rank
 from .matchings import Matching, is_matching, require_matching
 from .model import BLACK, WHITE, DimerModel
 from .strands import require_consistent
@@ -44,32 +45,54 @@ class MergedFace:
 
 @dataclass(frozen=True)
 class GradedComplexPiece:
+    """δ1 and δ2 as incidences, one entry per C1 arrow α: δ1(α) = tα − hα,
+    tα None outside S; δ2's row of α is +1 at the face whose plus cycle
+    holds α and −1 at the one whose minus cycle does (None: not in C2).
+    An arrow lies in one black and one white face, so each face is one."""
     c2: Tuple[int, ...]            # merged faces, by matched arrow id
     c1: Tuple[int, ...]            # unmatched arrows with head in S
     c0: Tuple[int, ...]            # vertices of S
-    delta2: Tuple[Tuple[int, ...], ...]  # |C1| x |C2|
-    delta1: Tuple[Tuple[int, ...], ...]  # |C0| x |C1|
+    delta2: Tuple[Tuple[Optional[int], Optional[int]], ...]  # (plus, minus) per C1 arrow
+    delta1: Tuple[Tuple[Optional[int], int], ...]            # (tail, head) per C1 arrow
 
     def is_exact(self) -> bool:
         """Exactness of 0 → C2 → C1 → C0 → ℚ → 0 with the all-ones
         augmentation: it is a complex (δ1δ2 = 0, every column of δ1 sums
         to 0) and the ranks count out."""
-        if not self.c0:
+        if not self.c0 or any(t is None for t, _ in self.delta1):
             return False
-        for row in self.delta1:  # row of δ1δ2 = Σ_m δ1[r][m] · (row m of δ2)
-            acc = [0] * len(self.c2)
-            for x, row2 in zip(row, self.delta2):
-                if x:
-                    acc = [s + x * y for s, y in zip(acc, row2)]
-            if any(acc):
-                return False
-        if any(sum(col) for col in zip(*self.delta1)):
+        composite: Dict[Tuple[int, int], int] = {}  # δ1δ2 by (face, vertex)
+        for (t, h), (plus, minus) in zip(self.delta1, self.delta2):
+            for face, sign in ((plus, 1), (minus, -1)):
+                if face is not None:
+                    composite[face, t] = composite.get((face, t), 0) + sign
+                    composite[face, h] = composite.get((face, h), 0) - sign
+        if any(composite.values()):
             return False
-        r2 = rational_rank(self.delta2) if self.c2 else 0
-        r1 = rational_rank(self.delta1) if self.c1 else 0
+        r1, r2 = _forest_size(self.delta1), _forest_size(self.delta2)
         return (r2 == len(self.c2)
                 and r1 == len(self.c1) - r2
                 and len(self.c0) - r1 == 1)
+
+
+def _forest_size(edges: Tuple[Tuple[Optional[int], Optional[int]], ...]) -> int:
+    """Rank of the signed incidence matrix whose columns (δ1's, δ2ᵀ's) are
+    these edges: the size of a spanning forest, by union-find, with every
+    None end the one ground node."""
+    parent: Dict[Optional[int], Optional[int]] = {}
+
+    def root(x: Optional[int]) -> Optional[int]:
+        while x in parent:
+            x = parent[x]
+        return x
+
+    size = 0
+    for x, y in edges:
+        x, y = root(x), root(y)
+        if x != y:
+            parent[x] = y
+            size += 1
+    return size
 
 
 def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
@@ -128,30 +151,15 @@ def _piece(model: DimerModel, S: FrozenSet[int], q1: Tuple[int, ...],
            q2: Tuple[MergedFace, ...]) -> GradedComplexPiece:
     """The graded piece on the reachable set S; it depends on μ only
     through the merged complex data (q1, q2)."""
-    c1 = [a for a in q1 if model.arrow(a).head in S]
+    c1 = [a for a in map(model.arrow, q1) if a.head in S]
     c2 = [r for r in q2 if r.head in S]
-    c0 = sorted(S)
-    row_of_vertex = {v: r for r, v in enumerate(c0)}
-    col_of_arrow = {a: c for c, a in enumerate(c1)}
-    delta1 = [[0] * len(c1) for _ in c0]
-    for c, aid in enumerate(c1):
-        a = model.arrow(aid)
-        if a.tail in row_of_vertex:
-            delta1[row_of_vertex[a.tail]][c] += 1
-        if a.head in row_of_vertex:
-            delta1[row_of_vertex[a.head]][c] -= 1
-    delta2 = [[0] * len(c2) for _ in c1]
-    for c, r in enumerate(c2):
-        for aid in r.plus:
-            if aid in col_of_arrow:
-                delta2[col_of_arrow[aid]][c] += 1
-        for aid in r.minus:
-            if aid in col_of_arrow:
-                delta2[col_of_arrow[aid]][c] -= 1
-    return GradedComplexPiece(tuple(r.matched_arrow for r in c2), tuple(c1),
-                              tuple(c0),
-                              tuple(tuple(row) for row in delta2),
-                              tuple(tuple(row) for row in delta1))
+    plus = {a: r.matched_arrow for r in c2 for a in r.plus}
+    minus = {a: r.matched_arrow for r in c2 for a in r.minus}
+    return GradedComplexPiece(tuple(r.matched_arrow for r in c2),
+                              tuple(a.id for a in c1), tuple(sorted(S)),
+                              tuple((plus.get(a.id), minus.get(a.id)) for a in c1),
+                              tuple((a.tail if a.tail in S else None, a.head)
+                                    for a in c1))
 
 
 def saturation_degree(model: DimerModel, mu: Matching) -> int:
@@ -198,6 +206,8 @@ def check_resolution(model: DimerModel, mu: Matching,
     degrees, saturation = _degrees(model, mu)
     if d_max is None:
         d_max = saturation + 1
+    elif d_max < 0:
+        raise ValueError("d_max must be nonnegative")
     q1, q2 = merged_complex_data(model, mu)
     exact: Dict[FrozenSet[int], bool] = {}
     failures: List[Tuple[int, int]] = []

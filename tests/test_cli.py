@@ -162,7 +162,9 @@ def test_measure_on_an_inconsistent_model_blames_the_model(runner):
 @pytest.mark.parametrize("weights, message", [
     ({"0": "1"}, "Error: bad weights: 1\n"),
     ({str(a): "0" for a in range(10)}, "Error: bad weights: arrow weights must be positive\n"),
-], ids=["missing-arrow", "non-positive"])
+    ({"0": "1/0"}, "Error: cannot read weights: zero denominator in Fraction(1, 0)\n"),
+    ([1, 2], "Error: cannot read weights: expected a JSON object mapping arrow ids to weights\n"),
+], ids=["missing-arrow", "non-positive", "zero-denominator", "not-an-object"])
 def test_measure_bad_weights(runner, tmp_path, weights, message):
     assert len(fx.build_uniform(2, 4).arrows) == 10
     wfile = tmp_path / "w.json"
@@ -241,6 +243,22 @@ def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args
     assert isinstance(result.exception, SystemExit)
     assert result.output.startswith("Error: ") and result.output.count("\n") == 1
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize("args, message", [
+    (["twist-expr", "uniform-2-4", "--subset", "1,1,2"], "subset '1,1,2' repeats 1"),
+    (["ms", "uniform-2-4", "--subset", "2, 1,2"], "subset '2, 1,2' repeats 2"),
+    (["matchings", "uniform-2-4", "--boundary", "1,1"], "boundary '1,1' repeats 1"),
+    (["extremes", "uniform-2-4", "--boundary", "3,3"], "boundary '3,3' repeats 3"),
+    (["resolution", "gr37", "--matching", "1,3,9,10,15,1"], "matching '1,3,9,10,15,1' repeats 1"),
+    (["resolution", "gr37", "--matching", "1,3,9,10,15", "--dmax", "-3"],
+     "d_max must be nonnegative"),
+], ids=["subset-twist-expr", "subset-ms", "boundary-matchings", "boundary-extremes",
+        "matching", "negative-dmax"])
+def test_an_option_value_a_command_cannot_use_is_a_one_line_error(runner, args, message):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 1
+    assert result.output == f"Error: {message}\n"
 
 
 def test_a_strand_that_never_ends_is_a_one_line_error(runner, monkeypatch):

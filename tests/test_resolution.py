@@ -1,16 +1,20 @@
 """Graded resolution pieces, exactness, saturation, and rotation."""
 
 import dataclasses
+import random
+from collections import Counter
 
 import pytest
+from test_intlinalg import mat_mul, rational_rank
 
 from discdimer import fixtures as fx
 from discdimer.matchings import enumerate_matchings
 from discdimer.model import opposite
-from discdimer.resolution import (GradedComplexPiece, check_resolution,
-                                  degrees_toward, graded_piece,
-                                  merged_complex_data, reachable_set,
-                                  rotate_matching, saturation_degree)
+from discdimer.resolution import (GradedComplexPiece, _forest_size, _piece,
+                                  check_resolution, degrees_toward,
+                                  graded_piece, merged_complex_data,
+                                  reachable_set, rotate_matching,
+                                  saturation_degree)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 
@@ -82,15 +86,120 @@ def test_merged_faces_count(triangle, gr37):
         assert len(q1) == len(gr37.arrows) - len(mu.arrow_set)
 
 
+def expand(piece):
+    """δ1 (|C0| x |C1|) and δ2 (|C1| x |C2|) as dense matrices, read off
+    the piece's incidences."""
+    row = {v: i for i, v in enumerate(piece.c0)}
+    col = {r: i for i, r in enumerate(piece.c2)}
+    delta1 = [[0] * len(piece.c1) for _ in piece.c0]
+    delta2 = [[0] * len(piece.c2) for _ in piece.c1]
+    for m, ((tail, head), (plus, minus)) in enumerate(zip(piece.delta1, piece.delta2)):
+        if tail is not None:
+            delta1[row[tail]][m] += 1
+        delta1[row[head]][m] -= 1
+        if plus is not None:
+            delta2[m][col[plus]] += 1
+        if minus is not None:
+            delta2[m][col[minus]] -= 1
+    return delta1, delta2
+
+
+def dense_oracle(model, S, q1, q2):
+    """Oracle: the piece on S with δ1 and δ2 built as dense matrices from
+    the arrows and the merged faces' cycles, decided by the matrix product
+    and fraction-free ranks. Returns (δ1, δ2, verdict, rank δ1, rank δ2),
+    the verdict being "exact", "not a complex", "rank δ2" (δ2 not
+    injective), "middle rank" or "disconnected" (the ranks fail in that
+    order), or "empty"."""
+    c1 = [model.arrow(a) for a in q1 if model.arrow(a).head in S]
+    c2 = [r for r in q2 if r.head in S]
+    row = {v: i for i, v in enumerate(sorted(S))}
+    col = {a.id: i for i, a in enumerate(c1)}
+    delta1 = [[0] * len(c1) for _ in row]
+    for c, a in enumerate(c1):
+        if a.tail in row:
+            delta1[row[a.tail]][c] += 1
+        delta1[row[a.head]][c] -= 1
+    delta2 = [[0] * len(c2) for _ in c1]
+    for c, r in enumerate(c2):
+        for aids, sign in ((r.plus, 1), (r.minus, -1)):
+            for aid in aids:
+                if aid in col:
+                    delta2[col[aid]][c] += sign
+    r1, r2 = rational_rank(delta1), rational_rank(delta2)
+    verdict = ("empty" if not S
+               else "not a complex" if (any(map(any, mat_mul(delta1, delta2)))
+                                        or any(map(sum, zip(*delta1))))
+               else "rank δ2" if r2 != len(c2)
+               else "middle rank" if r1 != len(c1) - r2
+               else "disconnected" if len(S) - r1 != 1
+               else "exact")
+    return delta1, delta2, verdict, r1, r2
+
+
+def graph_equals_dense(model, S, q1, q2):
+    """Asserts that the piece on S holds the dense oracle's matrices as
+    incidences and that its ranks and decision equal the oracle's; returns
+    the oracle's verdict."""
+    piece = _piece(model, S, q1, q2)
+    delta1, delta2, verdict, r1, r2 = dense_oracle(model, S, q1, q2)
+    assert expand(piece) == (delta1, delta2)
+    assert (_forest_size(piece.delta1), _forest_size(piece.delta2)) == (r1, r2)
+    assert piece.is_exact() == (verdict == "exact"), verdict
+    return verdict
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7"])
+def test_graph_decision_equals_dense_bareiss_on_every_piece(name):
+    model = (fx.FIXTURE_BUILDERS[name]() if name in fx.FIXTURE_BUILDERS
+             else fx.build_uniform(3, 7))
+    for mu in enumerate_matchings(model):
+        q1, q2 = merged_complex_data(model, mu)
+        sets = set()
+        for v in model.vertices:
+            dist = degrees_toward(model, mu, v.id)
+            sets.update(frozenset(j for j, e in dist.items() if e <= d)
+                        for d in range(max(dist.values()) + 1))
+        for S in sets:
+            assert graph_equals_dense(model, S, q1, q2) == "exact", (mu, S)
+
+
+def test_graph_decision_equals_dense_bareiss_on_random_vertex_sets():
+    """Seeded vertex sets that are not reachable sets: uniformly random
+    ones, which are mostly not complexes, and unions of two reachable sets
+    of one matching, which are complexes and may fail on rank."""
+    verdicts = Counter()
+    for name in CONSISTENT_FIXTURES:
+        model = fx.FIXTURE_BUILDERS[name]()
+        rng = random.Random(name)
+        matchings = enumerate_matchings(model)
+        vids = [v.id for v in model.vertices]
+        for _ in range(150):
+            mu = rng.choice(matchings)
+            q1, q2 = merged_complex_data(model, mu)
+            cut = rng.random()
+            S = {v for v in vids if rng.random() < cut}
+            sets = [S, set()]
+            for _ in range(2):
+                dist = degrees_toward(model, mu, rng.choice(vids))
+                d = rng.randrange(max(dist.values()) + 1)
+                sets[1] |= {j for j, e in dist.items() if e <= d}
+            for S in sets:
+                verdicts[graph_equals_dense(model, frozenset(S), q1, q2)] += 1
+    assert {"exact", "not a complex", "middle rank", "disconnected"} <= set(verdicts), verdicts
+
+
 def test_graded_piece_composition_is_zero(gr37):
-    # delta1 . delta2 = 0 for the restricted complexes
+    # delta1 . delta2 = 0 for the restricted complexes, composed from the
+    # pieces' incidences
     for mu in enumerate_matchings(gr37)[:5]:
         for v in list(gr37.vertices)[:4]:
             for d in range(3):
                 piece = graded_piece(gr37, mu, v.id, d)
+                delta1, delta2 = expand(piece)
                 for c in range(len(piece.c2)):
                     for r in range(len(piece.c0)):
-                        total = sum(piece.delta1[r][m] * piece.delta2[m][c]
+                        total = sum(delta1[r][m] * delta2[m][c]
                                     for m in range(len(piece.c1)))
                         assert total == 0
 
@@ -126,6 +235,13 @@ def test_rotate_rejects_degree_zero(gr37):
     mu = enumerate_matchings(gr37)[0]
     with pytest.raises(ValueError):
         rotate_matching(gr37, mu, gr37.vertices[0].id, 0)
+
+
+def test_check_resolution_rejects_a_negative_d_max(gr37):
+    mu = enumerate_matchings(gr37)[0]
+    with pytest.raises(ValueError, match="d_max must be nonnegative"):
+        check_resolution(gr37, mu, -1)
+    assert check_resolution(gr37, mu, 0).pieces_checked == len(gr37.vertices)
 
 
 def per_piece_report(model, mu):
@@ -175,16 +291,31 @@ def test_memoised_failures_reach_every_piece_sharing_the_set(name, monkeypatch):
         assert report_tuple(check_resolution(model, mu)) == expected
 
 
-def test_a_flipped_delta2_sign_is_inexact(gr37):
+def test_one_changed_incidence_is_inexact(gr37):
+    """Each single change to one C1 arrow's incidences in an exact piece
+    leaves a piece that is not exact: swapping its plus and minus faces,
+    grounding one end of its δ2 row, or moving its δ1 tail out of S."""
     mu = enumerate_matchings(gr37)[0]
     v = gr37.vertices[0].id
     piece = graded_piece(gr37, mu, v, saturation_degree(gr37, mu))
     assert piece.c2 and piece.is_exact()
-    entries = [(m, c) for m, row in enumerate(piece.delta2)
-               for c, x in enumerate(row) if x]
-    assert entries
-    for m, c in entries:
-        delta2 = [list(row) for row in piece.delta2]
-        delta2[m][c] = -delta2[m][c]
-        mutated = dataclasses.replace(piece, delta2=tuple(map(tuple, delta2)))
-        assert not mutated.is_exact(), (m, c)
+
+    def changed(m, delta1=None, delta2=None):
+        return dataclasses.replace(
+            piece,
+            delta1=piece.delta1[:m] + (delta1 or piece.delta1[m],) + piece.delta1[m + 1:],
+            delta2=piece.delta2[:m] + (delta2 or piece.delta2[m],) + piece.delta2[m + 1:])
+
+    mutants = []
+    for m, ((_, head), (plus, minus)) in enumerate(zip(piece.delta1, piece.delta2)):
+        if plus != minus:
+            mutants.append(("swap", m, changed(m, delta2=(minus, plus))))
+        if plus is not None:
+            mutants.append(("ground plus", m, changed(m, delta2=(None, minus))))
+        if minus is not None:
+            mutants.append(("ground minus", m, changed(m, delta2=(plus, None))))
+        mutants.append(("tail out of S", m, changed(m, delta1=(None, head))))
+    assert {kind for kind, _, _ in mutants} == {"swap", "ground plus", "ground minus",
+                                                "tail out of S"}
+    for kind, m, mutant in mutants:
+        assert not mutant.is_exact(), (kind, m)

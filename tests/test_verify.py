@@ -12,7 +12,7 @@ from discdimer.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MODELS = ["triangle", "gr37", "inconsistent", "uniform-1-3", "uniform-2-4",
-                 "uniform-2-5", "uniform-3-6", "uniform-3-7"]
+                 "uniform-2-5", "uniform-3-6", "uniform-3-7", "uniform-4-8"]
 
 
 @pytest.mark.parametrize("name", GOLDEN_MODELS)
