@@ -1,0 +1,149 @@
+"""Boundary measurements as maximal minors of one Kasteleyn matrix.
+
+The bipartite dual of a model is a planar graph in the disc: the black and
+white faces are its nodes, and every internal arrow joins the two faces
+holding it. The matrix K has a row for each white face and a column for
+each black face, plus
+
+- a column t_i for each boundary label i: a clockwise boundary arrow i
+  (it lies in a white face w) puts its weight at K[w][t_i];
+- a row u_i for each anticlockwise boundary arrow i (it lies in a black
+  face b), with its weight at K[u_i][b] and 1 at K[u_i][t_i]. The arrow is
+  in a matching iff u_i is matched to b, that is iff i is not in ∂μ.
+
+So the perfect matchings of the graph that use exactly the columns t_i,
+i ∈ I, are the matchings μ with ∂μ = I. Each internal arrow a enters K with
+a sign s_a, chosen so that at each internal quiver vertex (a face of the
+graph) of degree 2m, an odd or even number of the arrows around it is
+negative as m + 1 is. By Kasteleyn's theorem in Speyer's form for graphs
+with boundary (arXiv:1510.03501; Postnikov's boundary measurement,
+arXiv:math/0609764, §§4–5), every matching of one minor then carries the
+same sign, so Z_I = Σ_{∂μ=I} Π w = |det K[:, black ∪ {t_i : i ∈ I}]| with
+no cancellation.
+
+The black columns are eliminated once; what is left is a constant c and a
+k × n matrix M with Z_I = |c · det M_I|, and the C(n, k) minors of M are
+taken in integers.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+from typing import Dict, List, Mapping, Optional, Tuple
+
+from .intlinalg import determinant
+from .model import BLACK, DimerModel, per_model, require_valid
+
+Entry = Tuple[int, int, Optional[int], int]  # (row, column, weighted arrow, sign)
+
+
+@dataclass(frozen=True)
+class Frame:
+    """The shape of K: its row count, its black columns 0..black-1 (t_i is
+    column black + i - 1), and its nonzero entries, each the sign times
+    the weight of its arrow, or 1 where the arrow is None."""
+    rows: int
+    black: int
+    entries: Tuple[Entry, ...]
+
+
+@per_model(copy=dict)
+def kasteleyn_signs(model: DimerModel) -> Dict[int, int]:
+    """A Kasteleyn sign ±1 for every internal arrow: around each internal
+    vertex of degree 2m, the number of negative arrows is ≡ m + 1 (mod 2).
+    Solved over GF(2) with one bit per internal arrow."""
+    require_valid(model)
+    internal = model.internal_arrows
+    masks: Dict[int, int] = {v.id: 0 for v in model.vertices if not v.is_boundary}
+    for bit, a in enumerate(internal):
+        for end in (a.tail, a.head):
+            if end in masks:
+                masks[end] |= 1 << bit
+    # Rows of a reduced echelon form: no row holds another row's pivot bit.
+    solved: List[Tuple[int, int, int]] = []  # (pivot bit, mask, right-hand side)
+    for mask in masks.values():
+        rhs = (bin(mask).count("1") // 2 + 1) & 1
+        for pivot, row, value in solved:
+            if mask & pivot:
+                mask ^= row
+                rhs ^= value
+        if not mask:
+            if rhs:
+                raise ValueError("the model has no Kasteleyn signing")
+            continue
+        pivot = mask & -mask
+        solved = [(p, row ^ mask, value ^ rhs) if row & pivot else (p, row, value)
+                  for p, row, value in solved]
+        solved.append((pivot, mask, rhs))
+    # Every non-pivot arrow is positive, so a pivot arrow is negative iff
+    # the right-hand side of its row is 1.
+    negative = 0
+    for pivot, _, value in solved:
+        if value:
+            negative |= pivot
+    return {a.id: -1 if negative >> bit & 1 else 1 for bit, a in enumerate(internal)}
+
+
+@per_model()
+def kasteleyn_frame(model: DimerModel) -> Frame:
+    """K's shape: rows are the white faces by id, then u_i by label; columns
+    the black faces by id, then t_1..t_n."""
+    signs = kasteleyn_signs(model)
+    faces = sorted(model.faces, key=lambda f: f.id)
+    black = {f.id: c for c, f in enumerate(f for f in faces if f.color == BLACK)}
+    white = {f.id: r for r, f in enumerate(f for f in faces if f.color != BLACK)}
+    rows = len(white)
+    entries: List[Entry] = []
+    for a in model.internal_arrows:
+        b, w = sorted(model.faces_of_arrow(a.id), key=lambda fid: fid not in black)
+        entries.append((white[w], black[b], a.id, signs[a.id]))
+    for a in sorted(model.boundary_arrows, key=lambda a: a.boundary_label):
+        face = model.faces_of_arrow(a.id)[0]
+        t = len(black) + a.boundary_label - 1
+        if model.is_clockwise(a.id):
+            entries.append((white[face], t, a.id, 1))
+        else:
+            entries += [(rows, black[face], a.id, 1), (rows, t, None, 1)]
+            rows += 1
+    return Frame(rows, len(black), tuple(entries))
+
+
+def boundary_minors(model: DimerModel, weights: Mapping[int, Fraction]
+                    ) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """(I, Z_I) for every k-subset I of 1..n in lexicographic order, with
+    Z_I = |det K_I| for the given weight of every arrow."""
+    frame, n = kasteleyn_frame(model), model.n
+    matrix: List[Dict[int, Fraction]] = [{} for _ in range(frame.rows)]
+    for r, c, aid, sign in frame.entries:
+        matrix[r][c] = sign * Fraction(weights[aid]) if aid is not None else Fraction(1)
+    k = frame.rows - frame.black
+    scale = Fraction(1)  # |c| over the row factors that make M integral
+    for c in range(frame.black):
+        # Pivot on the sparsest row that holds the column: less fill-in.
+        live = [r for r, row in enumerate(matrix) if c in row]
+        if not live:
+            return [(I, Fraction(0)) for I in combinations(range(1, n + 1), k)]
+        pivot = matrix.pop(min(live, key=lambda r: len(matrix[r])))
+        p = pivot.pop(c)
+        scale *= abs(p)
+        for row in matrix:
+            f = row.pop(c, None)
+            if f is not None:
+                f /= p
+                for col, x in pivot.items():
+                    y = row.get(col, 0) - f * x
+                    if y:
+                        row[col] = y
+                    else:
+                        del row[col]
+    ints = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row.values()))
+        scale /= den
+        ints.append([row[t].numerator * (den // row[t].denominator) if t in row else 0
+                     for t in range(frame.black, frame.black + n)])
+    return [(I, scale * abs(determinant([[r[i - 1] for i in I] for r in ints])))
+            for I in combinations(range(1, n + 1), k)]

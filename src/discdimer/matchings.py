@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from .kasteleyn import boundary_minors
 from .model import (BipartiteDual, DimerModel, bipartite_dual, per_model, require_valid,
                     type_of)
 from .strands import necklaces
@@ -130,9 +131,13 @@ def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> List[Matchin
     return list(_enumeration(model)[1].get(frozenset(I), ()))
 
 
+@per_model()
 def positroid(model: DimerModel) -> FrozenSet[FrozenSet[int]]:
-    """All boundary values of perfect matchings."""
-    return frozenset(_enumeration(model)[1])
+    """All boundary values of perfect matchings: the I whose Kasteleyn
+    minor is nonzero at unit weights (see `kasteleyn`); no matching is
+    enumerated."""
+    return frozenset(frozenset(I) for I, z in
+                     boundary_minors(model, {a.id: 1 for a in model.arrows}) if z)
 
 
 def _gale_leq(smaller: FrozenSet[int], larger: FrozenSet[int], shift: int, n: int) -> bool:

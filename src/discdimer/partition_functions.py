@@ -2,6 +2,11 @@
 boundary-weight formula in both colour conventions, the twist expression,
 and exact boundary measurements with Plücker-relation checking.
 
+The formulas sum over the enumerated matchings of each boundary value. The
+boundary measurements do not: each Z_I is a maximal minor of one Kasteleyn
+matrix per weight draw (`kasteleyn`), and the Plücker check compares the
+values in integers over one common denominator.
+
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
 coefficient. All arithmetic is exact; rational evaluation uses Fraction.
@@ -12,11 +17,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
 
+from .kasteleyn import boundary_minors
 from .kclass_weights import kclass_of_matching, weights
 from .lattice_maps import eta, lattice_point_of_matching
-from .matchings import matchings_with_boundary, positroid
+from .matchings import matchings_with_boundary
 from .model import WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
 
@@ -149,22 +156,15 @@ class PluckerVector:
 def boundary_measurement(model: DimerModel,
                          arrow_weights: Mapping[int, Fraction]) -> PluckerVector:
     """Z_I = Σ_{∂μ=I} Π_{γ∈μ} w(γ) over all k-subsets I (zero entries for
-    subsets outside the positroid). Weights must be positive rationals."""
+    subsets outside the positroid). Weights must be positive rationals.
+    Every Z_I is a maximal minor of one Kasteleyn matrix (`kasteleyn`), so
+    no matching is enumerated."""
     require_consistent(model)
     k, n = type_of(model)
     w = {a.id: Fraction(arrow_weights[a.id]) for a in model.arrows}
     if any(x <= 0 for x in w.values()):
         raise ValueError("arrow weights must be positive")
-    totals: Dict[Tuple[int, ...], Fraction] = {
-        tuple(sorted(I)): Fraction(0) for I in combinations(range(1, n + 1), k)}
-    for I in positroid(model):
-        key = tuple(sorted(I))
-        for mu in matchings_with_boundary(model, I):
-            prod = Fraction(1)
-            for aid in mu.arrow_set:
-                prod *= w[aid]
-            totals[key] += prod
-    return PluckerVector(k, n, tuple(sorted(totals.items())))
+    return PluckerVector(k, n, tuple(boundary_minors(model, w)))
 
 
 def unit_weights(model: DimerModel) -> Dict[int, Fraction]:
@@ -191,9 +191,13 @@ def check_plucker_relations(vec: PluckerVector, k: int, n: int) -> PluckerReport
         raise ValueError("vector keys are not exactly the k-subsets of 1..n")
     if k < 2:
         return PluckerReport(0, [])
+    # The relations are homogeneous, so they hold for the values times one
+    # common denominator exactly when they hold for the values: compare ints.
+    den = lcm(*(x.denominator for x in vals.values()))
+    ints = {I: x.numerator * (den // x.denominator) for I, x in vals.items()}
 
-    def z(S: Tuple[int, ...], pair: Tuple[int, int]) -> Fraction:
-        return vals[tuple(sorted(S + pair))]
+    def z(S: Tuple[int, ...], pair: Tuple[int, int]) -> int:
+        return ints[tuple(sorted(S + pair))]
 
     checked = 0
     failures = []

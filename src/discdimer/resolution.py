@@ -200,7 +200,9 @@ def check_resolution(model: DimerModel, mu: Matching,
     equals the constant 1, where β runs over matched internal arrows.
 
     A piece depends only on its reachable set, so exactness is decided
-    once per distinct set and every (vertex, degree) reads that answer."""
+    once per distinct set and every (vertex, degree) reads that answer.
+    Past a vertex's largest degree the set is the whole vertex set, so
+    those degrees are counted, not walked."""
     require_consistent(model)
     require_matching(model, mu)
     degrees, saturation = _degrees(model, mu)
@@ -212,16 +214,18 @@ def check_resolution(model: DimerModel, mu: Matching,
     exact: Dict[FrozenSet[int], bool] = {}
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
-    pieces = 0
     for v in model.vertices:
         dist = degrees[v.id]
-        for d in range(d_max + 1):
-            pieces += 1
+        top = max(dist.values())
+        for d in range(min(d_max, top) + 1):
             S = _within(dist, d)
             if S not in exact:
                 exact[S] = _piece(model, S, q1, q2).is_exact()
             if not exact[S]:
                 failures.append((v.id, d))
+        # From degree top on, S is every vertex: the last S walked above.
+        if d_max > top and not exact[S]:
+            failures.extend((v.id, d) for d in range(top + 1, d_max + 1))
         series: Dict[int, int] = {}
         for j in dist:
             series[dist[j]] = series.get(dist[j], 0) + 1
@@ -233,7 +237,7 @@ def check_resolution(model: DimerModel, mu: Matching,
             series[e] = series.get(e, 0) + 1
         if {e: c for e, c in series.items() if c} != {0: 1}:
             euler_failures.append(v.id)
-    return ResolutionReport(d_max, pieces, failures, euler_failures)
+    return ResolutionReport(d_max, len(model.vertices) * (d_max + 1), failures, euler_failures)
 
 
 def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching:

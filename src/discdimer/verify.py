@@ -160,7 +160,11 @@ def _check_rotation(model: DimerModel) -> CheckResult:
 def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:
     k, n = type_of(model)
     rng = random.Random(seed)
-    support_expected = positroid(model)
+    # The expected support comes from enumeration, not from the Kasteleyn
+    # matrix that the positroid and every draw below are read from.
+    support_expected = frozenset(boundary_value(model, mu) for mu in enumerate_matchings(model))
+    if positroid(model) != support_expected:
+        return False, "Kasteleyn positroid disagrees with enumeration"
     gale = frozenset(frozenset(J) for J in combinations(range(1, n + 1), k)
                      if positroid_contains_necklace_test(model, J))
     if gale != support_expected:

@@ -3,15 +3,18 @@ through what a caller gets back, and each analysis runs once per instance."""
 
 import gc
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from discdimer import fixtures as fx
+from discdimer import matchings as matchings_mod
 from discdimer import model as model_mod
 from discdimer import strands as strands_mod
-from discdimer.matchings import (enumerate_matchings, matchings_with_boundary, positroid,
-                                 positroid_contains_necklace_test)
+from discdimer.kasteleyn import kasteleyn_signs
+from discdimer.matchings import (boundary_value, enumerate_matchings, matchings_with_boundary,
+                                 positroid, positroid_contains_necklace_test)
 from discdimer.model import (Arrow, DimerModel, Face, StructuralError, Vertex, bipartite_dual,
                              from_dict, opposite, to_dict, type_of, validate)
 from discdimer.partition_functions import boundary_measurement
@@ -31,6 +34,7 @@ MEMOISED = {
     "necklaces": necklaces,
     "enumerate_matchings": enumerate_matchings,
     "positroid": positroid,
+    "kasteleyn_signs": kasteleyn_signs,
     "matchings_with_boundary": lambda m: {I: matchings_with_boundary(m, I)
                                           for I in positroid(m)},
 }
@@ -72,7 +76,7 @@ def test_mutating_a_result_changes_no_later_call(gr37):
     source.clear()
     target[1] = frozenset()
     for result in (strands(model), enumerate_matchings(model),
-                   matchings_with_boundary(model, [1, 3, 5])):
+                   matchings_with_boundary(model, [1, 3, 5]), kasteleyn_signs(model)):
         result.clear()
 
     oracle = fresh(gr37)
@@ -83,6 +87,7 @@ def test_mutating_a_result_changes_no_later_call(gr37):
     assert strands(model) == strands(oracle)
     assert enumerate_matchings(model) == enumerate_matchings(oracle)
     assert len(matchings_with_boundary(model, [1, 3, 5])) == 3
+    assert kasteleyn_signs(model) == kasteleyn_signs(oracle)
 
 
 def test_validation_and_strands_run_once_per_instance(monkeypatch):
@@ -109,6 +114,22 @@ def test_validation_and_strands_run_once_per_instance(monkeypatch):
 
     label_table(other)
     assert calls == {"structure": 2, "trace": 12}
+
+
+def test_measurement_and_positroid_enumerate_no_matching(monkeypatch):
+    model = fx.build_uniform(4, 8)
+    other = fresh(model)  # enumerated before the patch, sharing nothing with model
+    counts = Counter(boundary_value(other, mu) for mu in enumerate_matchings(other))
+
+    def no_enumeration(*args):
+        raise AssertionError("a matching was enumerated")
+
+    monkeypatch.setattr(matchings_mod, "_cover", no_enumeration)
+    vec = boundary_measurement(model, {a.id: Fraction(1) for a in model.arrows})
+    assert {frozenset(I): x for I, x in vec.values if x} == counts
+    assert positroid(model) == set(counts) and len(counts) == 70
+    with pytest.raises(AssertionError):
+        enumerate_matchings(model)
 
 
 def test_inconsistent_model_raises_the_same_error_every_call(inconsistent):

@@ -16,6 +16,7 @@ from discdimer.matchings import (Matching, _gale_leq, boundary_value,
 from discdimer.model import type_of
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
+MODELS = {**fx.FIXTURE_BUILDERS, "uniform-3-7": lambda: fx.build_uniform(3, 7)}
 
 # Independently frozen counts (brute-force oracle over one arrow per face).
 KNOWN_COUNTS = {"triangle": 3, "gr37": 46, "uniform-1-3": 3, "uniform-2-4": 7}
@@ -52,6 +53,14 @@ def test_gr37_positroid(gr37):
     expected = {frozenset(s) for s in combinations(range(1, 8), 3)} - GR37_NON_POSITROID
     assert positroid(gr37) == expected
     assert len(expected) == 30
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_positroid_equals_enumerated_boundary_values(name):
+    """The Kasteleyn positroid against enumeration, on the inconsistent
+    fixture too: it needs a valid model only."""
+    model = MODELS[name]()
+    assert positroid(model) == {boundary_value(model, mu) for mu in enumerate_matchings(model)}
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)

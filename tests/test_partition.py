@@ -1,6 +1,7 @@
 """Laurent polynomials, partition-function identities, and boundary
 measurements with Plücker relations."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -10,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discdimer import fixtures as fx
+from discdimer import kasteleyn
+from discdimer.kasteleyn import kasteleyn_frame, kasteleyn_signs
 from discdimer.matchings import (matchings_with_boundary, positroid,
                                  positroid_contains_necklace_test)
 from discdimer.model import BLACK, WHITE, opposite, standardise, type_of
-from discdimer.partition_functions import (LaurentPoly, boundary_measurement,
+from discdimer.partition_functions import (LaurentPoly, PluckerVector,
+                                           boundary_measurement,
                                            check_plucker_relations,
                                            ms_formula,
                                            ms_formula_white_v2,
@@ -153,3 +157,107 @@ def test_specialized_ms_at_unit_pluckers_is_one(u24):
     vec = boundary_measurement(model, unit_weights(model))
     assign = {j: vec[sorted(lab)] for j, lab in source_labels(model).items()}
     assert specialize(ms_formula(model, [1, 3]), assign) == 1
+
+
+def enumerated_measurement(model, w):
+    """Oracle for boundary_measurement: each Z_I summed matching by
+    matching over the enumerated matchings with boundary value I."""
+    k, n = type_of(model)
+    totals = {}
+    for I in combinations(range(1, n + 1), k):
+        total = Fraction(0)
+        for mu in matchings_with_boundary(model, I):
+            prod = Fraction(1)
+            for aid in mu.arrow_set:
+                prod *= w[aid]
+            total += prod
+        totals[I] = total
+    return PluckerVector(k, n, tuple(sorted(totals.items())))
+
+
+def seeded_draws(model, seed, count=3):
+    rng = random.Random(seed)
+    return [{a.id: Fraction(rng.randint(1, 20), rng.randint(1, 20)) for a in model.arrows}
+            for _ in range(count)]
+
+
+MODELS = {**fx.FIXTURE_BUILDERS,
+          "uniform-3-7": lambda: fx.build_uniform(3, 7),
+          "uniform-4-8": lambda: fx.build_uniform(4, 8)}
+CONSISTENT = [name for name in sorted(MODELS) if name != "inconsistent"]
+
+
+@pytest.mark.parametrize("name", CONSISTENT)
+def test_kasteleyn_measurement_equals_enumeration(name):
+    model = MODELS[name]()
+    for w in [unit_weights(model)] + seeded_draws(model, f"kasteleyn/{name}"):
+        assert boundary_measurement(model, w) == enumerated_measurement(model, w)
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_kasteleyn_signs_meet_the_parity_condition(name):
+    model = MODELS[name]()
+    signs = kasteleyn_signs(model)
+    assert set(signs) == {a.id for a in model.internal_arrows}
+    assert set(signs.values()) <= {1, -1}
+    for v in model.vertices:
+        if v.is_boundary:
+            continue
+        around = [a for a in model.arrows if v.id in (a.tail, a.head)]
+        negative = sum(1 for a in around if signs[a.id] == -1)
+        assert negative % 2 == (len(around) // 2 + 1) % 2, v.id
+
+
+def test_flipping_any_one_sign_changes_some_measurement(gr37, monkeypatch):
+    frame = kasteleyn_frame(gr37)
+    w = unit_weights(gr37)
+    expected = boundary_measurement(gr37, w)
+    flipped = 0
+    for i, (r, c, aid, sign) in enumerate(frame.entries):
+        if aid is None or gr37.arrow(aid).is_boundary:
+            continue
+        entries = frame.entries[:i] + ((r, c, aid, -sign),) + frame.entries[i + 1:]
+        wrong = dataclasses.replace(frame, entries=entries)
+        monkeypatch.setattr(kasteleyn, "kasteleyn_frame", lambda model: wrong)
+        assert boundary_measurement(gr37, w) != expected, aid
+        flipped += 1
+    assert flipped == len(gr37.internal_arrows)
+
+
+def test_uniform_6_12_draw_passes_every_plucker_relation():
+    model = fx.build_uniform(6, 12)
+    vec = boundary_measurement(model, seeded_draws(model, "kasteleyn/uniform-6-12", 1)[0])
+    report = check_plucker_relations(vec, 6, 12)
+    assert report.checked == 34650 and report.passed
+    assert sum(1 for _, x in vec.values if x > 0) == 924
+
+
+def fraction_plucker_failures(vec, k, n):
+    """Oracle for check_plucker_relations: the relations compared in
+    Fractions, with no common denominator."""
+    vals = vec.as_dict()
+    failures = []
+    for a, b, c, d in combinations(range(1, n + 1), 4):
+        rest = [x for x in range(1, n + 1) if x not in (a, b, c, d)]
+        for S in combinations(rest, k - 2):
+            def z(i, j):
+                return vals[tuple(sorted(S + (i, j)))]
+            if z(a, c) * z(b, d) != z(a, b) * z(c, d) + z(a, d) * z(b, c):
+                failures.append((S, (a, b, c, d)))
+    return failures
+
+
+def test_integer_plucker_check_equals_fraction_comparison(gr37):
+    """Scaled by one common denominator, the relations fail exactly where
+    they fail in Fractions, also when one value is off."""
+    vec = boundary_measurement(gr37, seeded_draws(gr37, "plucker/gr37", 1)[0])
+    values = vec.as_dict()
+    assert len({x.denominator for x in values.values()}) > 1
+    for I, factor in [(None, 1), ((1, 3, 5), Fraction(3, 2)), ((2, 4, 6), Fraction(0)),
+                      ((1, 2, 3), Fraction(7, 11))]:
+        changed = {J: x * factor if J == I else x for J, x in values.items()}
+        wrong = PluckerVector(3, 7, tuple(sorted(changed.items())))
+        report = check_plucker_relations(wrong, 3, 7)
+        assert report.checked == 105
+        assert report.failures == fraction_plucker_failures(wrong, 3, 7)
+        assert bool(report.failures) == (I is not None)

@@ -244,11 +244,13 @@ def test_check_resolution_rejects_a_negative_d_max(gr37):
     assert check_resolution(gr37, mu, 0).pieces_checked == len(gr37.vertices)
 
 
-def per_piece_report(model, mu):
-    """Oracle for check_resolution: every (vertex, degree) piece built and
-    decided afresh by graded_piece, and the Euler series summed directly."""
+def per_piece_report(model, mu, d_max=None):
+    """Oracle for check_resolution: every (vertex, degree) piece up to
+    d_max (default: saturation + 1) built and decided afresh by
+    graded_piece, and the Euler series summed directly."""
     degrees = {v.id: degrees_toward(model, mu, v.id) for v in model.vertices}
-    d_max = max(max(dist.values()) for dist in degrees.values()) + 1
+    if d_max is None:
+        d_max = max(max(dist.values()) for dist in degrees.values()) + 1
     failures = [(v.id, d) for v in model.vertices for d in range(d_max + 1)
                 if not graded_piece(model, mu, v.id, d).is_exact()]
     q1, q2 = merged_complex_data(model, mu)
@@ -289,6 +291,22 @@ def test_memoised_failures_reach_every_piece_sharing_the_set(name, monkeypatch):
         expected = per_piece_report(model, mu)
         assert expected[2]
         assert report_tuple(check_resolution(model, mu)) == expected
+
+
+@pytest.mark.parametrize("rule", [None, lambda piece: len(piece.c0) % 3 != 1],
+                         ids=["exact", "ten-vertex-sets-fail"])
+def test_degrees_past_saturation_are_counted_as_if_walked(gr37, monkeypatch, rule):
+    """Far past saturation every piece is on the whole vertex set; the
+    report still equals the per-piece walk over every degree, both when
+    that piece is exact and (with exactness replaced by a rule that fails
+    gr37's 10 vertices) when it is not, down to the order of failures."""
+    if rule is not None:
+        monkeypatch.setattr(GradedComplexPiece, "is_exact", rule)
+    for mu in enumerate_matchings(gr37)[::9]:
+        d_max = saturation_degree(gr37, mu) + 50
+        expected = per_piece_report(gr37, mu, d_max)
+        assert bool(expected[2]) == (rule is not None)
+        assert report_tuple(check_resolution(gr37, mu, d_max)) == expected
 
 
 def test_one_changed_incidence_is_inexact(gr37):

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from discdimer import verify
 from discdimer.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -27,3 +28,15 @@ def test_verify_json_matches_golden(name):
     assert doc == expected
     assert result.exit_code == (0 if expected["passed"] else 1)
 
+
+def test_plucker_draws_take_the_support_from_enumeration(gr37, monkeypatch):
+    """The Kasteleyn positroid and the necklace test are each checked
+    against the enumerated boundary values, not against one another."""
+    assert verify._check_plucker_draws(gr37, 1) == (True, None)
+    with monkeypatch.context() as patch:
+        patch.setattr(verify, "positroid", lambda model: frozenset())
+        assert verify._check_plucker_draws(gr37, 1) == (
+            False, "Kasteleyn positroid disagrees with enumeration")
+    monkeypatch.setattr(verify, "positroid_contains_necklace_test", lambda model, J: True)
+    assert verify._check_plucker_draws(gr37, 1) == (
+        False, "necklace Gale-order test disagrees with enumeration")
