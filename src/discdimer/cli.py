@@ -102,12 +102,13 @@ def _poly_doc(poly: LaurentPoly) -> dict:
 
 
 def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]]) -> None:
+    # Echoes name sys.stdout: click's default lookup keeps every redirected stdout alive.
     if fmt == "json":
         doc = {"schema": SCHEMA, **doc}
-        click.echo(json.dumps(doc, indent=1, sort_keys=True))
+        click.echo(json.dumps(doc, indent=1, sort_keys=True), file=sys.stdout)
     else:
         for line in text_lines():
-            click.echo(line)
+            click.echo(line, file=sys.stdout)
 
 
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
@@ -171,7 +172,15 @@ def cmd_build_uniform(k: int, n: int, out: str) -> None:
     """Build the uniform (k,n) model and write it to a file."""
     model = build_uniform(k, n)
     model_lib.save(model, out)
-    click.echo(f"wrote uniform ({k},{n}) model with {len(model.vertices)} vertices to {out}")
+    click.echo(f"wrote uniform ({k},{n}) model with {len(model.vertices)} vertices to {out}",
+               file=sys.stdout)
+
+
+def _write_model(model: DimerModel, out: Optional[str]) -> None:
+    if out:
+        model_lib.save(model, out)
+    else:
+        click.echo(json.dumps(model_lib.to_dict(model), indent=1, sort_keys=True), file=sys.stdout)
 
 
 @main.command("opposite")
@@ -179,11 +188,7 @@ def cmd_build_uniform(k: int, n: int, out: str) -> None:
 @click.option("-o", "out", default=None, help="Output file (default: stdout).")
 def cmd_opposite(file: str, out: Optional[str]) -> None:
     """Write the opposite model (all arrows and colours reversed)."""
-    model = opposite(_load(file))
-    if out:
-        model_lib.save(model, out)
-    else:
-        click.echo(json.dumps(model_lib.to_dict(model), indent=1, sort_keys=True))
+    _write_model(opposite(_load(file)), out)
 
 
 @main.command("standardise")
@@ -193,11 +198,7 @@ def cmd_opposite(file: str, out: Optional[str]) -> None:
 @click.option("-o", "out", default=None, help="Output file (default: stdout).")
 def cmd_standardise(file: str, black: bool, out: Optional[str]) -> None:
     """Insert digons so every boundary arrow lies in a face of one colour."""
-    model = standardise(_load(file), BLACK if black else WHITE)
-    if out:
-        model_lib.save(model, out)
-    else:
-        click.echo(json.dumps(model_lib.to_dict(model), indent=1, sort_keys=True))
+    _write_model(standardise(_load(file), BLACK if black else WHITE), out)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +539,7 @@ def cmd_verify(file: str, seed: int, fmt: str) -> None:
         model = _load(file)
     except (StructuralError, click.ClickException) as exc:
         click.echo(json.dumps({"schema": SCHEMA, "command": "verify",
-                               "error": str(exc)}, indent=1))
+                               "error": str(exc)}, indent=1), file=sys.stdout)
         sys.exit(2)
     results = run_checks(model, seed)
     passed = all(r["passed"] for r in results)
@@ -564,7 +565,7 @@ def cmd_fixtures(outdir: Optional[str]) -> None:
     for name, builder in FIXTURE_BUILDERS.items():
         path = os.path.join(outdir, f"{name}.json")
         model_lib.save(builder(), path)
-        click.echo(f"wrote {path}")
+        click.echo(f"wrote {path}", file=sys.stdout)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from math import lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .intlinalg import determinant
-from .model import BLACK, DimerModel, per_model, require_valid
+from .model import BLACK, DimerModel, ReadOnlyDict, per_model, require_valid
 
 Entry = Tuple[int, int, Optional[int], int]  # (row, column, weighted arrow, sign)
 
@@ -50,8 +50,8 @@ class Frame:
     entries: Tuple[Entry, ...]
 
 
-@per_model(copy=dict)
-def kasteleyn_signs(model: DimerModel) -> Dict[int, int]:
+@per_model
+def kasteleyn_signs(model: DimerModel) -> ReadOnlyDict[int, int]:
     """A Kasteleyn sign ±1 for every internal arrow: around each internal
     vertex of degree 2m, the number of negative arrows is ≡ m + 1 (mod 2).
     Solved over GF(2) with one bit per internal arrow."""
@@ -84,10 +84,10 @@ def kasteleyn_signs(model: DimerModel) -> Dict[int, int]:
     for pivot, _, value in solved:
         if value:
             negative |= pivot
-    return {a.id: -1 if negative >> bit & 1 else 1 for bit, a in enumerate(internal)}
+    return ReadOnlyDict({a.id: -1 if negative >> bit & 1 else 1 for bit, a in enumerate(internal)})
 
 
-@per_model()
+@per_model
 def kasteleyn_frame(model: DimerModel) -> Frame:
     """K's shape: rows are the white faces by id, then u_i by label; columns
     the black faces by id, then t_1..t_n."""

@@ -211,12 +211,13 @@ def eta_inverse_basis(model: DimerModel) -> Dict[int, LatticePoint]:
         raise ValueError("eta is not unimodular; no integral inverse")
     inv = intlinalg.integer_inverse(mat)  # basis coordinates per p_j column
     basis = lattice_basis(model)
+    basis_values = [b.as_dict() for b in basis]
     arrows = sorted(a.id for a in model.arrows)
     out: Dict[int, LatticePoint] = {}
     for c, j in enumerate(vertices):
         coords = [inv[r][c] for r in range(len(basis))]
         deg = sum(x * b.deg for x, b in zip(coords, basis))
-        values = {aid: sum(x * b[aid] for x, b in zip(coords, basis))
+        values = {aid: sum(x * b.get(aid, 0) for x, b in zip(coords, basis_values))
                   for aid in arrows}
         point = make_lattice_point(model, deg, values)
         if point.deg != 1 or any(x not in (0, 1) for x in values.values()):

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .kasteleyn import boundary_minors
-from .model import (BipartiteDual, DimerModel, bipartite_dual, per_model, require_valid,
-                    type_of)
+from .model import (BipartiteDual, DimerModel, ReadOnlyDict, bipartite_dual, per_model,
+                    require_valid, type_of)
 from .strands import necklaces
 
 
@@ -95,12 +95,12 @@ def _boundary_of(orientation: Orientation, mu: Matching) -> FrozenSet[int]:
                      if (aid in chosen) == clockwise)
 
 
-@per_model()
+@per_model
 def _enumeration(model: DimerModel) -> Tuple[Tuple[Matching, ...],
-                                             Dict[FrozenSet[int], Tuple[Matching, ...]]]:
+                                             ReadOnlyDict[FrozenSet[int], Tuple[Matching, ...]]]:
     """Every perfect matching in canonical order, and the same matchings
-    grouped by boundary value (in that order within each group). Shared by
-    every caller on the model, so callers must copy before they mutate."""
+    grouped by boundary value (in that order within each group). Both are
+    immutable, so every caller on the model shares them."""
     require_valid(model)
     faces = [f.boundary_cycle for f in sorted(model.faces, key=lambda f: f.id)]
     found: List[Matching] = []
@@ -109,16 +109,16 @@ def _enumeration(model: DimerModel) -> Tuple[Tuple[Matching, ...],
     groups: Dict[FrozenSet[int], List[Matching]] = {}
     for mu in found:
         groups.setdefault(_boundary_of(orientation, mu), []).append(mu)
-    return tuple(found), {I: tuple(pool) for I, pool in groups.items()}
+    return tuple(found), ReadOnlyDict({I: tuple(pool) for I, pool in groups.items()})
 
 
-def enumerate_matchings(model: DimerModel) -> List[Matching]:
+def enumerate_matchings(model: DimerModel) -> Tuple[Matching, ...]:
     """All perfect matchings, by exact-cover backtracking over the faces.
 
     Faces are processed in increasing id; within a face, candidate arrows in
     boundary-cycle order, so the output order is canonical.
     """
-    return list(_enumeration(model)[0])
+    return _enumeration(model)[0]
 
 
 def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
@@ -127,11 +127,11 @@ def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
     return _boundary_of(_orientation(model), mu)
 
 
-def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> List[Matching]:
-    return list(_enumeration(model)[1].get(frozenset(I), ()))
+def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
+    return _enumeration(model)[1].get(frozenset(I), ())
 
 
-@per_model()
+@per_model
 def positroid(model: DimerModel) -> FrozenSet[FrozenSet[int]]:
     """All boundary values of perfect matchings: the I whose Kasteleyn
     minor is nonzero at unit weights (see `kasteleyn`); no matching is

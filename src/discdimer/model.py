@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import (Any, Callable, Collection, Dict, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple, TypeVar)
 
@@ -18,6 +18,7 @@ BLACK = "black"
 WHITE = "white"
 
 T = TypeVar("T")
+K, V = TypeVar("K"), TypeVar("V")
 
 
 class StructuralError(ValueError):
@@ -59,14 +60,14 @@ class DimerModel:
         # Runs on structurally broken models too (validate reports on them),
         # so nothing here may assume that ids resolve.
         face_by_id = {f.id: f for f in self.faces}
-        faces_of: Dict[int, List[int]] = {a.id: [] for a in self.arrows}
+        faces_of: Dict[int, Tuple[int, ...]] = {a.id: () for a in self.arrows}
         for f in self.faces:
             for aid in f.boundary_cycle:
                 if aid in faces_of:
-                    faces_of[aid].append(f.id)
-        arrows_into: Dict[int, List[Arrow]] = {}
+                    faces_of[aid] += (f.id,)
+        arrows_into: Dict[int, Tuple[Arrow, ...]] = {}
         for a in self.arrows:
-            arrows_into.setdefault(a.head, []).append(a)
+            arrows_into[a.head] = arrows_into.get(a.head, ()) + (a,)
         boundary = tuple(a for a in self.arrows if a.is_boundary)
         index = {
             "_vertex_by_id": {v.id: v for v in self.vertices},
@@ -92,12 +93,12 @@ class DimerModel:
     def face(self, fid: int) -> Face:
         return self._face_by_id[fid]
 
-    def arrows_into(self, vid: int) -> Sequence[Arrow]:
-        """The arrows with head `vid`; do not mutate."""
+    def arrows_into(self, vid: int) -> Tuple[Arrow, ...]:
+        """The arrows with head `vid`."""
         return self._arrows_into.get(vid, ())
 
     def faces_of_arrow(self, aid: int) -> Tuple[int, ...]:
-        return tuple(self._faces_of_arrow[aid])
+        return self._faces_of_arrow[aid]
 
     def face_of_color(self, aid: int, color: str) -> Optional[Face]:
         """The face of the given colour containing the arrow, if any."""
@@ -142,51 +143,57 @@ class DimerModel:
         return cyc[(i + 1) % len(cyc)]
 
 
-def per_model(copy: Callable[[Any], Any] = lambda value: value
-              ) -> Callable[[Callable[[DimerModel], T]], Callable[[DimerModel], T]]:
+class ReadOnlyDict(Dict[K, V]):
+    """A dict that cannot change after it is built: every mutator raises
+    TypeError. Equality, iteration and JSON see a plain dict."""
+
+    def _read_only(self, *args: Any, **kwargs: Any) -> None:
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self) -> Tuple[type, Tuple[dict]]:
+        return type(self), (dict(self),)
+
+
+def per_model(fn: Callable[[DimerModel], T]) -> Callable[[DimerModel], T]:
     """Decorator: compute a function of a model once per `DimerModel` instance.
 
     The result is stored in the instance's own ``__dict__``, so it lives and
     dies with that instance; eq and hash read only the dataclass fields. (A
     cache keyed by model value would hand one instance's results to another,
-    equal instance.) Every call returns ``copy(result)``, so a caller that
-    changes a mutable result cannot change what later calls get. A
-    ValueError is stored too: every later call raises a new one of the same
-    type with the same message.
+    equal instance.) Every call returns that stored result, shared by all
+    callers; results are immutable (frozen dataclasses, tuples, frozensets,
+    `ReadOnlyDict`), so nothing needs copying. A ValueError is stored too:
+    every later call raises a new one of the same type and message.
     """
+    key = f"{fn.__module__}.{fn.__qualname__}"
 
-    def decorate(fn: Callable[[DimerModel], T]) -> Callable[[DimerModel], T]:
-        key = f"{fn.__module__}.{fn.__qualname__}"
+    @functools.wraps(fn)
+    def cached(model: DimerModel) -> T:
+        memo = model.__dict__
+        entry = memo.get(key)
+        if entry is None:
+            try:
+                entry = memo[key] = (True, fn(model))
+            except ValueError as exc:
+                memo[key] = (False, (type(exc), exc.args))
+                raise
+        ok, value = entry
+        if not ok:
+            error_type, args = value
+            raise error_type(*args)
+        return value
 
-        @functools.wraps(fn)
-        def cached(model: DimerModel) -> T:
-            memo = model.__dict__
-            entry = memo.get(key)
-            if entry is None:
-                try:
-                    entry = memo[key] = (True, fn(model))
-                except ValueError as exc:
-                    memo[key] = (False, (type(exc), exc.args))
-                    raise
-            ok, value = entry
-            if not ok:
-                error_type, args = value
-                raise error_type(*args)
-            return copy(value)
-
-        return cached
-
-    return decorate
+    return cached
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelReport:
-    checks: Dict[str, Tuple[bool, str]] = field(default_factory=dict)
-    n: int = 0
-    connected: bool = False
-
-    def record(self, name: str, ok: bool, detail: str = "") -> None:
-        self.checks[name] = (ok, detail)
+    checks: ReadOnlyDict[str, Tuple[bool, str]]  # axiom -> (passed, detail)
+    n: int
+    connected: bool
 
     @property
     def passed(self) -> bool:
@@ -226,16 +233,16 @@ def _check_structure(model: DimerModel) -> None:
             raise StructuralError(f"face {f.id} repeats an arrow in its cycle")
 
 
-@per_model(copy=lambda report: replace(report, checks=dict(report.checks)))
+@per_model
 def validate(model: DimerModel) -> ModelReport:
     """Check every dimer-model axiom; raises StructuralError on dangling ids
     or malformed records, otherwise returns a full per-axiom report."""
     _check_structure(model)
-    report = ModelReport()
+    checks: Dict[str, Tuple[bool, str]] = {}
 
     # No loops.
     loops = [a.id for a in model.arrows if a.tail == a.head]
-    report.record("no_loops", not loops, f"loop arrows: {loops}")
+    checks["no_loops"] = (not loops, f"loop arrows: {loops}")
 
     # Face multiplicity: internal arrows once in a black and once in a white
     # cycle; boundary arrows in exactly one cycle. (_check_structure rules
@@ -245,7 +252,7 @@ def validate(model: DimerModel) -> ModelReport:
         colors = sorted(model.face(fid).color for fid in model.faces_of_arrow(a.id))
         if not (len(colors) == 1 if a.is_boundary else colors == [BLACK, WHITE]):
             bad_mult.append(a.id)
-    report.record("face_multiplicity", not bad_mult, f"arrows: {bad_mult}")
+    checks["face_multiplicity"] = (not bad_mult, f"arrows: {bad_mult}")
 
     # Oriented cycles: head of each arrow = tail of the next.
     bad_faces = []
@@ -256,7 +263,7 @@ def validate(model: DimerModel) -> ModelReport:
             if model.arrow(aid).head != model.arrow(nxt).tail:
                 bad_faces.append(f.id)
                 break
-    report.record("oriented_cycles", not bad_faces, f"faces: {bad_faces}")
+    checks["oriented_cycles"] = (not bad_faces, f"faces: {bad_faces}")
 
     # Vertex incidence graphs: a line at boundary vertices, a cycle at
     # internal vertices. Nodes are the incident arrows; edges are consecutive
@@ -273,34 +280,25 @@ def validate(model: DimerModel) -> ModelReport:
             edges_at[model.arrow(aid).head].append((aid, cyc[(i + 1) % len(cyc)]))
     bad_vertices = [v.id for v in model.vertices
                     if not _incidence_ok(nodes_at[v.id], edges_at[v.id], v.is_boundary)]
-    report.record("vertex_incidence", not bad_vertices, f"vertices: {bad_vertices}")
+    checks["vertex_incidence"] = (not bad_vertices, f"vertices: {bad_vertices}")
 
     # Euler characteristic of the disc.
     euler = len(model.vertices) - len(model.arrows) + len(model.faces)
-    report.record("euler", euler == 1, f"chi = {euler}")
+    checks["euler"] = (euler == 1, f"chi = {euler}")
 
     # Boundary arrows form a single closed cycle with labels 1..n in cyclic
     # order; boundary flags on vertices agree with incidence.
     boundary = model.boundary_arrows
-    n = len(boundary)
-    report.n = n
-    ok, detail = _check_boundary_cycle(model, boundary)
-    report.record("boundary_cycle", ok, detail)
+    checks["boundary_cycle"] = _check_boundary_cycle(model, boundary)
 
-    flag_bad = []
-    on_boundary = set()
-    for a in boundary:
-        on_boundary.update((a.tail, a.head))
-    for v in model.vertices:
-        if v.is_boundary != (v.id in on_boundary):
-            flag_bad.append(v.id)
-    report.record("boundary_flags", not flag_bad, f"vertices: {flag_bad}")
+    on_boundary = {end for a in boundary for end in (a.tail, a.head)}
+    flag_bad = [v.id for v in model.vertices if v.is_boundary != (v.id in on_boundary)]
+    checks["boundary_flags"] = (not flag_bad, f"vertices: {flag_bad}")
 
     # Connectivity of the underlying graph.
     connected = _is_connected(model)
-    report.connected = connected
-    report.record("connected", connected, "quiver is disconnected" if not connected else "")
-    return report
+    checks["connected"] = (connected, "quiver is disconnected" if not connected else "")
+    return ModelReport(ReadOnlyDict(checks), len(boundary), connected)
 
 
 def _incidence_ok(nodes: List[int], edges: List[Tuple[int, int]], on_boundary: bool) -> bool:
@@ -444,7 +442,7 @@ class BipartiteDual:
         return tuple(x for x in self.nodes if x.color == WHITE)
 
 
-@per_model()
+@per_model
 def bipartite_dual(model: DimerModel) -> BipartiteDual:
     require_valid(model)
     nodes = tuple(DualNode(f.id, f.color) for f in model.faces)
@@ -463,7 +461,7 @@ def bipartite_dual(model: DimerModel) -> BipartiteDual:
                          tuple(v.id for v in model.vertices))
 
 
-@per_model()
+@per_model
 def type_of(model: DimerModel) -> Tuple[int, int]:
     """(k, n) with k = #white - #black + #(half-edges at black nodes)."""
     dual = bipartite_dual(model)
@@ -477,7 +475,7 @@ def type_of(model: DimerModel) -> Tuple[int, int]:
 # Opposite and standardisation
 # ---------------------------------------------------------------------------
 
-@per_model()
+@per_model
 def opposite(model: DimerModel) -> DimerModel:
     """Reverse all arrows and face cycles and swap the face colours; ids and
     boundary labels are preserved."""
@@ -580,7 +578,7 @@ def from_dict(doc: dict) -> DimerModel:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed document: {exc}") from exc
     model = DimerModel(vertices, tuple(arrows), faces)
-    _check_structure(model)
+    validate(model)
     return model
 
 

@@ -10,11 +10,11 @@ the boundary arrow whose pending-colour face is missing.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import BLACK, WHITE, DimerModel, _tiles_reached, per_model, require_valid, type_of
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, per_model,
+                    require_valid, type_of)
 
 
 def _other(color: str) -> str:
@@ -32,25 +32,31 @@ class Strand:
         return tuple(aid for aid, _ in self.crossing_sequence)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ConsistencyReport:
-    b1_pass: bool = True
-    b2_pass: bool = True
-    closed_loop_arrows: Tuple[int, ...] = ()
-    b1_witness: Optional[Tuple[int, int]] = None  # (start label, arrow id)
-    b2_witness: Optional[Tuple[int, int, int, int]] = None  # (s, t, arrow, arrow)
+    closed_loop_arrows: Tuple[int, ...]
+    b1_witness: Optional[Tuple[int, int]]  # first (start label, arrow id) crossed twice
+    b2_witness: Optional[Tuple[int, int, int, int]]  # first (s, t, arrow, arrow) out of order
+
+    @property
+    def b1_pass(self) -> bool:
+        return self.b1_witness is None
+
+    @property
+    def b2_pass(self) -> bool:
+        return self.b2_witness is None
 
     @property
     def passed(self) -> bool:
         return self.b1_pass and self.b2_pass and not self.closed_loop_arrows
 
 
-@dataclass
+@dataclass(frozen=True)
 class LabelTable:
     k: int
     n: int
-    source: Dict[int, FrozenSet[int]] = field(default_factory=dict)
-    target: Dict[int, FrozenSet[int]] = field(default_factory=dict)
+    source: ReadOnlyDict[int, FrozenSet[int]]  # vertex id -> source label
+    target: ReadOnlyDict[int, FrozenSet[int]]  # vertex id -> target label
 
 
 def _trace(model: DimerModel, start_label: int) -> Strand:
@@ -75,29 +81,27 @@ def _trace(model: DimerModel, start_label: int) -> Strand:
     return Strand(start_label, end.boundary_label, tuple(seq))
 
 
-@per_model(copy=list)
-def strands(model: DimerModel) -> List[Strand]:
+@per_model
+def strands(model: DimerModel) -> Tuple[Strand, ...]:
     require_valid(model)
-    return [_trace(model, label) for label in range(1, model.n + 1)]
+    return tuple(_trace(model, label) for label in range(1, model.n + 1))
 
 
 def strand_permutation(model: DimerModel) -> Dict[int, int]:
     return {s.start_label: s.end_label for s in strands(model)}
 
 
-@per_model(copy=copy.copy)
+@per_model
 def check_postnikov(model: DimerModel) -> ConsistencyReport:
     all_strands = strands(model)
-    report = ConsistencyReport()
 
     # (b1): no strand crosses the same arrow twice.
+    b1_witness = None
     for s in all_strands:
         seen: Set[int] = set()
         for aid in s.arrows:
-            if aid in seen:
-                report.b1_pass = False
-                if report.b1_witness is None:
-                    report.b1_witness = (s.start_label, aid)
+            if aid in seen and b1_witness is None:
+                b1_witness = (s.start_label, aid)
             seen.add(aid)
 
     # Closed zig-zag loops exist iff some arrow is crossed fewer than twice
@@ -106,26 +110,24 @@ def check_postnikov(model: DimerModel) -> ConsistencyReport:
     for s in all_strands:
         for aid in s.arrows:
             passages[aid] += 1
-    report.closed_loop_arrows = tuple(sorted(aid for aid, c in passages.items()
-                                             if c < 2))
+    closed_loop_arrows = tuple(sorted(aid for aid, c in passages.items() if c < 2))
 
     # (b2): along any two strands, the interior arrows they both cross must
     # appear in exactly opposite orders. Checking consecutive common pairs
     # suffices: any order violation contains an adjacent one.
     interior = {a.id for a in model.internal_arrows}
+    b2_witness = None
     for i, s in enumerate(all_strands):
         s_common_pos = {aid: p for p, aid in enumerate(s.arrows) if aid in interior}
         for t in all_strands[i + 1:]:
             common = [aid for aid in t.arrows if aid in s_common_pos]
             for a1, a2 in zip(common, common[1:]):
-                if s_common_pos[a1] < s_common_pos[a2]:
-                    report.b2_pass = False
-                    if report.b2_witness is None:
-                        report.b2_witness = (s.start_label, t.start_label, a1, a2)
-    return report
+                if s_common_pos[a1] < s_common_pos[a2] and b2_witness is None:
+                    b2_witness = (s.start_label, t.start_label, a1, a2)
+    return ConsistencyReport(closed_loop_arrows, b1_witness, b2_witness)
 
 
-def require_consistent(model: DimerModel) -> List[Strand]:
+def require_consistent(model: DimerModel) -> Tuple[Strand, ...]:
     require_valid(model)
     report = check_postnikov(model)
     if not report.passed:
@@ -164,41 +166,35 @@ def _left_region(model: DimerModel, strand: Strand) -> FrozenSet[int]:
     return frozenset(_tiles_reached(model, seeds, cut=set(strand.arrows)))
 
 
-@per_model(copy=lambda table: replace(table, source=dict(table.source),
-                                      target=dict(table.target)))
+@per_model
 def label_table(model: DimerModel) -> LabelTable:
     """Source labels I_j (marked points whose starting strand has tile j on
     its left) and target labels (same, for the strand ending there)."""
     all_strands = require_consistent(model)
     k, n = type_of(model)
-    table = LabelTable(k=k, n=n)
     regions = {s.start_label: _left_region(model, s) for s in all_strands}
     pi = {s.start_label: s.end_label for s in all_strands}
-    for v in model.vertices:
-        src = frozenset(i for i, region in regions.items() if v.id in region)
-        table.source[v.id] = src
-        table.target[v.id] = frozenset(pi[i] for i in src)
-    return table
+    source = {v.id: frozenset(i for i, region in regions.items() if v.id in region)
+              for v in model.vertices}
+    target = {vid: frozenset(pi[i] for i in src) for vid, src in source.items()}
+    return LabelTable(k, n, ReadOnlyDict(source), ReadOnlyDict(target))
 
 
-def source_labels(model: DimerModel) -> Dict[int, FrozenSet[int]]:
+def source_labels(model: DimerModel) -> ReadOnlyDict[int, FrozenSet[int]]:
     return label_table(model).source
 
 
-def target_labels(model: DimerModel) -> Dict[int, FrozenSet[int]]:
+def target_labels(model: DimerModel) -> ReadOnlyDict[int, FrozenSet[int]]:
     return label_table(model).target
 
 
-@per_model(copy=lambda pair: (dict(pair[0]), dict(pair[1])))
-def necklaces(model: DimerModel) -> Tuple[Dict[int, FrozenSet[int]], Dict[int, FrozenSet[int]]]:
+@per_model
+def necklaces(model: DimerModel) -> Tuple[ReadOnlyDict[int, FrozenSet[int]],
+                                          ReadOnlyDict[int, FrozenSet[int]]]:
     """(source necklace, target necklace): for each boundary position m,
     the source/target label of the boundary tile between marked points m
     and m+1."""
     table = label_table(model)
-    source = {}
-    target = {}
-    for m in range(1, model.n + 1):
-        tile = boundary_tile(model, m)
-        source[m] = table.source[tile]
-        target[m] = table.target[tile]
-    return source, target
+    tiles = {m: boundary_tile(model, m) for m in range(1, model.n + 1)}
+    return (ReadOnlyDict({m: table.source[t] for m, t in tiles.items()}),
+            ReadOnlyDict({m: table.target[t] for m, t in tiles.items()}))

@@ -1,7 +1,10 @@
-"""Per-model memoisation: cached results equal fresh ones, cannot be changed
-through what a caller gets back, and each analysis runs once per instance."""
+"""Per-model memoisation: cached results equal fresh ones, are shared and
+cannot be changed through what a caller gets back, and each analysis runs
+once per instance."""
 
+import copy
 import gc
+import pickle
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -65,19 +68,34 @@ def test_cached_results_equal_fresh_instances(name):
 def test_mutating_a_result_changes_no_later_call(gr37):
     model = fresh(gr37)
     report = validate(model)
-    report.checks.clear()
-    report.n = 0
     table = label_table(model)
-    table.source.clear()
-    table.target[0] = frozenset()
     consistency = check_postnikov(model)
-    consistency.b1_pass = False
     source, target = necklaces(model)
-    source.clear()
-    target[1] = frozenset()
+    attempts = [
+        lambda: report.checks.clear(),
+        lambda: report.checks.update(no_loops=(False, "")),
+        lambda: setattr(report, "n", 0),
+        lambda: table.source.clear(),
+        lambda: table.target.__setitem__(0, frozenset()),
+        lambda: table.target.setdefault(99, frozenset()),
+        lambda: setattr(table, "source", {}),
+        lambda: setattr(consistency, "b1_witness", (1, 0)),
+        lambda: setattr(consistency, "b1_pass", False),
+        lambda: source.clear(),
+        lambda: source.pop(1),
+        lambda: target.__setitem__(1, frozenset()),
+        lambda: target.__delitem__(1),
+        lambda: target.popitem(),
+        lambda: kasteleyn_signs(model).clear(),
+        lambda: kasteleyn_signs(model).__ior__({0: 1}),
+    ]
     for result in (strands(model), enumerate_matchings(model),
-                   matchings_with_boundary(model, [1, 3, 5]), kasteleyn_signs(model)):
-        result.clear()
+                   matchings_with_boundary(model, [1, 3, 5])):
+        attempts += [lambda result=result: result.clear(),
+                     lambda result=result: result.__setitem__(0, None)]
+    for attempt in attempts:
+        with pytest.raises((TypeError, AttributeError)):
+            attempt()
 
     oracle = fresh(gr37)
     assert validate(model) == validate(oracle) and validate(model).n == 7
@@ -90,9 +108,35 @@ def test_mutating_a_result_changes_no_later_call(gr37):
     assert kasteleyn_signs(model) == kasteleyn_signs(oracle)
 
 
+@pytest.mark.parametrize("name", ["gr37", "inconsistent"])
+def test_memoised_calls_return_the_stored_object(name):
+    model = fresh(MODELS[name]())
+    for key, fn in MEMOISED.items():
+        kind, first = outcome(fn, model)
+        if kind != "ok":
+            continue
+        again = fn(model)
+        if key == "matchings_with_boundary":
+            assert all(again[I] is pool for I, pool in first.items()), key
+        else:
+            assert again is first, key
+    for a in model.arrows:
+        assert type(model.faces_of_arrow(a.id)) is tuple
+        assert model.faces_of_arrow(a.id) is model.faces_of_arrow(a.id)
+    for v in model.vertices:
+        assert type(model.arrows_into(v.id)) is tuple
+        assert model.arrows_into(v.id) is model.arrows_into(v.id)
+
+
+def test_read_only_results_copy_and_pickle_as_equal_values(gr37):
+    for result in (validate(gr37), label_table(gr37), necklaces(gr37), kasteleyn_signs(gr37)):
+        for clone in (copy.copy(result), copy.deepcopy(result),
+                      pickle.loads(pickle.dumps(result))):
+            assert clone == result
+
+
 def test_validation_and_strands_run_once_per_instance(monkeypatch):
     model = fx.build_uniform(3, 6)
-    other = fresh(model)  # an equal instance, which must share nothing
     calls = {"structure": 0, "trace": 0}
     check_structure, trace = model_mod._check_structure, strands_mod._trace
 
@@ -112,6 +156,7 @@ def test_validation_and_strands_run_once_per_instance(monkeypatch):
     assert all(members) and len(members) == 20
     assert calls == {"structure": 1, "trace": 6}
 
+    other = fresh(model)  # an equal instance, which must share nothing; validated on load
     label_table(other)
     assert calls == {"structure": 2, "trace": 12}
 

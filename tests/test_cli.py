@@ -1,7 +1,11 @@
 """End-to-end tests of the command-line interface."""
 
+import gc
+import io
 import json
 import os
+import weakref
+from contextlib import redirect_stdout
 
 import pytest
 from click.testing import CliRunner
@@ -34,6 +38,19 @@ def test_type_json(runner, gr37_file):
     doc = json.loads(result.output)
     assert doc["schema"] == 1
     assert (doc["k"], doc["n"]) == (3, 7)
+
+
+def test_in_process_runs_keep_no_redirected_stream_alive(gr37_file):
+    probes = []
+    for _ in range(20):
+        out = io.StringIO()
+        with redirect_stdout(out), pytest.raises(SystemExit) as info:
+            main.main(args=["type", gr37_file], prog_name="dimer", standalone_mode=True)
+        assert info.value.code == 0 and out.getvalue() == "(3, 7)\n"
+        probes.append(weakref.ref(out))
+        del out
+    gc.collect()
+    assert [probe for probe in probes if probe() is not None] == []
 
 
 def test_builtin_fixture_names(runner):
