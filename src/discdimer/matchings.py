@@ -37,8 +37,10 @@ class HeightFunction:
 
 
 def is_matching(model: DimerModel, arrows: Iterable[int]) -> bool:
+    """Whether the ids are arrows of the model, exactly one in every face."""
     chosen = set(arrows)
-    return all(sum(1 for a in f.boundary_cycle if a in chosen) == 1 for f in model.faces)
+    return (sum(1 for a in model.arrows if a.id in chosen) == len(chosen)
+            and all(sum(1 for a in f.boundary_cycle if a in chosen) == 1 for f in model.faces))
 
 
 def require_matching(model: DimerModel, mu: Matching) -> None:
@@ -127,8 +129,15 @@ def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
     return _boundary_of(_orientation(model), mu)
 
 
+def _require_subset(I: FrozenSet[int], k: int, n: int) -> None:
+    if len(I) != k or (I and (min(I) < 1 or max(I) > n)):
+        raise ValueError(f"expected a {k}-subset of 1..{n}, got {sorted(I)}")
+
+
 def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
-    return _enumeration(model)[1].get(frozenset(I), ())
+    I = frozenset(I)
+    _require_subset(I, *type_of(model))
+    return _enumeration(model)[1].get(I, ())
 
 
 @per_model
@@ -162,8 +171,7 @@ def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> boo
     the positroid iff J ≤ entry(m) in the (m+1)-shifted order for all m."""
     J = frozenset(J)
     k, n = type_of(model)
-    if len(J) != k:
-        raise ValueError(f"expected a {k}-subset, got {sorted(J)}")
+    _require_subset(J, k, n)
     source_necklace, _ = necklaces(model)
     return all(_gale_leq(J, source_necklace[m], m % n + 1, n)
                for m in range(1, n + 1))

@@ -8,21 +8,27 @@ finite-dimensional vector spaces built from the quiver with the μ-arrows
 contracted (faces merged across matched internal arrows); the resolution is
 exact iff every piece is exact. Both maps of a piece are signed incidence
 matrices of graphs, so a piece keeps them as incidences and their ranks
-are counted by union-find. A piece depends only on its reachable set, and
-many (vertex, degree) pairs share one, so `check_resolution` computes the
-degrees toward each vertex once and decides exactness once per distinct
-reachable set.
+are counted by union-find.
+
+The degrees toward every vertex are one row of bytes per target, in the
+model's vertex order. `check_resolution` and `rotate_matching` compute the
+rows of their one matching; the suite over every matching reads them from
+one `degree_table` per model. A piece depends on μ only through the
+μ-arrows with head in S and the internal μ-arrows with tail in S, so
+exactness is decided once per distinct (S, those arrows), across all the
+matchings of one check, with both kept as int bitmasks.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 
-from .matchings import Matching, is_matching, require_matching
-from .model import BLACK, WHITE, DimerModel
+from .matchings import Matching, enumerate_matchings, is_matching, require_matching
+from .model import BLACK, WHITE, DimerModel, ReadOnlyDict, per_model
 from .strands import require_consistent
+
+Row = Union[bytes, Tuple[int, ...]]  # degree toward one target, per vertex position
 
 
 @dataclass(frozen=True)
@@ -62,17 +68,21 @@ class GradedComplexPiece:
         if not self.c0 or any(t is None for t, _ in self.delta1):
             return False
         composite: Dict[Tuple[int, int], int] = {}  # δ1δ2 by (face, vertex)
+        get = composite.get
         for (t, h), (plus, minus) in zip(self.delta1, self.delta2):
-            for face, sign in ((plus, 1), (minus, -1)):
-                if face is not None:
-                    composite[face, t] = composite.get((face, t), 0) + sign
-                    composite[face, h] = composite.get((face, h), 0) - sign
+            if plus is not None:
+                composite[plus, t] = get((plus, t), 0) + 1
+                composite[plus, h] = get((plus, h), 0) - 1
+            if minus is not None:
+                composite[minus, t] = get((minus, t), 0) - 1
+                composite[minus, h] = get((minus, h), 0) + 1
         if any(composite.values()):
             return False
-        r1, r2 = _forest_size(self.delta1), _forest_size(self.delta2)
-        return (r2 == len(self.c2)
-                and r1 == len(self.c1) - r2
-                and len(self.c0) - r1 == 1)
+        r2 = _forest_size(self.delta2)
+        if r2 != len(self.c2):
+            return False
+        r1 = _forest_size(self.delta1)
+        return r1 == len(self.c1) - r2 and len(self.c0) - r1 == 1
 
 
 def _forest_size(edges: Tuple[Tuple[Optional[int], Optional[int]], ...]) -> int:
@@ -80,45 +90,136 @@ def _forest_size(edges: Tuple[Tuple[Optional[int], Optional[int]], ...]) -> int:
     these edges: the size of a spanning forest, by union-find, with every
     None end the one ground node."""
     parent: Dict[Optional[int], Optional[int]] = {}
-
-    def root(x: Optional[int]) -> Optional[int]:
-        while x in parent:
-            x = parent[x]
-        return x
-
     size = 0
     for x, y in edges:
-        x, y = root(x), root(y)
+        while x in parent:
+            x = parent[x]
+        while y in parent:
+            y = parent[y]
         if x != y:
             parent[x] = y
             size += 1
     return size
 
 
+class _Layout(NamedTuple):
+    """Vertex positions and arrow bits, both in model order, and the
+    arrows at each vertex position as lists and as bitmasks."""
+    vertices: Tuple[int, ...]                      # vertex id at each position
+    position: ReadOnlyDict[int, int]               # vertex id -> position
+    bit: ReadOnlyDict[int, int]                    # arrow id -> its bit
+    into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow id, tail position) per head
+    into_mask: Tuple[int, ...]                     # arrows with head here
+    out_mask: Tuple[int, ...]                      # arrows with tail here
+    near: Tuple[int, ...]                          # into_mask | internal out_mask
+
+
+@per_model
+def _layout(model: DimerModel) -> _Layout:
+    position = {v.id: p for p, v in enumerate(model.vertices)}
+    bit = {a.id: 1 << k for k, a in enumerate(model.arrows)}
+    into: List[List[Tuple[int, int]]] = [[] for _ in position]
+    into_mask, out_mask, internal_out = [0] * len(position), [0] * len(position), [0] * len(position)
+    for a in model.arrows:
+        h, t = position[a.head], position[a.tail]
+        into[h].append((a.id, t))
+        into_mask[h] |= bit[a.id]
+        out_mask[t] |= bit[a.id]
+        if not a.is_boundary:
+            internal_out[t] |= bit[a.id]
+    return _Layout(tuple(position), ReadOnlyDict(position), ReadOnlyDict(bit),
+                   tuple(map(tuple, into)), tuple(into_mask), tuple(out_mask),
+                   tuple(i | o for i, o in zip(into_mask, internal_out)))
+
+
+def _mask(layout: _Layout, mu: Matching) -> int:
+    """μ as a bitmask over the model's arrows."""
+    return sum(layout.bit[aid] for aid in mu.arrow_set)
+
+
+def _split(layout: _Layout, matched: FrozenSet[int]) -> Tuple[List[List[int]], List[List[int]]]:
+    """Per head position, the tail positions of its unmatched arrows and
+    of its matched ones."""
+    return ([[t for aid, t in arrows if aid not in matched] for arrows in layout.into],
+            [[t for aid, t in arrows if aid in matched] for arrows in layout.into])
+
+
+def _row(layout: _Layout, zero: List[List[int]], one: List[List[int]], target: int) -> Row:
+    """The degrees toward the target position, level by level: each level
+    is closed under unmatched arrows before matched ones open the next."""
+    n = len(zero)
+    dist = [n] * n  # n: not reached yet; every degree is below n
+    dist[target] = 0
+    level, d = [target], 0
+    while level:
+        for cur in level:  # grows by the vertices found at degree d
+            for t in zero[cur]:
+                if dist[t] > d:
+                    dist[t] = d
+                    level.append(t)
+        d += 1
+        nxt = []
+        for cur in level:
+            for t in one[cur]:
+                if dist[t] > d:
+                    dist[t] = d
+                    nxt.append(t)
+        level = nxt
+    if n in dist:
+        raise ValueError(f"not every vertex reaches {layout.vertices[target]}")
+    return bytes(dist) if max(dist) < 256 else tuple(dist)
+
+
+def _degrees(model: DimerModel, mu: Matching) -> Tuple[Tuple[Row, ...], int]:
+    """The degrees toward every vertex, one row per target in vertex order,
+    and the saturation degree: the largest of them."""
+    layout = _layout(model)
+    zero, one = _split(layout, mu.arrow_set)
+    rows = tuple(_row(layout, zero, one, p) for p in range(len(layout.vertices)))
+    return rows, max(map(max, rows), default=0)
+
+
+def _target(layout: _Layout, i: int) -> int:
+    try:
+        return layout.position[i]
+    except KeyError:
+        raise ValueError(f"unknown vertex {i}") from None
+
+
 def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
     """D(j) = minimal number of μ-arrows on a directed path j → i."""
-    dist: Dict[int, int] = {i: 0}
-    queue = deque([i])
-    while queue:
-        cur = queue.popleft()
-        for a in model.arrows_into(cur):
-            nb, w = a.tail, 1 if a.id in mu.arrow_set else 0
-            nd = dist[cur] + w
-            if nb not in dist or nd < dist[nb]:
-                dist[nb] = nd
-                if w == 0:
-                    queue.appendleft(nb)
-                else:
-                    queue.append(nb)
-    if len(dist) != len(model.vertices):
-        raise ValueError(f"not every vertex reaches {i}")
-    return dist
+    layout = _layout(model)
+    row = _row(layout, *_split(layout, mu.arrow_set), _target(layout, i))
+    return dict(zip(layout.vertices, row))
+
+
+class DegreeTable(NamedTuple):
+    """`_degrees` of every perfect matching of a consistent model, in the
+    order of `enumerate_matchings`. The keys of `by_mask` are exactly the
+    perfect matchings, as arrow bitmasks."""
+    by_mask: ReadOnlyDict[int, int]      # arrow mask -> position of the matching
+    rows: Tuple[Tuple[Row, ...], ...]    # per matching: one row per target
+    saturation: Tuple[int, ...]          # per matching
+
+
+@per_model
+def degree_table(model: DimerModel) -> DegreeTable:
+    """The degrees of every perfect matching of the model, computed once
+    and shared by the resolution and rotation checks."""
+    require_consistent(model)
+    layout = _layout(model)
+    matchings = enumerate_matchings(model)
+    degrees = [_degrees(model, mu) for mu in matchings]
+    return DegreeTable(ReadOnlyDict({_mask(layout, mu): k for k, mu in enumerate(matchings)}),
+                       tuple(rows for rows, _ in degrees),
+                       tuple(saturation for _, saturation in degrees))
 
 
 def reachable_set(model: DimerModel, mu: Matching, i: int, d: int) -> ReachableSet:
     if d < 0:
         raise ValueError("degree must be nonnegative")
-    return ReachableSet(mu, i, d, _within(degrees_toward(model, mu, i), d))
+    members = frozenset(j for j, e in degrees_toward(model, mu, i).items() if e <= d)
+    return ReachableSet(mu, i, d, members)
 
 
 def merged_complex_data(model: DimerModel, mu: Matching
@@ -155,11 +256,11 @@ def _piece(model: DimerModel, S: FrozenSet[int], q1: Tuple[int, ...],
     c2 = [r for r in q2 if r.head in S]
     plus = {a: r.matched_arrow for r in c2 for a in r.plus}
     minus = {a: r.matched_arrow for r in c2 for a in r.minus}
-    return GradedComplexPiece(tuple(r.matched_arrow for r in c2),
-                              tuple(a.id for a in c1), tuple(sorted(S)),
-                              tuple((plus.get(a.id), minus.get(a.id)) for a in c1),
-                              tuple((a.tail if a.tail in S else None, a.head)
-                                    for a in c1))
+    return GradedComplexPiece(tuple([r.matched_arrow for r in c2]),
+                              tuple([a.id for a in c1]), tuple(sorted(S)),
+                              tuple([(plus.get(a.id), minus.get(a.id)) for a in c1]),
+                              tuple([(a.tail if a.tail in S else None, a.head)
+                                     for a in c1]))
 
 
 def saturation_degree(model: DimerModel, mu: Matching) -> int:
@@ -168,16 +269,37 @@ def saturation_degree(model: DimerModel, mu: Matching) -> int:
     return _degrees(model, mu)[1]
 
 
-def _degrees(model: DimerModel, mu: Matching) -> Tuple[Dict[int, Dict[int, int]], int]:
-    """degrees_toward(model, mu, i) for every vertex i, keyed by i, and
-    the saturation degree: the largest of them."""
-    degrees = {v.id: degrees_toward(model, mu, v.id) for v in model.vertices}
-    return degrees, max((max(dist.values()) for dist in degrees.values()), default=0)
+def _euler_coefficients(model: DimerModel, layout: _Layout, mu: Matching) -> List[int]:
+    """Per vertex position j: 1 − #{γ ∉ μ with head j} + #{β ∈ μ internal
+    with tail j}, so that the degree series toward i is Σ_j c_j t^{D(j)}."""
+    coefficients = [1] * len(layout.vertices)
+    for a in model.arrows:
+        if a.id not in mu.arrow_set:
+            coefficients[layout.position[a.head]] -= 1
+        elif not a.is_boundary:
+            coefficients[layout.position[a.tail]] += 1
+    return coefficients
 
 
-def _within(dist: Dict[int, int], d: int) -> FrozenSet[int]:
-    """The members of a reachable set: the vertices at degree at most d."""
-    return frozenset(j for j, e in dist.items() if e <= d)
+def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
+                row: Row) -> Tuple[List[Tuple[int, int]], bool]:
+    """For the row toward one target: per degree d from 0 to the row's
+    largest, the mask of S(μ,i,d) and the memo key of its piece, S with
+    the μ-arrows into S and the internal μ-arrows out of S; and whether
+    the degree series is the constant 1."""
+    top = max(row)
+    members, arrows, series = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+    for j, e in enumerate(row):
+        members[e] |= 1 << j
+        arrows[e] |= layout.near[j]
+        series[e] += coefficients[j]
+    keys = []
+    S = A = 0
+    for m, a in zip(members, arrows):
+        S |= m
+        A |= a
+        keys.append((S, (mu_mask & A) << len(row) | S))
+    return keys, series[0] == 1 and not any(series[1:])
 
 
 @dataclass
@@ -190,6 +312,39 @@ class ResolutionReport:
     @property
     def passed(self) -> bool:
         return not self.failures and not self.euler_failures
+
+
+def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...], saturation: int,
+            d_max: Optional[int], exact: Dict[int, bool]) -> ResolutionReport:
+    """check_resolution from μ's degree rows, deciding each piece whose key
+    is not in `exact` yet and recording it there."""
+    if d_max is None:
+        d_max = saturation + 1
+    elif d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    layout = _layout(model)
+    mu_mask = _mask(layout, mu)
+    coefficients = _euler_coefficients(model, layout, mu)
+    merged = None
+    failures: List[Tuple[int, int]] = []
+    euler_failures: List[int] = []
+    for vid, row in zip(layout.vertices, rows):
+        keys, euler = _piece_keys(layout, mu_mask, coefficients, row)
+        for d, (S, key) in enumerate(keys[:d_max + 1]):
+            ok = exact.get(key)
+            if ok is None:
+                if merged is None:
+                    merged = merged_complex_data(model, mu)
+                members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
+                ok = exact[key] = _piece(model, members, *merged).is_exact()
+            if not ok:
+                failures.append((vid, d))
+        # From degree len(keys) - 1 on, S is every vertex: the last S walked above.
+        if d_max >= len(keys) and not ok:
+            failures.extend((vid, d) for d in range(len(keys), d_max + 1))
+        if not euler:
+            euler_failures.append(vid)
+    return ResolutionReport(d_max, len(rows) * (d_max + 1), failures, euler_failures)
 
 
 def check_resolution(model: DimerModel, mu: Matching,
@@ -205,39 +360,31 @@ def check_resolution(model: DimerModel, mu: Matching,
     those degrees are counted, not walked."""
     require_consistent(model)
     require_matching(model, mu)
-    degrees, saturation = _degrees(model, mu)
-    if d_max is None:
-        d_max = saturation + 1
-    elif d_max < 0:
-        raise ValueError("d_max must be nonnegative")
-    q1, q2 = merged_complex_data(model, mu)
-    exact: Dict[FrozenSet[int], bool] = {}
-    failures: List[Tuple[int, int]] = []
-    euler_failures: List[int] = []
-    for v in model.vertices:
-        dist = degrees[v.id]
-        top = max(dist.values())
-        for d in range(min(d_max, top) + 1):
-            S = _within(dist, d)
-            if S not in exact:
-                exact[S] = _piece(model, S, q1, q2).is_exact()
-            if not exact[S]:
-                failures.append((v.id, d))
-        # From degree top on, S is every vertex: the last S walked above.
-        if d_max > top and not exact[S]:
-            failures.extend((v.id, d) for d in range(top + 1, d_max + 1))
-        series: Dict[int, int] = {}
-        for j in dist:
-            series[dist[j]] = series.get(dist[j], 0) + 1
-        for aid in q1:
-            e = dist[model.arrow(aid).head]
-            series[e] = series.get(e, 0) - 1
-        for r in q2:
-            e = dist[r.head]
-            series[e] = series.get(e, 0) + 1
-        if {e: c for e, c in series.items() if c} != {0: 1}:
-            euler_failures.append(v.id)
-    return ResolutionReport(d_max, len(model.vertices) * (d_max + 1), failures, euler_failures)
+    rows, saturation = _degrees(model, mu)
+    return _report(model, mu, rows, saturation, d_max, {})
+
+
+def resolution_reports(model: DimerModel) -> Iterator[Tuple[Matching, ResolutionReport]]:
+    """check_resolution(model, μ) for every perfect matching μ, in
+    enumeration order, from the degree table. One piece memo serves every
+    matching; it lives as long as this iterator."""
+    table = degree_table(model)
+    exact: Dict[int, bool] = {}
+    for mu, rows, saturation in zip(enumerate_matchings(model), table.rows, table.saturation):
+        yield mu, _report(model, mu, rows, saturation, None, exact)
+
+
+def _rotations(layout: _Layout, mu_mask: int, row: Row, stop: int) -> List[int]:
+    """ν = (μ \\ X) ∪ Y as an arrow mask for each d = 1..stop, with X the
+    matched arrows dropping degree d → d−1 and Y the unmatched arrows
+    rising d−1 → d (degrees toward the row's target)."""
+    size = max(max(row), stop) + 1
+    out, into = [0] * size, [0] * size
+    for j, e in enumerate(row):
+        out[e] |= layout.out_mask[j]
+        into[e] |= layout.into_mask[j]
+    return [(mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
+            for d in range(1, stop + 1)]
 
 
 def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching:
@@ -247,16 +394,40 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     if d < 1:
         raise ValueError("degree must be at least 1")
     require_consistent(model)
-    return _rotate(model, mu, degrees_toward(model, mu, i), d)
-
-
-def _rotate(model: DimerModel, mu: Matching, dist: Dict[int, int], d: int) -> Matching:
-    """rotate_matching, given the degrees `dist` toward the target."""
-    X = {a.id for a in model.arrows if a.id in mu.arrow_set
-         and dist[a.tail] == d and dist[a.head] == d - 1}
-    Y = {a.id for a in model.arrows if a.id not in mu.arrow_set
-         and dist[a.tail] == d - 1 and dist[a.head] == d}
-    nu = (mu.arrow_set - X) | Y
-    if not is_matching(model, nu):
+    require_matching(model, mu)
+    layout = _layout(model)
+    row = _row(layout, *_split(layout, mu.arrow_set), _target(layout, i))
+    nu = _rotations(layout, _mask(layout, mu), row, d)[-1]
+    arrows = frozenset(aid for aid, bit in layout.bit.items() if nu & bit)
+    if not is_matching(model, arrows):
         raise ValueError("rotation did not produce a perfect matching")
-    return Matching(frozenset(nu))
+    return Matching(arrows)
+
+
+# _AT_MOST[d] maps each degree to 1 if it is at most d, else to 0.
+_AT_MOST = tuple(b"\1" * (d + 1) + b"\0" * (255 - d) for d in range(256))
+
+
+def _at_most(row: Row, d: int) -> bytes:
+    """The reachable set of degree d in the row, as one 0/1 byte per vertex."""
+    if isinstance(row, bytes):
+        return row.translate(_AT_MOST[min(d, 255)])
+    return bytes(e <= d for e in row)
+
+
+def first_rotation_failure(model: DimerModel) -> Optional[Tuple[Matching, int, int]]:
+    """The first (μ, i, d), over every perfect matching μ, vertex i and
+    1 ≤ d ≤ saturation(μ), with S(μ,i,d) ≠ S(ν,i,d−1) for the rotation ν
+    of μ; None if there is none. Both sides are read from the degree
+    table, whose keys are exactly the perfect matchings."""
+    table = degree_table(model)
+    layout = _layout(model)
+    for (mu_mask, k), mu in zip(table.by_mask.items(), enumerate_matchings(model)):
+        for p, row in enumerate(table.rows[k]):
+            for d, nu in enumerate(_rotations(layout, mu_mask, row, table.saturation[k]), 1):
+                at = table.by_mask.get(nu)
+                if at is None:
+                    raise ValueError("rotation did not produce a perfect matching")
+                if _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
+                    return mu, layout.vertices[p], d
+    return None

@@ -25,8 +25,8 @@ from .matchings import (boundary_value, enumerate_matchings, positroid,
 from .model import BLACK, WHITE, DimerModel, opposite, standardise, type_of, validate
 from .partition_functions import (boundary_measurement, check_plucker_relations,
                                   ms_formula, ms_formula_white_v2)
-from .resolution import _degrees, _rotate, _within, check_resolution, reachable_set
-from .strands import check_postnikov, require_consistent, source_labels, target_labels
+from .resolution import first_rotation_failure, resolution_reports
+from .strands import check_postnikov, source_labels, target_labels
 
 CheckResult = Tuple[bool, Optional[str]]
 
@@ -135,8 +135,7 @@ def _check_duality(model: DimerModel) -> CheckResult:
 
 
 def _check_resolution_all(model: DimerModel) -> CheckResult:
-    for mu in enumerate_matchings(model):
-        report = check_resolution(model, mu)
+    for mu, report in resolution_reports(model):
         if not report.passed:
             return False, (f"matching {list(mu.sorted_ids())}: "
                            f"failures {report.failures}, euler {report.euler_failures}")
@@ -144,17 +143,12 @@ def _check_resolution_all(model: DimerModel) -> CheckResult:
 
 
 def _check_rotation(model: DimerModel) -> CheckResult:
-    require_consistent(model)
-    for mu in enumerate_matchings(model):
-        degrees, sat = _degrees(model, mu)
-        for v in model.vertices:
-            dist = degrees[v.id]
-            for d in range(1, sat + 1):
-                nu = _rotate(model, mu, dist, d)
-                if _within(dist, d) != reachable_set(model, nu, v.id, d - 1).members:
-                    return False, (f"rotation identity fails at matching "
-                                   f"{list(mu.sorted_ids())}, vertex {v.id}, degree {d}")
-    return True, None
+    failure = first_rotation_failure(model)
+    if failure is None:
+        return True, None
+    mu, v, d = failure
+    return False, (f"rotation identity fails at matching "
+                   f"{list(mu.sorted_ids())}, vertex {v}, degree {d}")
 
 
 def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:

@@ -11,6 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from discdimer import fixtures as fx
+from discdimer import resolution
 from discdimer.cli import main
 from discdimer.model import DimerModel, save
 
@@ -203,6 +204,19 @@ def test_resolution_and_rotate(runner, gr37_file):
     assert result.exit_code == 0
 
 
+def test_single_matching_commands_do_not_build_the_degree_table(runner, monkeypatch):
+    """`dimer resolution` and `dimer rotate` compute one matching's degrees;
+    the per-model table of every matching's degrees is for `dimer verify`."""
+    def every_matching(model):
+        raise AssertionError("built the degree table of every matching")
+
+    monkeypatch.setattr(resolution, "degree_table", every_matching)
+    assert runner.invoke(main, ["resolution", "gr37", "--matching", "1,3,9,10,15"]).exit_code == 0
+    assert runner.invoke(main, ["rotate", "gr37", "--matching", "1,3,9,10,15",
+                                "--vertex", "0", "--degree", "1"]).exit_code == 0
+    assert runner.invoke(main, ["verify", "gr37"]).exit_code == 1
+
+
 def test_verify_triangle_passes(runner):
     result = runner.invoke(main, ["verify", "triangle", "--format", "json"])
     assert result.exit_code == 0
@@ -270,8 +284,22 @@ def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args
     (["resolution", "gr37", "--matching", "1,3,9,10,15,1"], "matching '1,3,9,10,15,1' repeats 1"),
     (["resolution", "gr37", "--matching", "1,3,9,10,15", "--dmax", "-3"],
      "d_max must be nonnegative"),
+    (["rotate", "gr37", "--matching", "1,3,9,10,15,999", "--vertex", "1", "--degree", "1"],
+     "arrow ids [1, 3, 9, 10, 15, 999] are not a perfect matching"),
+    (["resolution", "gr37", "--matching", "1,3,9,10,15,999"],
+     "arrow ids [1, 3, 9, 10, 15, 999] are not a perfect matching"),
+    (["kclass", "gr37", "--matching", "1,3,9,10,15,999"],
+     "arrow ids [1, 3, 9, 10, 15, 999] are not a perfect matching"),
+    (["rotate", "gr37", "--matching", "1,3,9,10,15", "--vertex", "999", "--degree", "1"],
+     "unknown vertex 999"),
+    (["matchings", "gr37", "--boundary", "1,2,3,4"], "expected a 3-subset of 1..7, got [1, 2, 3, 4]"),
+    (["matchings", "uniform-2-4", "--boundary", "5,6"], "expected a 2-subset of 1..4, got [5, 6]"),
+    (["twist-expr", "gr37", "--subset", "1,2"], "expected a 3-subset of 1..7, got [1, 2]"),
+    (["extremes", "gr37", "--boundary", "0,1,2"], "expected a 3-subset of 1..7, got [0, 1, 2]"),
 ], ids=["subset-twist-expr", "subset-ms", "boundary-matchings", "boundary-extremes",
-        "matching", "negative-dmax"])
+        "matching", "negative-dmax", "unknown-arrow-rotate", "unknown-arrow-resolution",
+        "unknown-arrow-kclass", "unknown-vertex-rotate", "boundary-too-large",
+        "boundary-out-of-range", "subset-too-small", "boundary-zero"])
 def test_an_option_value_a_command_cannot_use_is_a_one_line_error(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1

@@ -12,7 +12,7 @@ from discdimer.matchings import (Matching, _gale_leq, boundary_value,
                                  enumerate_matchings, extreme_matchings, flip,
                                  height, is_matching, matchings_with_boundary,
                                  positroid, positroid_contains_necklace_test,
-                                 support_subgraph)
+                                 require_matching, support_subgraph)
 from discdimer.model import type_of
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
@@ -47,6 +47,22 @@ def test_is_matching_rejects_partial(gr37):
     mu = enumerate_matchings(gr37)[0]
     some = sorted(mu.arrow_set)[:-1]
     assert not is_matching(gr37, some)
+
+
+def test_is_matching_rejects_an_arrow_the_model_lacks(gr37):
+    mu = enumerate_matchings(gr37)[0]
+    assert is_matching(gr37, mu.arrow_set)
+    assert not is_matching(gr37, mu.arrow_set | {999})
+    with pytest.raises(ValueError, match="not a perfect matching"):
+        require_matching(gr37, Matching(mu.arrow_set | {999}))
+
+
+@pytest.mark.parametrize("subset", [(1, 2), (1, 2, 3, 4), (0, 1, 2), (1, 2, 8)])
+def test_a_subset_that_is_not_a_k_subset_of_the_labels_is_an_error(gr37, subset):
+    message = rf"expected a 3-subset of 1\.\.7, got \{list(subset)}"
+    for read in (matchings_with_boundary, positroid_contains_necklace_test, extreme_matchings):
+        with pytest.raises(ValueError, match=message):
+            read(gr37, subset)
 
 
 def test_gr37_positroid(gr37):

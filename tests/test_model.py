@@ -1,8 +1,12 @@
 """Structural validation, duality, standardisation, and serialization."""
 
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from discdimer import fixtures as fx
 from discdimer.model import (BLACK, WHITE, StructuralError,
@@ -162,3 +166,59 @@ def test_is_clockwise_only_for_boundary(gr37):
     internal = gr37.internal_arrows[0]
     with pytest.raises(ValueError):
         gr37.is_clockwise(internal.id)
+
+
+RECORD_KEYS = {"vertices": ("id", "is_boundary"),
+               "arrows": ("id", "tail", "head", "is_boundary", "boundary_label"),
+               "faces": ("id", "color", "boundary_cycle")}
+
+
+def mutated_document(doc, kind, data):
+    """A malformed copy of `doc`: a dict for the record-level kinds, the
+    document's JSON text cut short for "truncated"."""
+    doc = json.loads(json.dumps(doc))
+    if kind == "truncated":
+        text = json.dumps(doc)
+        return text[:data.draw(st.integers(0, len(text) - 1), label="cut")]
+    section = data.draw(st.sampled_from(sorted(RECORD_KEYS)), label="section")
+    record = data.draw(st.sampled_from(doc[section]), label="record")
+    if kind == "missing_key":
+        key = data.draw(st.sampled_from([k for k in RECORD_KEYS[section] if k in record]),
+                        label="key")
+        del record[key]
+    elif kind == "dangling_arrow":
+        face = data.draw(st.sampled_from(doc["faces"]), label="face")
+        pos = data.draw(st.integers(0, len(face["boundary_cycle"]) - 1), label="pos")
+        face["boundary_cycle"][pos] = (max(a["id"] for a in doc["arrows"])
+                                       + data.draw(st.integers(1, 9), label="offset"))
+    elif kind == "string_bool":
+        key = "is_boundary" if section != "faces" else "color"
+        record[key] = data.draw(st.sampled_from(["false", "true", "0", "1"]), label="text")
+    elif kind == "float_id":
+        record["id"] += data.draw(st.sampled_from([0.5, 0.0, -0.25]), label="fraction")
+    return doc
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(name=st.sampled_from(ALL_FIXTURES),
+       kind=st.sampled_from(["missing_key", "dangling_arrow", "string_bool", "float_id",
+                             "truncated"]),
+       data=st.data())
+def test_a_mutated_document_is_rejected_or_reported(name, kind, data):
+    """Every mutated fixture document is rejected with a ValueError
+    (StructuralError is one) or gives a model whose validation report
+    fails; nothing else is raised. Each kind of mutation leaves a real
+    defect, so no mutant may pass."""
+    mutant = mutated_document(to_dict(fx.FIXTURE_BUILDERS[name]()), kind, data)
+    try:
+        if isinstance(mutant, str):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = os.path.join(tmp, "model.json")
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(mutant)
+                model = load(path)
+        else:
+            model = from_dict(mutant)
+    except ValueError:
+        return
+    assert not validate(model).passed

@@ -2,21 +2,29 @@
 
 import dataclasses
 import random
+import zlib
 from collections import Counter
 
 import pytest
 from test_intlinalg import mat_mul, rational_rank
 
 from discdimer import fixtures as fx
-from discdimer.matchings import enumerate_matchings
+from discdimer import resolution
+from discdimer.matchings import Matching, enumerate_matchings
 from discdimer.model import opposite
 from discdimer.resolution import (GradedComplexPiece, _forest_size, _piece,
-                                  check_resolution, degrees_toward,
-                                  graded_piece, merged_complex_data,
-                                  reachable_set, rotate_matching,
+                                  check_resolution, degree_table, degrees_toward,
+                                  first_rotation_failure, graded_piece,
+                                  merged_complex_data, reachable_set,
+                                  resolution_reports, rotate_matching,
                                   saturation_degree)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
+
+
+def build(name):
+    return (fx.FIXTURE_BUILDERS[name]() if name in fx.FIXTURE_BUILDERS
+            else fx.build_uniform(*map(int, name.split("-")[1:])))
 
 
 def test_reachable_sets_monotone(gr37):
@@ -151,8 +159,7 @@ def graph_equals_dense(model, S, q1, q2):
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7"])
 def test_graph_decision_equals_dense_bareiss_on_every_piece(name):
-    model = (fx.FIXTURE_BUILDERS[name]() if name in fx.FIXTURE_BUILDERS
-             else fx.build_uniform(3, 7))
+    model = build(name)
     for mu in enumerate_matchings(model):
         q1, q2 = merged_complex_data(model, mu)
         sets = set()
@@ -222,6 +229,43 @@ def test_rotation_identity_exhaustive(gr37):
                         == reachable_set(gr37, nu, v.id, d - 1).members)
 
 
+def rotation_oracle(model, mu, i, d):
+    """ν = (μ \\ X) ∪ Y read off the degrees toward i by a scan of every
+    arrow: X the matched arrows from degree d to d − 1, Y the unmatched
+    ones from d − 1 to d."""
+    dist = degrees_toward(model, mu, i)
+    X = {a.id for a in model.arrows if a.id in mu.arrow_set
+         and dist[a.tail] == d and dist[a.head] == d - 1}
+    Y = {a.id for a in model.arrows if a.id not in mu.arrow_set
+         and dist[a.tail] == d - 1 and dist[a.head] == d}
+    return Matching(frozenset((mu.arrow_set - X) | Y))
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-2-5", "uniform-3-6"])
+def test_rotations_from_level_masks_equal_the_arrow_scan(name):
+    model = fx.FIXTURE_BUILDERS[name]()
+    for mu in enumerate_matchings(model):
+        for v in model.vertices:
+            for d in range(1, saturation_degree(model, mu) + 2):
+                assert rotate_matching(model, mu, v.id, d) == rotation_oracle(model, mu, v.id, d)
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
+def test_the_rotation_check_passes_on_every_consistent_fixture(name):
+    assert first_rotation_failure(fx.FIXTURE_BUILDERS[name]()) is None
+
+
+def test_the_rotation_check_fails_on_a_stale_table_entry(gr37, monkeypatch):
+    """The rotation check reads both sides from the table: with one
+    matching's rows replaced by another's, it does not pass."""
+    table = degree_table(gr37)
+    rows = list(table.rows)
+    rows[5] = rows[4]
+    monkeypatch.setattr(resolution, "degree_table",
+                        lambda model: table._replace(rows=tuple(rows)))
+    assert first_rotation_failure(gr37) is not None
+
+
 def test_rotation_beyond_saturation_is_identity_like(gr37):
     mu = enumerate_matchings(gr37)[0]
     sat = saturation_degree(gr37, mu)
@@ -274,9 +318,100 @@ def report_tuple(report):
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
 def test_memoised_check_equals_per_piece_recomputation(name):
+    """check_resolution on one matching, and the reports over every
+    matching read from the degree table with one memo across matchings,
+    both equal the per-piece path, which uses neither."""
     model = fx.FIXTURE_BUILDERS[name]()
-    for mu in enumerate_matchings(model):
-        assert report_tuple(check_resolution(model, mu)) == per_piece_report(model, mu)
+    reports = list(resolution_reports(model))
+    assert [mu for mu, _ in reports] == list(enumerate_matchings(model))
+    for mu, report in reports:
+        expected = per_piece_report(model, mu)
+        assert report_tuple(check_resolution(model, mu)) == expected
+        assert report_tuple(report) == expected
+
+
+def whole_piece_rule(piece):
+    """An arbitrary verdict that reads every part of a piece, so that a
+    memo answering for a different piece shows in the reports."""
+    return zlib.crc32(repr(piece).encode()) % 3 != 0
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-2-5", "uniform-3-6"])
+def test_memo_across_matchings_answers_for_the_piece_itself(name, monkeypatch):
+    """With exactness replaced by a rule of the whole piece, the reports
+    over every matching still equal the per-piece path: a memo hit never
+    stands for another matching's piece."""
+    monkeypatch.setattr(GradedComplexPiece, "is_exact", whole_piece_rule)
+    model = fx.FIXTURE_BUILDERS[name]()
+    failures = 0
+    for mu, report in resolution_reports(model):
+        expected = per_piece_report(model, mu)
+        failures += len(expected[2])
+        assert report_tuple(report) == expected
+    assert failures
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
+def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
+    """Every (matching, vertex set) whose memo key was seen before, with
+    another matching or the same one, builds the very piece the key was
+    first seen with. The sets are the reachable sets of the degree table
+    and those of seeded random degree rows. On a reachable set every
+    μ-arrow out of S also ends in S, so there the internal μ-arrows out of
+    S add nothing to the key; on other sets they do, and the key must
+    hold on any S."""
+    model = fx.FIXTURE_BUILDERS[name]()
+    layout = resolution._layout(model)
+    rng = random.Random(name)
+    first = {}
+    across = 0
+    for mu, rows in zip(enumerate_matchings(model), degree_table(model).rows):
+        q1, q2 = merged_complex_data(model, mu)
+        coefficients = resolution._euler_coefficients(model, layout, mu)
+        random_rows = tuple(bytes(rng.randrange(4) for _ in layout.vertices) for _ in range(8))
+        for row in rows + random_rows:
+            keys, _ = resolution._piece_keys(layout, resolution._mask(layout, mu),
+                                             coefficients, row)
+            for S, key in keys:
+                members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
+                piece = _piece(model, members, q1, q2)
+                seen = first.setdefault(key, (mu, piece))
+                assert seen[1] == piece, (seen[0], mu, sorted(members))
+                across += seen[0] != mu
+    assert across > 0
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7"])
+def test_every_table_row_equals_degrees_toward(name):
+    model = build(name)
+    table = degree_table(model)
+    matchings = enumerate_matchings(model)
+    assert len(table.rows) == len(table.saturation) == len(table.by_mask) == len(matchings)
+    for k, mu in enumerate(matchings):
+        assert table.by_mask[sum(1 << i for i, a in enumerate(model.arrows)
+                               if a.id in mu.arrow_set)] == k
+        assert [dict(zip((v.id for v in model.vertices), row)) for row in table.rows[k]] == [
+            degrees_toward(model, mu, v.id) for v in model.vertices]
+        assert table.saturation[k] == saturation_degree(model, mu)
+
+
+def test_the_degree_table_is_built_once_and_cannot_change(gr37):
+    table = degree_table(gr37)
+    assert degree_table(gr37) is table
+    with pytest.raises(TypeError):
+        table.by_mask[0] = 0
+    with pytest.raises(AttributeError):
+        table.rows = ()
+
+
+def test_single_matching_checks_do_not_build_the_degree_table():
+    model = fx.gr37()
+    mu = enumerate_matchings(model)[0]
+    assert check_resolution(model, mu).passed
+    rotate_matching(model, mu, model.vertices[0].id, 1)
+    assert not [key for key in vars(model) if key.endswith(".degree_table")]
+    degree_table(model)
+    assert [key for key in vars(model) if key.endswith(".degree_table")]
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-5"])
