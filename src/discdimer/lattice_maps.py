@@ -16,7 +16,7 @@ from typing import Dict, List, Tuple
 
 from . import intlinalg
 from .matchings import Matching, require_matching
-from .model import DimerModel, require_valid
+from .model import DimerModel, per_model, require_valid
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,8 @@ def eta(model: DimerModel, f: LatticePoint) -> KClass:
     return KClass(tuple(sorted(coeffs.items())))
 
 
-def lattice_basis(model: DimerModel) -> List[LatticePoint]:
+@per_model
+def lattice_basis(model: DimerModel) -> Tuple[LatticePoint, ...]:
     """An integral basis of 𝕄, as the kernel of the constraint map
     (deg, f) ↦ (Σ_{γ ∈ face} f(γ) − deg)_face."""
     require_valid(model)
@@ -100,17 +101,17 @@ def lattice_basis(model: DimerModel) -> List[LatticePoint]:
         for aid in face.boundary_cycle:
             constraint[r][col_of[aid]] += 1
     basis = intlinalg.kernel_basis(constraint)
-    return [LatticePoint(vec[0], tuple(sorted(zip(arrows, vec[1:]))))
-            for vec in basis]
+    return tuple(LatticePoint(vec[0], tuple(sorted(zip(arrows, vec[1:]))))
+                 for vec in basis)
 
 
-def eta_matrix(model: DimerModel) -> List[List[int]]:
+@per_model
+def eta_matrix(model: DimerModel) -> Tuple[Tuple[int, ...], ...]:
     """Matrix of η on the lattice_basis of 𝕄; rows indexed by sorted quiver
     vertices, columns by basis elements."""
     vertices = sorted(v.id for v in model.vertices)
-    basis = lattice_basis(model)
-    cols = [eta(model, b) for b in basis]
-    return [[c[v] for c in cols] for v in vertices]
+    cols = [eta(model, b) for b in lattice_basis(model)]
+    return tuple(tuple(c[v] for c in cols) for v in vertices)
 
 
 def is_eta_unimodular(model: DimerModel) -> bool:

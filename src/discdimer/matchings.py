@@ -97,30 +97,45 @@ def _boundary_of(orientation: Orientation, mu: Matching) -> FrozenSet[int]:
                      if (aid in chosen) == clockwise)
 
 
+def _search(model: DimerModel, chosen: Set[int], forbidden: Set[int]) -> Tuple[Matching, ...]:
+    """Every perfect matching that contains `chosen` and avoids `forbidden`,
+    by exact-cover backtracking over the faces in increasing id; within a
+    face, candidate arrows in boundary-cycle order, so the order is
+    canonical. Fixing arrows only prunes the search, so the result is the
+    unconstrained one with the other matchings left out, in the same order."""
+    require_valid(model)
+    faces = [f.boundary_cycle for f in sorted(model.faces, key=lambda f: f.id)]
+    found: List[Matching] = []
+    _cover(faces, 0, chosen, forbidden, found)
+    return tuple(found)
+
+
 @per_model
 def _enumeration(model: DimerModel) -> Tuple[Tuple[Matching, ...],
                                              ReadOnlyDict[FrozenSet[int], Tuple[Matching, ...]]]:
     """Every perfect matching in canonical order, and the same matchings
-    grouped by boundary value (in that order within each group). Both are
-    immutable, so every caller on the model shares them."""
-    require_valid(model)
-    faces = [f.boundary_cycle for f in sorted(model.faces, key=lambda f: f.id)]
-    found: List[Matching] = []
-    _cover(faces, 0, set(), set(), found)
+    grouped by boundary value (in that order within each group): one pass
+    for the callers that need every matching or every boundary value. A
+    caller with one boundary value searches only its own matchings
+    (`matchings_with_boundary`). Both results are immutable, so every
+    caller on the model shares them."""
+    found = _search(model, set(), set())
     orientation = _orientation(model)
     groups: Dict[FrozenSet[int], List[Matching]] = {}
     for mu in found:
         groups.setdefault(_boundary_of(orientation, mu), []).append(mu)
-    return tuple(found), ReadOnlyDict({I: tuple(pool) for I, pool in groups.items()})
+    return found, ReadOnlyDict({I: tuple(pool) for I, pool in groups.items()})
 
 
 def enumerate_matchings(model: DimerModel) -> Tuple[Matching, ...]:
-    """All perfect matchings, by exact-cover backtracking over the faces.
-
-    Faces are processed in increasing id; within a face, candidate arrows in
-    boundary-cycle order, so the output order is canonical.
-    """
+    """All perfect matchings, in canonical order (see `_search`)."""
     return _enumeration(model)[0]
+
+
+def matchings_by_boundary(model: DimerModel) -> ReadOnlyDict[FrozenSet[int], Tuple[Matching, ...]]:
+    """Every boundary value mapped to its matchings in canonical order, from
+    one enumeration per model: for loops over all boundary values."""
+    return _enumeration(model)[1]
 
 
 def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
@@ -135,9 +150,17 @@ def _require_subset(I: FrozenSet[int], k: int, n: int) -> None:
 
 
 def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
+    """The matchings with ∂μ = I in canonical order; () when I is not in
+    the positroid. I fixes every boundary arrow (arrow i is in μ exactly
+    when (i ∈ I) equals its being clockwise), so the search starts from
+    those arrows and meets no matching with another boundary value."""
     I = frozenset(I)
     _require_subset(I, *type_of(model))
-    return _enumeration(model)[1].get(I, ())
+    chosen: Set[int] = set()
+    forbidden: Set[int] = set()
+    for aid, label, clockwise in _orientation(model):
+        (chosen if (label in I) == clockwise else forbidden).add(aid)
+    return _search(model, chosen, forbidden)
 
 
 @per_model

@@ -2,10 +2,13 @@
 boundary-weight formula in both colour conventions, the twist expression,
 and exact boundary measurements with Plücker-relation checking.
 
-The formulas sum over the enumerated matchings of each boundary value. The
-boundary measurements do not: each Z_I is a maximal minor of one Kasteleyn
-matrix per weight draw (`kasteleyn`), and the Plücker check compares the
-values in integers over one common denominator.
+The formulas sum over the matchings of one boundary value, found by a
+search seeded with that value; the private `_*_sum` helpers take the
+matchings, so a loop over every boundary value can pass the groups of one
+enumeration. The boundary measurements enumerate nothing: each Z_I is a
+maximal minor of one Kasteleyn matrix per weight draw (`kasteleyn`), and
+the Plücker check compares the values in integers over one common
+denominator.
 
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
@@ -23,7 +26,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from .kasteleyn import boundary_minors
 from .kclass_weights import kclass_of_matching, weights
 from .lattice_maps import eta, lattice_point_of_matching
-from .matchings import matchings_with_boundary
+from .matchings import Matching, matchings_with_boundary
 from .model import WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
 
@@ -93,10 +96,20 @@ def ms_formula(model: DimerModel, I: Iterable[int], color: str = WHITE) -> Laure
     model standardised with boundary faces of that colour: MS° for WHITE,
     MS• for BLACK. The zero polynomial when no matching has boundary I.
     The two satisfy MS°_D(I) = MS•_{D^op}(I^c) under the shared vertex ids."""
+    _require_ms_model(model, color)
+    return _ms_sum(model, matchings_with_boundary(model, I), color)
+
+
+def _require_ms_model(model: DimerModel, color: str) -> None:
+    """What both Marsh–Scott formulas need: a consistent model standardised
+    with boundary faces of `color`."""
     if not is_standardised(model, color):
         raise ValueError(f"model is not standardised with {color} boundary faces")
     require_consistent(model)
-    pool = matchings_with_boundary(model, I)
+
+
+def _ms_sum(model: DimerModel, pool: Iterable[Matching], color: str) -> LaurentPoly:
+    """`ms_formula` summed over the given matchings, all of one boundary value."""
     terms = []
     for mu in pool:
         wt, wtd = weights(model, mu, color)
@@ -110,16 +123,20 @@ def ms_formula(model: DimerModel, I: Iterable[int], color: str = WHITE) -> Laure
 def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     """MS°[I] = x^{[P_I°]} Σ_{∂μ=I} x^{−[N_μ]}, with
     [P_I°] = Σ_{i∈I} p_{h α_i}. Equals ms_formula(model, I, WHITE) exactly."""
-    if not is_standardised(model, WHITE):
-        raise ValueError("model is not standardised with white boundary faces")
-    require_consistent(model)
+    _require_ms_model(model, WHITE)
     I = frozenset(I)
+    return _ms_white_v2_sum(model, I, matchings_with_boundary(model, I))
+
+
+def _ms_white_v2_sum(model: DimerModel, I: Iterable[int],
+                     pool: Iterable[Matching]) -> LaurentPoly:
+    """`ms_formula_white_v2` summed over the given matchings with ∂μ = I."""
     p_I: Dict[int, int] = {}
     for i in I:
         h = model.boundary_arrow_with_label(i).head
         p_I[h] = p_I.get(h, 0) + 1
     terms = []
-    for mu in matchings_with_boundary(model, I):
+    for mu in pool:
         exp = _neg(kclass_of_matching(model, mu).as_dict())
         for v, e in p_I.items():
             exp[v] = exp.get(v, 0) + e
@@ -133,10 +150,13 @@ def musp_twist_expression(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     pool = matchings_with_boundary(model, I)
     if not pool:
         raise ValueError(f"{sorted(set(I))} is not in the positroid")
-    terms = []
-    for mu in pool:
-        exp = _neg(eta(model, lattice_point_of_matching(model, mu)).as_dict())
-        terms.append((exp, 1))
+    return _twist_sum(model, pool)
+
+
+def _twist_sum(model: DimerModel, pool: Iterable[Matching]) -> LaurentPoly:
+    """`musp_twist_expression` summed over the given matchings."""
+    terms = [(_neg(eta(model, lattice_point_of_matching(model, mu)).as_dict()), 1)
+             for mu in pool]
     return LaurentPoly.from_terms(VERTEX_BASIS, terms)
 
 

@@ -20,11 +20,11 @@ from .kclass_weights import (kclass_of_matching, muller_speyer_matching,
                              weight_table, weights)
 from .lattice_maps import (check_cluster_ensemble, eta_inverse_basis,
                            eta_invariant_factors, is_eta_unimodular)
-from .matchings import (boundary_value, enumerate_matchings, positroid,
+from .matchings import (boundary_value, enumerate_matchings, matchings_by_boundary, positroid,
                         positroid_contains_necklace_test)
 from .model import BLACK, WHITE, DimerModel, opposite, standardise, type_of, validate
-from .partition_functions import (boundary_measurement, check_plucker_relations,
-                                  ms_formula, ms_formula_white_v2)
+from .partition_functions import (_ms_sum, _ms_white_v2_sum, _require_ms_model,
+                                  boundary_measurement, check_plucker_relations)
 from .resolution import first_rotation_failure, resolution_reports
 from .strands import check_postnikov, source_labels, target_labels
 
@@ -117,8 +117,11 @@ def _check_weight_formula(model: DimerModel) -> CheckResult:
 def _check_ms_equality(model: DimerModel) -> CheckResult:
     std = standardise(model, WHITE)
     k, n = type_of(std)
+    _require_ms_model(std, WHITE)
+    groups = matchings_by_boundary(std)
     for I in combinations(range(1, n + 1), k):
-        if ms_formula(std, I) != ms_formula_white_v2(std, I):
+        pool = groups.get(frozenset(I), ())
+        if _ms_sum(std, pool, WHITE) != _ms_white_v2_sum(std, I, pool):
             return False, f"formulas differ at {list(I)}"
     return True, None
 
@@ -127,10 +130,14 @@ def _check_duality(model: DimerModel) -> CheckResult:
     std = standardise(model, WHITE)
     op = opposite(std)
     k, n = type_of(std)
-    for I in combinations(range(1, n + 1), k):
-        comp = [x for x in range(1, n + 1) if x not in I]
-        if ms_formula(std, I) != ms_formula(op, comp, BLACK):
-            return False, f"duality fails at {list(I)}"
+    _require_ms_model(std, WHITE)
+    _require_ms_model(op, BLACK)
+    std_groups, op_groups = matchings_by_boundary(std), matchings_by_boundary(op)
+    for I in map(frozenset, combinations(range(1, n + 1), k)):
+        comp = frozenset(range(1, n + 1)) - I
+        if (_ms_sum(std, std_groups.get(I, ()), WHITE)
+                != _ms_sum(op, op_groups.get(comp, ()), BLACK)):
+            return False, f"duality fails at {sorted(I)}"
     return True, None
 
 

@@ -14,15 +14,20 @@ import pytest
 from discdimer import fixtures as fx
 from discdimer import matchings as matchings_mod
 from discdimer import model as model_mod
+from discdimer import partition_functions as partition_mod
 from discdimer import strands as strands_mod
 from discdimer.kasteleyn import kasteleyn_signs
-from discdimer.matchings import (boundary_value, enumerate_matchings, matchings_with_boundary,
-                                 positroid, positroid_contains_necklace_test)
+from discdimer.lattice_maps import eta_matrix, lattice_basis
+from discdimer.matchings import (boundary_value, enumerate_matchings, extreme_matchings,
+                                 matchings_by_boundary, matchings_with_boundary, positroid,
+                                 positroid_contains_necklace_test, support_subgraph)
 from discdimer.model import (Arrow, DimerModel, Face, StructuralError, Vertex, bipartite_dual,
-                             from_dict, opposite, to_dict, type_of, validate)
-from discdimer.partition_functions import boundary_measurement
+                             WHITE, from_dict, opposite, standardise, to_dict, type_of, validate)
+from discdimer.partition_functions import (_ms_sum, _twist_sum, boundary_measurement, ms_formula,
+                                           ms_formula_white_v2, musp_twist_expression)
 from discdimer.strands import (check_postnikov, label_table, necklaces, require_consistent,
                                strands)
+from discdimer.verify import VERIFY_CHECKS
 
 MODELS = {**fx.FIXTURE_BUILDERS, "uniform-3-7": lambda: fx.build_uniform(3, 7)}
 
@@ -38,6 +43,13 @@ MEMOISED = {
     "enumerate_matchings": enumerate_matchings,
     "positroid": positroid,
     "kasteleyn_signs": kasteleyn_signs,
+    "matchings_by_boundary": matchings_by_boundary,
+    "lattice_basis": lattice_basis,
+    "eta_matrix": eta_matrix,
+}
+
+# Computed afresh on every call, so compared by value only.
+UNSTORED = {
     "matchings_with_boundary": lambda m: {I: matchings_with_boundary(m, I)
                                           for I in positroid(m)},
 }
@@ -58,8 +70,9 @@ def fresh(model):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_cached_results_equal_fresh_instances(name):
     model = MODELS[name]()
-    first = {key: outcome(fn, model) for key, fn in MEMOISED.items()}
-    for key, fn in MEMOISED.items():
+    checked = {**MEMOISED, **UNSTORED}
+    first = {key: outcome(fn, model) for key, fn in checked.items()}
+    for key, fn in checked.items():
         oracle = outcome(fn, fresh(model))
         assert first[key] == oracle, key
         assert outcome(fn, model) == oracle, key
@@ -90,7 +103,8 @@ def test_mutating_a_result_changes_no_later_call(gr37):
         lambda: kasteleyn_signs(model).__ior__({0: 1}),
     ]
     for result in (strands(model), enumerate_matchings(model),
-                   matchings_with_boundary(model, [1, 3, 5])):
+                   matchings_with_boundary(model, [1, 3, 5]), matchings_by_boundary(model),
+                   lattice_basis(model), eta_matrix(model), eta_matrix(model)[0]):
         attempts += [lambda result=result: result.clear(),
                      lambda result=result: result.__setitem__(0, None)]
     for attempt in attempts:
@@ -115,11 +129,7 @@ def test_memoised_calls_return_the_stored_object(name):
         kind, first = outcome(fn, model)
         if kind != "ok":
             continue
-        again = fn(model)
-        if key == "matchings_with_boundary":
-            assert all(again[I] is pool for I, pool in first.items()), key
-        else:
-            assert again is first, key
+        assert fn(model) is first, key
     for a in model.arrows:
         assert type(model.faces_of_arrow(a.id)) is tuple
         assert model.faces_of_arrow(a.id) is model.faces_of_arrow(a.id)
@@ -175,6 +185,47 @@ def test_measurement_and_positroid_enumerate_no_matching(monkeypatch):
     assert positroid(model) == set(counts) and len(counts) == 70
     with pytest.raises(AssertionError):
         enumerate_matchings(model)
+
+
+def test_one_subset_callers_enumerate_nothing_else(monkeypatch):
+    """A caller with one boundary value searches only that value's matchings:
+    with the full enumeration disabled, each gives the answer computed from
+    the grouped matchings of an equal model."""
+    model = fx.build_uniform(4, 8)
+    std = standardise(fx.build_uniform(4, 8), WHITE)
+    other, std_other = fresh(model), fresh(std)
+    subsets = [frozenset(I) for I in [(1, 2, 3, 4), (1, 3, 5, 7), (2, 3, 6, 8)]]
+    groups, std_groups = matchings_by_boundary(other), matchings_by_boundary(std_other)
+    expected = {I: (groups[I], _twist_sum(other, groups[I]), extreme_matchings(other, I),
+                    support_subgraph(other, I), _ms_sum(std_other, std_groups[I], WHITE))
+                for I in subsets}
+
+    def no_enumeration(*args):
+        raise AssertionError("every matching was enumerated")
+
+    monkeypatch.setattr(matchings_mod, "_enumeration", no_enumeration)
+    for I in subsets:
+        assert (matchings_with_boundary(model, I), musp_twist_expression(model, I),
+                extreme_matchings(model, I), support_subgraph(model, I),
+                ms_formula(std, I)) == expected[I]
+        assert ms_formula_white_v2(std, I) == expected[I][4]
+    with pytest.raises(AssertionError):
+        enumerate_matchings(model)
+
+
+def test_all_subset_checks_search_no_single_subset(monkeypatch, gr37):
+    """The checks that loop over every k-subset read one grouped enumeration
+    per model instead of searching each subset."""
+    checks = dict(VERIFY_CHECKS)
+
+    def one_subset(*args):
+        raise AssertionError("searched the matchings of one boundary value")
+
+    monkeypatch.setattr(matchings_mod, "matchings_with_boundary", one_subset)
+    monkeypatch.setattr(partition_mod, "matchings_with_boundary", one_subset)
+    model = fresh(gr37)
+    assert checks["ms_formula_equality"](model) == (True, None)
+    assert checks["black_white_duality"](model) == (True, None)
 
 
 def test_inconsistent_model_raises_the_same_error_every_call(inconsistent):

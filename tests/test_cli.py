@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from discdimer import fixtures as fx
-from discdimer import resolution
+from discdimer import intlinalg, resolution
 from discdimer.cli import main
 from discdimer.model import DimerModel, save
 
@@ -135,6 +135,15 @@ def test_lattice_check(runner, gr37_file):
     result = runner.invoke(main, ["lattice", gr37_file, "--check-ensemble"])
     assert result.exit_code == 0
     assert "unimodular: True" in result.output
+
+
+def test_lattice_finds_one_basis_per_model(runner, monkeypatch):
+    calls = []
+    kernel_basis = intlinalg.kernel_basis
+    monkeypatch.setattr(intlinalg, "kernel_basis", lambda a: calls.append(a) or kernel_basis(a))
+    for name in ("gr37", "uniform-4-8"):
+        assert runner.invoke(main, ["lattice", name]).exit_code == 0
+    assert len(calls) == 2
 
 
 def test_kclass_bad_matching(runner, gr37_file):

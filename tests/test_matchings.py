@@ -10,10 +10,11 @@ from conftest import brute_force_matchings, enumerate_dual_covers
 from discdimer import fixtures as fx
 from discdimer.matchings import (Matching, _gale_leq, boundary_value,
                                  enumerate_matchings, extreme_matchings, flip,
-                                 height, is_matching, matchings_with_boundary,
+                                 height, is_matching, matchings_by_boundary,
+                                 matchings_with_boundary,
                                  positroid, positroid_contains_necklace_test,
                                  require_matching, support_subgraph)
-from discdimer.model import type_of
+from discdimer.model import WHITE, opposite, standardise, type_of
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 MODELS = {**fx.FIXTURE_BUILDERS, "uniform-3-7": lambda: fx.build_uniform(3, 7)}
@@ -55,6 +56,25 @@ def test_is_matching_rejects_an_arrow_the_model_lacks(gr37):
     assert not is_matching(gr37, mu.arrow_set | {999})
     with pytest.raises(ValueError, match="not a perfect matching"):
         require_matching(gr37, Matching(mu.arrow_set | {999}))
+
+
+SEEDED_MODELS = {**MODELS, "uniform-4-8": lambda: fx.build_uniform(4, 8),
+                 "opposite-gr37": lambda: opposite(standardise(fx.gr37(), WHITE))}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_MODELS))
+def test_seeded_search_equals_the_grouped_enumeration(name):
+    """The search seeded with a boundary value finds that value's group of
+    the full enumeration, in the same order, and () outside the positroid."""
+    model = SEEDED_MODELS[name]()
+    groups = matchings_by_boundary(model)
+    k, n = type_of(model)
+    subsets = [frozenset(I) for I in combinations(range(1, n + 1), k)]
+    for I in subsets:
+        assert matchings_with_boundary(model, I) == groups.get(I, ())
+    assert set(groups) <= set(subsets)
+    if "gr37" in name:
+        assert len(set(subsets) - set(groups)) == 5
 
 
 @pytest.mark.parametrize("subset", [(1, 2), (1, 2, 3, 4), (0, 1, 2), (1, 2, 8)])
