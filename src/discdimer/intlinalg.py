@@ -6,13 +6,17 @@ Hermite form, built with extended-gcd steps, gives everything over the
 integers: kernels, lattice equality, Smith invariant factors and the
 inverse. A fraction-free (Bareiss) elimination, in which every intermediate
 entry is an integer, gives the determinant for the unimodularity test.
-Sizes in this package are small (at most a few hundred rows/columns), so
-simple cubic algorithms are fine.
+`maximal_minors` gives every k × k minor of a k × n matrix at once, by
+Laplace expansion one row at a time over column bitmasks, so the minors
+share their sub-minors and nothing is divided. Sizes in this package are
+small (at most a few hundred rows/columns), so simple cubic algorithms are
+fine.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from itertools import combinations
+from typing import Dict, List, Sequence, Tuple
 
 Matrix = List[List[int]]
 
@@ -184,6 +188,32 @@ def determinant(a: Sequence[Sequence[int]]) -> int:
             m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
         prev = p
     return sign * prev
+
+
+def maximal_minors(rows: Sequence[Sequence[int]]) -> List[int]:
+    """Every k × k minor of a k × n integer matrix, in lexicographic order
+    of the column sets. Row r is added to each minor of rows 0..r−1 by
+    Laplace expansion along it: the minor on a column bitmask, widened by a
+    column j outside it, gains (−1)^(bits of the mask above j) · row[j] ·
+    minor. Zero sub-minors are dropped, so sparse rows stay cheap."""
+    n = len(rows[0]) if rows else 0
+    if any(len(row) != n for row in rows):
+        raise ValueError("rows differ in length")
+    minors: Dict[int, int] = {0: 1}  # column bitmask -> minor of the rows so far
+    for row in rows:
+        nonzero = [(j, x, 1 << j) for j, x in enumerate(row) if x]
+        wider: Dict[int, int] = {}
+        for mask, minor in minors.items():
+            for j, x, bit in nonzero:
+                if mask & bit:
+                    continue
+                term = x * minor
+                if (mask >> j).bit_count() & 1:
+                    term = -term
+                wider[mask | bit] = wider.get(mask | bit, 0) + term
+        minors = {mask: minor for mask, minor in wider.items() if minor}
+    return [minors.get(sum(1 << j for j in cols), 0)
+            for cols in combinations(range(n), len(rows))]
 
 
 def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:

@@ -22,8 +22,9 @@ same sign, so Z_I = Σ_{∂μ=I} Π w = |det K[:, black ∪ {t_i : i ∈ I}]| wi
 no cancellation.
 
 The black columns are eliminated once; what is left is a constant c and a
-k × n matrix M with Z_I = |c · det M_I|, and the C(n, k) minors of M are
-taken in integers.
+k × n integer matrix M with Z_I = |c · det M_I|. All C(n, k) maximal
+minors of M come from one Laplace pass over its rows
+(`intlinalg.maximal_minors`), which shares every sub-minor between them.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from itertools import combinations
 from math import lcm
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from .intlinalg import determinant
+from .intlinalg import maximal_minors
 from .model import BLACK, DimerModel, ReadOnlyDict, per_model, require_valid
 
 Entry = Tuple[int, int, Optional[int], int]  # (row, column, weighted arrow, sign)
@@ -145,5 +146,5 @@ def boundary_minors(model: DimerModel, weights: Mapping[int, Fraction]
         scale /= den
         ints.append([row[t].numerator * (den // row[t].denominator) if t in row else 0
                      for t in range(frame.black, frame.black + n)])
-    return [(I, scale * abs(determinant([[r[i - 1] for i in I] for r in ints])))
-            for I in combinations(range(1, n + 1), k)]
+    return [(I, scale * abs(minor))
+            for I, minor in zip(combinations(range(1, n + 1), k), maximal_minors(ints))]

@@ -8,7 +8,7 @@ matchings, so a loop over every boundary value can pass the groups of one
 enumeration. The boundary measurements enumerate nothing: each Z_I is a
 maximal minor of one Kasteleyn matrix per weight draw (`kasteleyn`), and
 the Plücker check compares the values in integers over one common
-denominator.
+denominator, looked up by subset bitmask.
 
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
@@ -166,8 +167,12 @@ class PluckerVector:
     n: int
     values: Tuple[Tuple[Tuple[int, ...], Fraction], ...]  # (sorted subset, value)
 
+    @cached_property
+    def _by_subset(self) -> Dict[Tuple[int, ...], Fraction]:
+        return dict(self.values)
+
     def __getitem__(self, subset: Iterable[int]) -> Fraction:
-        return dict(self.values)[tuple(sorted(subset))]
+        return self._by_subset[tuple(sorted(subset))]
 
     def as_dict(self) -> Dict[Tuple[int, ...], Fraction]:
         return dict(self.values)
@@ -212,25 +217,31 @@ def check_plucker_relations(vec: PluckerVector, k: int, n: int) -> PluckerReport
     if k < 2:
         return PluckerReport(0, [])
     # The relations are homogeneous, so they hold for the values times one
-    # common denominator exactly when they hold for the values: compare ints.
+    # common denominator exactly when they hold for the values: compare ints,
+    # keyed by subset bitmask.
     den = lcm(*(x.denominator for x in vals.values()))
-    ints = {I: x.numerator * (den // x.denominator) for I, x in vals.items()}
-
-    def z(S: Tuple[int, ...], pair: Tuple[int, int]) -> int:
-        return ints[tuple(sorted(S + pair))]
-
+    ints = {_mask(I): x.numerator * (den // x.denominator) for I, x in vals.items()}
+    # Lexicographic, so the S disjoint from a quad come in the order of
+    # combinations of the labels outside it.
+    rests = [(S, _mask(S)) for S in combinations(range(1, n + 1), k - 2)]
     checked = 0
     failures = []
     for quad in combinations(range(1, n + 1), 4):
-        a, b, c, d = quad
-        rest = [x for x in range(1, n + 1) if x not in quad]
-        for S in combinations(rest, k - 2):
+        a, b, c, d = (1 << x for x in quad)
+        ac, bd, ab, cd, ad, bc = a | c, b | d, a | b, c | d, a | d, b | c
+        quad_mask = ab | cd
+        for S, s in rests:
+            if s & quad_mask:
+                continue
             checked += 1
-            lhs = z(S, (a, c)) * z(S, (b, d))
-            rhs = z(S, (a, b)) * z(S, (c, d)) + z(S, (a, d)) * z(S, (b, c))
-            if lhs != rhs:
+            lhs = ints[s | ac] * ints[s | bd]
+            if lhs != ints[s | ab] * ints[s | cd] + ints[s | ad] * ints[s | bc]:
                 failures.append((S, quad))
     return PluckerReport(checked, failures)
+
+
+def _mask(subset: Iterable[int]) -> int:
+    return sum(1 << x for x in subset)
 
 
 def specialize(poly: LaurentPoly, assignment: Mapping[int, Fraction]) -> Fraction:

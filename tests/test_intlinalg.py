@@ -5,6 +5,7 @@ product live here too: the library needs neither, and the resolution
 tests use them as the dense oracle of the graph ranks."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
@@ -14,7 +15,8 @@ from sympy.matrices.normalforms import smith_normal_form
 
 from discdimer.intlinalg import (column_hermite, determinant, identity,
                                  integer_inverse, is_unimodular, kernel_basis,
-                                 lattices_equal, smith_invariant_factors)
+                                 lattices_equal, maximal_minors,
+                                 smith_invariant_factors)
 
 
 def mat_mul(a, b):
@@ -221,6 +223,46 @@ def test_determinant_equals_fraction_oracle_and_sympy(a):
     expected = gauss_jordan(a, len(a))[2]
     assert determinant(a) == expected
     assert expected == sympy_matrix(a, len(a)).det()
+
+
+@st.composite
+def wide_matrix(draw, max_cols=8):
+    """A k × n matrix with k ≤ n: k is often 0, 1 or n, a row or a column is
+    often zero, and about half the time it is a rank-deficient product b·c."""
+    n = draw(st.integers(0, max_cols))
+    k = draw(st.one_of(st.sampled_from([0, min(1, n), n]), st.integers(0, n)))
+    if k and draw(st.booleans()):
+        inner = draw(st.integers(0, k - 1))
+        b = draw(st.lists(st.lists(entry, min_size=inner, max_size=inner),
+                          min_size=k, max_size=k))
+        c = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=inner, max_size=inner))
+        a = mat_mul(b, c) if inner else [[0] * n for _ in range(k)]
+    else:
+        a = draw(st.lists(st.lists(entry, min_size=n, max_size=n),
+                          min_size=k, max_size=k))
+    if k and draw(st.booleans()):
+        a[draw(st.integers(0, k - 1))] = [0] * n
+    if n and draw(st.booleans()):
+        j = draw(st.integers(0, n - 1))
+        for row in a:
+            row[j] = 0
+    return a, n
+
+
+@given(wide_matrix())
+@settings(max_examples=300, deadline=None)
+def test_maximal_minors_equal_the_determinant_of_each_column_set(shaped):
+    a, n = shaped
+    expected = [determinant([[row[j] for j in cols] for row in a])
+                for cols in combinations(range(n), len(a))]
+    assert maximal_minors(a) == expected
+
+
+def test_maximal_minors_of_tall_and_ragged_matrices():
+    assert maximal_minors([[1], [2]]) == []
+    with pytest.raises(ValueError, match="rows differ in length"):
+        maximal_minors([[1, 2], [3]])
 
 
 def test_determinant_rejects_non_square():

@@ -5,6 +5,7 @@ import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,9 @@ from hypothesis import strategies as st
 
 from discdimer import fixtures as fx
 from discdimer import kasteleyn
-from discdimer.kasteleyn import kasteleyn_frame, kasteleyn_signs
+from discdimer.intlinalg import determinant
+from discdimer.kasteleyn import (boundary_minors, kasteleyn_frame,
+                                 kasteleyn_signs)
 from discdimer.matchings import (matchings_with_boundary, positroid,
                                  positroid_contains_necklace_test)
 from discdimer.model import BLACK, WHITE, opposite, standardise, type_of
@@ -224,6 +227,69 @@ def test_flipping_any_one_sign_changes_some_measurement(gr37, monkeypatch):
     assert flipped == len(gr37.internal_arrows)
 
 
+def per_subset_minors(model, weights):
+    """Oracle for kasteleyn.boundary_minors: the same elimination of the
+    black columns, then one Bareiss determinant per k-subset."""
+    frame, n = kasteleyn_frame(model), model.n
+    matrix = [{} for _ in range(frame.rows)]
+    for r, c, aid, sign in frame.entries:
+        matrix[r][c] = sign * Fraction(weights[aid]) if aid is not None else Fraction(1)
+    k = frame.rows - frame.black
+    scale = Fraction(1)
+    for c in range(frame.black):
+        live = [r for r, row in enumerate(matrix) if c in row]
+        if not live:
+            return [(I, Fraction(0)) for I in combinations(range(1, n + 1), k)]
+        pivot = matrix.pop(min(live, key=lambda r: len(matrix[r])))
+        p = pivot.pop(c)
+        scale *= abs(p)
+        for row in matrix:
+            f = row.pop(c, None)
+            if f is not None:
+                f /= p
+                for col, x in pivot.items():
+                    y = row.get(col, 0) - f * x
+                    if y:
+                        row[col] = y
+                    else:
+                        del row[col]
+    ints = []
+    for row in matrix:
+        den = lcm(*(x.denominator for x in row.values()))
+        scale /= den
+        ints.append([row[t].numerator * (den // row[t].denominator) if t in row else 0
+                     for t in range(frame.black, frame.black + n)])
+    return [(I, scale * abs(determinant([[r[i - 1] for i in I] for r in ints])))
+            for I in combinations(range(1, n + 1), k)]
+
+
+MINOR_MODELS = {**MODELS,
+                "uniform-4-9": lambda: fx.build_uniform(4, 9),
+                "uniform-5-10": lambda: fx.build_uniform(5, 10)}
+
+
+@pytest.mark.parametrize("name", [name for name in sorted(MINOR_MODELS) if name != "inconsistent"])
+def test_boundary_minors_equal_per_subset_determinants(name):
+    model = MINOR_MODELS[name]()
+    for w in [unit_weights(model)] + seeded_draws(model, f"minors/{name}"):
+        minors = boundary_minors(model, w)
+        assert minors == per_subset_minors(model, w)
+    if name == "gr37":
+        assert any(z == 0 for _, z in minors)
+
+
+def test_plucker_vector_looks_up_every_subset_in_any_order():
+    model = fx.build_uniform(4, 8)
+    vec = boundary_measurement(model, seeded_draws(model, "lookup/uniform-4-8", 1)[0])
+    for I, x in vec.values:
+        assert vec[I] == vec[tuple(reversed(I))] == vec[frozenset(I)] == x
+    for bad in [(1, 2, 3), (1, 2, 3, 9), (1, 2, 3, 4, 5)]:
+        with pytest.raises(KeyError):
+            vec[bad]
+    assert vec.as_dict() == dict(vec.values)
+    assert vec == PluckerVector(vec.k, vec.n, vec.values)
+
+
 def test_uniform_6_12_draw_passes_every_plucker_relation():
     model = fx.build_uniform(6, 12)
     vec = boundary_measurement(model, seeded_draws(model, "kasteleyn/uniform-6-12", 1)[0])
@@ -261,3 +327,44 @@ def test_integer_plucker_check_equals_fraction_comparison(gr37):
         assert report.checked == 105
         assert report.failures == fraction_plucker_failures(wrong, 3, 7)
         assert bool(report.failures) == (I is not None)
+
+
+def plucker_relation_count(k, n):
+    """The three-term relations: a quad a<b<c<d of 1..n and a (k−2)-subset
+    S of the other labels."""
+    return comb(n, 4) * comb(n - 4, k - 2) if k >= 2 else 0
+
+
+@pytest.mark.parametrize("name", ["uniform-4-8", "uniform-5-10"])
+def test_plucker_check_equals_fraction_comparison_on_perturbed_draws(name):
+    """As drawn every relation holds; scaled or zeroed at one seeded subset,
+    the relations fail exactly where, and in the order, they fail in
+    Fractions."""
+    model = MINOR_MODELS[name]()
+    k, n = type_of(model)
+    rng = random.Random(f"plucker/{name}")
+    for w in seeded_draws(model, f"plucker/{name}"):
+        values = boundary_measurement(model, w).as_dict()
+        subsets = sorted(values)
+        for I, factor in [(None, 1), (rng.choice(subsets), Fraction(0)),
+                          (rng.choice(subsets), Fraction(rng.randint(2, 9), rng.randint(10, 19)))]:
+            changed = {J: x * factor if J == I else x for J, x in values.items()}
+            wrong = PluckerVector(k, n, tuple(sorted(changed.items())))
+            report = check_plucker_relations(wrong, k, n)
+            assert report.checked == plucker_relation_count(k, n)
+            assert report.failures == fraction_plucker_failures(wrong, k, n)
+            assert bool(report.failures) == (I is not None)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("codim", [None, 2, 1, 0])
+def test_plucker_check_counts_every_relation(n, codim):
+    """k = 2, n − 2, n − 1 and n on seeded values that break most
+    relations: the count, and the failures in order, match the oracle."""
+    k = 2 if codim is None else n - codim
+    rng = random.Random(f"plucker-count/{k}-{n}")
+    vec = PluckerVector(k, n, tuple((I, Fraction(rng.randint(0, 5), rng.randint(1, 5)))
+                                    for I in combinations(range(1, n + 1), k)))
+    report = check_plucker_relations(vec, k, n)
+    assert report.checked == plucker_relation_count(k, n)
+    assert report.failures == fraction_plucker_failures(vec, k, n)
