@@ -19,7 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice_maps import KClass
 from .matchings import Matching, enumerate_matchings, is_matching, require_matching
-from .model import BLACK, WHITE, DimerModel, _tiles_reached, is_standardised, opposite
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, is_standardised,
+                    opposite, per_model)
 from .resolution import degrees_toward
 from .strands import Strand, require_consistent
 
@@ -53,10 +54,20 @@ def downstream_wedge(model: DimerModel, aid: int) -> Wedge:
     return Wedge(aid, frozenset(_tiles_reached(model, [model.arrow(aid).head], cut)))
 
 
+@per_model
+def _wedge_matchings(model: DimerModel) -> ReadOnlyDict[int, FrozenSet[int]]:
+    """Tile j -> the arrows whose downstream wedge contains j, from one
+    wedge per arrow."""
+    members: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
+    for a in model.arrows:
+        for j in downstream_wedge(model, a.id).members:
+            members[j].append(a.id)
+    return ReadOnlyDict({j: frozenset(aids) for j, aids in members.items()})
+
+
 def muller_speyer_matching(model: DimerModel, j: int) -> Matching:
     """𝔪_j = {α : j lies in the downstream wedge of α}."""
-    arrows = frozenset(a.id for a in model.arrows
-                       if j in downstream_wedge(model, a.id).members)
+    arrows = _wedge_matchings(model).get(j, frozenset())
     if not is_matching(model, arrows):
         raise ValueError(f"wedge membership at vertex {j} did not produce a "
                          "perfect matching; the model is not consistent")

@@ -172,17 +172,18 @@ def positroid(model: DimerModel) -> FrozenSet[FrozenSet[int]]:
                      boundary_minors(model, {a.id: 1 for a in model.arrows}) if z)
 
 
-def _gale_leq(smaller: FrozenSet[int], larger: FrozenSet[int], shift: int, n: int) -> bool:
-    """smaller ≤ larger in the shift-started cyclic Gale order: list both in
-    the linear order shift < shift+1 < ... (mod n); the r-th element of
-    larger must be ≥ the r-th element of smaller."""
-
-    def key(x: int) -> int:
-        return (x - shift) % n
-
-    a = sorted(smaller, key=key)
-    b = sorted(larger, key=key)
-    return all(key(x) <= key(y) for x, y in zip(a, b))
+@per_model
+def _necklace_orders(model: DimerModel) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
+    """Per boundary position m: the shift m+1 that starts its cyclic Gale
+    order, and the source-necklace entry at m as its sorted positions in
+    the linear order shift < shift+1 < ... (mod n)."""
+    n = model.n
+    source_necklace, _ = necklaces(model)
+    orders = []
+    for m in range(1, n + 1):
+        shift = m % n + 1
+        orders.append((shift, tuple(sorted((x - shift) % n for x in source_necklace[m]))))
+    return tuple(orders)
 
 
 def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> bool:
@@ -191,13 +192,14 @@ def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> boo
     Gale order. The source-necklace entry at boundary position m is the
     Gale maximum of the positroid for the shift starting at m+1 (so the
     domination runs in the order reversed against that shift): J belongs to
-    the positroid iff J ≤ entry(m) in the (m+1)-shifted order for all m."""
+    the positroid iff J ≤ entry(m) in the (m+1)-shifted order for all m,
+    i.e. the r-th position of J is at most the r-th position of the entry
+    when both are listed in that order."""
     J = frozenset(J)
     k, n = type_of(model)
     _require_subset(J, k, n)
-    source_necklace, _ = necklaces(model)
-    return all(_gale_leq(J, source_necklace[m], m % n + 1, n)
-               for m in range(1, n + 1))
+    return all(all(a <= b for a, b in zip(sorted((j - shift) % n for j in J), entry))
+               for shift, entry in _necklace_orders(model))
 
 
 def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:

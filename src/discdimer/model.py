@@ -136,12 +136,6 @@ class DimerModel:
         except KeyError:
             raise ValueError(f"boundary arrow {aid} lies in no face") from None
 
-    def cycle_successor(self, fid: int, aid: int) -> int:
-        """The arrow after `aid` in face `fid`'s oriented boundary cycle."""
-        cyc = self.face(fid).boundary_cycle
-        i = cyc.index(aid)
-        return cyc[(i + 1) % len(cyc)]
-
 
 class ReadOnlyDict(Dict[K, V]):
     """A dict that cannot change after it is built: every mutator raises
@@ -246,38 +240,41 @@ def validate(model: DimerModel) -> ModelReport:
 
     # Face multiplicity: internal arrows once in a black and once in a white
     # cycle; boundary arrows in exactly one cycle. (_check_structure rules
-    # out an arrow repeated within one cycle.)
+    # out an arrow repeated within one cycle and colours other than the two.)
+    color = {f.id: f.color for f in model.faces}
     bad_mult = []
     for a in model.arrows:
-        colors = sorted(model.face(fid).color for fid in model.faces_of_arrow(a.id))
-        if not (len(colors) == 1 if a.is_boundary else colors == [BLACK, WHITE]):
+        fids = model._faces_of_arrow[a.id]
+        if not (len(fids) == 1 if a.is_boundary
+                else len(fids) == 2 and color[fids[0]] != color[fids[1]]):
             bad_mult.append(a.id)
     checks["face_multiplicity"] = (not bad_mult, f"arrows: {bad_mult}")
 
-    # Oriented cycles: head of each arrow = tail of the next.
+    # One walk over the face cycles. Oriented cycles: head of each arrow =
+    # tail of the next. Each consecutive pair is also an edge of the
+    # incidence graph at the first arrow's head.
+    arrow = model._arrow_by_id
+    edges_at: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
     bad_faces = []
     for f in model.faces:
         cyc = f.boundary_cycle
-        for i, aid in enumerate(cyc):
-            nxt = cyc[(i + 1) % len(cyc)]
-            if model.arrow(aid).head != model.arrow(nxt).tail:
-                bad_faces.append(f.id)
-                break
+        oriented = True
+        for x, y in zip(cyc, cyc[1:] + cyc[:1]):
+            head = arrow[x].head
+            oriented = oriented and head == arrow[y].tail
+            edges_at[head].append((x, y))
+        if not oriented:
+            bad_faces.append(f.id)
     checks["oriented_cycles"] = (not bad_faces, f"faces: {bad_faces}")
 
     # Vertex incidence graphs: a line at boundary vertices, a cycle at
     # internal vertices. Nodes are the incident arrows; edges are consecutive
     # pairs through the vertex in some face cycle.
     nodes_at: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
-    edges_at: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
     for a in model.arrows:
         nodes_at[a.tail].append(a.id)
         if a.head != a.tail:
             nodes_at[a.head].append(a.id)
-    for f in model.faces:
-        cyc = f.boundary_cycle
-        for i, aid in enumerate(cyc):
-            edges_at[model.arrow(aid).head].append((aid, cyc[(i + 1) % len(cyc)]))
     bad_vertices = [v.id for v in model.vertices
                     if not _incidence_ok(nodes_at[v.id], edges_at[v.id], v.is_boundary)]
     checks["vertex_incidence"] = (not bad_vertices, f"vertices: {bad_vertices}")
@@ -304,29 +301,23 @@ def validate(model: DimerModel) -> ModelReport:
 def _incidence_ok(nodes: List[int], edges: List[Tuple[int, int]], on_boundary: bool) -> bool:
     """Whether the graph on the arrows at one vertex (`nodes`), joined by
     consecutive pairs through that vertex (`edges`), is a line (boundary
-    vertex) or a cycle (internal vertex)."""
-    if not nodes:
+    vertex) or a cycle (internal vertex). It is one exactly when it has
+    |nodes| - 1 or |nodes| edges, no degree above 2, and is connected: a
+    connected graph with one edge fewer than nodes is a tree, a line when no
+    degree is above 2; with as many edges as nodes and no degree above 2,
+    every degree is 2, so a connected one is a single cycle."""
+    if not nodes or len(edges) != len(nodes) - on_boundary:
         return False
-    degree = {nid: 0 for nid in nodes}
     adj: Dict[int, List[int]] = {nid: [] for nid in nodes}
-    for x, y in edges:
-        if x not in degree or y not in degree:
-            return False
-        degree[x] += 1
-        degree[y] += 1
-        adj[x].append(y)
-        adj[y].append(x)
-    if len(_flood(adj, [nodes[0]])) != len(nodes):
+    try:
+        for x, y in edges:
+            adj[x].append(y)
+            adj[y].append(x)
+    except KeyError:  # an edge to an arrow not at this vertex
         return False
-    degs = sorted(degree.values())
-    if on_boundary:
-        # A line: either a single node, or two endpoints of degree 1 and the
-        # rest of degree 2.
-        if len(nodes) == 1:
-            return not edges
-        return len(edges) == len(nodes) - 1 and degs[:2] == [1, 1] and all(
-            d == 2 for d in degs[2:])
-    return len(edges) == len(nodes) and all(d == 2 for d in degs)
+    if max(map(len, adj.values())) > 2:
+        return False
+    return len(_flood(adj, [nodes[0]])) == len(nodes)
 
 
 def _check_boundary_cycle(model: DimerModel, boundary: Sequence[Arrow]) -> Tuple[bool, str]:
@@ -463,12 +454,12 @@ def bipartite_dual(model: DimerModel) -> BipartiteDual:
 
 @per_model
 def type_of(model: DimerModel) -> Tuple[int, int]:
-    """(k, n) with k = #white - #black + #(half-edges at black nodes)."""
-    dual = bipartite_dual(model)
-    color = {x.face_id: x.color for x in dual.nodes}
-    black_half = sum(1 for h in dual.half_edges if color[h.face_id] == BLACK)
-    k = len(dual.white_nodes) - len(dual.black_nodes) + black_half
-    return k, len(dual.half_edges)
+    """(k, n) with k = #white - #black + #(half-edges at black nodes), the
+    last being the anticlockwise boundary arrows."""
+    require_valid(model)
+    white = sum(1 for f in model.faces if f.color == WHITE)
+    anticlockwise = sum(1 for cw in model._clockwise.values() if not cw)
+    return white - (len(model.faces) - white) + anticlockwise, model.n
 
 
 # ---------------------------------------------------------------------------
@@ -543,37 +534,46 @@ def to_dict(model: DimerModel) -> dict:
     }
 
 
-def _int(value: Any, where: str) -> int:
-    # JSON true/false load as bool, a subclass of int; they are not ids.
+def _int(value: Any, where: str, *at: int) -> int:
+    # JSON true/false load as bool, a subclass of int; they are not ids. The
+    # location is `where` formatted with `at`, built only for a rejection.
     if type(value) is not int:
-        raise TypeError(f"{where} must be an integer, got {value!r}")
+        raise TypeError(f"{where.format(*at)} must be an integer, got {value!r}")
     return value
 
 
-def _bool(value: Any, where: str) -> bool:
+def _bool(value: Any, where: str, *at: int) -> bool:
     if type(value) is not bool:
-        raise TypeError(f"{where} must be true or false, got {value!r}")
+        raise TypeError(f"{where.format(*at)} must be true or false, got {value!r}")
     return value
+
+
+def _cycle(entries: Any, i: int) -> Tuple[int, ...]:
+    cycle = tuple(entries)
+    if not set(map(type, cycle)) <= {int}:
+        for j, x in enumerate(cycle):
+            _int(x, "faces[{}].boundary_cycle[{}]", i, j)
+    return cycle
 
 
 def from_dict(doc: dict) -> DimerModel:
     """The model a JSON document describes. Ids, endpoints, labels and cycle
     entries must be integers and flags booleans; nothing is coerced."""
     try:
-        vertices = tuple(Vertex(_int(v["id"], f"vertices[{i}].id"),
-                                _bool(v["is_boundary"], f"vertices[{i}].is_boundary"))
+        vertices = tuple(Vertex(_int(v["id"], "vertices[{}].id", i),
+                                _bool(v["is_boundary"], "vertices[{}].is_boundary", i))
                          for i, v in enumerate(doc["vertices"]))
         arrows = []
         for i, a in enumerate(doc["arrows"]):
-            where = f"arrows[{i}]"
             label = a.get("boundary_label")
-            arrows.append(Arrow(_int(a["id"], f"{where}.id"), _int(a["tail"], f"{where}.tail"),
-                                _int(a["head"], f"{where}.head"),
-                                _bool(a["is_boundary"], f"{where}.is_boundary"),
-                                None if label is None else _int(label, f"{where}.boundary_label")))
-        faces = tuple(Face(_int(f["id"], f"faces[{i}].id"), str(f["color"]),
-                           tuple(_int(x, f"faces[{i}].boundary_cycle[{j}]")
-                                 for j, x in enumerate(f["boundary_cycle"])))
+            arrows.append(Arrow(_int(a["id"], "arrows[{}].id", i),
+                                _int(a["tail"], "arrows[{}].tail", i),
+                                _int(a["head"], "arrows[{}].head", i),
+                                _bool(a["is_boundary"], "arrows[{}].is_boundary", i),
+                                None if label is None
+                                else _int(label, "arrows[{}].boundary_label", i)))
+        faces = tuple(Face(_int(f["id"], "faces[{}].id", i), str(f["color"]),
+                           _cycle(f["boundary_cycle"], i))
                       for i, f in enumerate(doc["faces"]))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed document: {exc}") from exc

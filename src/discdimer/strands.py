@@ -5,7 +5,9 @@ an arrow with pending turn colour c, the next crossed arrow is the cyclic
 successor of the current arrow in its face of colour c, and the turn colour
 alternates. A strand starts at a marked point by crossing that boundary
 arrow (first turn colour: the colour of the arrow's unique face) and ends on
-the boundary arrow whose pending-colour face is missing.
+the boundary arrow whose pending-colour face is missing. The successors come
+from one table per model, colour -> arrow -> the next arrow in its face of
+that colour, built from the face cycles on first use.
 """
 
 from __future__ import annotations
@@ -59,21 +61,31 @@ class LabelTable:
     target: ReadOnlyDict[int, FrozenSet[int]]  # vertex id -> target label
 
 
+@per_model
+def _turns(model: DimerModel) -> ReadOnlyDict[str, ReadOnlyDict[int, int]]:
+    """colour -> arrow -> the arrow after it in its face of that colour."""
+    turns: Dict[str, Dict[int, int]] = {BLACK: {}, WHITE: {}}
+    for f in model.faces:
+        cyc = f.boundary_cycle
+        turns[f.color].update(zip(cyc, cyc[1:] + cyc[:1]))
+    return ReadOnlyDict({color: ReadOnlyDict(t) for color, t in turns.items()})
+
+
 def _trace(model: DimerModel, start_label: int) -> Strand:
     start = model.boundary_arrow_with_label(start_label)
     color = model.face(model.faces_of_arrow(start.id)[0]).color
+    other = _other(color)
+    turns = _turns(model)
     seq: List[Tuple[int, str]] = []
-    cur, cur_color = start.id, color
-    limit = 2 * len(model.arrows) + 2
-    while True:
-        seq.append((cur, cur_color))
-        if len(seq) > limit:
-            raise ValueError("strand fails to terminate; model is malformed")
-        face = model.face_of_color(cur, cur_color)
-        if face is None:
+    cur = start.id
+    for _ in range(2 * len(model.arrows) + 2):
+        seq.append((cur, color))
+        nxt = turns[color].get(cur)
+        if nxt is None:
             break
-        cur = model.cycle_successor(face.id, cur)
-        cur_color = _other(cur_color)
+        cur, color, other = nxt, other, color
+    else:
+        raise ValueError("strand fails to terminate; model is malformed")
     end = model.arrow(cur)
     if not end.is_boundary:
         raise ValueError(f"strand from label {start_label} ends on internal arrow {cur}; "

@@ -12,8 +12,9 @@ from click.testing import CliRunner
 
 from discdimer import fixtures as fx
 from discdimer import intlinalg, resolution
+from discdimer import strands as strands_module
 from discdimer.cli import main
-from discdimer.model import DimerModel, save
+from discdimer.model import save
 
 
 @pytest.fixture()
@@ -317,7 +318,9 @@ def test_an_option_value_a_command_cannot_use_is_a_one_line_error(runner, args, 
 
 def test_a_strand_that_never_ends_is_a_one_line_error(runner, monkeypatch):
     internal = fx.gr37().internal_arrows[0].id
-    monkeypatch.setattr(DimerModel, "cycle_successor", lambda model, fid, aid: internal)
+    turns = strands_module._turns
+    monkeypatch.setattr(strands_module, "_turns", lambda model: {
+        color: dict.fromkeys(table, internal) for color, table in turns(model).items()})
     result = runner.invoke(main, ["strands", "gr37"])
     assert result.exit_code == 1
     assert result.output == "Error: strand fails to terminate; model is malformed\n"

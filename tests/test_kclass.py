@@ -9,10 +9,12 @@ from discdimer.kclass_weights import (downstream_wedge, kclass_of_matching,
                                       upstream_matching, weight_table, weights)
 from discdimer.lattice_maps import eta, eta_inverse_basis, lattice_point_of_matching
 from discdimer.matchings import boundary_value, enumerate_matchings
-from discdimer.model import WHITE, standardise
+from discdimer.model import WHITE, opposite, standardise
 from discdimer.strands import source_labels, target_labels
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
+MODELS = {**fx.FIXTURE_BUILDERS, **{f"uniform-{k}-{n}": lambda k=k, n=n: fx.build_uniform(k, n)
+                                   for k, n in [(3, 7), (4, 8), (4, 9)]}}
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
@@ -24,6 +26,26 @@ def test_wedges_partition_each_face(name):
         for v in model.vertices:
             hits = [a for a in face.boundary_cycle if v.id in wedges[a]]
             assert len(hits) == 1
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8",
+                                                         "uniform-4-9"])
+def test_wedge_matchings_agree_with_one_wedge_per_arrow(name):
+    """The per-model membership table gives, for every tile and on the
+    model and its opposite, the arrows whose own downstream wedge holds it."""
+    model = MODELS[name]()
+    for m in (model, opposite(model)):
+        wedges = {a.id: downstream_wedge(m, a.id).members for a in m.arrows}
+        for v in m.vertices:
+            expected = frozenset(aid for aid, members in wedges.items() if v.id in members)
+            assert muller_speyer_matching(m, v.id).arrow_set == expected
+
+
+def test_wedge_matching_errors_are_unchanged(inconsistent, gr37):
+    with pytest.raises(ValueError, match="model is not consistent"):
+        muller_speyer_matching(inconsistent, inconsistent.vertices[0].id)
+    with pytest.raises(ValueError, match="wedge membership at vertex 999 did not produce"):
+        muller_speyer_matching(gr37, 999)
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)

@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_matchings, enumerate_dual_covers
 from discdimer import fixtures as fx
-from discdimer.matchings import (Matching, _gale_leq, boundary_value,
+from discdimer.matchings import (Matching, boundary_value,
                                  enumerate_matchings, extreme_matchings, flip,
                                  height, is_matching, matchings_by_boundary,
                                  matchings_with_boundary,
                                  positroid, positroid_contains_necklace_test,
                                  require_matching, support_subgraph)
 from discdimer.model import WHITE, opposite, standardise, type_of
+from discdimer.strands import necklaces
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 MODELS = {**fx.FIXTURE_BUILDERS, "uniform-3-7": lambda: fx.build_uniform(3, 7)}
@@ -106,6 +107,33 @@ def test_necklace_gale_test_matches_enumeration(name):
     pos = positroid(model)
     for J in combinations(range(1, n + 1), k):
         assert positroid_contains_necklace_test(model, J) == (frozenset(J) in pos)
+
+
+def _gale_leq(smaller, larger, shift, n):
+    """The oracle for the shifted Gale order: smaller ≤ larger when both
+    are listed in the linear order shift < shift+1 < ... (mod n) and the
+    r-th element of larger is ≥ the r-th element of smaller."""
+
+    def key(x):
+        return (x - shift) % n
+
+    a = sorted(smaller, key=key)
+    b = sorted(larger, key=key)
+    return all(key(x) <= key(y) for x, y in zip(a, b))
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-2-4", "uniform-2-5", "uniform-3-6",
+                                  "uniform-3-7", "uniform-4-8", "uniform-4-9", "uniform-5-10"])
+def test_necklace_test_agrees_with_the_gale_oracle(name):
+    """The per-model necklace positions decide every k-subset as the
+    sorting oracle does over all n shifts."""
+    model = fx.gr37() if name == "gr37" else fx.build_uniform(*map(int, name.split("-")[1:]))
+    k, n = type_of(model)
+    source_necklace, _ = necklaces(model)
+    for J in combinations(range(1, n + 1), k):
+        J = frozenset(J)
+        expected = all(_gale_leq(J, source_necklace[m], m % n + 1, n) for m in range(1, n + 1))
+        assert positroid_contains_necklace_test(model, J) is expected
 
 
 def test_gale_leq_is_a_partial_order():

@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discdimer import fixtures as fx
-from discdimer.model import (BLACK, WHITE, StructuralError,
-                             bipartite_dual, from_dict, is_standardised, load,
-                             opposite, require_valid, save, standardise,
-                             to_dict, type_of, validate)
+from discdimer.model import (BLACK, WHITE, ModelReport, ReadOnlyDict, StructuralError,
+                             _check_boundary_cycle, _check_structure, _flood,
+                             _is_connected, bipartite_dual, from_dict, is_standardised,
+                             load, opposite, require_valid, save, standardise, to_dict,
+                             type_of, validate)
 
 ALL_FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 CONSISTENT_FIXTURES = [n for n in ALL_FIXTURES if n != "inconsistent"]
@@ -222,3 +223,151 @@ def test_a_mutated_document_is_rejected_or_reported(name, kind, data):
     except ValueError:
         return
     assert not validate(model).passed
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the axioms read arrow by arrow and face by face
+# ---------------------------------------------------------------------------
+
+def oracle_incidence_ok(nodes, edges, on_boundary):
+    """Whether the graph on the arrows at one vertex, joined by consecutive
+    pairs through that vertex, is a line (boundary) or a cycle (internal):
+    degrees, adjacency and a flood fill, then the shape."""
+    if not nodes:
+        return False
+    degree = {nid: 0 for nid in nodes}
+    adj = {nid: [] for nid in nodes}
+    for x, y in edges:
+        if x not in degree or y not in degree:
+            return False
+        degree[x] += 1
+        degree[y] += 1
+        adj[x].append(y)
+        adj[y].append(x)
+    if len(_flood(adj, [nodes[0]])) != len(nodes):
+        return False
+    degs = sorted(degree.values())
+    if on_boundary:
+        if len(nodes) == 1:
+            return not edges
+        return len(edges) == len(nodes) - 1 and degs[:2] == [1, 1] and all(
+            d == 2 for d in degs[2:])
+    return len(edges) == len(nodes) and all(d == 2 for d in degs)
+
+
+def oracle_validate(model):
+    """Every axiom checked with the model's lookups: sorted face colours per
+    arrow, and the face cycles walked once per check."""
+    _check_structure(model)
+    checks = {}
+    loops = [a.id for a in model.arrows if a.tail == a.head]
+    checks["no_loops"] = (not loops, f"loop arrows: {loops}")
+    bad_mult = []
+    for a in model.arrows:
+        colors = sorted(model.face(fid).color for fid in model.faces_of_arrow(a.id))
+        if not (len(colors) == 1 if a.is_boundary else colors == [BLACK, WHITE]):
+            bad_mult.append(a.id)
+    checks["face_multiplicity"] = (not bad_mult, f"arrows: {bad_mult}")
+    bad_faces = []
+    for f in model.faces:
+        cyc = f.boundary_cycle
+        for i, aid in enumerate(cyc):
+            if model.arrow(aid).head != model.arrow(cyc[(i + 1) % len(cyc)]).tail:
+                bad_faces.append(f.id)
+                break
+    checks["oriented_cycles"] = (not bad_faces, f"faces: {bad_faces}")
+    nodes_at = {v.id: [] for v in model.vertices}
+    edges_at = {v.id: [] for v in model.vertices}
+    for a in model.arrows:
+        nodes_at[a.tail].append(a.id)
+        if a.head != a.tail:
+            nodes_at[a.head].append(a.id)
+    for f in model.faces:
+        cyc = f.boundary_cycle
+        for i, aid in enumerate(cyc):
+            edges_at[model.arrow(aid).head].append((aid, cyc[(i + 1) % len(cyc)]))
+    bad_vertices = [v.id for v in model.vertices
+                    if not oracle_incidence_ok(nodes_at[v.id], edges_at[v.id], v.is_boundary)]
+    checks["vertex_incidence"] = (not bad_vertices, f"vertices: {bad_vertices}")
+    euler = len(model.vertices) - len(model.arrows) + len(model.faces)
+    checks["euler"] = (euler == 1, f"chi = {euler}")
+    boundary = model.boundary_arrows
+    checks["boundary_cycle"] = _check_boundary_cycle(model, boundary)
+    on_boundary = {end for a in boundary for end in (a.tail, a.head)}
+    flag_bad = [v.id for v in model.vertices if v.is_boundary != (v.id in on_boundary)]
+    checks["boundary_flags"] = (not flag_bad, f"vertices: {flag_bad}")
+    connected = _is_connected(model)
+    checks["connected"] = (connected, "quiver is disconnected" if not connected else "")
+    return ModelReport(ReadOnlyDict(checks), len(boundary), connected)
+
+
+def assert_validate_matches_oracle(model):
+    """The same report (checks in order, with their details; n; connected),
+    or the same StructuralError."""
+    try:
+        expected = oracle_validate(model)
+    except StructuralError as exc:
+        with pytest.raises(StructuralError) as info:
+            validate(model)
+        assert str(info.value) == str(exc)
+        return
+    report = validate(model)
+    assert list(report.checks.items()) == list(expected.checks.items())
+    assert (report.n, report.connected) == (expected.n, expected.connected)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES)
+def test_validate_matches_the_oracle_on_fixtures(name):
+    assert_validate_matches_oracle(fx.FIXTURE_BUILDERS[name]())
+
+
+@pytest.mark.parametrize("n", range(3, 11))
+def test_validate_matches_the_oracle_on_uniform_models(n):
+    for k in range(1, min(n, 6)):
+        assert_validate_matches_oracle(fx.build_uniform(k, n))
+
+
+AXIOM_MUTATIONS = ("head", "reverse", "rotate", "move", "flag", "colour")
+
+
+def axiom_mutant(doc, data):
+    """A copy of `doc` with one to three axiom-level defects: an arrow's head
+    redirected, a face cycle reversed or rotated, an arrow moved to another
+    face, a vertex's boundary flag flipped, a face colour swapped."""
+    doc = json.loads(json.dumps(doc))
+    for _ in range(data.draw(st.integers(1, 3), label="count")):
+        kind = data.draw(st.sampled_from(AXIOM_MUTATIONS), label="kind")
+        face = data.draw(st.sampled_from(doc["faces"]), label="face")
+        cycle = face["boundary_cycle"]
+        if kind == "head":
+            arrow = data.draw(st.sampled_from(doc["arrows"]), label="arrow")
+            arrow["head"] = data.draw(st.sampled_from([v["id"] for v in doc["vertices"]]),
+                                      label="vertex")
+        elif kind == "reverse":
+            cycle.reverse()
+        elif kind == "rotate":
+            r = data.draw(st.integers(0, len(cycle) - 1), label="by")
+            face["boundary_cycle"] = cycle[r:] + cycle[:r]
+        elif kind == "move":
+            aid = cycle.pop(data.draw(st.integers(0, len(cycle) - 1), label="pos"))
+            target = data.draw(st.sampled_from(doc["faces"]), label="target")["boundary_cycle"]
+            target.insert(data.draw(st.integers(0, len(target)), label="at"), aid)
+        elif kind == "flag":
+            vertex = data.draw(st.sampled_from(doc["vertices"]), label="vertex")
+            vertex["is_boundary"] = not vertex["is_boundary"]
+        else:
+            face["color"] = WHITE if face["color"] == BLACK else BLACK
+    return doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(name=st.sampled_from(ALL_FIXTURES + ["uniform-3-7"]), data=st.data())
+def test_validate_matches_the_oracle_on_axiom_mutants(name, data):
+    model = (fx.build_uniform(3, 7) if name == "uniform-3-7"
+             else fx.FIXTURE_BUILDERS[name]())
+    mutant = axiom_mutant(to_dict(model), data)
+    try:
+        model = from_dict(mutant)
+    except StructuralError:
+        return  # only mutants that pass the structure check
+    assert_validate_matches_oracle(model)

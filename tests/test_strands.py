@@ -3,7 +3,8 @@
 import pytest
 
 from discdimer import fixtures as fx
-from discdimer.model import DimerModel, opposite, type_of
+from discdimer import strands as strands_module
+from discdimer.model import opposite, type_of
 from discdimer.strands import (boundary_tile, check_postnikov, label_table,
                                necklaces, require_consistent, source_labels,
                                strand_permutation, strands, target_labels)
@@ -92,9 +93,10 @@ def test_opposite_complements_labels(gr37):
 def test_a_walk_ending_on_an_internal_arrow_is_a_value_error(monkeypatch):
     """The end-of-strand check is an explicit error, so it also holds under
     `python -O`."""
-    face_of_color = DimerModel.face_of_color
-    monkeypatch.setattr(DimerModel, "face_of_color", lambda model, aid, color: (
-        None if not model.arrow(aid).is_boundary else face_of_color(model, aid, color)))
+    turns = strands_module._turns
+    monkeypatch.setattr(strands_module, "_turns", lambda model: {
+        color: {aid: nxt for aid, nxt in table.items() if model.arrow(aid).is_boundary}
+        for color, table in turns(model).items()})
     with pytest.raises(ValueError, match="ends on internal arrow"):
         strands(fx.gr37())
 
@@ -102,6 +104,8 @@ def test_a_walk_ending_on_an_internal_arrow_is_a_value_error(monkeypatch):
 def test_a_walk_that_never_ends_is_a_value_error(monkeypatch):
     model = fx.gr37()
     internal = model.internal_arrows[0].id
-    monkeypatch.setattr(DimerModel, "cycle_successor", lambda model, fid, aid: internal)
+    turns = strands_module._turns
+    monkeypatch.setattr(strands_module, "_turns", lambda model: {
+        color: dict.fromkeys(table, internal) for color, table in turns(model).items()})
     with pytest.raises(ValueError, match="fails to terminate"):
         strands(model)
