@@ -104,10 +104,14 @@ def build_uniform(k: int, n: int) -> DimerModel:
     (missing ports on the boundary rows/columns just lower the degree). The
     bend at box (1, 1) is contracted to a single wire. The resulting graph
     is two-coloured by parity and read as an embedded bipartite graph.
+    Type (1, 2) raises ValueError: its rectangle is the bend alone.
     """
     if not 1 <= k < n:
         raise ValueError(f"need 1 <= k < n, got k={k}, n={n}")
     width = n - k
+    if (k, n) == (1, 2):
+        raise ValueError("cannot build type (1, 2): its 1 x 1 rectangle is only "
+                         "the contracted bend, with no node")
 
     # Port keys are (r, c, side) with side in E/N/W/S; intra-pair stubs are
     # ("x", r, c, end). Rotation angles: E=0, N=90, W=180, S=270; the intra

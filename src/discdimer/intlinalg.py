@@ -3,9 +3,8 @@
 Matrices are lists of lists of Python ints (arbitrary precision), row-major.
 Everything here is exact; no floating point and no fractions. The column
 Hermite form, built with extended-gcd steps, gives everything over the
-integers: kernels, lattice equality, Smith invariant factors and the
-inverse. A fraction-free (Bareiss) elimination, in which every intermediate
-entry is an integer, gives the determinant for the unimodularity test.
+integers: kernels, lattice equality, Smith invariant factors, the
+unimodularity test and the inverse; it is the one integer elimination here.
 `maximal_minors` gives every k × k minor of a k × n matrix at once, by
 Laplace expansion one row at a time over column bitmasks, so the minors
 share their sub-minors and nothing is divided. Sizes in this package are
@@ -101,17 +100,11 @@ def _exgcd(a: int, b: int) -> Tuple[int, int, int]:
 def kernel_basis(a: Sequence[Sequence[int]]) -> List[List[int]]:
     """Basis (as column vectors, returned as a list of vectors) of the
     integer kernel {v : a @ v = 0}."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
-        return []
-    if rows == 0:
-        return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
     h, u = column_hermite(a)
     basis = []
-    for j in range(cols):
-        if all(h[i][j] == 0 for i in range(rows)):
-            basis.append([u[i][j] for i in range(cols)])
+    for j in range(len(u)):
+        if all(row[j] == 0 for row in h):
+            basis.append([row[j] for row in u])
     return basis
 
 
@@ -120,8 +113,6 @@ def hermite_canonical(vectors: Sequence[Sequence[int]], dim: int) -> Tuple[Tuple
     the nonzero columns of the column Hermite normal form, as a tuple.
     Two spanning sets generate the same lattice iff their canonical forms agree.
     """
-    if not vectors:
-        return ()
     a = [[v[i] for v in vectors] for i in range(dim)]
     h, _ = column_hermite(a)
     cols = []
@@ -157,37 +148,10 @@ def smith_invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:
 
 
 def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    """True iff a is square and invertible over the integers: |det a| = 1."""
-    return all(len(row) == len(a) for row in a) and abs(determinant(a)) == 1
-
-
-def determinant(a: Sequence[Sequence[int]]) -> int:
-    """Determinant of a square integer matrix, by fraction-free (Bareiss)
-    elimination. A row below the pivot becomes (p·row − f·pivot row) / p'
-    for the new pivot p, its entry f in the pivot column and the previous
-    pivot p'; the division is exact, as every entry is then a minor of the
-    input (Sylvester's identity). The last pivot, signed by the row swaps,
-    is the determinant."""
+    """True iff a is square and invertible over the integers: its column
+    Hermite form is the identity."""
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix is not square")
-    m = [list(row) for row in a]
-    prev, sign = 1, 1
-    for r in range(n):
-        pivot = next((i for i in range(r, n) if m[i][r]), None)
-        if pivot is None:
-            return 0
-        if pivot != r:
-            m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
-        top, p = m[r], m[r][r]
-        for i in range(r + 1, n):
-            f = m[i][r]
-            if f == 0 and p == prev:
-                continue
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-    return sign * prev
+    return all(len(row) == n for row in a) and column_hermite(a)[0] == identity(n)
 
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> List[int]:

@@ -143,13 +143,6 @@ def beta_matrix(model: DimerModel) -> List[List[int]]:
     return mat
 
 
-def beta_class(model: DimerModel, i: int) -> KClass:
-    vertices = sorted(v.id for v in model.vertices)
-    mat = beta_matrix(model)
-    c = vertices.index(i)
-    return KClass(tuple((v, mat[r][c]) for r, v in enumerate(vertices)))
-
-
 @dataclass
 class ClusterEnsembleReport:
     eta_d_equals_beta: bool
@@ -171,11 +164,11 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     dim = len(vertices)
     witnesses: List[str] = []
 
+    beta = beta_matrix(model)
     eta_d_ok = True
-    for i in vertices:
+    for c, i in enumerate(vertices):
         lhs = eta(model, coboundary(model, {i: 1})).as_dict()
-        rhs = beta_class(model, i).as_dict()
-        if lhs != rhs:
+        if lhs != {v: beta[r][c] for r, v in enumerate(vertices)}:
             eta_d_ok = False
             witnesses.append(f"eta(d 1_{i}) != beta[{i}]")
 
@@ -185,7 +178,6 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
             rank_ok = False
             witnesses.append(f"rank(eta(f)) != deg(f) on a basis element of degree {b.deg}")
 
-    beta = beta_matrix(model)
     # Exactness at the first middle spot: kernel(β) = image of the constant
     # vector (1, ..., 1).
     kernel_b = intlinalg.kernel_basis(beta)
@@ -208,9 +200,10 @@ def eta_inverse_basis(model: DimerModel) -> Dict[int, LatticePoint]:
     if η is not unimodular or some preimage fails to be a perfect matching."""
     vertices = sorted(v.id for v in model.vertices)
     mat = eta_matrix(model)
-    if not intlinalg.is_unimodular(mat):
-        raise ValueError("eta is not unimodular; no integral inverse")
-    inv = intlinalg.integer_inverse(mat)  # basis coordinates per p_j column
+    try:
+        inv = intlinalg.integer_inverse(mat)  # basis coordinates per p_j column
+    except ValueError:
+        raise ValueError("eta is not unimodular; no integral inverse") from None
     basis = lattice_basis(model)
     basis_values = [b.as_dict() for b in basis]
     arrows = sorted(a.id for a in model.arrows)

@@ -424,14 +424,6 @@ class BipartiteDual:
     half_edges: Tuple[DualHalfEdge, ...]
     tiles: Tuple[int, ...]
 
-    @property
-    def black_nodes(self) -> Tuple[DualNode, ...]:
-        return tuple(x for x in self.nodes if x.color == BLACK)
-
-    @property
-    def white_nodes(self) -> Tuple[DualNode, ...]:
-        return tuple(x for x in self.nodes if x.color == WHITE)
-
 
 @per_model
 def bipartite_dual(model: DimerModel) -> BipartiteDual:

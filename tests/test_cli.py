@@ -72,7 +72,7 @@ def test_any_uniform_name_resolves(runner):
     assert result.output.strip() == "(3, 7)"
 
 
-@pytest.mark.parametrize("name", ["uniform-x-y", "uniform-3-3", "uniform-3"])
+@pytest.mark.parametrize("name", ["uniform-x-y", "uniform-3-3", "uniform-3", "uniform-1-2"])
 def test_malformed_uniform_name_is_a_one_line_error(runner, name):
     result = runner.invoke(main, ["type", name])
     assert result.exit_code == 1

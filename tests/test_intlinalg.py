@@ -1,6 +1,7 @@
 """Exact integer linear algebra, cross-checked against sympy and against a
-`Fraction` Gauss-Jordan elimination kept here as the oracle of the
-fraction-free core. The rank by fraction-free elimination and the matrix
+`Fraction` Gauss-Jordan elimination kept here as an oracle independent of
+the Hermite core: its determinant checks the unimodularity test and every
+maximal minor. The rank by fraction-free elimination and the matrix
 product live here too: the library needs neither, and the resolution
 tests use them as the dense oracle of the graph ranks."""
 
@@ -13,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
-from discdimer.intlinalg import (column_hermite, determinant, identity,
+from discdimer.intlinalg import (column_hermite, hermite_canonical, identity,
                                  integer_inverse, is_unimodular, kernel_basis,
                                  lattices_equal, maximal_minors,
                                  smith_invariant_factors)
@@ -217,14 +218,6 @@ def test_rank_equals_fraction_oracle_and_sympy(shaped):
     assert expected == sympy_matrix(a, cols).rank()
 
 
-@given(square_matrix())
-@settings(max_examples=200, deadline=None)
-def test_determinant_equals_fraction_oracle_and_sympy(a):
-    expected = gauss_jordan(a, len(a))[2]
-    assert determinant(a) == expected
-    assert expected == sympy_matrix(a, len(a)).det()
-
-
 @st.composite
 def wide_matrix(draw, max_cols=8):
     """A k × n matrix with k ≤ n: k is often 0, 1 or n, a row or a column is
@@ -254,7 +247,7 @@ def wide_matrix(draw, max_cols=8):
 @settings(max_examples=300, deadline=None)
 def test_maximal_minors_equal_the_determinant_of_each_column_set(shaped):
     a, n = shaped
-    expected = [determinant([[row[j] for j in cols] for row in a])
+    expected = [gauss_jordan([[row[j] for j in cols] for row in a], len(a))[2]
                 for cols in combinations(range(n), len(a))]
     assert maximal_minors(a) == expected
 
@@ -263,11 +256,6 @@ def test_maximal_minors_of_tall_and_ragged_matrices():
     assert maximal_minors([[1], [2]]) == []
     with pytest.raises(ValueError, match="rows differ in length"):
         maximal_minors([[1, 2], [3]])
-
-
-def test_determinant_rejects_non_square():
-    with pytest.raises(ValueError, match="matrix is not square"):
-        determinant([[1, 2]])
 
 
 @given(unimodular_matrix())
@@ -315,6 +303,7 @@ def test_is_unimodular_equals_smith_form(a):
     factors = smith_invariant_factors(a)
     assert is_unimodular(a) == (square and len(factors) == rows
                                 and all(f == 1 for f in factors))
+    assert is_unimodular(a) == (square and abs(gauss_jordan(a, rows)[2]) == 1)
 
 
 def test_integer_inverse_round_trip():
@@ -330,6 +319,14 @@ def test_integer_inverse_rejects_non_unimodular():
         integer_inverse([[2, 0], [0, 1]])
     with pytest.raises(ValueError):
         integer_inverse([[1, 1], [1, 1]])
+
+
+def test_empty_shapes():
+    assert kernel_basis([]) == kernel_basis([[]]) == kernel_basis([[], []]) == []
+    assert hermite_canonical([], 0) == hermite_canonical([], 3) == ()
+    assert hermite_canonical([[]], 0) == ()
+    assert is_unimodular([])
+    assert integer_inverse([]) == []
 
 
 def test_lattices_equal():

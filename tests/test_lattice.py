@@ -4,7 +4,7 @@ cluster-ensemble exactness checks."""
 import pytest
 
 from discdimer import fixtures as fx
-from discdimer.lattice_maps import (beta_class, check_cluster_ensemble,
+from discdimer.lattice_maps import (beta_matrix, check_cluster_ensemble,
                                     coboundary, eta, eta_inverse_basis,
                                     eta_invariant_factors, is_eta_unimodular,
                                     lattice_basis, lattice_point_of_matching,
@@ -53,10 +53,12 @@ def test_eta_of_matching_has_rank_one(gr37):
 
 
 def test_coboundary_and_beta_agree(gr37):
-    for v in gr37.vertices:
-        point = coboundary(gr37, {v.id: 1})
+    vertices = sorted(v.id for v in gr37.vertices)
+    beta = beta_matrix(gr37)
+    for c, i in enumerate(vertices):
+        point = coboundary(gr37, {i: 1})
         assert point.deg == 0
-        assert eta(gr37, point).as_dict() == beta_class(gr37, v.id).as_dict()
+        assert eta(gr37, point).as_dict() == {v: beta[r][c] for r, v in enumerate(vertices)}
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
@@ -91,5 +93,6 @@ def test_triangle_inverse_matchings(triangle):
 
 
 def test_eta_inverse_raises_on_inconsistent(inconsistent):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         eta_inverse_basis(inconsistent)
+    assert str(exc.value) == "eta is not unimodular; no integral inverse"

@@ -39,6 +39,9 @@ def test_build_uniform_rejects_bad_type():
         fx.build_uniform(0, 3)
     with pytest.raises(ValueError):
         fx.build_uniform(3, 3)
+    # Its 1 x 1 rectangle is only the contracted bend: no node to build from.
+    with pytest.raises(ValueError, match=r"cannot build type \(1, 2\)"):
+        fx.build_uniform(1, 2)
 
 
 @pytest.mark.parametrize("k,n", [(1, 4), (3, 5), (2, 6), (4, 7)])

@@ -8,12 +8,12 @@ from itertools import combinations
 from math import comb, lcm
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from discdimer import fixtures as fx
 from discdimer import kasteleyn
-from discdimer.intlinalg import determinant
 from discdimer.kasteleyn import (boundary_minors, kasteleyn_frame,
                                  kasteleyn_signs)
 from discdimer.matchings import (matchings_with_boundary, positroid,
@@ -229,7 +229,7 @@ def test_flipping_any_one_sign_changes_some_measurement(gr37, monkeypatch):
 
 def per_subset_minors(model, weights):
     """Oracle for kasteleyn.boundary_minors: the same elimination of the
-    black columns, then one Bareiss determinant per k-subset."""
+    black columns, then one sympy determinant per k-subset."""
     frame, n = kasteleyn_frame(model), model.n
     matrix = [{} for _ in range(frame.rows)]
     for r, c, aid, sign in frame.entries:
@@ -259,7 +259,7 @@ def per_subset_minors(model, weights):
         scale /= den
         ints.append([row[t].numerator * (den // row[t].denominator) if t in row else 0
                      for t in range(frame.black, frame.black + n)])
-    return [(I, scale * abs(determinant([[r[i - 1] for i in I] for r in ints])))
+    return [(I, scale * abs(sympy.Matrix([[r[i - 1] for i in I] for r in ints]).det()))
             for I in combinations(range(1, n + 1), k)]
 
 
