@@ -3,8 +3,8 @@
 Matrices are lists of lists of Python ints (arbitrary precision), row-major.
 Everything here is exact; no floating point and no fractions. The column
 Hermite form, built with extended-gcd steps, gives everything over the
-integers: kernels, lattice equality, Smith invariant factors, the
-unimodularity test and the inverse; it is the one integer elimination here.
+integers: kernels, lattice equality, Smith invariant factors and the
+inverse; it is the one integer elimination here.
 `maximal_minors` gives every k × k minor of a k × n matrix at once, by
 Laplace expansion one row at a time over column bitmasks, so the minors
 share their sub-minors and nothing is divided. Sizes in this package are
@@ -145,13 +145,6 @@ def smith_invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:
             g = _exgcd(a_, b_)[0]
             factors[i], factors[j] = g, a_ * b_ // g if g else 0
     return factors
-
-
-def is_unimodular(a: Sequence[Sequence[int]]) -> bool:
-    """True iff a is square and invertible over the integers: its column
-    Hermite form is the identity."""
-    n = len(a)
-    return all(len(row) == n for row in a) and column_hermite(a)[0] == identity(n)
 
 
 def maximal_minors(rows: Sequence[Sequence[int]]) -> List[int]:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .lattice_maps import KClass
+from .lattice_maps import KClass, _matching_class
 from .matchings import Matching, enumerate_matchings, is_matching, require_matching
 from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, is_standardised,
                     opposite, per_model)
@@ -103,15 +103,9 @@ def projective_matching_oracle(model: DimerModel, j: int,
 
 
 def kclass_of_matching(model: DimerModel, mu: Matching) -> KClass:
-    """[N_μ] = Σ_j p_j − Σ_{γ∉μ} p_{hγ} + Σ_{γ∈μ internal} p_{tγ}."""
+    """[N_μ] = η(μ) = Σ_j p_j − Σ_{γ∉μ} p_{hγ} + Σ_{γ∈μ internal} p_{tγ}."""
     require_matching(model, mu)
-    coeffs = {v.id: 1 for v in model.vertices}
-    for a in model.arrows:
-        if a.id not in mu.arrow_set:
-            coeffs[a.head] -= 1
-        elif not a.is_boundary:
-            coeffs[a.tail] += 1
-    return KClass(tuple(sorted(coeffs.items())))
+    return _matching_class(model, mu)
 
 
 def _truncated_cycle_weight(model: DimerModel, aid: int, color: str) -> Dict[int, int]:
@@ -151,6 +145,11 @@ def weights(model: DimerModel, mu: Matching, color: str = WHITE
     if not is_standardised(model, color):
         raise ValueError(f"model is not standardised with {color} boundary faces")
     require_matching(model, mu)
+    return _weights(model, mu)
+
+
+def _weights(model: DimerModel, mu: Matching) -> Tuple[KClass, KClass]:
+    """`weights` with neither the model nor μ checked."""
     wt: Dict[int, int] = {}
     for a in model.internal_arrows:
         if a.id in mu.arrow_set:

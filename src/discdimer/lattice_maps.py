@@ -76,16 +76,25 @@ def coboundary(model: DimerModel, g: Dict[int, int]) -> LatticePoint:
 
 
 def eta(model: DimerModel, f: LatticePoint) -> KClass:
-    """η(f) = deg(f)·Σ_j p_j − Σ_γ (deg(f) − f(γ))·p_{hγ}
-    + Σ_{γ internal} f(γ)·p_{tγ}."""
     require_in_lattice(model, f)
-    vals = f.as_dict()
-    coeffs = {v.id: f.deg for v in model.vertices}
+    return _eta(model, f.deg, f.as_dict())
+
+
+def _eta(model: DimerModel, deg: int, values: Dict[int, int]) -> KClass:
+    """η(deg, f) = deg·Σ_j p_j − Σ_γ (deg − f(γ))·p_{hγ} + Σ_{γ internal} f(γ)·p_{tγ},
+    f given by `values` (0 where missing); the face sums are not checked."""
+    coeffs = {v.id: deg for v in model.vertices}
     for a in model.arrows:
-        coeffs[a.head] -= f.deg - vals.get(a.id, 0)
+        x = values.get(a.id, 0)
+        coeffs[a.head] -= deg - x
         if not a.is_boundary:
-            coeffs[a.tail] += vals.get(a.id, 0)
+            coeffs[a.tail] += x
     return KClass(tuple(sorted(coeffs.items())))
+
+
+def _matching_class(model: DimerModel, mu: Matching) -> KClass:
+    """[N_μ] = η(μ): `_eta` at degree 1, 1 on μ; μ is not checked."""
+    return _eta(model, 1, dict.fromkeys(mu.arrow_set, 1))
 
 
 @per_model
@@ -114,12 +123,19 @@ def eta_matrix(model: DimerModel) -> Tuple[Tuple[int, ...], ...]:
     return tuple(tuple(c[v] for c in cols) for v in vertices)
 
 
+@per_model
+def _eta_smith(model: DimerModel) -> Tuple[int, ...]:
+    return tuple(intlinalg.smith_invariant_factors(eta_matrix(model)))
+
+
 def is_eta_unimodular(model: DimerModel) -> bool:
-    return intlinalg.is_unimodular(eta_matrix(model))
+    """η is invertible over ℤ: its matrix is square, every invariant factor 1."""
+    n = len(model.vertices)
+    return len(lattice_basis(model)) == n and _eta_smith(model) == (1,) * n
 
 
 def eta_invariant_factors(model: DimerModel) -> List[int]:
-    return intlinalg.smith_invariant_factors(eta_matrix(model))
+    return list(_eta_smith(model))
 
 
 def beta_matrix(model: DimerModel) -> List[List[int]]:

@@ -65,16 +65,12 @@ class DimerModel:
             for aid in f.boundary_cycle:
                 if aid in faces_of:
                     faces_of[aid] += (f.id,)
-        arrows_into: Dict[int, Tuple[Arrow, ...]] = {}
-        for a in self.arrows:
-            arrows_into[a.head] = arrows_into.get(a.head, ()) + (a,)
         boundary = tuple(a for a in self.arrows if a.is_boundary)
         index = {
             "_vertex_by_id": {v.id: v for v in self.vertices},
             "_arrow_by_id": {a.id: a for a in self.arrows},
             "_face_by_id": face_by_id,
             "_faces_of_arrow": faces_of,
-            "_arrows_into": arrows_into,
             "_boundary_arrows": boundary,
             "_internal_arrows": tuple(a for a in self.arrows if not a.is_boundary),
             # A boundary arrow is clockwise iff its face is white.
@@ -92,10 +88,6 @@ class DimerModel:
 
     def face(self, fid: int) -> Face:
         return self._face_by_id[fid]
-
-    def arrows_into(self, vid: int) -> Tuple[Arrow, ...]:
-        """The arrows with head `vid`."""
-        return self._arrows_into.get(vid, ())
 
     def faces_of_arrow(self, aid: int) -> Tuple[int, ...]:
         return self._faces_of_arrow[aid]

@@ -17,6 +17,7 @@ coefficient. All arithmetic is exact; rational evaluation uses Fraction.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -25,8 +26,8 @@ from math import lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .kasteleyn import boundary_minors
-from .kclass_weights import kclass_of_matching, weights
-from .lattice_maps import eta, lattice_point_of_matching
+from .kclass_weights import _weights
+from .lattice_maps import _matching_class
 from .matchings import Matching, matchings_with_boundary
 from .model import WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
@@ -49,21 +50,9 @@ class LaurentPoly:
         cleaned = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
         return LaurentPoly(basis, cleaned)
 
-    @staticmethod
-    def zero(basis: str) -> "LaurentPoly":
-        return LaurentPoly(basis, ())
-
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.basis != other.basis:
-            raise TypeError(f"cannot add polynomials over bases "
-                            f"{self.basis!r} and {other.basis!r}")
-        return LaurentPoly.from_terms(
-            self.basis,
-            [(dict(k), c) for k, c in self.terms + other.terms])
 
     def shifted(self, exp: Mapping[int, int]) -> "LaurentPoly":
         """Multiply by the monomial with the given exponent vector."""
@@ -85,10 +74,6 @@ class LaurentPoly:
         return " + ".join(parts)
 
 
-def _neg(exp: Mapping[int, int]) -> Dict[int, int]:
-    return {i: -e for i, e in exp.items()}
-
-
 VERTEX_BASIS = "vertices"
 
 
@@ -98,7 +83,7 @@ def ms_formula(model: DimerModel, I: Iterable[int], color: str = WHITE) -> Laure
     MS• for BLACK. The zero polynomial when no matching has boundary I.
     The two satisfy MS°_D(I) = MS•_{D^op}(I^c) under the shared vertex ids."""
     _require_ms_model(model, color)
-    return _ms_sum(model, matchings_with_boundary(model, I), color)
+    return _ms_sum(model, matchings_with_boundary(model, I))
 
 
 def _require_ms_model(model: DimerModel, color: str) -> None:
@@ -109,11 +94,12 @@ def _require_ms_model(model: DimerModel, color: str) -> None:
     require_consistent(model)
 
 
-def _ms_sum(model: DimerModel, pool: Iterable[Matching], color: str) -> LaurentPoly:
-    """`ms_formula` summed over the given matchings, all of one boundary value."""
+def _ms_sum(model: DimerModel, pool: Iterable[Matching]) -> LaurentPoly:
+    """`ms_formula` summed over the given matchings, all of one boundary
+    value; the model's standardisation makes it MS° or MS•."""
     terms = []
     for mu in pool:
-        wt, wtd = weights(model, mu, color)
+        wt, wtd = _weights(model, mu)
         exp = dict(wt.as_dict())
         for v, e in wtd.as_dict().items():
             exp[v] = exp.get(v, 0) - e
@@ -122,8 +108,9 @@ def _ms_sum(model: DimerModel, pool: Iterable[Matching], color: str) -> LaurentP
 
 
 def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
-    """MS°[I] = x^{[P_I°]} Σ_{∂μ=I} x^{−[N_μ]}, with
-    [P_I°] = Σ_{i∈I} p_{h α_i}. Equals ms_formula(model, I, WHITE) exactly."""
+    """MS°[I] = x^{[P_I°]} Σ_{∂μ=I} x^{−[N_μ]}, with [P_I°] = Σ_{i∈I} p_{h α_i}:
+    x^{[P_I°]} times the twist sum of `musp_twist_expression`, as [N_μ] = η(μ).
+    Equals ms_formula(model, I, WHITE) exactly, though it reads no weight."""
     _require_ms_model(model, WHITE)
     I = frozenset(I)
     return _ms_white_v2_sum(model, I, matchings_with_boundary(model, I))
@@ -131,18 +118,10 @@ def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
 
 def _ms_white_v2_sum(model: DimerModel, I: Iterable[int],
                      pool: Iterable[Matching]) -> LaurentPoly:
-    """`ms_formula_white_v2` summed over the given matchings with ∂μ = I."""
-    p_I: Dict[int, int] = {}
-    for i in I:
-        h = model.boundary_arrow_with_label(i).head
-        p_I[h] = p_I.get(h, 0) + 1
-    terms = []
-    for mu in pool:
-        exp = _neg(kclass_of_matching(model, mu).as_dict())
-        for v, e in p_I.items():
-            exp[v] = exp.get(v, 0) + e
-        terms.append((exp, 1))
-    return LaurentPoly.from_terms(VERTEX_BASIS, terms)
+    """`ms_formula_white_v2` over the given matchings with ∂μ = I: the
+    twist sum shifted by [P_I°]."""
+    p_I = Counter(model.boundary_arrow_with_label(i).head for i in I)
+    return _twist_sum(model, pool).shifted(p_I)
 
 
 def musp_twist_expression(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
@@ -156,8 +135,7 @@ def musp_twist_expression(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
 
 def _twist_sum(model: DimerModel, pool: Iterable[Matching]) -> LaurentPoly:
     """`musp_twist_expression` summed over the given matchings."""
-    terms = [(_neg(eta(model, lattice_point_of_matching(model, mu)).as_dict()), 1)
-             for mu in pool]
+    terms = [({v: -c for v, c in _matching_class(model, mu).coefficients}, 1) for mu in pool]
     return LaurentPoly.from_terms(VERTEX_BASIS, terms)
 
 

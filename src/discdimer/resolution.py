@@ -17,6 +17,8 @@ one `degree_table` per model. A piece depends on μ only through the
 μ-arrows with head in S and the internal μ-arrows with tail in S, so
 exactness is decided once per distinct (S, those arrows), across all the
 matchings of one check, with both kept as int bitmasks.
+The Euler identity weights the degree series by [N_μ] = η(μ). Public
+functions check their matching; the suite does not check enumerated ones.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 
+from .lattice_maps import _matching_class
 from .matchings import Matching, enumerate_matchings, is_matching, require_matching
 from .model import BLACK, WHITE, DimerModel, ReadOnlyDict, per_model
 from .strands import require_consistent
@@ -227,6 +230,11 @@ def merged_complex_data(model: DimerModel, mu: Matching
     """(Q1^μ, Q2^μ): the unmatched arrows, and the merged faces of the
     quotient quiver, one per matched internal arrow."""
     require_matching(model, mu)
+    return _merged(model, mu)
+
+
+def _merged(model: DimerModel, mu: Matching) -> Tuple[Tuple[int, ...], Tuple[MergedFace, ...]]:
+    """`merged_complex_data` with μ not checked."""
     q1 = tuple(sorted(a.id for a in model.arrows if a.id not in mu.arrow_set))
     q2 = []
     for a in sorted(model.internal_arrows, key=lambda a: a.id):
@@ -269,24 +277,13 @@ def saturation_degree(model: DimerModel, mu: Matching) -> int:
     return _degrees(model, mu)[1]
 
 
-def _euler_coefficients(model: DimerModel, layout: _Layout, mu: Matching) -> List[int]:
-    """Per vertex position j: 1 − #{γ ∉ μ with head j} + #{β ∈ μ internal
-    with tail j}, so that the degree series toward i is Σ_j c_j t^{D(j)}."""
-    coefficients = [1] * len(layout.vertices)
-    for a in model.arrows:
-        if a.id not in mu.arrow_set:
-            coefficients[layout.position[a.head]] -= 1
-        elif not a.is_boundary:
-            coefficients[layout.position[a.tail]] += 1
-    return coefficients
-
-
 def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
                 row: Row) -> Tuple[List[Tuple[int, int]], bool]:
     """For the row toward one target: per degree d from 0 to the row's
     largest, the mask of S(μ,i,d) and the memo key of its piece, S with
     the μ-arrows into S and the internal μ-arrows out of S; and whether
-    the degree series is the constant 1."""
+    the degree series Σ_j c_j t^{D(j)} is the constant 1, with c_j the
+    coefficients of [N_μ] in layout order."""
     top = max(row)
     members, arrows, series = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
     for j, e in enumerate(row):
@@ -324,7 +321,8 @@ def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...], saturation: 
         raise ValueError("d_max must be nonnegative")
     layout = _layout(model)
     mu_mask = _mask(layout, mu)
-    coefficients = _euler_coefficients(model, layout, mu)
+    cls = _matching_class(model, mu).as_dict()
+    coefficients = [cls[v] for v in layout.vertices]
     merged = None
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
@@ -334,7 +332,7 @@ def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...], saturation: 
             ok = exact.get(key)
             if ok is None:
                 if merged is None:
-                    merged = merged_complex_data(model, mu)
+                    merged = _merged(model, mu)
                 members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
                 ok = exact[key] = _piece(model, members, *merged).is_exact()
             if not ok:

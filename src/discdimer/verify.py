@@ -15,14 +15,13 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .kclass_weights import (kclass_of_matching, muller_speyer_matching,
-                             projective_matching_oracle, upstream_matching,
-                             weight_table, weights)
-from .lattice_maps import (check_cluster_ensemble, eta_inverse_basis,
+from .kclass_weights import (_weights, muller_speyer_matching, projective_matching_oracle,
+                             upstream_matching, weight_table)
+from .lattice_maps import (_matching_class, check_cluster_ensemble, eta_inverse_basis,
                            eta_invariant_factors, is_eta_unimodular)
 from .matchings import (boundary_value, enumerate_matchings, matchings_by_boundary, positroid,
                         positroid_contains_necklace_test)
-from .model import BLACK, WHITE, DimerModel, opposite, standardise, type_of, validate
+from .model import BLACK, WHITE, DimerModel, opposite, per_model, standardise, type_of, validate
 from .partition_functions import (_ms_sum, _ms_white_v2_sum, _require_ms_model,
                                   boundary_measurement, check_plucker_relations)
 from .resolution import first_rotation_failure, resolution_reports
@@ -89,11 +88,20 @@ def _check_wedge_labels(model: DimerModel) -> CheckResult:
     return True, None
 
 
-def _check_weight_formula(model: DimerModel) -> CheckResult:
+@per_model
+def _standardised_copy(model: DimerModel) -> Optional[DimerModel]:
+    """standardise(model, WHITE), built once per model for the checks; None
+    when that is the model itself, which kept in its own memo would be a
+    reference cycle that only the cyclic garbage collector frees."""
     std = standardise(model, WHITE)
+    return None if std is model else std
+
+
+def _check_weight_formula(model: DimerModel) -> CheckResult:
+    std = _standardised_copy(model) or model
     table = weight_table(std, WHITE)
     for mu in enumerate_matchings(std):
-        wt, wtd = weights(std, mu, WHITE)
+        wt, wtd = _weights(std, mu)
         alt: Dict[int, int] = {}
         for a in std.internal_arrows:
             if a.id in mu.arrow_set:
@@ -108,26 +116,26 @@ def _check_weight_formula(model: DimerModel) -> CheckResult:
         for i in boundary_value(std, mu):
             h = std.boundary_arrow_with_label(i).head
             expect[h] = expect.get(h, 0) + 1
-        cls = kclass_of_matching(std, mu).as_dict()
+        cls = _matching_class(std, mu).as_dict()
         if {v: e for v, e in expect.items() if e} != {v: e for v, e in cls.items() if e}:
             return False, f"class identity fails on {list(mu.sorted_ids())}"
     return True, None
 
 
 def _check_ms_equality(model: DimerModel) -> CheckResult:
-    std = standardise(model, WHITE)
+    std = _standardised_copy(model) or model
     k, n = type_of(std)
     _require_ms_model(std, WHITE)
     groups = matchings_by_boundary(std)
     for I in combinations(range(1, n + 1), k):
         pool = groups.get(frozenset(I), ())
-        if _ms_sum(std, pool, WHITE) != _ms_white_v2_sum(std, I, pool):
+        if _ms_sum(std, pool) != _ms_white_v2_sum(std, I, pool):
             return False, f"formulas differ at {list(I)}"
     return True, None
 
 
 def _check_duality(model: DimerModel) -> CheckResult:
-    std = standardise(model, WHITE)
+    std = _standardised_copy(model) or model
     op = opposite(std)
     k, n = type_of(std)
     _require_ms_model(std, WHITE)
@@ -135,8 +143,7 @@ def _check_duality(model: DimerModel) -> CheckResult:
     std_groups, op_groups = matchings_by_boundary(std), matchings_by_boundary(op)
     for I in map(frozenset, combinations(range(1, n + 1), k)):
         comp = frozenset(range(1, n + 1)) - I
-        if (_ms_sum(std, std_groups.get(I, ()), WHITE)
-                != _ms_sum(op, op_groups.get(comp, ()), BLACK)):
+        if _ms_sum(std, std_groups.get(I, ())) != _ms_sum(op, op_groups.get(comp, ())):
             return False, f"duality fails at {sorted(I)}"
     return True, None
 

@@ -1,12 +1,13 @@
 """Shared fixtures and independent brute-force oracles for the test suite."""
 
 from itertools import product
-from typing import FrozenSet, List, Set
+from typing import Dict, FrozenSet, List, Set
 
 import pytest
 
 from discdimer import fixtures as fx
 from discdimer.model import DimerModel
+from discdimer.resolution import merged_complex_data
 
 
 @pytest.fixture(scope="session")
@@ -54,6 +55,19 @@ def brute_force_matchings(model: DimerModel) -> Set[FrozenSet[int]]:
         if all(sum(1 for a in f.boundary_cycle if a in chosen) == 1 for f in faces):
             out.add(chosen)
     return out
+
+
+def euler_class(model: DimerModel, mu) -> Dict[int, int]:
+    """[N_mu] read off the resolution data, without η: one projective per
+    vertex, minus one per unmatched arrow head, plus one per merged-face
+    head; zero coefficients left out."""
+    q1, q2 = merged_complex_data(model, mu)
+    coeffs = {v.id: 1 for v in model.vertices}
+    for aid in q1:
+        coeffs[model.arrow(aid).head] -= 1
+    for r in q2:
+        coeffs[r.head] += 1
+    return {v: c for v, c in coeffs.items() if c}
 
 
 def enumerate_dual_covers(dual) -> Set[FrozenSet[int]]:

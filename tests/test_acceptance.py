@@ -8,7 +8,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import enumerate_dual_covers
+from conftest import enumerate_dual_covers, euler_class
 from discdimer import fixtures as fx
 from discdimer.kclass_weights import (kclass_of_matching,
                                       muller_speyer_matching,
@@ -28,9 +28,8 @@ from discdimer.partition_functions import (boundary_measurement,
                                            check_plucker_relations,
                                            ms_formula,
                                            ms_formula_white_v2)
-from discdimer.resolution import (check_resolution, merged_complex_data,
-                                  reachable_set, rotate_matching,
-                                  saturation_degree)
+from discdimer.resolution import (check_resolution, reachable_set,
+                                  rotate_matching, saturation_degree)
 from discdimer.strands import source_labels, strand_permutation, target_labels
 
 CONSISTENT = ["triangle", "gr37", "uniform-1-3", "uniform-2-4",
@@ -163,18 +162,6 @@ def test_criterion_08_cluster_ensemble(inconsistent):
                "consistent fixtures, fails on the inconsistent one", ok, detail)
 
 
-def _euler_class(model, mu):
-    """[N_mu] read off the resolution data: one projective per vertex,
-    minus one per unmatched arrow head, plus one per merged-face head."""
-    q1, q2 = merged_complex_data(model, mu)
-    coeffs = {v.id: 1 for v in model.vertices}
-    for aid in q1:
-        coeffs[model.arrow(aid).head] -= 1
-    for r in q2:
-        coeffs[r.head] += 1
-    return {v: c for v, c in coeffs.items() if c}
-
-
 def test_criterion_09_class_three_ways():
     ok, detail = True, ""
     for name in ["gr37", "uniform-2-4"]:
@@ -183,7 +170,7 @@ def test_criterion_09_class_three_ways():
             a = {v: c for v, c in kclass_of_matching(model, mu).as_dict().items() if c}
             b = {v: c for v, c in
                  eta(model, lattice_point_of_matching(model, mu)).as_dict().items() if c}
-            c = _euler_class(model, mu)
+            c = euler_class(model, mu)
             if not (a == b == c):
                 ok, detail = False, f"{name}: {sorted(mu.arrow_set)}"
     _report(9, "matching-module class agrees computed from the defining "

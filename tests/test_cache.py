@@ -12,12 +12,14 @@ from fractions import Fraction
 import pytest
 
 from discdimer import fixtures as fx
+from discdimer import kclass_weights as kclass_mod
 from discdimer import matchings as matchings_mod
 from discdimer import model as model_mod
 from discdimer import partition_functions as partition_mod
+from discdimer import resolution as resolution_mod
 from discdimer import strands as strands_mod
 from discdimer.kasteleyn import kasteleyn_signs
-from discdimer.lattice_maps import eta_matrix, lattice_basis
+from discdimer.lattice_maps import _eta_smith, eta_matrix, lattice_basis
 from discdimer.matchings import (boundary_value, enumerate_matchings, extreme_matchings,
                                  matchings_by_boundary, matchings_with_boundary, positroid,
                                  positroid_contains_necklace_test, support_subgraph)
@@ -27,7 +29,7 @@ from discdimer.partition_functions import (_ms_sum, _twist_sum, boundary_measure
                                            ms_formula_white_v2, musp_twist_expression)
 from discdimer.strands import (check_postnikov, label_table, necklaces, require_consistent,
                                strands)
-from discdimer.verify import VERIFY_CHECKS
+from discdimer.verify import VERIFY_CHECKS, run_checks
 
 MODELS = {**fx.FIXTURE_BUILDERS, "uniform-3-7": lambda: fx.build_uniform(3, 7)}
 
@@ -46,6 +48,7 @@ MEMOISED = {
     "matchings_by_boundary": matchings_by_boundary,
     "lattice_basis": lattice_basis,
     "eta_matrix": eta_matrix,
+    "eta_smith": _eta_smith,
 }
 
 # Computed afresh on every call, so compared by value only.
@@ -133,9 +136,6 @@ def test_memoised_calls_return_the_stored_object(name):
     for a in model.arrows:
         assert type(model.faces_of_arrow(a.id)) is tuple
         assert model.faces_of_arrow(a.id) is model.faces_of_arrow(a.id)
-    for v in model.vertices:
-        assert type(model.arrows_into(v.id)) is tuple
-        assert model.arrows_into(v.id) is model.arrows_into(v.id)
 
 
 def test_read_only_results_copy_and_pickle_as_equal_values(gr37):
@@ -197,7 +197,7 @@ def test_one_subset_callers_enumerate_nothing_else(monkeypatch):
     subsets = [frozenset(I) for I in [(1, 2, 3, 4), (1, 3, 5, 7), (2, 3, 6, 8)]]
     groups, std_groups = matchings_by_boundary(other), matchings_by_boundary(std_other)
     expected = {I: (groups[I], _twist_sum(other, groups[I]), extreme_matchings(other, I),
-                    support_subgraph(other, I), _ms_sum(std_other, std_groups[I], WHITE))
+                    support_subgraph(other, I), _ms_sum(std_other, std_groups[I]))
                 for I in subsets}
 
     def no_enumeration(*args):
@@ -266,3 +266,49 @@ def test_enumerated_matchings_are_freed_without_the_cyclic_collector():
         assert probe() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("name", ["triangle", "gr37"])
+def test_a_verified_model_is_freed_without_the_cyclic_collector(name):
+    """No memo of a verified model refers back to it, so it goes as soon as
+    its last reference does; a model that is already white-standardised is
+    its own standardisation."""
+    gc.collect()
+    gc.disable()
+    try:
+        model = fx.FIXTURE_BUILDERS[name]()
+        assert all(r["passed"] for r in run_checks(model, 0))
+        probe = weakref.ref(model)
+        del model
+        assert probe() is None
+    finally:
+        gc.enable()
+
+
+def test_verify_enumerates_three_models_and_checks_no_enumerated_matching(monkeypatch):
+    """The checks share one white standardisation of the model, so the
+    suite enumerates the matchings of the model, of that standardisation
+    and of its opposite, each once. A matching the search found is not
+    checked again: only the ones built per vertex are (wedges both ways,
+    η⁻¹ and minimal path degrees)."""
+    enumerated, checked = [], []
+    search, is_matching = matchings_mod._search, matchings_mod.is_matching
+
+    def counted_search(model, chosen, forbidden):
+        if not chosen and not forbidden:
+            enumerated.append(model)
+        return search(model, chosen, forbidden)
+
+    def counted_is_matching(model, arrows):
+        checked.append(arrows)
+        return is_matching(model, arrows)
+
+    monkeypatch.setattr(matchings_mod, "_search", counted_search)
+    for module in (matchings_mod, kclass_mod, resolution_mod):
+        monkeypatch.setattr(module, "is_matching", counted_is_matching)
+    model = fx.build_uniform(3, 7)
+    assert all(r["passed"] for r in run_checks(model, 0))
+    std = standardise(model, WHITE)
+    assert enumerated == [model, std, opposite(std)]
+    assert len(set(map(id, enumerated))) == 3
+    assert len(checked) <= 4 * len(model.vertices) < len(enumerate_matchings(model))

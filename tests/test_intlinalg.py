@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from discdimer.intlinalg import (column_hermite, hermite_canonical, identity,
-                                 integer_inverse, is_unimodular, kernel_basis,
+                                 integer_inverse, kernel_basis,
                                  lattices_equal, maximal_minors,
                                  smith_invariant_factors)
 
@@ -94,7 +94,6 @@ def test_smith_handles_unit_heavy_matrix(a, expected):
     # matrices whose gcd steps are trivial or whose entries divide each
     # other; guards against non-terminating elimination orders
     assert smith_invariant_factors(a) == expected
-    assert is_unimodular(a) == (expected == [1] * len(a))
 
 
 @given(small_matrix)
@@ -297,13 +296,14 @@ def test_integer_inverse_messages(a, message):
 
 @given(st.one_of(square_matrix(), unimodular_matrix(), any_matrix().map(lambda s: s[0])))
 @settings(max_examples=200, deadline=None)
-def test_is_unimodular_equals_smith_form(a):
+def test_unit_smith_factors_equal_unit_determinant(a):
+    # How eta's unimodularity is decided: square, with one invariant factor
+    # per row and each of them 1.
     rows = len(a)
     square = all(len(row) == rows for row in a)
-    factors = smith_invariant_factors(a)
-    assert is_unimodular(a) == (square and len(factors) == rows
-                                and all(f == 1 for f in factors))
-    assert is_unimodular(a) == (square and abs(gauss_jordan(a, rows)[2]) == 1)
+    unit = square and smith_invariant_factors(a) == [1] * rows
+    assert unit == (square and abs(gauss_jordan(a, rows)[2]) == 1)
+    assert unit == (square and column_hermite(a)[0] == identity(rows))
 
 
 def test_integer_inverse_round_trip():
@@ -325,7 +325,7 @@ def test_empty_shapes():
     assert kernel_basis([]) == kernel_basis([[]]) == kernel_basis([[], []]) == []
     assert hermite_canonical([], 0) == hermite_canonical([], 3) == ()
     assert hermite_canonical([[]], 0) == ()
-    assert is_unimodular([])
+    assert smith_invariant_factors([]) == []
     assert integer_inverse([]) == []
 
 

@@ -1,14 +1,15 @@
 """Downstream wedges, distinguished matchings, classes, and weights."""
 
 import pytest
+from conftest import euler_class
 
 from discdimer import fixtures as fx
 from discdimer.kclass_weights import (downstream_wedge, kclass_of_matching,
                                       muller_speyer_matching,
                                       projective_matching_oracle,
                                       upstream_matching, weight_table, weights)
-from discdimer.lattice_maps import eta, eta_inverse_basis, lattice_point_of_matching
-from discdimer.matchings import boundary_value, enumerate_matchings
+from discdimer.lattice_maps import eta_inverse_basis, lattice_point_of_matching
+from discdimer.matchings import Matching, boundary_value, enumerate_matchings
 from discdimer.model import WHITE, opposite, standardise
 from discdimer.strands import source_labels, target_labels
 
@@ -84,13 +85,14 @@ def test_gr37_internal_upstream_values(gr37):
     assert values == {frozenset({1, 3, 5}), frozenset({1, 3, 7}), frozenset({1, 5, 7})}
 
 
-@pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8"])
 def test_kclass_equals_eta(name):
-    model = fx.FIXTURE_BUILDERS[name]()
+    # [N_mu] = eta(mu), computed by the one eta formula, against the class
+    # read off the resolution data
+    model = MODELS[name]()
     for mu in enumerate_matchings(model):
-        lhs = kclass_of_matching(model, mu).as_dict()
-        rhs = eta(model, lattice_point_of_matching(model, mu)).as_dict()
-        assert lhs == rhs
+        cls = kclass_of_matching(model, mu)
+        assert {v: c for v, c in cls.coefficients if c} == euler_class(model, mu)
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-4", "uniform-2-5"])
@@ -132,3 +134,12 @@ def test_weights_require_standardised(gr37):
     mu = enumerate_matchings(gr37)[0]
     with pytest.raises(ValueError):
         weights(gr37, mu, WHITE)
+
+
+def test_public_functions_reject_a_non_matching(gr37):
+    model = standardise(gr37, WHITE)
+    mu = enumerate_matchings(model)[0]
+    bad = Matching(mu.arrow_set | {999})
+    for fn in (weights, kclass_of_matching, lattice_point_of_matching):
+        with pytest.raises(ValueError, match="^arrow set is not a perfect matching$"):
+            fn(model, bad)

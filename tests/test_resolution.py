@@ -10,6 +10,7 @@ from test_intlinalg import mat_mul, rational_rank
 
 from discdimer import fixtures as fx
 from discdimer import resolution
+from discdimer.kclass_weights import kclass_of_matching
 from discdimer.matchings import Matching, enumerate_matchings
 from discdimer.model import opposite
 from discdimer.resolution import (GradedComplexPiece, _forest_size, _piece,
@@ -367,7 +368,8 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
     across = 0
     for mu, rows in zip(enumerate_matchings(model), degree_table(model).rows):
         q1, q2 = merged_complex_data(model, mu)
-        coefficients = resolution._euler_coefficients(model, layout, mu)
+        cls = kclass_of_matching(model, mu)
+        coefficients = [cls[v] for v in layout.vertices]
         random_rows = tuple(bytes(rng.randrange(4) for _ in layout.vertices) for _ in range(8))
         for row in rows + random_rows:
             keys, _ = resolution._piece_keys(layout, resolution._mask(layout, mu),
