@@ -4,7 +4,9 @@ Matrices are lists of lists of Python ints (arbitrary precision), row-major.
 Everything here is exact; no floating point and no fractions. The column
 Hermite form, built with extended-gcd steps, gives everything over the
 integers: kernels, lattice equality, Smith invariant factors and the
-inverse; it is the one integer elimination here.
+inverse; it is the one integer elimination here. Only kernels and the
+inverse read its transform, so lattice equality and the Smith rounds run
+it without building one.
 `maximal_minors` gives every k × k minor of a k × n matrix at once, by
 Laplace expansion one row at a time over column bitmasks, so the minors
 share their sub-minors and nothing is divided. Sizes in this package are
@@ -39,10 +41,16 @@ def column_hermite(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
     entries to the right of a pivot in its row zero and those to its left
     reduced into [0, pivot), and zero columns pushed to the right.
     """
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
+    u = identity(len(a[0]) if a else 0)
+    return _hermite(a, u), u
+
+
+def _hermite(a: Sequence[Sequence[int]], u: Matrix) -> Matrix:
+    """The h of `column_hermite(a)`, with every column operation applied to
+    the rows of u too; u = [] builds no transform."""
     h = [list(row) for row in a]
-    u = identity(cols)
+    rows = len(h)
+    cols = len(h[0]) if rows else 0
 
     def col_combine(j1: int, j2: int, m00: int, m01: int, m10: int, m11: int) -> None:
         # (col j1, col j2) <- (m00*j1 + m10*j2, m01*j1 + m11*j2)
@@ -79,7 +87,7 @@ def column_hermite(a: Sequence[Sequence[int]]) -> Tuple[Matrix, Matrix]:
                     for row in mat:
                         row[j] -= q * row[pivot_col]
         pivot_col += 1
-    return h, u
+    return h
 
 
 def _exgcd(a: int, b: int) -> Tuple[int, int, int]:
@@ -114,7 +122,7 @@ def hermite_canonical(vectors: Sequence[Sequence[int]], dim: int) -> Tuple[Tuple
     Two spanning sets generate the same lattice iff their canonical forms agree.
     """
     a = [[v[i] for v in vectors] for i in range(dim)]
-    h, _ = column_hermite(a)
+    h = _hermite(a, [])
     cols = []
     for j in range(len(vectors)):
         col = tuple(h[i][j] for i in range(dim))
@@ -136,7 +144,7 @@ def smith_invariant_factors(a: Sequence[Sequence[int]]) -> List[int]:
     # shrinking it divides its row, and the reduced Hermite form clears the
     # row too; the block below then runs the same way, so the loop ends.
     while any(x for i, row in enumerate(m) for j, x in enumerate(row) if i != j):
-        m = list(zip(*column_hermite(m)[0]))
+        m = list(zip(*_hermite(m, [])))
     factors = [abs(row[i]) for i, row in enumerate(m) if i < len(row) and row[i]]
     # Enforce the divisibility chain d1 | d2 | ...
     for i in range(len(factors)):

@@ -7,12 +7,16 @@ sum around every face cycle equals deg. Perfect matchings are exactly its
 on the quiver vertices (with basis p_j, the classes of the projectives);
 for consistent models it is an isomorphism and its inverse carries each p_j
 to a distinguished matching 𝔪_j.
+
+The basis of 𝕄 comes from one spanning tree of the bipartite dual, with no
+elimination (`lattice_basis`); the column Hermite form of η, built once per
+model, gives its Smith invariant factors and its inverse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from . import intlinalg
 from .matchings import Matching, require_matching
@@ -97,21 +101,63 @@ def _matching_class(model: DimerModel, mu: Matching) -> KClass:
     return _eta(model, 1, dict.fromkeys(mu.arrow_set, 1))
 
 
+def _dual_tree(model: DimerModel) -> Dict[int, Tuple[int, Optional[int]]]:
+    """One BFS spanning tree of the bipartite dual (faces are nodes, internal
+    arrows edges) with a ground node that every boundary arrow joins, rooted
+    at the ground: each face mapped to the arrow joining it to its parent and
+    that parent (None for the ground)."""
+    parent: Dict[int, Tuple[int, Optional[int]]] = {}
+    for a in model.boundary_arrows:
+        parent.setdefault(model.faces_of_arrow(a.id)[0], (a.id, None))
+    order = list(parent)
+    for fid in order:
+        for aid in model.face(fid).boundary_cycle:
+            for g in model.faces_of_arrow(aid):
+                if g not in parent:
+                    parent[g] = (aid, fid)
+                    order.append(g)
+    if len(parent) != len(model.faces):
+        unreached = min(f.id for f in model.faces if f.id not in parent)
+        raise ValueError(f"face {unreached} is not reached from the boundary "
+                         "in the bipartite dual")
+    return parent
+
+
 @per_model
 def lattice_basis(model: DimerModel) -> Tuple[LatticePoint, ...]:
-    """An integral basis of 𝕄, as the kernel of the constraint map
-    (deg, f) ↦ (Σ_{γ ∈ face} f(γ) − deg)_face."""
+    """A ℤ-basis of 𝕄 read off `_dual_tree`, with no elimination. Given deg
+    and f off the tree, the face sums fix the tree arrows from the leaves up
+    in integer steps, so (deg, f off the tree) ↦ (deg, f) is a bijection
+    ℤ^(1 + off-tree arrows) → 𝕄. The basis is the image of the unit vectors:
+    (1, g) with g = 0 off the tree, then one degree-0 point per off-tree
+    arrow, 1 there and 0 on the other off-tree arrows."""
     require_valid(model)
+    parent = _dual_tree(model)
     arrows = sorted(a.id for a in model.arrows)
-    col_of = {aid: i + 1 for i, aid in enumerate(arrows)}
-    constraint = intlinalg.zeros(len(model.faces), 1 + len(arrows))
-    for r, face in enumerate(sorted(model.faces, key=lambda f: f.id)):
-        constraint[r][0] = -1
-        for aid in face.boundary_cycle:
-            constraint[r][col_of[aid]] += 1
-    basis = intlinalg.kernel_basis(constraint)
-    return tuple(LatticePoint(vec[0], tuple(sorted(zip(arrows, vec[1:]))))
-                 for vec in basis)
+
+    def settle(values: Dict[int, int], fid: Optional[int], excess: int) -> None:
+        # Face fid sums to `excess` more than deg: its tree arrow takes
+        # -excess, which moves its parent's sum by -excess, up to the ground.
+        while fid is not None:
+            aid, fid = parent[fid]
+            excess = -excess
+            values[aid] = values.get(aid, 0) + excess
+
+    def point(deg: int, values: Dict[int, int]) -> LatticePoint:
+        return LatticePoint(deg, tuple((aid, values.get(aid, 0)) for aid in arrows))
+
+    g: Dict[int, int] = {}
+    for fid in parent:
+        settle(g, fid, -1)
+    basis = [point(1, g)]
+    tree = {aid for aid, _ in parent.values()}
+    for e in arrows:
+        if e not in tree:
+            values = {e: 1}
+            for fid in model.faces_of_arrow(e):
+                settle(values, fid, 1)
+            basis.append(point(0, values))
+    return tuple(basis)
 
 
 @per_model
@@ -119,13 +165,22 @@ def eta_matrix(model: DimerModel) -> Tuple[Tuple[int, ...], ...]:
     """Matrix of η on the lattice_basis of 𝕄; rows indexed by sorted quiver
     vertices, columns by basis elements."""
     vertices = sorted(v.id for v in model.vertices)
-    cols = [eta(model, b) for b in lattice_basis(model)]
+    cols = [_eta(model, b.deg, b.as_dict()).as_dict() for b in lattice_basis(model)]
     return tuple(tuple(c[v] for c in cols) for v in vertices)
 
 
 @per_model
+def _eta_hermite(model: DimerModel) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """(h, u) = column_hermite(eta_matrix), as row tuples: h = η·u with u
+    unimodular. h is the first round of the Smith form, and when η is
+    unimodular h is the identity and u = η⁻¹."""
+    return tuple(tuple(map(tuple, m)) for m in intlinalg.column_hermite(eta_matrix(model)))
+
+
+@per_model
 def _eta_smith(model: DimerModel) -> Tuple[int, ...]:
-    return tuple(intlinalg.smith_invariant_factors(eta_matrix(model)))
+    h, _ = _eta_hermite(model)
+    return tuple(intlinalg.smith_invariant_factors(list(zip(*h))))
 
 
 def is_eta_unimodular(model: DimerModel) -> bool:
@@ -183,14 +238,14 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     beta = beta_matrix(model)
     eta_d_ok = True
     for c, i in enumerate(vertices):
-        lhs = eta(model, coboundary(model, {i: 1})).as_dict()
+        lhs = _eta(model, 0, coboundary(model, {i: 1}).as_dict()).as_dict()
         if lhs != {v: beta[r][c] for r, v in enumerate(vertices)}:
             eta_d_ok = False
             witnesses.append(f"eta(d 1_{i}) != beta[{i}]")
 
     rank_ok = True
-    for b in lattice_basis(model):
-        if eta(model, b).rank != b.deg:
+    for b, column in zip(lattice_basis(model), zip(*eta_matrix(model))):
+        if sum(column) != b.deg:
             rank_ok = False
             witnesses.append(f"rank(eta(f)) != deg(f) on a basis element of degree {b.deg}")
 
@@ -214,23 +269,18 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
 def eta_inverse_basis(model: DimerModel) -> Dict[int, LatticePoint]:
     """The lattice points 𝔪_j = η^{-1}(p_j), one per quiver vertex; raises
     if η is not unimodular or some preimage fails to be a perfect matching."""
-    vertices = sorted(v.id for v in model.vertices)
-    mat = eta_matrix(model)
-    try:
-        inv = intlinalg.integer_inverse(mat)  # basis coordinates per p_j column
-    except ValueError:
-        raise ValueError("eta is not unimodular; no integral inverse") from None
+    if not is_eta_unimodular(model):
+        raise ValueError("eta is not unimodular; no integral inverse")
+    inv = _eta_hermite(model)[1]  # h is the identity, so u = η⁻¹
     basis = lattice_basis(model)
     basis_values = [b.as_dict() for b in basis]
     arrows = sorted(a.id for a in model.arrows)
     out: Dict[int, LatticePoint] = {}
-    for c, j in enumerate(vertices):
-        coords = [inv[r][c] for r in range(len(basis))]
+    for j, coords in zip(sorted(v.id for v in model.vertices), zip(*inv)):
         deg = sum(x * b.deg for x, b in zip(coords, basis))
-        values = {aid: sum(x * b.get(aid, 0) for x, b in zip(coords, basis_values))
+        values = {aid: sum(x * b[aid] for x, b in zip(coords, basis_values))
                   for aid in arrows}
-        point = make_lattice_point(model, deg, values)
-        if point.deg != 1 or any(x not in (0, 1) for x in values.values()):
+        if deg != 1 or any(x not in (0, 1) for x in values.values()):
             raise ValueError(f"eta^-1(p_{j}) is not a perfect matching")
-        out[j] = point
+        out[j] = LatticePoint(deg, tuple(values.items()))  # a ℤ-combination of basis points
     return out

@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 from discdimer import fixtures as fx
-from discdimer import intlinalg, resolution
+from discdimer import lattice_maps, resolution
 from discdimer import strands as strands_module
 from discdimer.cli import main
 from discdimer.model import save
@@ -139,12 +139,12 @@ def test_lattice_check(runner, gr37_file):
 
 
 def test_lattice_finds_one_basis_per_model(runner, monkeypatch):
-    calls = []
-    kernel_basis = intlinalg.kernel_basis
-    monkeypatch.setattr(intlinalg, "kernel_basis", lambda a: calls.append(a) or kernel_basis(a))
+    trees = []
+    dual_tree = lattice_maps._dual_tree
+    monkeypatch.setattr(lattice_maps, "_dual_tree", lambda m: trees.append(m) or dual_tree(m))
     for name in ("gr37", "uniform-4-8"):
-        assert runner.invoke(main, ["lattice", name]).exit_code == 0
-    assert len(calls) == 2
+        assert runner.invoke(main, ["lattice", name, "--check-ensemble"]).exit_code == 0
+    assert len(trees) == 2
 
 
 def test_kclass_bad_matching(runner, gr37_file):

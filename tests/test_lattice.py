@@ -4,14 +4,61 @@ cluster-ensemble exactness checks."""
 import pytest
 
 from discdimer import fixtures as fx
-from discdimer.lattice_maps import (beta_matrix, check_cluster_ensemble,
+from discdimer.intlinalg import kernel_basis, lattices_equal
+from discdimer.lattice_maps import (_dual_tree, beta_matrix, check_cluster_ensemble,
                                     coboundary, eta, eta_inverse_basis,
                                     eta_invariant_factors, is_eta_unimodular,
                                     lattice_basis, lattice_point_of_matching,
                                     make_lattice_point, require_in_lattice)
 from discdimer.matchings import enumerate_matchings
+from discdimer.model import Arrow, DimerModel, Face, Vertex
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
+LADDER = {**fx.FIXTURE_BUILDERS,
+          **{f"uniform-{k}-{n}": (lambda k=k, n=n: fx.build_uniform(k, n))
+             for n in range(3, 11) for k in range(1, n)}}
+
+
+def face_constraint_kernel(model):
+    """The oracle: 𝕄 as the integer kernel of the constraint map
+    (deg, f) ↦ (Σ_{γ ∈ face} f(γ) − deg)_face, columns deg then arrows by id."""
+    arrows = sorted(a.id for a in model.arrows)
+    col_of = {aid: i + 1 for i, aid in enumerate(arrows)}
+    constraint = [[-1] + [0] * len(arrows) for _ in model.faces]
+    for row, face in zip(constraint, model.faces):
+        for aid in face.boundary_cycle:
+            row[col_of[aid]] += 1
+    return kernel_basis(constraint)
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_tree_basis_spans_the_face_constraint_kernel(name):
+    model = LADDER[name]()
+    basis = lattice_basis(model)
+    assert len(basis) == len(model.arrows) + 1 - len(model.faces)
+    for point in basis:
+        require_in_lattice(model, point)
+    vectors = [[p.deg] + [x for _, x in p.values] for p in basis]
+    oracle = face_constraint_kernel(model)
+    dim = len(model.arrows) + 1
+    assert lattices_equal(vectors, oracle, dim)
+    # Every off-tree point is needed: without one the span is smaller.
+    assert len(vectors) > 1
+    assert not lattices_equal(vectors[:-1], oracle, dim)
+
+
+def test_unreached_face_is_one_line_error(triangle):
+    """Two faces sharing only their own two arrows hang off no boundary
+    arrow, so the tree cannot reach them."""
+    v = max(x.id for x in triangle.vertices) + 1
+    a = max(x.id for x in triangle.arrows) + 1
+    f = max(x.id for x in triangle.faces) + 1
+    model = DimerModel(
+        triangle.vertices + (Vertex(v, False), Vertex(v + 1, False)),
+        triangle.arrows + (Arrow(a, v, v + 1, False), Arrow(a + 1, v + 1, v, False)),
+        triangle.faces + (Face(f, "black", (a, a + 1)), Face(f + 1, "white", (a + 1, a))))
+    with pytest.raises(ValueError, match=f"^face {f} is not reached from the boundary"):
+        _dual_tree(model)
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
