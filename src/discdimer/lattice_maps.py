@@ -9,8 +9,8 @@ for consistent models it is an isomorphism and its inverse carries each p_j
 to a distinguished matching 𝔪_j.
 
 The basis of 𝕄 comes from one spanning tree of the bipartite dual, with no
-elimination (`lattice_basis`); the column Hermite form of η, built once per
-model, gives its Smith invariant factors and its inverse.
+elimination (`lattice_basis`); the column Hermite form of η gives its Smith
+invariant factors and, when it is the identity, its inverse.
 """
 
 from __future__ import annotations
@@ -170,17 +170,8 @@ def eta_matrix(model: DimerModel) -> Tuple[Tuple[int, ...], ...]:
 
 
 @per_model
-def _eta_hermite(model: DimerModel) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
-    """(h, u) = column_hermite(eta_matrix), as row tuples: h = η·u with u
-    unimodular. h is the first round of the Smith form, and when η is
-    unimodular h is the identity and u = η⁻¹."""
-    return tuple(tuple(map(tuple, m)) for m in intlinalg.column_hermite(eta_matrix(model)))
-
-
-@per_model
 def _eta_smith(model: DimerModel) -> Tuple[int, ...]:
-    h, _ = _eta_hermite(model)
-    return tuple(intlinalg.smith_invariant_factors(list(zip(*h))))
+    return tuple(intlinalg.smith_invariant_factors(eta_matrix(model)))
 
 
 def is_eta_unimodular(model: DimerModel) -> bool:
@@ -269,9 +260,10 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
 def eta_inverse_basis(model: DimerModel) -> Dict[int, LatticePoint]:
     """The lattice points 𝔪_j = η^{-1}(p_j), one per quiver vertex; raises
     if η is not unimodular or some preimage fails to be a perfect matching."""
-    if not is_eta_unimodular(model):
-        raise ValueError("eta is not unimodular; no integral inverse")
-    inv = _eta_hermite(model)[1]  # h is the identity, so u = η⁻¹
+    try:
+        inv = intlinalg.integer_inverse(eta_matrix(model))  # basis coordinates per p_j column
+    except ValueError:
+        raise ValueError("eta is not unimodular; no integral inverse") from None
     basis = lattice_basis(model)
     basis_values = [b.as_dict() for b in basis]
     arrows = sorted(a.id for a in model.arrows)
