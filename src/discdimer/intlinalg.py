@@ -177,8 +177,8 @@ def maximal_minors(rows: Sequence[Sequence[int]]) -> List[int]:
                     term = -term
                 wider[mask | bit] = wider.get(mask | bit, 0) + term
         minors = {mask: minor for mask, minor in wider.items() if minor}
-    return [minors.get(sum(1 << j for j in cols), 0)
-            for cols in combinations(range(n), len(rows))]
+    bits = [1 << j for j in range(n)]
+    return [minors.get(sum(cols), 0) for cols in combinations(bits, len(rows))]
 
 
 def integer_inverse(a: Sequence[Sequence[int]]) -> Matrix:

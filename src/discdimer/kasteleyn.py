@@ -21,10 +21,14 @@ arXiv:math/0609764, §§4–5), every matching of one minor then carries the
 same sign, so Z_I = Σ_{∂μ=I} Π w = |det K[:, black ∪ {t_i : i ∈ I}]| with
 no cancellation.
 
-The black columns are eliminated once; what is left is a constant c and a
-k × n integer matrix M with Z_I = |c · det M_I|. All C(n, k) maximal
+The black columns are eliminated once, over the integers: each row of K
+is scaled by the lcm of its weights' denominators, and each row R holding
+a pivot p's column becomes (p·R − f·P) / g, with g the content of the
+result. What is left is a constant |c| = num / den, kept as two ints, and
+a k × n integer matrix M with Z_I = |c · det M_I|. All C(n, k) maximal
 minors of M come from one Laplace pass over its rows
 (`intlinalg.maximal_minors`), which shares every sub-minor between them.
+The tests check this against the same elimination in Fractions.
 """
 
 from __future__ import annotations
@@ -32,11 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, gcd, lcm
+from numbers import Rational
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .intlinalg import maximal_minors
-from .model import BLACK, DimerModel, ReadOnlyDict, per_model, require_valid
+from .model import BLACK, DimerModel, ReadOnlyDict, per_model, require_valid, type_of
 
 Entry = Tuple[int, int, Optional[int], int]  # (row, column, weighted arrow, sign)
 
@@ -112,39 +117,57 @@ def kasteleyn_frame(model: DimerModel) -> Frame:
     return Frame(rows, len(black), tuple(entries))
 
 
-def boundary_minors(model: DimerModel, weights: Mapping[int, Fraction]
-                    ) -> List[Tuple[Tuple[int, ...], Fraction]]:
-    """(I, Z_I) for every k-subset I of 1..n in lexicographic order, with
-    Z_I = |det K_I| for the given weight of every arrow."""
+def _minors(model: DimerModel, weights: Mapping[int, Rational]) -> Tuple[int, int, List[int]]:
+    """(num, den, minors) with Z_I = num / den · |minor| for every k-subset
+    I of 1..n in lexicographic order, eliminated over the integers."""
     frame, n = kasteleyn_frame(model), model.n
-    matrix: List[Dict[int, Fraction]] = [{} for _ in range(frame.rows)]
+    rows: List[List[Tuple[int, int, int]]] = [[] for _ in range(frame.rows)]
     for r, c, aid, sign in frame.entries:
-        matrix[r][c] = sign * Fraction(weights[aid]) if aid is not None else Fraction(1)
-    k = frame.rows - frame.black
-    scale = Fraction(1)  # |c| over the row factors that make M integral
+        w = weights[aid] if aid is not None else 1
+        rows[r].append((c, sign * w.numerator, w.denominator))
+    # Each row times the lcm of its denominators is integral; |c| = num / den.
+    num = den = 1
+    matrix: List[Dict[int, int]] = []
+    for row in rows:
+        d = lcm(*(q for _, _, q in row))
+        den *= d
+        matrix.append({c: x * (d // q) for c, x, q in row})
     for c in range(frame.black):
         # Pivot on the sparsest row that holds the column: less fill-in.
         live = [r for r, row in enumerate(matrix) if c in row]
         if not live:
-            return [(I, Fraction(0)) for I in combinations(range(1, n + 1), k)]
+            return 0, 1, [0] * comb(n, frame.rows - frame.black)
         pivot = matrix.pop(min(live, key=lambda r: len(matrix[r])))
         p = pivot.pop(c)
-        scale *= abs(p)
+        num *= abs(p)
         for row in matrix:
             f = row.pop(c, None)
-            if f is not None:
-                f /= p
-                for col, x in pivot.items():
-                    y = row.get(col, 0) - f * x
-                    if y:
-                        row[col] = y
-                    else:
-                        del row[col]
-    ints = []
-    for row in matrix:
-        den = lcm(*(x.denominator for x in row.values()))
-        scale /= den
-        ints.append([row[t].numerator * (den // row[t].denominator) if t in row else 0
-                     for t in range(frame.black, frame.black + n)])
-    return [(I, scale * abs(minor))
-            for I, minor in zip(combinations(range(1, n + 1), k), maximal_minors(ints))]
+            if f is None:
+                continue
+            # R := (p·R − f·P) / g scales the determinant by p / g. A row
+            # that cancels has g = 0, so num = 0 and every minor is 0.
+            for col in row:
+                row[col] *= p
+            for col, x in pivot.items():
+                y = row.get(col, 0) - f * x
+                if y:
+                    row[col] = y
+                else:
+                    del row[col]
+            g = gcd(*row.values())
+            num *= g
+            den *= abs(p)
+            for col in row:
+                row[col] //= g
+    g = gcd(num, den)
+    ints = [[row.get(t, 0) for t in range(frame.black, frame.black + n)] for row in matrix]
+    return num // g, den // g, maximal_minors(ints)
+
+
+def boundary_minors(model: DimerModel, weights: Mapping[int, Rational]
+                    ) -> List[Tuple[Tuple[int, ...], Fraction]]:
+    """(I, Z_I) for every k-subset I of 1..n in lexicographic order, with
+    Z_I = |det K_I| for the given int or Fraction weight of every arrow."""
+    num, den, minors = _minors(model, weights)
+    return [(I, Fraction(num * abs(minor), den))
+            for I, minor in zip(combinations(range(1, model.n + 1), type_of(model)[0]), minors)]

@@ -248,13 +248,17 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     if not first:
         witnesses.append("kernel of beta differs from the constants")
     # Exactness at the second: kernel of the rank map = column span of β.
-    rank_map = [[1] * dim]
-    kernel_rank = intlinalg.kernel_basis(rank_map)
     columns = [[beta[r][c] for r in range(dim)] for c in range(dim)]
-    second = intlinalg.lattices_equal(kernel_rank, columns, dim)
+    second = intlinalg.lattices_equal(_rank_kernel(dim), columns, dim)
     if not second:
         witnesses.append("image of beta differs from the kernel of the rank map")
     return ClusterEnsembleReport(eta_d_ok, rank_ok, first, second, witnesses)
+
+
+def _rank_kernel(dim: int) -> List[List[int]]:
+    """A basis of the kernel of the rank map (1, ..., 1) on ℤ^dim: the
+    vectors e_i − e_0 for i = 1..dim−1."""
+    return [[-1] + [int(j == i) for j in range(1, dim)] for i in range(1, dim)]
 
 
 def eta_inverse_basis(model: DimerModel) -> Dict[int, LatticePoint]:

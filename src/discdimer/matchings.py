@@ -9,9 +9,11 @@ its covers are flips at internal quiver vertices.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from operator import le
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .kasteleyn import boundary_minors
+from .kasteleyn import _minors
 from .model import (BipartiteDual, DimerModel, ReadOnlyDict, bipartite_dual, per_model,
                     require_valid, type_of)
 from .strands import necklaces
@@ -145,8 +147,10 @@ def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
 
 
 def _require_subset(I: FrozenSet[int], k: int, n: int) -> None:
-    if len(I) != k or (I and (min(I) < 1 or max(I) > n)):
-        raise ValueError(f"expected a {k}-subset of 1..{n}, got {sorted(I)}")
+    # A label is an int: a float or a bool may equal one, but is not one.
+    if len(I) != k or not all(type(i) is int and 1 <= i <= n for i in I):
+        got = sorted(I) if all(type(i) is int for i in I) else sorted(I, key=repr)
+        raise ValueError(f"expected a {k}-subset of 1..{n}, got {got}")
 
 
 def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
@@ -168,21 +172,23 @@ def positroid(model: DimerModel) -> FrozenSet[FrozenSet[int]]:
     """All boundary values of perfect matchings: the I whose Kasteleyn
     minor is nonzero at unit weights (see `kasteleyn`); no matching is
     enumerated."""
-    return frozenset(frozenset(I) for I, z in
-                     boundary_minors(model, {a.id: 1 for a in model.arrows}) if z)
+    minors = _minors(model, {a.id: 1 for a in model.arrows})[2]
+    subsets = combinations(range(1, model.n + 1), type_of(model)[0])
+    return frozenset(frozenset(I) for I, minor in zip(subsets, minors) if minor)
 
 
 @per_model
-def _necklace_orders(model: DimerModel) -> Tuple[Tuple[int, Tuple[int, ...]], ...]:
-    """Per boundary position m: the shift m+1 that starts its cyclic Gale
-    order, and the source-necklace entry at m as its sorted positions in
-    the linear order shift < shift+1 < ... (mod n)."""
+def _necklace_orders(model: DimerModel) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
+    """Per boundary position m, in the linear order shift < shift+1 < ...
+    (mod n) with shift = m+1 that starts its cyclic Gale order: the
+    position of every label, indexed by label (index 0 is no label), and
+    the source-necklace entry at m as its sorted positions."""
     n = model.n
     source_necklace, _ = necklaces(model)
     orders = []
     for m in range(1, n + 1):
-        shift = m % n + 1
-        orders.append((shift, tuple(sorted((x - shift) % n for x in source_necklace[m]))))
+        position = tuple((x - m - 1) % n for x in range(n + 1))
+        orders.append((position, tuple(sorted(map(position.__getitem__, source_necklace[m])))))
     return tuple(orders)
 
 
@@ -198,8 +204,8 @@ def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> boo
     J = frozenset(J)
     k, n = type_of(model)
     _require_subset(J, k, n)
-    return all(all(a <= b for a, b in zip(sorted((j - shift) % n for j in J), entry))
-               for shift, entry in _necklace_orders(model))
+    return all(all(map(le, sorted(map(position.__getitem__, J)), entry))
+               for position, entry in _necklace_orders(model))
 
 
 def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:

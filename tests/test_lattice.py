@@ -5,8 +5,8 @@ import pytest
 
 from discdimer import fixtures as fx
 from discdimer.intlinalg import kernel_basis, lattices_equal
-from discdimer.lattice_maps import (_dual_tree, beta_matrix, check_cluster_ensemble,
-                                    coboundary, eta, eta_inverse_basis,
+from discdimer.lattice_maps import (_dual_tree, _rank_kernel, beta_matrix,
+                                    check_cluster_ensemble, coboundary, eta, eta_inverse_basis,
                                     eta_invariant_factors, is_eta_unimodular,
                                     lattice_basis, lattice_point_of_matching,
                                     make_lattice_point, require_in_lattice)
@@ -112,6 +112,13 @@ def test_coboundary_and_beta_agree(gr37):
 def test_ensemble_exact_on_consistent(name):
     report = check_cluster_ensemble(fx.FIXTURE_BUILDERS[name]())
     assert report.passed, report.witnesses
+
+
+def test_closed_form_rank_kernel_spans_the_eliminated_kernel():
+    for dim in range(1, 41):
+        closed = _rank_kernel(dim)
+        assert all(sum(v) == 0 for v in closed) and len(closed) == dim - 1
+        assert lattices_equal(closed, kernel_basis([[1] * dim]), dim)
 
 
 def test_ensemble_fails_on_inconsistent(inconsistent):

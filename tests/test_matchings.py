@@ -15,6 +15,7 @@ from discdimer.matchings import (Matching, boundary_value,
                                  positroid, positroid_contains_necklace_test,
                                  require_matching, support_subgraph)
 from discdimer.model import WHITE, opposite, standardise, type_of
+from discdimer.partition_functions import musp_twist_expression
 from discdimer.strands import necklaces
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
@@ -86,6 +87,15 @@ def test_a_subset_that_is_not_a_k_subset_of_the_labels_is_an_error(gr37, subset)
             read(gr37, subset)
 
 
+@pytest.mark.parametrize("subset", [{1.5, 2}, {"a", 2}, {True, 2}])
+def test_a_label_that_is_not_an_int_is_an_error(u24, subset):
+    """A float or a bool equal to a label, or a string, is not misread."""
+    for read in (matchings_with_boundary, positroid_contains_necklace_test, extreme_matchings,
+                 musp_twist_expression):
+        with pytest.raises(ValueError, match=r"^expected a 2-subset of 1\.\.4, got \[.*\]$"):
+            read(u24, subset)
+
+
 def test_gr37_positroid(gr37):
     expected = {frozenset(s) for s in combinations(range(1, 8), 3)} - GR37_NON_POSITROID
     assert positroid(gr37) == expected
@@ -122,12 +132,13 @@ def _gale_leq(smaller, larger, shift, n):
     return all(key(x) <= key(y) for x, y in zip(a, b))
 
 
-@pytest.mark.parametrize("name", ["gr37", "uniform-2-4", "uniform-2-5", "uniform-3-6",
-                                  "uniform-3-7", "uniform-4-8", "uniform-4-9", "uniform-5-10"])
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8",
+                                                        "uniform-4-9", "uniform-5-10"])
 def test_necklace_test_agrees_with_the_gale_oracle(name):
-    """The per-model necklace positions decide every k-subset as the
-    sorting oracle does over all n shifts."""
-    model = fx.gr37() if name == "gr37" else fx.build_uniform(*map(int, name.split("-")[1:]))
+    """The per-model tables of label positions decide every k-subset as the
+    per-shift sort does over all n shifts."""
+    model = (fx.FIXTURE_BUILDERS[name]() if name in fx.FIXTURE_BUILDERS
+             else fx.build_uniform(*map(int, name.split("-")[1:])))
     k, n = type_of(model)
     source_necklace, _ = necklaces(model)
     for J in combinations(range(1, n + 1), k):

@@ -210,6 +210,19 @@ def test_flipping_any_one_sign_changes_some_measurement(gr37, monkeypatch):
     assert flipped == len(gr37.internal_arrows)
 
 
+@pytest.mark.parametrize("black, entries", [
+    (1, [(0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (3, 3)]),  # row 1 cancels against row 0
+    (2, [(0, 0), (1, 2), (2, 3), (3, 4), (4, 5)]),  # no row holds black column 1
+])
+def test_a_singular_frame_gives_every_minor_zero(monkeypatch, black, entries):
+    model = fx.gr37()
+    frame = kasteleyn.Frame(black + 3, black, tuple((r, c, None, 1) for r, c in entries))
+    monkeypatch.setattr(kasteleyn, "kasteleyn_frame", lambda _: frame)
+    zeros = [(I, 0) for I in combinations(range(1, 8), 3)]
+    assert boundary_minors(model, unit_weights(model)) == zeros
+    assert positroid(model) == frozenset()
+
+
 def per_subset_minors(model, weights):
     """Oracle for kasteleyn.boundary_minors: the same elimination of the
     black columns, then one sympy determinant per k-subset."""
@@ -259,6 +272,37 @@ def test_boundary_minors_equal_per_subset_determinants(name):
         assert minors == per_subset_minors(model, w)
     if name == "gr37":
         assert any(z == 0 for _, z in minors)
+
+
+PRIMES = [p for p in range(2, 1000) if all(p % q for q in range(2, p))]
+ORACLE_MODELS = ["gr37", "uniform-2-5", "uniform-3-6", "uniform-3-7", "uniform-4-8"]
+
+
+def weight_lists(size):
+    """Int weights, fractions, and fractions with pairwise-coprime
+    denominators, with numerators and denominators up to 10^6."""
+    upto = st.integers(1, 10**6)
+    return st.one_of(
+        st.lists(upto, min_size=size, max_size=size),
+        st.lists(st.builds(Fraction, upto, upto), min_size=size, max_size=size),
+        st.tuples(st.lists(upto, min_size=size, max_size=size), st.permutations(PRIMES)).map(
+            lambda drawn: [Fraction(a, p) for a, p in zip(*drawn)]))
+
+
+@pytest.mark.parametrize("name", ORACLE_MODELS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_integer_elimination_equals_the_fraction_oracle(name, data):
+    """The fraction-free elimination against Fraction elimination and one
+    sympy determinant per subset, at drawn int and Fraction weights."""
+    model = MINOR_MODELS[name]()
+    ids = [a.id for a in model.arrows]
+    w = dict(zip(ids, data.draw(weight_lists(len(ids)))))
+    minors = boundary_minors(model, w)
+    assert minors == per_subset_minors(model, w)
+    assert all(type(z) is Fraction for _, z in minors)
+    if name == "gr37":
+        assert sum(1 for _, z in minors if z == 0) == 5
 
 
 def test_plucker_vector_looks_up_every_subset_in_any_order():
