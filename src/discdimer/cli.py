@@ -360,11 +360,7 @@ def cmd_ms_matchings(file: str, fmt: str) -> None:
 def cmd_wedge(file: str, arrow: int, fmt: str) -> None:
     """Vertices in the downstream wedge of an arrow."""
     model = _load(file)
-    try:
-        wedge = downstream_wedge(model, arrow)
-    except KeyError as exc:
-        raise click.ClickException(str(exc))
-    members = sorted(wedge.members)
+    members = sorted(downstream_wedge(model, arrow).members)
     doc = {"command": "wedge", "arrow": arrow, "members": members}
     _emit(doc, fmt, lambda: [f"arrow {arrow}: {members}"])
 

@@ -47,11 +47,14 @@ def downstream_wedge(model: DimerModel, aid: int) -> Wedge:
     the arrow and every arrow either tendril crosses, then flood fill from
     the head tile."""
     all_strands = require_consistent(model)
-    crossings = _crossings_of(all_strands, aid)
+    try:
+        head = model.arrow(aid).head
+    except KeyError:
+        raise ValueError(f"unknown arrow {aid}") from None
     cut = {aid}
-    for strand, pos in crossings:
+    for strand, pos in _crossings_of(all_strands, aid):
         cut.update(a for a, _ in strand.crossing_sequence[pos + 1:])
-    return Wedge(aid, frozenset(_tiles_reached(model, [model.arrow(aid).head], cut)))
+    return Wedge(aid, frozenset(_tiles_reached(model, [head], cut)))
 
 
 @per_model

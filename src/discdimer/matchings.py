@@ -31,12 +31,6 @@ class Matching:
 class HeightFunction:
     values: Tuple[Tuple[int, int], ...]  # sorted (vertex id, value) pairs
 
-    def __getitem__(self, vertex: int) -> int:
-        return dict(self.values)[vertex]
-
-    def as_dict(self) -> Dict[int, int]:
-        return dict(self.values)
-
 
 def is_matching(model: DimerModel, arrows: Iterable[int]) -> bool:
     """Whether the ids are arrows of the model, exactly one in every face."""
@@ -228,45 +222,48 @@ def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:
     return None
 
 
-def height(model: DimerModel, mu: Matching, mu_ref: Matching) -> HeightFunction:
-    """The unique h vanishing on boundary vertices with d h = μ_ref − μ,
-    i.e. h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] for every arrow γ."""
-    if boundary_value(model, mu) != boundary_value(model, mu_ref):
-        raise ValueError("matchings have different boundary values")
-    values: Dict[int, int] = {v.id: 0 for v in model.vertices if v.is_boundary}
-    stack = list(values)
+def _height(model: DimerModel, mu: Matching, mu_ref: Matching) -> Dict[int, int]:
+    """The h with h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] on every arrow
+    γ and 0 at the first boundary vertex. The difference sums to 0 around
+    every face, so on a disc it is a coboundary for any two matchings."""
     adj: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
     for a in model.arrows:
-        diff = (1 if a.id in mu_ref.arrow_set else 0) - (1 if a.id in mu.arrow_set else 0)
+        diff = (a.id in mu_ref.arrow_set) - (a.id in mu.arrow_set)
         adj[a.tail].append((a.head, diff))
         adj[a.head].append((a.tail, -diff))
+    root = next(v.id for v in model.vertices if v.is_boundary)
+    values, stack = {root: 0}, [root]
     while stack:
         cur = stack.pop()
         for nb, diff in adj[cur]:
             if nb not in values:
                 values[nb] = values[cur] + diff
                 stack.append(nb)
-    for cur, neighbours in adj.items():
-        for nb, diff in neighbours:
-            if values[nb] - values[cur] != diff:
-                raise ValueError("matching difference is not a coboundary")
-    return HeightFunction(tuple(sorted(values.items())))
+    if any(values[nb] - values[cur] != diff for cur, out in adj.items() for nb, diff in out):
+        raise ValueError("matching difference is not a coboundary")
+    return values
 
 
-def _extreme(model: DimerModel, start: Matching, direction: int) -> Matching:
-    """Repeatedly apply flips that move every internal height in one
-    direction (direction=+1 climbs, −1 descends) until none applies."""
+def height(model: DimerModel, mu: Matching, mu_ref: Matching) -> HeightFunction:
+    """The unique h with h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] that
+    vanishes on boundary vertices: `_height`, since ∂μ = ∂μ_ref makes dh 0
+    on the boundary arrows."""
+    if boundary_value(model, mu) != boundary_value(model, mu_ref):
+        raise ValueError("matchings have different boundary values")
+    return HeightFunction(tuple(sorted(_height(model, mu, mu_ref).items())))
+
+
+def _extreme(model: DimerModel, current: Matching, up: bool) -> Matching:
+    """Apply flips that raise (up) or lower heights until none applies. A
+    flip at j moves h(j) alone, up iff the arrows into j are matched."""
+    into = {a.head: a.id for a in model.arrows}  # one arrow into each vertex
     internal = [v.id for v in model.vertices if not v.is_boundary]
-    current = start
     moved = True
     while moved:
         moved = False
         for j in internal:
             candidate = flip(model, current, j)
-            if candidate is None:
-                continue
-            h = height(model, candidate, current)
-            if h[j] == direction:
+            if candidate is not None and (into[j] in current.arrow_set) == up:
                 current = candidate
                 moved = True
     return current
@@ -278,7 +275,7 @@ def extreme_matchings(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, Ma
     pool = matchings_with_boundary(model, I)
     if not pool:
         raise ValueError(f"{sorted(set(I))} is not in the positroid")
-    return _extreme(model, pool[0], -1), _extreme(model, pool[0], +1)
+    return _extreme(model, pool[0], False), _extreme(model, pool[0], True)
 
 
 def support_subgraph(model: DimerModel, I: Iterable[int]) -> BipartiteDual:
@@ -287,8 +284,7 @@ def support_subgraph(model: DimerModel, I: Iterable[int]) -> BipartiteDual:
     fragment (every node covered exactly once by edges or half-edges)
     biject with matchings_with_boundary(model, I) via intersection."""
     minimal, maximal = extreme_matchings(model, I)
-    h = height(model, maximal, minimal).as_dict()
-    support = {v for v, val in h.items() if val != 0}
+    support = {v for v, val in height(model, maximal, minimal).values if val != 0}
     dual = bipartite_dual(model)
     cycle_tiles: Dict[int, Set[int]] = {}
     for f in model.faces:

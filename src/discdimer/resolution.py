@@ -11,14 +11,16 @@ matrices of graphs, so a piece keeps them as incidences and their ranks
 are counted by union-find.
 
 The degrees toward every vertex are one row of bytes per target, in the
-model's vertex order. `check_resolution` and `rotate_matching` compute the
-rows of their one matching; the suite over every matching reads them from
-one `degree_table` per model. A piece depends on μ only through the
-μ-arrows with head in S and the internal μ-arrows with tail in S, so
-exactness is decided once per distinct (S, those arrows), across all the
-matchings of one check, with both kept as int bitmasks.
-The Euler identity weights the degree series by [N_μ] = η(μ). Public
-functions check their matching; the suite does not check enumerated ones.
+model's vertex order. `check_resolution` and `rotate_matching` search the
+rows of their one matching. The suite reads every matching's rows from one
+`degree_table` per model, which searches one matching ρ: 𝟙_μ − 𝟙_ρ = dh for
+a height h, so every path j → i gains h(i) − h(j) in degree from ρ to μ,
+and so does D. A piece depends on μ only through the μ-arrows with head in
+S and the internal μ-arrows with tail in S, so exactness is decided once per
+distinct (S, those arrows), across all the matchings of one check, with both
+kept as int bitmasks. The Euler identity weights the degree series by
+[N_μ] = η(μ). Public functions check their matching; the suite does not
+check enumerated ones.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from .lattice_maps import _matching_class
-from .matchings import Matching, enumerate_matchings, is_matching, require_matching
+from .matchings import Matching, _height, enumerate_matchings, is_matching, require_matching
 from .model import BLACK, WHITE, DimerModel, ReadOnlyDict, per_model
 from .strands import require_consistent
 
@@ -111,7 +113,7 @@ class _Layout(NamedTuple):
     vertices: Tuple[int, ...]                      # vertex id at each position
     position: ReadOnlyDict[int, int]               # vertex id -> position
     bit: ReadOnlyDict[int, int]                    # arrow id -> its bit
-    into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow id, tail position) per head
+    into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
     into_mask: Tuple[int, ...]                     # arrows with head here
     out_mask: Tuple[int, ...]                      # arrows with tail here
     near: Tuple[int, ...]                          # into_mask | internal out_mask
@@ -125,7 +127,7 @@ def _layout(model: DimerModel) -> _Layout:
     into_mask, out_mask, internal_out = [0] * len(position), [0] * len(position), [0] * len(position)
     for a in model.arrows:
         h, t = position[a.head], position[a.tail]
-        into[h].append((a.id, t))
+        into[h].append((bit[a.id], t))
         into_mask[h] |= bit[a.id]
         out_mask[t] |= bit[a.id]
         if not a.is_boundary:
@@ -137,49 +139,43 @@ def _layout(model: DimerModel) -> _Layout:
 
 def _mask(layout: _Layout, mu: Matching) -> int:
     """μ as a bitmask over the model's arrows."""
-    return sum(layout.bit[aid] for aid in mu.arrow_set)
+    return sum(bit for aid, bit in layout.bit.items() if aid in mu.arrow_set)
 
 
-def _split(layout: _Layout, matched: FrozenSet[int]) -> Tuple[List[List[int]], List[List[int]]]:
-    """Per head position, the tail positions of its unmatched arrows and
-    of its matched ones."""
-    return ([[t for aid, t in arrows if aid not in matched] for arrows in layout.into],
-            [[t for aid, t in arrows if aid in matched] for arrows in layout.into])
+def _as_row(dist: List[int]) -> Row:
+    """Degrees as bytes, or as a tuple once one of them reaches 256."""
+    return bytes(dist) if max(dist) < 256 else tuple(dist)
 
 
-def _row(layout: _Layout, zero: List[List[int]], one: List[List[int]], target: int) -> Row:
+def _row(layout: _Layout, mu_mask: int, target: int) -> Row:
     """The degrees toward the target position, level by level: each level
     is closed under unmatched arrows before matched ones open the next."""
-    n = len(zero)
+    n = len(layout.into)
     dist = [n] * n  # n: not reached yet; every degree is below n
     dist[target] = 0
     level, d = [target], 0
     while level:
         for cur in level:  # grows by the vertices found at degree d
-            for t in zero[cur]:
-                if dist[t] > d:
+            for bit, t in layout.into[cur]:
+                if not mu_mask & bit and dist[t] > d:
                     dist[t] = d
                     level.append(t)
         d += 1
         nxt = []
         for cur in level:
-            for t in one[cur]:
-                if dist[t] > d:
+            for bit, t in layout.into[cur]:
+                if mu_mask & bit and dist[t] > d:
                     dist[t] = d
                     nxt.append(t)
         level = nxt
     if n in dist:
         raise ValueError(f"not every vertex reaches {layout.vertices[target]}")
-    return bytes(dist) if max(dist) < 256 else tuple(dist)
+    return _as_row(dist)
 
 
-def _degrees(model: DimerModel, mu: Matching) -> Tuple[Tuple[Row, ...], int]:
-    """The degrees toward every vertex, one row per target in vertex order,
-    and the saturation degree: the largest of them."""
-    layout = _layout(model)
-    zero, one = _split(layout, mu.arrow_set)
-    rows = tuple(_row(layout, zero, one, p) for p in range(len(layout.vertices)))
-    return rows, max(map(max, rows), default=0)
+def _rows(layout: _Layout, mu_mask: int) -> Tuple[Row, ...]:
+    """The degrees toward every vertex, one row per target in vertex order."""
+    return tuple(_row(layout, mu_mask, p) for p in range(len(layout.vertices)))
 
 
 def _target(layout: _Layout, i: int) -> int:
@@ -192,30 +188,33 @@ def _target(layout: _Layout, i: int) -> int:
 def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
     """D(j) = minimal number of μ-arrows on a directed path j → i."""
     layout = _layout(model)
-    row = _row(layout, *_split(layout, mu.arrow_set), _target(layout, i))
-    return dict(zip(layout.vertices, row))
+    return dict(zip(layout.vertices, _row(layout, _mask(layout, mu), _target(layout, i))))
 
 
 class DegreeTable(NamedTuple):
-    """`_degrees` of every perfect matching of a consistent model, in the
-    order of `enumerate_matchings`. The keys of `by_mask` are exactly the
-    perfect matchings, as arrow bitmasks."""
+    """The degree rows of every perfect matching of a consistent model, in
+    the order of `enumerate_matchings`. The keys of `by_mask` are exactly
+    the perfect matchings, as arrow bitmasks."""
     by_mask: ReadOnlyDict[int, int]      # arrow mask -> position of the matching
     rows: Tuple[Tuple[Row, ...], ...]    # per matching: one row per target
-    saturation: Tuple[int, ...]          # per matching
 
 
 @per_model
 def degree_table(model: DimerModel) -> DegreeTable:
-    """The degrees of every perfect matching of the model, computed once
-    and shared by the resolution and rotation checks."""
+    """Every matching μ's degree rows, once per model: the rows of ρ, the
+    first matching, shifted by the height h with dh = 𝟙_μ − 𝟙_ρ."""
     require_consistent(model)
     layout = _layout(model)
     matchings = enumerate_matchings(model)
-    degrees = [_degrees(model, mu) for mu in matchings]
+    ref = _rows(layout, _mask(layout, matchings[0]))
+    rows = []
+    for mu in matchings:
+        by_vertex = _height(model, matchings[0], mu)
+        h = [by_vertex[v] for v in layout.vertices]
+        rows.append(tuple(_as_row([e + hi - hj for e, hj in zip(row, h)])
+                          for row, hi in zip(ref, h)))
     return DegreeTable(ReadOnlyDict({_mask(layout, mu): k for k, mu in enumerate(matchings)}),
-                       tuple(rows for rows, _ in degrees),
-                       tuple(saturation for _, saturation in degrees))
+                       tuple(rows))
 
 
 def reachable_set(model: DimerModel, mu: Matching, i: int, d: int) -> ReachableSet:
@@ -274,7 +273,8 @@ def _piece(model: DimerModel, S: FrozenSet[int], q1: Tuple[int, ...],
 def saturation_degree(model: DimerModel, mu: Matching) -> int:
     """The largest minimal path degree over all (source, target) pairs; for
     d at or beyond it every reachable set is the whole vertex set."""
-    return _degrees(model, mu)[1]
+    layout = _layout(model)
+    return max(map(max, _rows(layout, _mask(layout, mu))))
 
 
 def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
@@ -311,12 +311,12 @@ class ResolutionReport:
         return not self.failures and not self.euler_failures
 
 
-def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...], saturation: int,
+def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...],
             d_max: Optional[int], exact: Dict[int, bool]) -> ResolutionReport:
     """check_resolution from μ's degree rows, deciding each piece whose key
     is not in `exact` yet and recording it there."""
     if d_max is None:
-        d_max = saturation + 1
+        d_max = max(map(max, rows)) + 1
     elif d_max < 0:
         raise ValueError("d_max must be nonnegative")
     layout = _layout(model)
@@ -358,8 +358,8 @@ def check_resolution(model: DimerModel, mu: Matching,
     those degrees are counted, not walked."""
     require_consistent(model)
     require_matching(model, mu)
-    rows, saturation = _degrees(model, mu)
-    return _report(model, mu, rows, saturation, d_max, {})
+    layout = _layout(model)
+    return _report(model, mu, _rows(layout, _mask(layout, mu)), d_max, {})
 
 
 def resolution_reports(model: DimerModel) -> Iterator[Tuple[Matching, ResolutionReport]]:
@@ -368,8 +368,8 @@ def resolution_reports(model: DimerModel) -> Iterator[Tuple[Matching, Resolution
     matching; it lives as long as this iterator."""
     table = degree_table(model)
     exact: Dict[int, bool] = {}
-    for mu, rows, saturation in zip(enumerate_matchings(model), table.rows, table.saturation):
-        yield mu, _report(model, mu, rows, saturation, None, exact)
+    for mu, rows in zip(enumerate_matchings(model), table.rows):
+        yield mu, _report(model, mu, rows, None, exact)
 
 
 def _rotations(layout: _Layout, mu_mask: int, row: Row, stop: int) -> List[int]:
@@ -394,8 +394,8 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     require_consistent(model)
     require_matching(model, mu)
     layout = _layout(model)
-    row = _row(layout, *_split(layout, mu.arrow_set), _target(layout, i))
-    nu = _rotations(layout, _mask(layout, mu), row, d)[-1]
+    mu_mask = _mask(layout, mu)
+    nu = _rotations(layout, mu_mask, _row(layout, mu_mask, _target(layout, i)), d)[-1]
     arrows = frozenset(aid for aid, bit in layout.bit.items() if nu & bit)
     if not is_matching(model, arrows):
         raise ValueError("rotation did not produce a perfect matching")
@@ -421,8 +421,9 @@ def first_rotation_failure(model: DimerModel) -> Optional[Tuple[Matching, int, i
     table = degree_table(model)
     layout = _layout(model)
     for (mu_mask, k), mu in zip(table.by_mask.items(), enumerate_matchings(model)):
+        saturation = max(map(max, table.rows[k]))
         for p, row in enumerate(table.rows[k]):
-            for d, nu in enumerate(_rotations(layout, mu_mask, row, table.saturation[k]), 1):
+            for d, nu in enumerate(_rotations(layout, mu_mask, row, saturation), 1):
                 at = table.by_mask.get(nu)
                 if at is None:
                     raise ValueError("rotation did not produce a perfect matching")

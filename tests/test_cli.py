@@ -302,13 +302,15 @@ def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args
      "arrow ids [1, 3, 9, 10, 15, 999] are not a perfect matching"),
     (["rotate", "gr37", "--matching", "1,3,9,10,15", "--vertex", "999", "--degree", "1"],
      "unknown vertex 999"),
+    (["wedge", "gr37", "--arrow", "999"], "unknown arrow 999"),
     (["matchings", "gr37", "--boundary", "1,2,3,4"], "expected a 3-subset of 1..7, got [1, 2, 3, 4]"),
     (["matchings", "uniform-2-4", "--boundary", "5,6"], "expected a 2-subset of 1..4, got [5, 6]"),
     (["twist-expr", "gr37", "--subset", "1,2"], "expected a 3-subset of 1..7, got [1, 2]"),
     (["extremes", "gr37", "--boundary", "0,1,2"], "expected a 3-subset of 1..7, got [0, 1, 2]"),
 ], ids=["subset-twist-expr", "subset-ms", "boundary-matchings", "boundary-extremes",
         "matching", "negative-dmax", "unknown-arrow-rotate", "unknown-arrow-resolution",
-        "unknown-arrow-kclass", "unknown-vertex-rotate", "boundary-too-large",
+        "unknown-arrow-kclass", "unknown-vertex-rotate", "unknown-arrow-wedge",
+        "boundary-too-large",
         "boundary-out-of-range", "subset-too-small", "boundary-zero"])
 def test_an_option_value_a_command_cannot_use_is_a_one_line_error(runner, args, message):
     result = runner.invoke(main, args)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_matchings, enumerate_dual_covers
 from discdimer import fixtures as fx
-from discdimer.matchings import (Matching, boundary_value,
+from discdimer import matchings as matchings_module
+from discdimer.matchings import (Matching, _height, boundary_value,
                                  enumerate_matchings, extreme_matchings, flip,
                                  height, is_matching, matchings_by_boundary,
                                  matchings_with_boundary,
@@ -16,6 +17,7 @@ from discdimer.matchings import (Matching, boundary_value,
                                  require_matching, support_subgraph)
 from discdimer.model import WHITE, opposite, standardise, type_of
 from discdimer.partition_functions import musp_twist_expression
+from discdimer.resolution import degrees_toward
 from discdimer.strands import necklaces
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
@@ -216,6 +218,50 @@ def test_height_requires_equal_boundary(gr37):
     two = list(by_boundary.values())[:2]
     with pytest.raises(ValueError):
         height(gr37, two[0], two[1])
+
+
+def test_height_walk_integrates_any_two_matchings(gr37):
+    """On every ordered pair (ρ, μ) of gr37's matchings, different boundary
+    values included, h = _height(ρ, μ) has dh = 𝟙_μ − 𝟙_ρ on every arrow
+    and 0 at the first boundary vertex, and shifts ρ's minimal path degrees
+    to μ's: D_μ(j → i) = D_ρ(j → i) + h(i) − h(j). `height` is the same h
+    when the boundary values agree and an error when they do not."""
+    pool = enumerate_matchings(gr37)
+    vertices = [v.id for v in gr37.vertices]
+    root = next(v.id for v in gr37.vertices if v.is_boundary)
+    degrees = {mu: {i: degrees_toward(gr37, mu, i) for i in vertices} for mu in pool}
+    unequal = 0
+    for rho in pool:
+        for mu in pool:
+            h = _height(gr37, rho, mu)
+            assert h[root] == 0
+            for a in gr37.arrows:
+                assert h[a.head] - h[a.tail] == (a.id in mu.arrow_set) - (a.id in rho.arrow_set)
+            for i in vertices:
+                for j in vertices:
+                    assert degrees[mu][i][j] == degrees[rho][i][j] + h[i] - h[j]
+            if boundary_value(gr37, rho) == boundary_value(gr37, mu):
+                assert height(gr37, rho, mu).values == tuple(sorted(h.items()))
+            else:
+                unequal += 1
+                with pytest.raises(ValueError, match="matchings have different boundary values"):
+                    height(gr37, rho, mu)
+    assert unequal > 0
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])
+def test_extremes_walk_no_heights(name, monkeypatch):
+    """A flip at j moves h(j) alone, so the extremes read a flip's direction
+    off the arrows into j and never integrate a height."""
+    model = fx.FIXTURE_BUILDERS[name]()
+    walks = []
+    for fn in ("height", "_height"):
+        original = getattr(matchings_module, fn)
+        monkeypatch.setattr(matchings_module, fn,
+                            lambda *args, original=original: walks.append(args) or original(*args))
+    for I in positroid(model):
+        extreme_matchings(model, I)
+    assert walks == []
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])

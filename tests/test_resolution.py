@@ -383,18 +383,32 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
     assert across > 0
 
 
-@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7"])
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8"])
 def test_every_table_row_equals_degrees_toward(name):
+    """The height identity: the first matching's rows shifted by each
+    matching's height are that matching's own rows, searched alone."""
     model = build(name)
     table = degree_table(model)
     matchings = enumerate_matchings(model)
-    assert len(table.rows) == len(table.saturation) == len(table.by_mask) == len(matchings)
+    assert len(table.rows) == len(table.by_mask) == len(matchings)
     for k, mu in enumerate(matchings):
         assert table.by_mask[sum(1 << i for i, a in enumerate(model.arrows)
                                if a.id in mu.arrow_set)] == k
         assert [dict(zip((v.id for v in model.vertices), row)) for row in table.rows[k]] == [
             degrees_toward(model, mu, v.id) for v in model.vertices]
-        assert table.saturation[k] == saturation_degree(model, mu)
+        assert max(map(max, table.rows[k])) == saturation_degree(model, mu)
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-4-8"])
+def test_the_degree_table_searches_one_matching(name, monkeypatch):
+    """degree_table runs the level search once per target vertex, for the
+    reference matching only; every other row is a height shift."""
+    model = build(name)
+    calls = []
+    row = resolution._row
+    monkeypatch.setattr(resolution, "_row", lambda *args: calls.append(args) or row(*args))
+    degree_table(model)
+    assert len(calls) == len(model.vertices)
 
 
 def test_the_degree_table_is_built_once_and_cannot_change(gr37):
