@@ -2,21 +2,25 @@
 
 - triangle: the smallest valid disc model (three clockwise boundary arrows
   around one white face).
-- gr37: the running example of type (3,7), generated from its embedded
-  bipartite graph.
+- gr37: the running example of type (3,7), given as the rotation system of
+  its bipartite graph.
 - inconsistent: a type (1,3) dimer model whose strand diagram violates the
-  consistency axioms.
+  consistency axioms, given as a rotation system.
 - build_uniform(k, n): the dual of the k x (n-k) grid of square tiles cut to
-  the disc, with strand permutation i -> i+k.
+  the disc, with strand permutation i -> i+k; its rotation system is built
+  box by box.
+
+Every model but the triangle goes through `plabic.to_dimer_model`. A face's
+boundary cycle starts at the first dart of its node's rotation, so the dart
+lists are part of each fixture's identity.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Dict, List, Tuple
 
 from .model import BLACK, WHITE, Arrow, DimerModel, Face, Vertex
-from .plabic import Dart, EmbeddedPlabicGraph, from_coordinates, to_dimer_model
+from .plabic import Dart, EmbeddedPlabicGraph, to_dimer_model
 
 
 def triangle() -> DimerModel:
@@ -26,69 +30,48 @@ def triangle() -> DimerModel:
     return DimerModel(vertices, arrows, faces)
 
 
-def _polar(angle_deg: float, radius: float) -> Tuple[float, float]:
-    rad = math.radians(angle_deg)
-    return radius * math.cos(rad), radius * math.sin(rad)
-
-
-def _flip(p: Tuple[float, float]) -> Tuple[float, float]:
-    return p[0], -p[1]
-
-
 def gr37() -> DimerModel:
     """Type (3,7) example: 4 white and 5 black nodes, 11 edges, 7 half-edges."""
-    seventh = 360.0 / 7.0
-    angle_offsets = {1: 0.0, 2: 0.0, 3: 5.0, 4: 10.0, 5: 0.0, 6: -3.0, 7: 0.0}
-    marked_raw = {i: _polar(120.0 - seventh * i + angle_offsets[i], 1.0)
-                  for i in range(1, 8)}
-    marked_labels = {1: 4, 2: 3, 3: 2, 4: 1, 5: 7, 6: 6, 7: 5}
-
-    def scaled(i: int, s: float = 0.65) -> Tuple[float, float]:
-        x, y = marked_raw[i]
-        return s * x, s * y
-
-    pos: Dict[int, Tuple[float, float]] = {
-        8: scaled(1), 9: scaled(2), 10: scaled(3), 11: scaled(4),
-        14: scaled(5), 15: scaled(6), 16: scaled(7),
-    }
-    nudges = {11: (0.05, 0.02), 14: (-0.07, -0.03), 16: (-0.02, 0.02)}
-    for node, (dx, dy) in nudges.items():
-        x, y = pos[node]
-        pos[node] = (x + dx, y + dy)
-    pos[13] = (pos[15][0] - pos[16][0] + pos[8][0] - 0.03,
-               pos[15][1] - pos[16][1] + pos[8][1] - 0.03)
-    pos[12] = (pos[14][0] - pos[15][0] + pos[13][0] - 0.22,
-               pos[14][1] - pos[15][1] + pos[13][1])
-
-    colors = {8: WHITE, 10: WHITE, 12: WHITE, 15: WHITE,
-              9: BLACK, 11: BLACK, 13: BLACK, 14: BLACK, 16: BLACK}
-    edges = [(8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 8),
-             (14, 15), (15, 16), (12, 14), (13, 15), (8, 16)]
-    half_nodes = {1: 8, 2: 9, 3: 10, 4: 11, 5: 14, 6: 15, 7: 16}
-    half_edges = [(half_nodes[i], marked_labels[i], _flip(marked_raw[i]))
-                  for i in range(1, 8)]
-    graph = from_coordinates(colors, {v: _flip(p) for v, p in pos.items()},
-                             edges, half_edges)
+    graph = EmbeddedPlabicGraph(
+        node_colors={8: WHITE, 10: WHITE, 12: WHITE, 15: WHITE,
+                     9: BLACK, 11: BLACK, 13: BLACK, 14: BLACK, 16: BLACK},
+        edges=[(8, 9), (9, 10), (10, 11), (11, 12), (12, 13), (13, 8),
+               (14, 15), (15, 16), (12, 14), (13, 15), (8, 16)],
+        half_edges=[(8, 4), (9, 3), (10, 2), (11, 1), (14, 7), (15, 6), (16, 5)],
+        boundary_order=[6, 5, 4, 3, 2, 1, 7],
+        rotations={
+            8: [("h", 0, 0), ("e", 0, 0), ("e", 5, 1), ("e", 10, 0)],
+            10: [("e", 1, 1), ("h", 2, 0), ("e", 2, 0)],
+            12: [("e", 8, 0), ("e", 4, 0), ("e", 3, 1)],
+            15: [("h", 5, 0), ("e", 7, 0), ("e", 9, 1), ("e", 6, 1)],
+            9: [("e", 0, 1), ("h", 1, 0), ("e", 1, 0)],
+            11: [("e", 3, 0), ("e", 2, 1), ("h", 3, 0)],
+            13: [("e", 9, 0), ("e", 5, 0), ("e", 4, 1)],
+            14: [("e", 6, 0), ("e", 8, 1), ("h", 4, 0)],
+            16: [("h", 6, 0), ("e", 10, 1), ("e", 7, 1)],
+        })
     return to_dimer_model(graph)
 
 
 def inconsistent() -> DimerModel:
     """A valid dimer model of type (1,3) whose strands double-cross."""
-    marked_raw = {i: _polar(120.0 - 120.0 * i, 1.0) for i in range(1, 4)}
-    marked_labels = {1: 2, 2: 1, 3: 3}
-    pos: Dict[int, Tuple[float, float]] = {0: (0.0, 0.0)}
-    for i in range(1, 4):
-        pos[10 + i] = _polar(120.0 - 120.0 * i, 0.75)
-        pos[20 + i] = _polar(180.0 - 120.0 * i, 0.5)
-    colors = {0: WHITE, 11: WHITE, 12: WHITE, 13: WHITE,
-              21: BLACK, 22: BLACK, 23: BLACK}
-    edges = [(0, 21), (0, 22), (0, 23),
-             (11, 21), (12, 22), (13, 23),
-             (11, 22), (12, 23), (13, 21)]
-    half_edges = [(10 + i, marked_labels[i], _flip(marked_raw[i]))
-                  for i in range(1, 4)]
-    graph = from_coordinates(colors, {v: _flip(p) for v, p in pos.items()},
-                             edges, half_edges)
+    graph = EmbeddedPlabicGraph(
+        node_colors={0: WHITE, 11: WHITE, 12: WHITE, 13: WHITE,
+                     21: BLACK, 22: BLACK, 23: BLACK},
+        edges=[(0, 21), (0, 22), (0, 23),
+               (11, 21), (12, 22), (13, 23),
+               (11, 22), (12, 23), (13, 21)],
+        half_edges=[(11, 2), (12, 1), (13, 3)],
+        boundary_order=[3, 2, 1],
+        rotations={
+            0: [("e", 0, 0), ("e", 1, 0), ("e", 2, 0)],
+            11: [("e", 3, 0), ("h", 0, 0), ("e", 6, 0)],
+            12: [("e", 7, 0), ("e", 4, 0), ("h", 1, 0)],
+            13: [("h", 2, 0), ("e", 8, 0), ("e", 5, 0)],
+            21: [("e", 8, 1), ("e", 3, 1), ("e", 0, 1)],
+            22: [("e", 1, 1), ("e", 6, 1), ("e", 4, 1)],
+            23: [("e", 5, 1), ("e", 2, 1), ("e", 7, 1)],
+        })
     return to_dimer_model(graph)
 
 
@@ -102,8 +85,8 @@ def build_uniform(k: int, n: int) -> DimerModel:
     bipartite pair joined by an internal edge: the lower-left node carries
     the west and south ports, the upper-right node the east and north ports
     (missing ports on the boundary rows/columns just lower the degree). The
-    bend at box (1, 1) is contracted to a single wire. The resulting graph
-    is two-coloured by parity and read as an embedded bipartite graph.
+    bend at box (1, 1) is contracted to a single wire. Lower-left nodes
+    (even ids) are white and upper-right nodes (odd ids) black.
     Type (1, 2) raises ValueError: its rectangle is the bend alone.
     """
     if not 1 <= k < n:
@@ -120,7 +103,6 @@ def build_uniform(k: int, n: int) -> DimerModel:
     port_node: Dict[Tuple, int] = {}
     node_order: Dict[int, List[Tuple[int, Tuple]]] = {}
     connections: List[Tuple[Tuple, Tuple]] = []
-    next_node = 0
     for r in range(1, k + 1):
         for c in range(1, width + 1):
             if (r, c) == (1, 1):
@@ -130,18 +112,13 @@ def build_uniform(k: int, n: int) -> DimerModel:
                 sides.add("W")
             if r > 1:
                 sides.add("N")
-            low, high = next_node, next_node + 1
-            next_node += 2
+            low, high = len(node_order), len(node_order) + 1
             low_ports = [(angle[s], (r, c, s)) for s in sides & {"W", "S"}]
             high_ports = [(angle[s], (r, c, s)) for s in sides & {"E", "N"}]
             node_order[low] = sorted(low_ports + [(45, ("x", r, c, 0))])
             node_order[high] = sorted(high_ports + [(225, ("x", r, c, 1))])
-            for _, key in low_ports:
-                port_node[key] = low
-            for _, key in high_ports:
-                port_node[key] = high
-            port_node[("x", r, c, 0)] = low
-            port_node[("x", r, c, 1)] = high
+            for v in (low, high):
+                port_node.update((key, v) for _, key in node_order[v])
             connections.append((("x", r, c, 0), ("x", r, c, 1)))
     for r in range(1, k + 1):
         for c in range(1, width):
@@ -180,19 +157,8 @@ def build_uniform(k: int, n: int) -> DimerModel:
     rotations = {v: [dart_for_port[key] for _, key in order]
                  for v, order in node_order.items()}
 
-    parity: Dict[int, int] = {0: 0}
-    adjacency: Dict[int, List[int]] = {v: [] for v in node_order}
-    for u, v in edges:
-        adjacency[u].append(v)
-        adjacency[v].append(u)
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adjacency[u]:
-            if v not in parity:
-                parity[v] = 1 - parity[u]
-                stack.append(v)
-    node_colors = {v: (WHITE if parity[v] == 0 else BLACK) for v in node_order}
+    # Every edge joins a lower-left (even) node to an upper-right (odd) one.
+    node_colors = {v: (WHITE if v % 2 == 0 else BLACK) for v in node_order}
     boundary_order = [relabel[n - p] for p in range(n)]
     graph = EmbeddedPlabicGraph(node_colors, edges, half_edges,
                                 boundary_order, rotations)

@@ -6,7 +6,9 @@ anticlockwise cyclic order of the labelled marked points on the disc
 boundary. Tiles (faces of the embedding, including the boundary tiles cut
 out by the half-edges) are traced combinatorially and become the quiver
 vertices of the dual dimer model; edges become arrows; graph nodes become
-quiver faces.
+quiver faces. The rotation system is the embedding itself: there are no
+coordinates, and `to_dimer_model` checks first that it lists every dart of
+the graph exactly once, at its own node.
 
 Orientation conventions (fixed once, validated by the bundled fixtures):
 arrows circulate anticlockwise around black nodes and clockwise around white
@@ -17,9 +19,8 @@ rotation order, white face cycles in clockwise order.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Set, Tuple
 
 from .model import BLACK, WHITE, Arrow, DimerModel, Face, Vertex
 
@@ -36,70 +37,55 @@ class EmbeddedPlabicGraph:
     edges: List[Tuple[int, int]]
     half_edges: List[Tuple[int, int]]  # (node, boundary label)
     boundary_order: List[int]  # labels in anticlockwise order around the disc
-    rotations: Dict[int, List[Dart]] = field(default_factory=dict)
-    # rotations[node] lists the darts based at that node anticlockwise.
-
-
-def from_coordinates(node_colors: Dict[int, str],
-                     node_pos: Dict[int, Tuple[float, float]],
-                     edges: Sequence[Tuple[int, int]],
-                     half_edges: Sequence[Tuple[int, int, Tuple[float, float]]],
-                     ) -> EmbeddedPlabicGraph:
-    """Derive the rotation system from node and marked-point coordinates.
-
-    half_edges entries are (node, label, marked point position). Coordinates
-    are only used for angular sorting; they never enter any computed value.
-    """
-    edges = list(edges)
-    darts_at: Dict[int, List[Tuple[float, Dart]]] = {v: [] for v in node_colors}
-    for i, (u, v) in enumerate(edges):
-        ux, uy = node_pos[u]
-        vx, vy = node_pos[v]
-        darts_at[u].append((math.atan2(vy - uy, vx - ux), ("e", i, 0)))
-        darts_at[v].append((math.atan2(uy - vy, ux - vx), ("e", i, 1)))
-    marked: List[Tuple[float, int]] = []
-    center = (sum(p[0] for p in node_pos.values()) / len(node_pos),
-              sum(p[1] for p in node_pos.values()) / len(node_pos))
-    for j, (u, label, mpos) in enumerate(half_edges):
-        ux, uy = node_pos[u]
-        darts_at[u].append((math.atan2(mpos[1] - uy, mpos[0] - ux), ("h", j, 0)))
-        marked.append((math.atan2(mpos[1] - center[1], mpos[0] - center[0]), label))
-    rotations = {v: [d for _, d in sorted(pairs, key=lambda p: p[0])]
-                 for v, pairs in darts_at.items()}
-    boundary_order = [label for _, label in sorted(marked)]
-    return EmbeddedPlabicGraph(dict(node_colors), edges,
-                               [(u, label) for u, label, _ in half_edges],
-                               boundary_order, rotations)
+    rotations: Dict[int, List[Dart]]  # node -> its darts, anticlockwise
 
 
 def to_dimer_model(graph: EmbeddedPlabicGraph) -> DimerModel:
     """Trace the tiles of the embedding and assemble the dual dimer model."""
-    label_pos = {label: t for t, label in enumerate(graph.boundary_order)}
     n = len(graph.boundary_order)
-    if sorted(graph.boundary_order) != sorted(label for _, label in graph.half_edges):
-        raise ValueError("boundary order does not match half-edge labels")
-    half_by_label = {label: j for j, (_, label) in enumerate(graph.half_edges)}
+    labels = [label for _, label in graph.half_edges]
+    if sorted(graph.boundary_order) != sorted(labels) or len(set(labels)) != n:
+        raise ValueError("boundary order does not match half-edge labels, "
+                         "or a label repeats")
 
-    # Base node (or marked point, encoded as ("m", label)) of every dart, and
-    # the full rotation including marked points. At a marked point the
-    # anticlockwise order is: arc towards the next marked point, the
-    # half-edge pointing into the disc, arc towards the previous one.
+    # Base node of every dart at a graph node. The rotations must list each
+    # of these darts exactly once, at its base, and no other dart.
     base: Dict[Dart, object] = {}
-    rotations: Dict[object, List[Dart]] = {v: list(r) for v, r in graph.rotations.items()}
     for i, (u, v) in enumerate(graph.edges):
         base[("e", i, 0)] = u
         base[("e", i, 1)] = v
-    for j, (u, label) in enumerate(graph.half_edges):
+    for j, (u, _) in enumerate(graph.half_edges):
         base[("h", j, 0)] = u
+    for node in graph.node_colors:
+        if node not in graph.rotations:
+            raise ValueError(f"node {node} has no rotation")
+    listed: Set[Dart] = set()
+    for node, rotation in graph.rotations.items():
+        if node not in graph.node_colors:
+            raise ValueError(f"node {node} has a rotation but no colour")
+        for d in rotation:
+            if d in listed or base.get(d) != node:
+                problem = ("is listed twice" if d in listed else
+                           "is not a dart of the graph" if d not in base else
+                           f"belongs at node {base[d]}")
+                raise ValueError(f"dart {d} at node {node} {problem}")
+            listed.add(d)
+    for d, node in base.items():
+        if d not in listed:
+            raise ValueError(f"dart {d} is missing from the rotation at node {node}")
+
+    # Marked points, encoded as ("m", label), complete the rotation system.
+    # At a marked point the anticlockwise order is: arc towards the next
+    # marked point, the half-edge pointing into the disc, arc towards the
+    # previous one.
+    rotations: Dict[object, List[Dart]] = {v: list(r) for v, r in graph.rotations.items()}
+    for j, (_, label) in enumerate(graph.half_edges):
         base[("h", j, 1)] = ("m", label)
     for t, label in enumerate(graph.boundary_order):
-        nxt = graph.boundary_order[(t + 1) % n]
         base[("a", t, 0)] = ("m", label)
-        base[("a", t, 1)] = ("m", nxt)
-    for t, label in enumerate(graph.boundary_order):
-        prev_t = (t - 1) % n
-        rotations[("m", label)] = [("a", t, 0), ("h", half_by_label[label], 1),
-                                   ("a", prev_t, 1)]
+        base[("a", t, 1)] = ("m", graph.boundary_order[(t + 1) % n])
+        rotations[("m", label)] = [("a", t, 0), ("h", labels.index(label), 1),
+                                   ("a", (t - 1) % n, 1)]
 
     def alpha(d: Dart) -> Dart:
         return (d[0], d[1], 1 - d[2])
@@ -112,74 +98,60 @@ def to_dimer_model(graph: EmbeddedPlabicGraph) -> DimerModel:
         return rot[rot.index(rev) - 1]
 
     # Orbits of phi = faces of the embedding, each seen from its left darts.
+    # The rotations list every dart once, so phi permutes the darts and each
+    # orbit closes up at its first dart.
     orbit_of: Dict[Dart, int] = {}
     orbits: List[List[Dart]] = []
-    for d in sorted(base):
-        if d in orbit_of:
-            continue
-        orbit: List[Dart] = []
-        cur = d
+    for start in sorted(base):
+        cur, orbit = start, []
         while cur not in orbit_of:
             orbit_of[cur] = len(orbits)
             orbit.append(cur)
             cur = phi(cur)
-        if cur != d:
-            raise ValueError("rotation system is not a valid embedding")
-        orbits.append(orbit)
+        if orbit:
+            orbits.append(orbit)
 
     # The outer face is the orbit of any reversed arc dart (the region
-    # outside the disc lies on the left of arcs traversed clockwise).
+    # outside the disc lies on the left of arcs traversed clockwise). Every
+    # other orbit is a tile.
     outer = orbit_of[("a", 0, 1)]
+    if any(d[0] != "a" for d in orbits[outer]):
+        raise ValueError("outer face touches the graph; graph is not "
+                         "properly inside the disc")
     tile_ids: Dict[int, int] = {}
-    tile_is_boundary: Dict[int, bool] = {}
+    vertices: List[Vertex] = []
     for idx, orbit in enumerate(orbits):
-        if idx == outer:
-            if any(d[0] != "a" for d in orbit):
-                raise ValueError("outer face touches the graph; graph is not "
-                                 "properly inside the disc")
-            continue
-        tile_ids[idx] = len(tile_ids)
-        tile_is_boundary[idx] = any(d[0] == "a" for d in orbit)
-    if len(tile_ids) != len(orbits) - 1:
-        raise ValueError("embedding produced no tiles")
+        if idx != outer:
+            tile_ids[idx] = len(vertices)
+            vertices.append(Vertex(len(vertices), any(d[0] == "a" for d in orbit)))
 
     def tile_left(d: Dart) -> int:
-        idx = orbit_of[d]
-        if idx == outer:
-            raise ValueError("dart borders the outer face")
-        return tile_ids[idx]
+        return tile_ids[orbit_of[d]]
 
-    # Arrows: one per edge and per half-edge, with the black node on the
-    # left. The white-to-black dart has the arrow's tail tile on its left.
+    # Arrows: edge i is arrow i and half-edge j is arrow len(edges) + j, with
+    # the black node on the left. The white-to-black dart has the arrow's
+    # tail tile on its left.
     arrows: List[Arrow] = []
-    arrow_of_dart: Dict[Dart, int] = {}
     for i, (u, v) in enumerate(graph.edges):
         cu, cv = graph.node_colors[u], graph.node_colors[v]
         if cu == cv:
             raise ValueError(f"edge {i} joins two {cu} nodes")
         d_wb = ("e", i, 0) if cu == WHITE else ("e", i, 1)
-        aid = len(arrows)
-        arrows.append(Arrow(aid, tile_left(d_wb), tile_left(alpha(d_wb)), False, None))
-        arrow_of_dart[("e", i, 0)] = aid
-        arrow_of_dart[("e", i, 1)] = aid
+        arrows.append(Arrow(i, tile_left(d_wb), tile_left(alpha(d_wb)), False, None))
     for j, (u, label) in enumerate(graph.half_edges):
         # The marked point takes the colour opposite to its node.
         d_wb = ("h", j, 1) if graph.node_colors[u] == BLACK else ("h", j, 0)
-        aid = len(arrows)
-        arrows.append(Arrow(aid, tile_left(d_wb), tile_left(alpha(d_wb)), True, label))
-        arrow_of_dart[("h", j, 0)] = aid
-        arrow_of_dart[("h", j, 1)] = aid
+        arrows.append(Arrow(len(arrows), tile_left(d_wb), tile_left(alpha(d_wb)),
+                            True, label))
 
     # Quiver faces: one per graph node; black cycles follow the rotation
     # anticlockwise, white cycles clockwise.
     faces: List[Face] = []
     for fid, node in enumerate(sorted(graph.node_colors)):
         color = graph.node_colors[node]
-        cycle = [arrow_of_dart[d] for d in rotations[node]]
+        cycle = [i if kind == "e" else len(graph.edges) + i
+                 for kind, i, _ in rotations[node]]
         if color == WHITE:
             cycle.reverse()
         faces.append(Face(fid, color, tuple(cycle)))
-
-    vertices = tuple(Vertex(tile_ids[idx], tile_is_boundary[idx])
-                     for idx in sorted(tile_ids))
-    return DimerModel(vertices, tuple(arrows), tuple(faces))
+    return DimerModel(tuple(vertices), tuple(arrows), tuple(faces))

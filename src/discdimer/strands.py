@@ -13,6 +13,7 @@ that colour, built from the face cycles on first use.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, per_model,
@@ -29,7 +30,7 @@ class Strand:
     end_label: int
     crossing_sequence: Tuple[Tuple[int, str], ...]
 
-    @property
+    @cached_property
     def arrows(self) -> Tuple[int, ...]:
         return tuple(aid for aid, _ in self.crossing_sequence)
 

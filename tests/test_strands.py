@@ -5,7 +5,7 @@ import pytest
 from discdimer import fixtures as fx
 from discdimer import strands as strands_module
 from discdimer.model import opposite, type_of
-from discdimer.strands import (boundary_tile, check_postnikov, label_table,
+from discdimer.strands import (Strand, boundary_tile, check_postnikov, label_table,
                                necklaces, require_consistent, source_labels,
                                strand_permutation, strands, target_labels)
 
@@ -18,6 +18,14 @@ GR37_PERMUTATION = {1: 5, 2: 4, 3: 1, 4: 6, 5: 7, 6: 2, 7: 3}
 def test_consistent_fixtures_pass(name):
     report = check_postnikov(fx.FIXTURE_BUILDERS[name]())
     assert report.passed
+
+
+def test_strand_arrows_built_once_and_not_part_of_identity(gr37):
+    s = strands(gr37)[0]
+    assert s.arrows is s.arrows
+    assert s.arrows == tuple(aid for aid, _ in s.crossing_sequence)
+    fresh = Strand(s.start_label, s.end_label, s.crossing_sequence)
+    assert fresh == s and hash(fresh) == hash(s)
 
 
 def test_inconsistent_fixture_fails(inconsistent):
