@@ -455,7 +455,7 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
     require_consistent(model)  # an inconsistent model is not the weights' fault
     try:
         vec = boundary_measurement(model, w)
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(f"bad weights: {exc}")
     doc = {"command": "measure",
            "values": {",".join(map(str, I)): str(x) for I, x in vec.values}}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from operator import le
+from operator import ge
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from .kasteleyn import _minors
@@ -172,34 +172,39 @@ def positroid(model: DimerModel) -> FrozenSet[FrozenSet[int]]:
 
 
 @per_model
-def _necklace_orders(model: DimerModel) -> Tuple[Tuple[Tuple[int, ...], Tuple[int, ...]], ...]:
-    """Per boundary position m, in the linear order shift < shift+1 < ...
-    (mod n) with shift = m+1 that starts its cyclic Gale order: the
-    position of every label, indexed by label (index 0 is no label), and
-    the source-necklace entry at m as its sorted positions."""
-    n = model.n
+def _necklace_bounds(model: DimerModel) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The source necklace as count bounds: with the labels listed from m+1
+    (mod n), J ≤ I_m in that Gale order iff, for the r-th element e of I_m,
+    at least r labels of J come no later than e. Returns the masks of those
+    labels and the bounds r over all m, but for bounds every k-subset meets."""
+    k, n = type_of(model)
     source_necklace, _ = necklaces(model)
-    orders = []
+    masks, needs = [], []
     for m in range(1, n + 1):
-        position = tuple((x - m - 1) % n for x in range(n + 1))
-        orders.append((position, tuple(sorted(map(position.__getitem__, source_necklace[m])))))
-    return tuple(orders)
+        order = [x % n + 1 for x in range(m, m + n)]
+        ends = [i for i, label in enumerate(order, 1) if label in source_necklace[m]]
+        for r, i in enumerate(ends, 1):
+            if k - n + i < r:  # else no k-subset has n − i labels after e
+                masks.append(sum(1 << x for x in order[:i]))
+                needs.append(r)
+    return tuple(masks), tuple(needs)
 
 
 def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> bool:
     """Membership of J in the positroid via the source necklace: J must
     dominate every necklace entry in the corresponding cyclically shifted
-    Gale order. The source-necklace entry at boundary position m is the
+    Gale order. The source-necklace entry I_m at boundary position m is the
     Gale maximum of the positroid for the shift starting at m+1 (so the
     domination runs in the order reversed against that shift): J belongs to
-    the positroid iff J ≤ entry(m) in the (m+1)-shifted order for all m,
-    i.e. the r-th position of J is at most the r-th position of the entry
-    when both are listed in that order."""
+    the positroid iff J ≤ I_m in the (m+1)-shifted order for all m: the
+    r-th element of J comes no later than the r-th element of I_m, that is,
+    at least r labels of J come no later than it (`_necklace_bounds`)."""
     J = frozenset(J)
     k, n = type_of(model)
     _require_subset(J, k, n)
-    return all(all(map(le, sorted(map(position.__getitem__, J)), entry))
-               for position, entry in _necklace_orders(model))
+    j = sum(1 << x for x in J)
+    masks, needs = _necklace_bounds(model)
+    return all(map(ge, map(int.bit_count, map(j.__and__, masks)), needs))
 
 
 def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:

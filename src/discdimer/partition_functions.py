@@ -8,7 +8,8 @@ matchings, so a loop over every boundary value can pass the groups of one
 enumeration. The boundary measurements enumerate nothing: each Z_I is a
 maximal minor of one Kasteleyn matrix per weight draw (`kasteleyn`), and
 the Plücker check compares the values in integers over one common
-denominator, looked up by subset bitmask.
+denominator, reading the values Z_{S∪xy} for one (k−2)-subset S at a time
+into a list in which each relation on S is six fixed positions.
 
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .kasteleyn import boundary_minors
@@ -159,15 +160,19 @@ class PluckerVector:
 def boundary_measurement(model: DimerModel,
                          arrow_weights: Mapping[int, Fraction]) -> PluckerVector:
     """Z_I = Σ_{∂μ=I} Π_{γ∈μ} w(γ) over all k-subsets I (zero entries for
-    subsets outside the positroid). Weights must be positive rationals.
+    subsets outside the positroid). Weights: positive ints or Fractions.
     Every Z_I is a maximal minor of one Kasteleyn matrix (`kasteleyn`), so
     no matching is enumerated."""
     require_consistent(model)
     k, n = type_of(model)
-    w = {a.id: Fraction(arrow_weights[a.id]) for a in model.arrows}
-    if any(x <= 0 for x in w.values()):
-        raise ValueError("arrow weights must be positive")
-    return PluckerVector(k, n, tuple(boundary_minors(model, w)))
+    for a in model.arrows:
+        x = arrow_weights.get(a.id)
+        if type(x) is not int and not isinstance(x, Fraction):
+            raise ValueError(f"no weight for arrow {a.id}" if x is None else
+                             f"weight of arrow {a.id} is not an int or a Fraction: {x!r}")
+        if x <= 0:
+            raise ValueError(f"weight of arrow {a.id} is not positive: {x}")
+    return PluckerVector(k, n, tuple(boundary_minors(model, arrow_weights)))
 
 
 def unit_weights(model: DimerModel) -> Dict[int, Fraction]:
@@ -177,7 +182,7 @@ def unit_weights(model: DimerModel) -> Dict[int, Fraction]:
 @dataclass
 class PluckerReport:
     checked: int
-    failures: List[Tuple[Tuple[int, ...], Tuple[int, int, int, int]]]
+    failures: List[Tuple[Tuple[int, ...], Tuple[int, int, int, int]]]  # (S, quad) by quad, S
 
     @property
     def passed(self) -> bool:
@@ -192,30 +197,30 @@ def check_plucker_relations(vec: PluckerVector, k: int, n: int) -> PluckerReport
     expected = {tuple(sorted(I)) for I in combinations(range(1, n + 1), k)}
     if set(vals) != expected:
         raise ValueError("vector keys are not exactly the k-subsets of 1..n")
-    if k < 2:
+    if k < 2 or n - k < 2:
         return PluckerReport(0, [])
     # The relations are homogeneous, so they hold for the values times one
     # common denominator exactly when they hold for the values: compare ints,
     # keyed by subset bitmask.
     den = lcm(*(x.denominator for x in vals.values()))
     ints = {_mask(I): x.numerator * (den // x.denominator) for I, x in vals.items()}
-    # Lexicographic, so the S disjoint from a quad come in the order of
-    # combinations of the labels outside it.
-    rests = [(S, _mask(S)) for S in combinations(range(1, n + 1), k - 2)]
-    checked = 0
+    # Per S, the m labels outside it give C(m, 2) values Z_{S∪xy}, read once;
+    # each relation is six fixed positions among those pairs.
+    m = n - k + 2
+    at = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
+    relations = [((a, b, c, d), at[a, c], at[b, d], at[a, b], at[c, d], at[a, d], at[b, c])
+                 for a, b, c, d in combinations(range(m), 4)]
+    labels = range(1, n + 1)
     failures = []
-    for quad in combinations(range(1, n + 1), 4):
-        a, b, c, d = (1 << x for x in quad)
-        ac, bd, ab, cd, ad, bc = a | c, b | d, a | b, c | d, a | d, b | c
-        quad_mask = ab | cd
-        for S, s in rests:
-            if s & quad_mask:
-                continue
-            checked += 1
-            lhs = ints[s | ac] * ints[s | bd]
-            if lhs != ints[s | ab] * ints[s | cd] + ints[s | ad] * ints[s | bc]:
-                failures.append((S, quad))
-    return PluckerReport(checked, failures)
+    for S in combinations(labels, k - 2):
+        s = _mask(S)
+        rest = [x for x in labels if not s >> x & 1]
+        z = [ints[s | 1 << rest[i] | 1 << rest[j]] for i, j in at]
+        failures.extend((S, tuple(rest[i] for i in q))
+                        for q, ac, bd, ab, cd, ad, bc in relations
+                        if z[ac] * z[bd] != z[ab] * z[cd] + z[ad] * z[bc])
+    failures.sort(key=lambda f: (f[1], f[0]))
+    return PluckerReport(comb(n, k - 2) * len(relations), failures)
 
 
 def _mask(subset: Iterable[int]) -> int:

@@ -188,8 +188,8 @@ def test_measure_on_an_inconsistent_model_blames_the_model(runner):
 
 
 @pytest.mark.parametrize("weights, message", [
-    ({"0": "1"}, "Error: bad weights: 1\n"),
-    ({str(a): "0" for a in range(10)}, "Error: bad weights: arrow weights must be positive\n"),
+    ({"0": "1"}, "Error: bad weights: no weight for arrow 1\n"),
+    ({str(a): "0" for a in range(10)}, "Error: bad weights: weight of arrow 0 is not positive: 0\n"),
     ({"0": "1/0"}, "Error: cannot read weights: zero denominator in Fraction(1, 0)\n"),
     ([1, 2], "Error: cannot read weights: expected a JSON object mapping arrow ids to weights\n"),
 ], ids=["missing-arrow", "non-positive", "zero-denominator", "not-an-object"])

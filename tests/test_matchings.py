@@ -1,5 +1,6 @@
 """Perfect matchings, boundary values, positroids, flips, and heights."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -137,8 +138,8 @@ def _gale_leq(smaller, larger, shift, n):
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8",
                                                         "uniform-4-9", "uniform-5-10"])
 def test_necklace_test_agrees_with_the_gale_oracle(name):
-    """The per-model tables of label positions decide every k-subset as the
-    per-shift sort does over all n shifts."""
+    """The per-model count bounds decide every k-subset as the per-shift
+    sort does over all n shifts."""
     model = (fx.FIXTURE_BUILDERS[name]() if name in fx.FIXTURE_BUILDERS
              else fx.build_uniform(*map(int, name.split("-")[1:])))
     k, n = type_of(model)
@@ -147,6 +148,29 @@ def test_necklace_test_agrees_with_the_gale_oracle(name):
         J = frozenset(J)
         expected = all(_gale_leq(J, source_necklace[m], m % n + 1, n) for m in range(1, n + 1))
         assert positroid_contains_necklace_test(model, J) is expected
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-4-9"])
+def test_necklace_bounds_decide_any_necklace_as_the_gale_oracle(name, monkeypatch):
+    """The count bounds against the per-shift sort, with seeded k-subsets
+    in place of the necklace: each entry m is drawn from the last labels of
+    its shift, so some bounds bind, some hold for every k-subset (and are
+    left out), and some J pass them all."""
+    rng = random.Random(f"necklace-bounds/{name}")
+    outcomes = set()
+    for _ in range(20):
+        model = (fx.FIXTURE_BUILDERS[name]() if name in fx.FIXTURE_BUILDERS
+                 else fx.build_uniform(*map(int, name.split("-")[1:])))
+        k, n = type_of(model)
+        shifted = {m: [(m + i) % n + 1 for i in range(n)] for m in range(1, n + 1)}
+        entries = {m: frozenset(rng.sample(order[-rng.randint(k, n):], k))
+                   for m, order in shifted.items()}
+        monkeypatch.setattr(matchings_module, "necklaces", lambda model: (entries, entries))
+        for J in map(frozenset, combinations(range(1, n + 1), k)):
+            expected = all(_gale_leq(J, entries[m], m % n + 1, n) for m in range(1, n + 1))
+            assert positroid_contains_necklace_test(model, J) is expected
+            outcomes.add(expected)
+    assert outcomes == {True, False}
 
 
 def test_gale_leq_is_a_partial_order():

@@ -132,8 +132,26 @@ def test_plucker_relations_on_random_weights(name):
 def test_measurement_rejects_nonpositive_weights(u24):
     w = unit_weights(u24)
     w[next(iter(w))] = Fraction(0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^weight of arrow \d+ is not positive: 0$"):
         boundary_measurement(u24, w)
+
+
+@pytest.mark.parametrize("weight, message", [
+    (0.5, "weight of arrow {} is not an int or a Fraction: 0.5"),
+    (True, "weight of arrow {} is not an int or a Fraction: True"),
+    ("3/7", "weight of arrow {} is not an int or a Fraction: '3/7'"),
+    (None, "no weight for arrow {}"),
+], ids=["float", "bool", "string", "missing"])
+def test_a_weight_that_is_not_a_positive_rational_names_its_arrow(u24, weight, message):
+    """Weights are used as given, never converted: `Fraction(0.1)` is not
+    1/10, and a bool or a numeric string is not a weight."""
+    aid = u24.arrows[1].id
+    w = {a: x for a, x in unit_weights(u24).items() if a != aid}
+    if weight is not None:
+        w[aid] = weight
+    with pytest.raises(ValueError) as info:
+        boundary_measurement(u24, w)
+    assert str(info.value) == message.format(aid)
 
 
 def test_specialized_ms_at_unit_pluckers_is_one(u24):
@@ -330,6 +348,8 @@ def fraction_plucker_failures(vec, k, n):
     Fractions, with no common denominator."""
     vals = vec.as_dict()
     failures = []
+    if k < 2:
+        return failures
     for a, b, c, d in combinations(range(1, n + 1), 4):
         rest = [x for x in range(1, n + 1) if x not in (a, b, c, d)]
         for S in combinations(rest, k - 2):
@@ -362,7 +382,8 @@ def plucker_relation_count(k, n):
     return comb(n, 4) * comb(n - 4, k - 2) if k >= 2 else 0
 
 
-@pytest.mark.parametrize("name", ["uniform-4-8", "uniform-5-10"])
+@pytest.mark.parametrize("name", ["gr37", "uniform-3-6", "uniform-3-7", "uniform-4-8",
+                                  "uniform-4-9", "uniform-5-10"])
 def test_plucker_check_equals_fraction_comparison_on_perturbed_draws(name):
     """As drawn every relation holds; scaled or zeroed at one seeded subset,
     the relations fail exactly where, and in the order, they fail in
@@ -395,3 +416,19 @@ def test_plucker_check_counts_every_relation(n, codim):
     report = check_plucker_relations(vec, k, n)
     assert report.checked == plucker_relation_count(k, n)
     assert report.failures == fraction_plucker_failures(vec, k, n)
+
+
+@pytest.mark.parametrize("n", [4, 7, 8])
+def test_plucker_failures_come_in_the_oracles_order_for_every_k(n):
+    """The check reads the relations S by S; for every 0 ≤ k ≤ n, on seeded
+    values that break most relations, it reports the count and the failures
+    in the oracle's order: by quad, then S."""
+    for k in range(n + 1):
+        rng = random.Random(f"plucker-order/{k}-{n}")
+        vec = PluckerVector(k, n, tuple((I, Fraction(rng.randint(0, 5), rng.randint(1, 5)))
+                                        for I in combinations(range(1, n + 1), k)))
+        report = check_plucker_relations(vec, k, n)
+        expected = fraction_plucker_failures(vec, k, n)
+        assert report.checked == plucker_relation_count(k, n)
+        assert report.failures == expected
+        assert len(expected) > report.checked // 2 or report.checked == 0
