@@ -227,26 +227,56 @@ def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:
     return None
 
 
-def _height(model: DimerModel, mu: Matching, mu_ref: Matching) -> Dict[int, int]:
-    """The h with h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] on every arrow
-    γ and 0 at the first boundary vertex. The difference sums to 0 around
-    every face, so on a disc it is a coboundary for any two matchings."""
-    adj: Dict[int, List[Tuple[int, int]]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        diff = (a.id in mu_ref.arrow_set) - (a.id in mu.arrow_set)
-        adj[a.tail].append((a.head, diff))
-        adj[a.head].append((a.tail, -diff))
-    root = next(v.id for v in model.vertices if v.is_boundary)
-    values, stack = {root: 0}, [root]
+@per_model
+def _height_walk(model: DimerModel) -> Tuple[Tuple[Tuple[int, int, int, int], ...],
+                                             Tuple[Tuple[int, int, int], ...]]:
+    """A spanning tree of the quiver from its first boundary vertex, as
+    (vertex, parent, arrow bit, sign) steps in walk order, the sign +1 when
+    the arrow points to the vertex; and every arrow off the tree as (tail,
+    head, arrow bit). Vertices are positions and arrow bits 1 << index,
+    both in model order."""
+    position = {v.id: p for p, v in enumerate(model.vertices)}
+    adj: List[List[Tuple[int, int, int]]] = [[] for _ in position]
+    for k, a in enumerate(model.arrows):
+        adj[position[a.tail]].append((position[a.head], 1 << k, 1))
+        adj[position[a.head]].append((position[a.tail], 1 << k, -1))
+    root = next(p for p, v in enumerate(model.vertices) if v.is_boundary)
+    seen, stack, tree, on_tree = {root}, [root], [], 0
     while stack:
         cur = stack.pop()
-        for nb, diff in adj[cur]:
-            if nb not in values:
-                values[nb] = values[cur] + diff
+        for nb, bit, sign in adj[cur]:
+            if nb not in seen:
+                seen.add(nb)
                 stack.append(nb)
-    if any(values[nb] - values[cur] != diff for cur, out in adj.items() for nb, diff in out):
+                tree.append((nb, cur, bit, sign))
+                on_tree |= bit
+    off = tuple((position[a.tail], position[a.head], 1 << k)
+                for k, a in enumerate(model.arrows) if not on_tree >> k & 1)
+    return tuple(tree), off
+
+
+def _heights(model: DimerModel, mu_mask: int, ref_mask: int) -> List[int]:
+    """The h with h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] on every arrow
+    γ and 0 at the first boundary vertex, per vertex position, for μ and
+    μ_ref as arrow masks (bit 1 << index in model order). The difference
+    sums to 0 around every face, so on a disc it is a coboundary for any
+    two matchings: integrated along the tree, it is checked on the arrows
+    off it."""
+    tree, off = _height_walk(model)
+    h = [0] * len(model.vertices)
+    for v, parent, bit, sign in tree:
+        h[v] = h[parent] + sign * (bool(ref_mask & bit) - bool(mu_mask & bit))
+    if any(h[head] - h[tail] != bool(ref_mask & bit) - bool(mu_mask & bit)
+           for tail, head, bit in off):
         raise ValueError("matching difference is not a coboundary")
-    return values
+    return h
+
+
+def _height(model: DimerModel, mu: Matching, mu_ref: Matching) -> Dict[int, int]:
+    """`_heights` of two matchings, by vertex id."""
+    mu_mask, ref_mask = (sum(1 << k for k, a in enumerate(model.arrows) if a.id in m.arrow_set)
+                         for m in (mu, mu_ref))
+    return {v.id: e for v, e in zip(model.vertices, _heights(model, mu_mask, ref_mask))}
 
 
 def height(model: DimerModel, mu: Matching, mu_ref: Matching) -> HeightFunction:

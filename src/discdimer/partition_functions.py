@@ -45,8 +45,9 @@ class LaurentPoly:
     def from_terms(basis: str,
                    terms: Iterable[Tuple[Mapping[int, int], int]]) -> "LaurentPoly":
         acc: Dict[ExponentVector, int] = {}
+        pairs: Dict[Tuple[int, int], Tuple[int, int]] = {}  # one tuple per distinct (i, e)
         for exp, coeff in terms:
-            key = tuple(sorted((i, e) for i, e in exp.items() if e != 0))
+            key = tuple(sorted(pairs.setdefault(p, p) for p in exp.items() if p[1] != 0))
             acc[key] = acc.get(key, 0) + coeff
         cleaned = tuple(sorted((k, c) for k, c in acc.items() if c != 0))
         return LaurentPoly(basis, cleaned)

@@ -18,18 +18,20 @@ a height h, so every path j → i gains h(i) − h(j) in degree from ρ to μ,
 and so does D. A piece depends on μ only through the μ-arrows with head in
 S and the internal μ-arrows with tail in S, so exactness is decided once per
 distinct (S, those arrows), across all the matchings of one check, with both
-kept as int bitmasks. The Euler identity weights the degree series by
-[N_μ] = η(μ). Public functions check their matching; the suite does not
-check enumerated ones.
+kept as int bitmasks. The decision reads S as a vertex mask against one
+table of ints per matching (`_piece_table`, `_is_exact`); `GradedComplexPiece`
+is the same piece as incidences, and its `is_exact` the decision's oracle.
+The Euler identity weights the degree series by [N_μ] = η(μ). Public
+functions check their matching; the suite does not check enumerated ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .lattice_maps import _matching_class
-from .matchings import Matching, _height, enumerate_matchings, is_matching, require_matching
+from .matchings import Matching, _heights, enumerate_matchings, is_matching, require_matching
 from .model import BLACK, WHITE, DimerModel, ReadOnlyDict, per_model
 from .strands import require_consistent
 
@@ -108,8 +110,11 @@ def _forest_size(edges: Tuple[Tuple[Optional[int], Optional[int]], ...]) -> int:
 
 
 class _Layout(NamedTuple):
-    """Vertex positions and arrow bits, both in model order, and the
-    arrows at each vertex position as lists and as bitmasks."""
+    """Vertex positions and arrow bits, both in model order, the arrows at
+    each vertex position as lists and as bitmasks, and the faces: each face
+    cycle as an arrow mask, in model order, and the faces on the two sides
+    of each arrow, with len(cycles) standing for the missing side of a
+    boundary arrow."""
     vertices: Tuple[int, ...]                      # vertex id at each position
     position: ReadOnlyDict[int, int]               # vertex id -> position
     bit: ReadOnlyDict[int, int]                    # arrow id -> its bit
@@ -117,6 +122,9 @@ class _Layout(NamedTuple):
     into_mask: Tuple[int, ...]                     # arrows with head here
     out_mask: Tuple[int, ...]                      # arrows with tail here
     near: Tuple[int, ...]                          # into_mask | internal out_mask
+    internal: int                                  # the internal arrows
+    cycles: Tuple[int, ...]                        # arrows of each face
+    sides: ReadOnlyDict[int, Tuple[int, int]]      # arrow bit -> its two faces
 
 
 @per_model
@@ -132,9 +140,17 @@ def _layout(model: DimerModel) -> _Layout:
         out_mask[t] |= bit[a.id]
         if not a.is_boundary:
             internal_out[t] |= bit[a.id]
+    sides: Dict[int, Tuple[int, ...]] = {bit[a.id]: () for a in model.arrows}
+    for f, face in enumerate(model.faces):
+        for aid in face.boundary_cycle:
+            sides[bit[aid]] += (f,)
+    missing = len(model.faces)
     return _Layout(tuple(position), ReadOnlyDict(position), ReadOnlyDict(bit),
                    tuple(map(tuple, into)), tuple(into_mask), tuple(out_mask),
-                   tuple(i | o for i, o in zip(into_mask, internal_out)))
+                   tuple(i | o for i, o in zip(into_mask, internal_out)),
+                   sum(bit[a.id] for a in model.internal_arrows),
+                   tuple(sum(bit[aid] for aid in f.boundary_cycle) for f in model.faces),
+                   ReadOnlyDict({b: fs + (missing,) * (2 - len(fs)) for b, fs in sides.items()}))
 
 
 def _mask(layout: _Layout, mu: Matching) -> int:
@@ -205,16 +221,14 @@ def degree_table(model: DimerModel) -> DegreeTable:
     first matching, shifted by the height h with dh = 𝟙_μ − 𝟙_ρ."""
     require_consistent(model)
     layout = _layout(model)
-    matchings = enumerate_matchings(model)
-    ref = _rows(layout, _mask(layout, matchings[0]))
+    masks = [_mask(layout, mu) for mu in enumerate_matchings(model)]
+    ref = _rows(layout, masks[0])
     rows = []
-    for mu in matchings:
-        by_vertex = _height(model, matchings[0], mu)
-        h = [by_vertex[v] for v in layout.vertices]
+    for mu_mask in masks:
+        h = _heights(model, masks[0], mu_mask)
         rows.append(tuple(_as_row([e + hi - hj for e, hj in zip(row, h)])
                           for row, hi in zip(ref, h)))
-    return DegreeTable(ReadOnlyDict({_mask(layout, mu): k for k, mu in enumerate(matchings)}),
-                       tuple(rows))
+    return DegreeTable(ReadOnlyDict({mu_mask: k for k, mu_mask in enumerate(masks)}), tuple(rows))
 
 
 def reachable_set(model: DimerModel, mu: Matching, i: int, d: int) -> ReachableSet:
@@ -229,11 +243,6 @@ def merged_complex_data(model: DimerModel, mu: Matching
     """(Q1^μ, Q2^μ): the unmatched arrows, and the merged faces of the
     quotient quiver, one per matched internal arrow."""
     require_matching(model, mu)
-    return _merged(model, mu)
-
-
-def _merged(model: DimerModel, mu: Matching) -> Tuple[Tuple[int, ...], Tuple[MergedFace, ...]]:
-    """`merged_complex_data` with μ not checked."""
     q1 = tuple(sorted(a.id for a in model.arrows if a.id not in mu.arrow_set))
     q2 = []
     for a in sorted(model.internal_arrows, key=lambda a: a.id):
@@ -311,6 +320,104 @@ class ResolutionReport:
         return not self.failures and not self.euler_failures
 
 
+class _PieceTable(NamedTuple):
+    """What the pieces of one matching μ are decided from, in plain ints.
+    Merged faces are numbered in the order of their matched arrows, and
+    the number after the last stands for the ground: a boundary arrow's
+    missing side, or a face whose matched arrow is a boundary arrow."""
+    tails: Tuple[int, ...]        # per vertex position: tails of the unmatched arrows into it
+    neighbours: Tuple[int, ...]   # per vertex position: its neighbours along unmatched arrows
+    in_degree: Tuple[int, ...]    # per vertex position: the unmatched arrows into it
+    faces: Tuple[int, ...]        # per vertex position: the merged faces headed there
+    across: Tuple[int, ...]       # per merged face: the faces across its unmatched arrows
+
+
+def _piece_table(layout: _Layout, mu_mask: int) -> _PieceTable:
+    """The table of the matching with arrow mask μ: vertex masks and
+    counts per vertex position, face masks per merged face."""
+    merged: Dict[int, int] = {}  # matched internal arrow bit -> merged face
+    rest = mu_mask & layout.internal
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        merged[low] = len(merged)
+    ground = len(merged)
+    face_of = [merged.get(mu_mask & cycle, ground) for cycle in layout.cycles] + [ground]
+    n = len(layout.vertices)
+    tails, neighbours, in_degree, faces = [0] * n, [0] * n, [0] * n, [0] * n
+    across = [0] * (ground + 1)
+    for h, arrows in enumerate(layout.into):
+        for bit, t in arrows:
+            if mu_mask & bit:
+                if bit in merged:
+                    faces[t] |= 1 << merged[bit]
+                continue
+            tails[h] |= 1 << t
+            neighbours[h] |= 1 << t
+            neighbours[t] |= 1 << h
+            in_degree[h] += 1
+            r, s = (face_of[f] for f in layout.sides[bit])
+            across[r] |= 1 << s
+            across[s] |= 1 << r
+    return _PieceTable(tuple(tails), tuple(neighbours), tuple(in_degree), tuple(faces),
+                       tuple(across))
+
+
+def _flood(adjacency: Sequence[int], within: int, start: int) -> int:
+    """The positions of the mask `within` joined to those of `start`
+    through `within`, with adjacency[p] the mask of p's neighbours."""
+    reached = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacency[low.bit_length() - 1] & within & ~reached
+        reached |= new
+        frontier |= new
+    return reached
+
+
+def _is_exact(table: _PieceTable, S: int) -> bool:
+    """`GradedComplexPiece.is_exact` of μ's piece on the vertex mask S.
+
+    Once S is closed (the tails of the unmatched arrows into S lie in S),
+    every unmatched arrow of a face of C2 is in C1 with both ends in S: μ
+    has one arrow in each face, so a merged face's plus and minus cycles
+    are directed paths of unmatched arrows from the head of its matched
+    arrow β to its head, the tail of β, which is in S, and closure pulls
+    both paths into S. Hence δ1δ2 = 0 needs no test: under δ1 each path
+    telescopes to the same h(β) − t(β). The conditions read:
+
+    - C0 = S is not empty, and no δ1 tail is at the ground: S is closed;
+    - rank δ2 = |C2|: δ2ᵀ is the incidence matrix of a graph on C2 and the
+      ground with one edge per C1 arrow, so every face of C2 must be
+      joined to the ground, which a face outside C2 is part of;
+    - rank δ1 = |S| − 1: S is connected along the unmatched arrows;
+    - rank δ1 = |C1| − rank δ2: given both ranks, |S| − 1 = |C1| − |C2|."""
+    if not S:
+        return False
+    tails = c2 = c1 = 0
+    rest = S
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        p = low.bit_length() - 1
+        tails |= table.tails[p]
+        c2 |= table.faces[p]
+        c1 += table.in_degree[p]
+    if tails & ~S or S.bit_count() - 1 != c1 - c2.bit_count():
+        return False
+    across = table.across
+    grounded = 0
+    rest = c2
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        if across[low.bit_length() - 1] & ~c2:
+            grounded |= low
+    return (_flood(across, c2, grounded) == c2
+            and _flood(table.neighbours, S, S & -S) == S)
+
+
 def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...],
             d_max: Optional[int], exact: Dict[int, bool]) -> ResolutionReport:
     """check_resolution from μ's degree rows, deciding each piece whose key
@@ -323,7 +430,7 @@ def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...],
     mu_mask = _mask(layout, mu)
     cls = _matching_class(model, mu).as_dict()
     coefficients = [cls[v] for v in layout.vertices]
-    merged = None
+    table = None
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
     for vid, row in zip(layout.vertices, rows):
@@ -331,10 +438,9 @@ def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...],
         for d, (S, key) in enumerate(keys[:d_max + 1]):
             ok = exact.get(key)
             if ok is None:
-                if merged is None:
-                    merged = _merged(model, mu)
-                members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
-                ok = exact[key] = _piece(model, members, *merged).is_exact()
+                if table is None:
+                    table = _piece_table(layout, mu_mask)
+                ok = exact[key] = _is_exact(table, S)
             if not ok:
                 failures.append((vid, d))
         # From degree len(keys) - 1 on, S is every vertex: the last S walked above.

@@ -22,7 +22,7 @@ from .lattice_maps import (_matching_class, check_cluster_ensemble, eta_inverse_
 from .matchings import (boundary_value, enumerate_matchings, matchings_by_boundary, positroid,
                         positroid_contains_necklace_test)
 from .model import BLACK, WHITE, DimerModel, opposite, per_model, standardise, type_of, validate
-from .partition_functions import (_ms_sum, _ms_white_v2_sum, _require_ms_model,
+from .partition_functions import (LaurentPoly, _ms_sum, _ms_white_v2_sum, _require_ms_model,
                                   boundary_measurement, check_plucker_relations)
 from .resolution import first_rotation_failure, resolution_reports
 from .strands import check_postnikov, source_labels, target_labels
@@ -122,14 +122,26 @@ def _check_weight_formula(model: DimerModel) -> CheckResult:
     return True, None
 
 
-def _check_ms_equality(model: DimerModel) -> CheckResult:
+@per_model
+def _white_ms_sums(model: DimerModel) -> Tuple[LaurentPoly, ...]:
+    """MS° of every k-subset in lexicographic order: `_ms_sum` over its
+    matchings of the white-standardised copy, once per model for the two
+    checks that set it against another computation."""
     std = _standardised_copy(model) or model
     k, n = type_of(std)
     _require_ms_model(std, WHITE)
     groups = matchings_by_boundary(std)
-    for I in combinations(range(1, n + 1), k):
-        pool = groups.get(frozenset(I), ())
-        if _ms_sum(std, pool) != _ms_white_v2_sum(std, I, pool):
+    return tuple(_ms_sum(std, groups.get(frozenset(I), ()))
+                 for I in combinations(range(1, n + 1), k))
+
+
+def _check_ms_equality(model: DimerModel) -> CheckResult:
+    std = _standardised_copy(model) or model
+    k, n = type_of(std)
+    white_sums = _white_ms_sums(model)
+    groups = matchings_by_boundary(std)
+    for I, white in zip(combinations(range(1, n + 1), k), white_sums):
+        if white != _ms_white_v2_sum(std, I, groups.get(frozenset(I), ())):
             return False, f"formulas differ at {list(I)}"
     return True, None
 
@@ -138,12 +150,12 @@ def _check_duality(model: DimerModel) -> CheckResult:
     std = _standardised_copy(model) or model
     op = opposite(std)
     k, n = type_of(std)
-    _require_ms_model(std, WHITE)
+    white_sums = _white_ms_sums(model)
     _require_ms_model(op, BLACK)
-    std_groups, op_groups = matchings_by_boundary(std), matchings_by_boundary(op)
-    for I in map(frozenset, combinations(range(1, n + 1), k)):
+    op_groups = matchings_by_boundary(op)
+    for I, white in zip(map(frozenset, combinations(range(1, n + 1), k)), white_sums):
         comp = frozenset(range(1, n + 1)) - I
-        if _ms_sum(std, std_groups.get(I, ())) != _ms_sum(op, op_groups.get(comp, ())):
+        if white != _ms_sum(op, op_groups.get(comp, ())):
             return False, f"duality fails at {sorted(I)}"
     return True, None
 

@@ -273,6 +273,14 @@ def test_height_walk_integrates_any_two_matchings(gr37):
     assert unequal > 0
 
 
+def test_a_difference_that_is_no_coboundary_is_rejected(gr37):
+    """One arrow alone sums to 1 around each of its faces, so no height
+    integrates it: the check on the arrows off the walk's tree fails."""
+    one_arrow = Matching(frozenset([gr37.arrows[0].id]))
+    with pytest.raises(ValueError, match="matching difference is not a coboundary"):
+        _height(gr37, Matching(frozenset()), one_arrow)
+
+
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])
 def test_extremes_walk_no_heights(name, monkeypatch):
     """A flip at j moves h(j) alone, so the extremes read a flip's direction

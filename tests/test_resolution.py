@@ -13,8 +13,8 @@ from discdimer import resolution
 from discdimer.kclass_weights import kclass_of_matching
 from discdimer.matchings import Matching, enumerate_matchings
 from discdimer.model import opposite
-from discdimer.resolution import (GradedComplexPiece, _forest_size, _piece,
-                                  check_resolution, degree_table, degrees_toward,
+from discdimer.resolution import (GradedComplexPiece, _forest_size, _is_exact, _piece,
+                                  _piece_table, check_resolution, degree_table, degrees_toward,
                                   first_rotation_failure, graded_piece,
                                   merged_complex_data, reachable_set,
                                   resolution_reports, rotate_matching,
@@ -146,15 +146,25 @@ def dense_oracle(model, S, q1, q2):
     return delta1, delta2, verdict, r1, r2
 
 
+def mask_decision(model, S, q1):
+    """The mask decision on S, from the table of the matching whose
+    unmatched arrows are q1."""
+    layout = resolution._layout(model)
+    mu_mask = sum(bit for aid, bit in layout.bit.items() if aid not in q1)
+    S_mask = sum(1 << layout.position[v] for v in S)
+    return _is_exact(_piece_table(layout, mu_mask), S_mask)
+
+
 def graph_equals_dense(model, S, q1, q2):
     """Asserts that the piece on S holds the dense oracle's matrices as
-    incidences and that its ranks and decision equal the oracle's; returns
-    the oracle's verdict."""
+    incidences and that its ranks, its decision and the mask decision all
+    equal the oracle's; returns the oracle's verdict."""
     piece = _piece(model, S, q1, q2)
     delta1, delta2, verdict, r1, r2 = dense_oracle(model, S, q1, q2)
     assert expand(piece) == (delta1, delta2)
     assert (_forest_size(piece.delta1), _forest_size(piece.delta2)) == (r1, r2)
     assert piece.is_exact() == (verdict == "exact"), verdict
+    assert mask_decision(model, S, q1) == (verdict == "exact"), verdict
     return verdict
 
 
@@ -195,6 +205,91 @@ def test_graph_decision_equals_dense_bareiss_on_random_vertex_sets():
             for S in sets:
                 verdicts[graph_equals_dense(model, frozenset(S), q1, q2)] += 1
     assert {"exact", "not a complex", "middle rank", "disconnected"} <= set(verdicts), verdicts
+
+
+def every_verdict(model, mu):
+    """The piece's own decision on every vertex set, by vertex mask."""
+    q1, q2 = merged_complex_data(model, mu)
+    vertices = resolution._layout(model).vertices
+    return [_piece(model, frozenset(v for p, v in enumerate(vertices) if S >> p & 1),
+                   q1, q2).is_exact()
+            for S in range(1 << len(vertices))]
+
+
+def table_of(model, mu):
+    layout = resolution._layout(model)
+    return _piece_table(layout, resolution._mask(layout, mu))
+
+
+@pytest.mark.parametrize("name", [n for n in CONSISTENT_FIXTURES
+                                  if len(fx.FIXTURE_BUILDERS[n]().vertices) <= 10])
+def test_mask_decision_equals_the_piece_on_every_vertex_set(name):
+    """Not only on reachable sets: on all 2^|V| vertex sets, for every
+    matching of every consistent fixture with at most 10 vertices."""
+    model = fx.FIXTURE_BUILDERS[name]()
+    for mu in enumerate_matchings(model):
+        table = table_of(model, mu)
+        assert [_is_exact(table, S) for S in range(1 << len(model.vertices))] == \
+            every_verdict(model, mu), mu
+
+
+def test_mask_decision_on_closed_sets_where_only_the_ranks_decide():
+    """Seeded random vertex sets of `uniform-4-8`, closed under the tails
+    of the unmatched arrows into them: the mask decision equals the
+    piece's on each. Among them are sets that are closed and satisfy the
+    count |S| − 1 = |C1| − |C2| but are not exact (the small fixtures have
+    none), so that only a rank, here the connectivity of S, decides them;
+    on those the dense verdict is taken too."""
+    model = build("uniform-4-8")
+    vertices = resolution._layout(model).vertices
+    rng = random.Random("closed sets")
+    decided_by_rank = 0
+    for mu in enumerate_matchings(model)[::5]:
+        q1, q2 = merged_complex_data(model, mu)
+        unmatched = [model.arrow(a) for a in q1]
+        table = table_of(model, mu)
+        for _ in range(100):
+            S = {v for v in vertices if rng.random() < 0.25}
+            while not (tails := {a.tail for a in unmatched if a.head in S}) <= S:
+                S |= tails
+            piece = _piece(model, frozenset(S), q1, q2)
+            S_mask = sum(1 << p for p, v in enumerate(vertices) if v in S)
+            assert _is_exact(table, S_mask) == piece.is_exact(), (mu, sorted(S))
+            if S and len(S) - 1 == len(piece.c1) - len(piece.c2) and not piece.is_exact():
+                decided_by_rank += 1
+                assert graph_equals_dense(model, frozenset(S), q1, q2) == "middle rank"
+    assert decided_by_rank
+
+
+def test_a_table_with_one_dropped_bit_is_caught(gr37):
+    """Against the piece's own decision on every vertex set, a table with
+    one bit dropped is caught: for every third matching of gr37, some tail
+    of an unmatched arrow dropped from the tails into its head, and the
+    ground dropped from a merged face whose only neighbour it is. Most
+    single drops change no decision, as the conditions overlap: a set that
+    is not closed mostly fails the count or the vertex flood as well, and
+    on a closed set every face of C2 reaches the ground (the merged faces
+    and the ground are joined across the unmatched arrows)."""
+    grounded_alone = 0
+    for mu in enumerate_matchings(gr37)[::3]:
+        table, verdicts = table_of(gr37, mu), every_verdict(gr37, mu)
+        ground = 1 << (len(table.across) - 1)
+
+        def caught(**changed):
+            bad = table._replace(**changed)
+            return any(_is_exact(bad, S) != ok for S, ok in enumerate(verdicts))
+
+        def dropped(entries, i, bit):
+            return entries[:i] + (entries[i] & ~bit,) + entries[i + 1:]
+
+        assert any(caught(tails=dropped(table.tails, p, 1 << t))
+                   for p, tails in enumerate(table.tails)
+                   for t in range(len(gr37.vertices)) if tails >> t & 1), mu
+        for r, across in enumerate(table.across[:-1]):
+            if across == ground:
+                grounded_alone += 1
+                assert caught(across=dropped(table.across, r, ground)), (mu, r)
+    assert grounded_alone
 
 
 def test_graded_piece_composition_is_zero(gr37):
@@ -337,13 +432,30 @@ def whole_piece_rule(piece):
     return zlib.crc32(repr(piece).encode()) % 3 != 0
 
 
+def decide_by(monkeypatch, model, rule):
+    """Replaces exactness by rule(piece) on both paths: in the per-piece
+    path, as `GradedComplexPiece.is_exact`, and at the mask decision, where
+    the piece is rebuilt from the vertex mask S and μ (the table the memoised
+    check builds for μ is then μ's arrow mask)."""
+    layout = resolution._layout(model)
+
+    def rebuilt(mu_mask, S):
+        mu = Matching(frozenset(aid for aid, bit in layout.bit.items() if mu_mask & bit))
+        members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
+        return rule(_piece(model, members, *merged_complex_data(model, mu)))
+
+    monkeypatch.setattr(GradedComplexPiece, "is_exact", rule)
+    monkeypatch.setattr(resolution, "_piece_table", lambda layout, mu_mask: mu_mask)
+    monkeypatch.setattr(resolution, "_is_exact", rebuilt)
+
+
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-5", "uniform-3-6"])
 def test_memo_across_matchings_answers_for_the_piece_itself(name, monkeypatch):
     """With exactness replaced by a rule of the whole piece, the reports
     over every matching still equal the per-piece path: a memo hit never
     stands for another matching's piece."""
-    monkeypatch.setattr(GradedComplexPiece, "is_exact", whole_piece_rule)
     model = fx.FIXTURE_BUILDERS[name]()
+    decide_by(monkeypatch, model, whole_piece_rule)
     failures = 0
     for mu, report in resolution_reports(model):
         expected = per_piece_report(model, mu)
@@ -435,9 +547,8 @@ def test_memoised_failures_reach_every_piece_sharing_the_set(name, monkeypatch):
     """With exactness replaced by an arbitrary rule of the piece, the
     memoised check still reports exactly the (vertex, degree) pairs whose
     own piece fails the rule."""
-    monkeypatch.setattr(GradedComplexPiece, "is_exact",
-                        lambda piece: len(piece.c0) % 3 != 1)
     model = fx.FIXTURE_BUILDERS[name]()
+    decide_by(monkeypatch, model, lambda piece: len(piece.c0) % 3 != 1)
     for mu in enumerate_matchings(model)[:10]:
         expected = per_piece_report(model, mu)
         assert expected[2]
@@ -452,7 +563,7 @@ def test_degrees_past_saturation_are_counted_as_if_walked(gr37, monkeypatch, rul
     that piece is exact and (with exactness replaced by a rule that fails
     gr37's 10 vertices) when it is not, down to the order of failures."""
     if rule is not None:
-        monkeypatch.setattr(GradedComplexPiece, "is_exact", rule)
+        decide_by(monkeypatch, gr37, rule)
     for mu in enumerate_matchings(gr37)[::9]:
         d_max = saturation_degree(gr37, mu) + 50
         expected = per_piece_report(gr37, mu, d_max)
