@@ -532,8 +532,15 @@ def _bool(value: Any, where: str, *at: int) -> bool:
     return value
 
 
+def _array(value: Any, where: str, *at: int) -> list:
+    if type(value) is not list:
+        got = {dict: "an object", str: "a string"}.get(type(value)) or repr(value)
+        raise TypeError(f"{where.format(*at)} must be an array, got {got}")
+    return value
+
+
 def _cycle(entries: Any, i: int) -> Tuple[int, ...]:
-    cycle = tuple(entries)
+    cycle = tuple(_array(entries, "faces[{}].boundary_cycle", i))
     if not set(map(type, cycle)) <= {int}:
         for j, x in enumerate(cycle):
             _int(x, "faces[{}].boundary_cycle[{}]", i, j)
@@ -541,14 +548,14 @@ def _cycle(entries: Any, i: int) -> Tuple[int, ...]:
 
 
 def from_dict(doc: dict) -> DimerModel:
-    """The model a JSON document describes. Ids, endpoints, labels and cycle
-    entries must be integers and flags booleans; nothing is coerced."""
+    """The model a JSON document describes. Lists must be arrays, ids, endpoints,
+    labels and cycle entries integers and flags booleans; nothing is coerced."""
     try:
         vertices = tuple(Vertex(_int(v["id"], "vertices[{}].id", i),
                                 _bool(v["is_boundary"], "vertices[{}].is_boundary", i))
-                         for i, v in enumerate(doc["vertices"]))
+                         for i, v in enumerate(_array(doc["vertices"], "vertices")))
         arrows = []
-        for i, a in enumerate(doc["arrows"]):
+        for i, a in enumerate(_array(doc["arrows"], "arrows")):
             label = a.get("boundary_label")
             arrows.append(Arrow(_int(a["id"], "arrows[{}].id", i),
                                 _int(a["tail"], "arrows[{}].tail", i),
@@ -558,7 +565,7 @@ def from_dict(doc: dict) -> DimerModel:
                                 else _int(label, "arrows[{}].boundary_label", i)))
         faces = tuple(Face(_int(f["id"], "faces[{}].id", i), str(f["color"]),
                            _cycle(f["boundary_cycle"], i))
-                      for i, f in enumerate(doc["faces"]))
+                      for i, f in enumerate(_array(doc["faces"], "faces")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed document: {exc}") from exc
     model = DimerModel(vertices, tuple(arrows), faces)

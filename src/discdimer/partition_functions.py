@@ -13,7 +13,7 @@ into a list in which each relation on S is six fixed positions.
 
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
-coefficient. All arithmetic is exact; rational evaluation uses Fraction.
+coefficient. All arithmetic is exact; boundary measurements are Fractions.
 """
 
 from __future__ import annotations
@@ -226,17 +226,3 @@ def check_plucker_relations(vec: PluckerVector, k: int, n: int) -> PluckerReport
 
 def _mask(subset: Iterable[int]) -> int:
     return sum(1 << x for x in subset)
-
-
-def specialize(poly: LaurentPoly, assignment: Mapping[int, Fraction]) -> Fraction:
-    """Evaluate the polynomial at the given nonzero rational values."""
-    total = Fraction(0)
-    for key, coeff in poly.terms:
-        prod = Fraction(coeff)
-        for i, e in key:
-            x = Fraction(assignment[i])
-            if x == 0:
-                raise ValueError(f"assignment for index {i} must be nonzero")
-            prod *= x ** e
-        total += prod
-    return total

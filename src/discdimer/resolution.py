@@ -7,8 +7,7 @@ most d. Each graded piece of the resolution is a four-term complex of
 finite-dimensional vector spaces built from the quiver with the μ-arrows
 contracted (faces merged across matched internal arrows); the resolution is
 exact iff every piece is exact. Both maps of a piece are signed incidence
-matrices of graphs, so a piece keeps them as incidences and their ranks
-are counted by union-find.
+matrices of graphs, so their ranks are read off connectivity.
 
 The degrees toward every vertex are one row of bytes per target, in the
 model's vertex order. `check_resolution` and `rotate_matching` search the
@@ -19,8 +18,9 @@ and so does D. A piece depends on μ only through the μ-arrows with head in
 S and the internal μ-arrows with tail in S, so exactness is decided once per
 distinct (S, those arrows), across all the matchings of one check, with both
 kept as int bitmasks. The decision reads S as a vertex mask against one
-table of ints per matching (`_piece_table`, `_is_exact`); `GradedComplexPiece`
-is the same piece as incidences, and its `is_exact` the decision's oracle.
+table of ints per matching (`_piece_table`, `_is_exact`). Its oracle, the
+same piece built as incidences and ranked by union-find
+(`GradedComplexPiece`), lives in the tests, in `tests/oracles.py`.
 The Euler identity weights the degree series by [N_μ] = η(μ). Public
 functions check their matching; the suite does not check enumerated ones.
 """
@@ -28,85 +28,14 @@ functions check their matching; the suite does not check enumerated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .lattice_maps import _matching_class
 from .matchings import Matching, _heights, enumerate_matchings, is_matching, require_matching
-from .model import BLACK, WHITE, DimerModel, ReadOnlyDict, per_model
+from .model import DimerModel, ReadOnlyDict, per_model
 from .strands import require_consistent
 
 Row = Union[bytes, Tuple[int, ...]]  # degree toward one target, per vertex position
-
-
-@dataclass(frozen=True)
-class ReachableSet:
-    matching: Matching
-    target: int
-    degree: int
-    members: FrozenSet[int]
-
-
-@dataclass(frozen=True)
-class MergedFace:
-    """A face of the merged quiver Q^μ: the black and white faces adjacent
-    along the matched internal arrow that indexes it."""
-    matched_arrow: int
-    head: int                      # the tail vertex of the matched arrow
-    plus: Tuple[int, ...]          # unmatched arrows of the black face
-    minus: Tuple[int, ...]         # unmatched arrows of the white face
-
-
-@dataclass(frozen=True)
-class GradedComplexPiece:
-    """δ1 and δ2 as incidences, one entry per C1 arrow α: δ1(α) = tα − hα,
-    tα None outside S; δ2's row of α is +1 at the face whose plus cycle
-    holds α and −1 at the one whose minus cycle does (None: not in C2).
-    An arrow lies in one black and one white face, so each face is one."""
-    c2: Tuple[int, ...]            # merged faces, by matched arrow id
-    c1: Tuple[int, ...]            # unmatched arrows with head in S
-    c0: Tuple[int, ...]            # vertices of S
-    delta2: Tuple[Tuple[Optional[int], Optional[int]], ...]  # (plus, minus) per C1 arrow
-    delta1: Tuple[Tuple[Optional[int], int], ...]            # (tail, head) per C1 arrow
-
-    def is_exact(self) -> bool:
-        """Exactness of 0 → C2 → C1 → C0 → ℚ → 0 with the all-ones
-        augmentation: it is a complex (δ1δ2 = 0, every column of δ1 sums
-        to 0) and the ranks count out."""
-        if not self.c0 or any(t is None for t, _ in self.delta1):
-            return False
-        composite: Dict[Tuple[int, int], int] = {}  # δ1δ2 by (face, vertex)
-        get = composite.get
-        for (t, h), (plus, minus) in zip(self.delta1, self.delta2):
-            if plus is not None:
-                composite[plus, t] = get((plus, t), 0) + 1
-                composite[plus, h] = get((plus, h), 0) - 1
-            if minus is not None:
-                composite[minus, t] = get((minus, t), 0) - 1
-                composite[minus, h] = get((minus, h), 0) + 1
-        if any(composite.values()):
-            return False
-        r2 = _forest_size(self.delta2)
-        if r2 != len(self.c2):
-            return False
-        r1 = _forest_size(self.delta1)
-        return r1 == len(self.c1) - r2 and len(self.c0) - r1 == 1
-
-
-def _forest_size(edges: Tuple[Tuple[Optional[int], Optional[int]], ...]) -> int:
-    """Rank of the signed incidence matrix whose columns (δ1's, δ2ᵀ's) are
-    these edges: the size of a spanning forest, by union-find, with every
-    None end the one ground node."""
-    parent: Dict[Optional[int], Optional[int]] = {}
-    size = 0
-    for x, y in edges:
-        while x in parent:
-            x = parent[x]
-        while y in parent:
-            y = parent[y]
-        if x != y:
-            parent[x] = y
-            size += 1
-    return size
 
 
 class _Layout(NamedTuple):
@@ -231,61 +160,6 @@ def degree_table(model: DimerModel) -> DegreeTable:
     return DegreeTable(ReadOnlyDict({mu_mask: k for k, mu_mask in enumerate(masks)}), tuple(rows))
 
 
-def reachable_set(model: DimerModel, mu: Matching, i: int, d: int) -> ReachableSet:
-    if d < 0:
-        raise ValueError("degree must be nonnegative")
-    members = frozenset(j for j, e in degrees_toward(model, mu, i).items() if e <= d)
-    return ReachableSet(mu, i, d, members)
-
-
-def merged_complex_data(model: DimerModel, mu: Matching
-                        ) -> Tuple[Tuple[int, ...], Tuple[MergedFace, ...]]:
-    """(Q1^μ, Q2^μ): the unmatched arrows, and the merged faces of the
-    quotient quiver, one per matched internal arrow."""
-    require_matching(model, mu)
-    q1 = tuple(sorted(a.id for a in model.arrows if a.id not in mu.arrow_set))
-    q2 = []
-    for a in sorted(model.internal_arrows, key=lambda a: a.id):
-        if a.id not in mu.arrow_set:
-            continue
-        black = model.face_of_color(a.id, BLACK)
-        white = model.face_of_color(a.id, WHITE)
-        plus = tuple(x for x in black.boundary_cycle if x not in mu.arrow_set)
-        minus = tuple(x for x in white.boundary_cycle if x not in mu.arrow_set)
-        q2.append(MergedFace(a.id, a.tail, plus, minus))
-    return q1, tuple(q2)
-
-
-def graded_piece(model: DimerModel, mu: Matching, i: int, d: int) -> GradedComplexPiece:
-    """The degree-d piece at vertex i: the reduced cochain complex of the
-    merged quiver restricted to S(μ,i,d), with δ1(α) = tα − hα and
-    δ2(r) = Σ r⁺ − Σ r⁻."""
-    q1, q2 = merged_complex_data(model, mu)
-    return _piece(model, reachable_set(model, mu, i, d).members, q1, q2)
-
-
-def _piece(model: DimerModel, S: FrozenSet[int], q1: Tuple[int, ...],
-           q2: Tuple[MergedFace, ...]) -> GradedComplexPiece:
-    """The graded piece on the reachable set S; it depends on μ only
-    through the merged complex data (q1, q2)."""
-    c1 = [a for a in map(model.arrow, q1) if a.head in S]
-    c2 = [r for r in q2 if r.head in S]
-    plus = {a: r.matched_arrow for r in c2 for a in r.plus}
-    minus = {a: r.matched_arrow for r in c2 for a in r.minus}
-    return GradedComplexPiece(tuple([r.matched_arrow for r in c2]),
-                              tuple([a.id for a in c1]), tuple(sorted(S)),
-                              tuple([(plus.get(a.id), minus.get(a.id)) for a in c1]),
-                              tuple([(a.tail if a.tail in S else None, a.head)
-                                     for a in c1]))
-
-
-def saturation_degree(model: DimerModel, mu: Matching) -> int:
-    """The largest minimal path degree over all (source, target) pairs; for
-    d at or beyond it every reachable set is the whole vertex set."""
-    layout = _layout(model)
-    return max(map(max, _rows(layout, _mask(layout, mu))))
-
-
 def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
                 row: Row) -> Tuple[List[Tuple[int, int]], bool]:
     """For the row toward one target: per degree d from 0 to the row's
@@ -377,7 +251,7 @@ def _flood(adjacency: Sequence[int], within: int, start: int) -> int:
 
 
 def _is_exact(table: _PieceTable, S: int) -> bool:
-    """`GradedComplexPiece.is_exact` of μ's piece on the vertex mask S.
+    """Whether μ's piece on the vertex mask S is exact.
 
     Once S is closed (the tails of the unmatched arrows into S lie in S),
     every unmatched arrow of a face of C2 is in C1 with both ends in S: μ

@@ -1,0 +1,271 @@
+"""Independent oracles that the tests compare the library against. None of
+them is called by the library; each is the slow, direct path of one job
+that the library does another way:
+
+- `mat_mul` and `rational_rank`: the dense matrix product and the rank by
+  fraction-free (Bareiss) elimination. They check the Hermite core in
+  `test_intlinalg` and, as dense matrices, the graph ranks of the graded
+  pieces in `test_resolution`.
+- `brute_force_matchings`: every perfect matching, by a product over the
+  face cycles; it checks `matchings.enumerate_matchings`.
+- `enumerate_dual_covers`: every exact cover of the bipartite dual's nodes;
+  it checks the support-subgraph bijection (criterion 13).
+- The per-piece resolution path (`reachable_set`, `merged_complex_data`,
+  `graded_piece`, `GradedComplexPiece.is_exact` ranked by `_forest_size`,
+  `saturation_degree`): each graded piece built from the quiver as signed
+  incidences and decided alone. It checks the bitmask decision and the
+  piece memo of `resolution.check_resolution` and `resolution_reports`.
+- `euler_class`: [N_μ] read off the resolution data without η; it checks
+  `kclass_of_matching`.
+- `specialize`: a Laurent polynomial evaluated term by term at rational
+  values; it checks the partition-function identities at a point.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+from itertools import product
+from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+
+from discdimer.matchings import Matching, require_matching
+from discdimer.model import BLACK, WHITE, DimerModel
+from discdimer.partition_functions import LaurentPoly
+from discdimer.resolution import degrees_toward
+
+
+def mat_mul(a, b):
+    if not a or not b:
+        return []
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def rational_rank(a):
+    """Oracle: rank over the rationals by fraction-free (Bareiss)
+    elimination, stopping once every row has a pivot. A row below the pivot
+    becomes (p·row − f·pivot row) / p' for the new pivot p, its entry f in
+    the pivot column and the previous pivot p'; the division is exact."""
+    m = [list(row) for row in a]
+    rows, cols = len(m), len(m[0]) if m else 0
+    rank, prev = 0, 1
+    for col in range(cols):
+        if rank == rows:
+            break
+        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top, p = m[rank], m[rank][col]
+        for i in range(rank + 1, rows):
+            f = m[i][col]
+            if f == 0 and p == prev:
+                continue
+            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def brute_force_matchings(model: DimerModel) -> Set[FrozenSet[int]]:
+    """Independent oracle: pick one arrow per face by brute cartesian
+    product and keep the selections whose union meets every face once."""
+    faces = sorted(model.faces, key=lambda f: f.id)
+    out: Set[FrozenSet[int]] = set()
+    for choice in product(*[f.boundary_cycle for f in faces]):
+        chosen = frozenset(choice)
+        if all(sum(1 for a in f.boundary_cycle if a in chosen) == 1 for f in faces):
+            out.add(chosen)
+    return out
+
+
+def enumerate_dual_covers(dual) -> Set[FrozenSet[int]]:
+    """All sets of dual arrows (edges and half-edges, identified by the
+    underlying arrow id) covering every dual node exactly once."""
+    nodes = sorted((n.face_id, n.color) for n in dual.nodes)
+    incident = {key: [] for key in nodes}
+    endpoints = {}
+    for e in dual.edges:
+        ends = [key for key in ((e.black_face, "black"), (e.white_face, "white"))
+                if key in incident]
+        endpoints.setdefault(e.arrow_id, []).extend(ends)
+    for h in dual.half_edges:
+        for key in incident:
+            if key[0] == h.face_id:
+                endpoints.setdefault(h.arrow_id, []).append(key)
+    for aid, ends in endpoints.items():
+        for key in ends:
+            incident[key].append(aid)
+    out: Set[FrozenSet[int]] = set()
+
+    def descend(pos: int, covered: Set, chosen: List[int]) -> None:
+        while pos < len(nodes) and nodes[pos] in covered:
+            pos += 1
+        if pos == len(nodes):
+            out.add(frozenset(chosen))
+            return
+        node = nodes[pos]
+        for aid in incident[node]:
+            ends = endpoints[aid]
+            if any(e in covered for e in ends):
+                continue
+            covered.update(ends)
+            chosen.append(aid)
+            descend(pos + 1, covered, chosen)
+            chosen.pop()
+            covered.difference_update(ends)
+
+    descend(0, set(), [])
+    return out
+
+
+@dataclass(frozen=True)
+class ReachableSet:
+    matching: Matching
+    target: int
+    degree: int
+    members: FrozenSet[int]
+
+
+@dataclass(frozen=True)
+class MergedFace:
+    """A face of the merged quiver Q^μ: the black and white faces adjacent
+    along the matched internal arrow that indexes it."""
+    matched_arrow: int
+    head: int                      # the tail vertex of the matched arrow
+    plus: Tuple[int, ...]          # unmatched arrows of the black face
+    minus: Tuple[int, ...]         # unmatched arrows of the white face
+
+
+@dataclass(frozen=True)
+class GradedComplexPiece:
+    """δ1 and δ2 as incidences, one entry per C1 arrow α: δ1(α) = tα − hα,
+    tα None outside S; δ2's row of α is +1 at the face whose plus cycle
+    holds α and −1 at the one whose minus cycle does (None: not in C2).
+    An arrow lies in one black and one white face, so each face is one."""
+    c2: Tuple[int, ...]            # merged faces, by matched arrow id
+    c1: Tuple[int, ...]            # unmatched arrows with head in S
+    c0: Tuple[int, ...]            # vertices of S
+    delta2: Tuple[Tuple[Optional[int], Optional[int]], ...]  # (plus, minus) per C1 arrow
+    delta1: Tuple[Tuple[Optional[int], int], ...]            # (tail, head) per C1 arrow
+
+    def is_exact(self) -> bool:
+        """Exactness of 0 → C2 → C1 → C0 → ℚ → 0 with the all-ones
+        augmentation: it is a complex (δ1δ2 = 0, every column of δ1 sums
+        to 0) and the ranks count out."""
+        if not self.c0 or any(t is None for t, _ in self.delta1):
+            return False
+        composite: Dict[Tuple[int, int], int] = {}  # δ1δ2 by (face, vertex)
+        get = composite.get
+        for (t, h), (plus, minus) in zip(self.delta1, self.delta2):
+            if plus is not None:
+                composite[plus, t] = get((plus, t), 0) + 1
+                composite[plus, h] = get((plus, h), 0) - 1
+            if minus is not None:
+                composite[minus, t] = get((minus, t), 0) - 1
+                composite[minus, h] = get((minus, h), 0) + 1
+        if any(composite.values()):
+            return False
+        r2 = _forest_size(self.delta2)
+        if r2 != len(self.c2):
+            return False
+        r1 = _forest_size(self.delta1)
+        return r1 == len(self.c1) - r2 and len(self.c0) - r1 == 1
+
+
+def _forest_size(edges: Tuple[Tuple[Optional[int], Optional[int]], ...]) -> int:
+    """Rank of the signed incidence matrix whose columns (δ1's, δ2ᵀ's) are
+    these edges: the size of a spanning forest, by union-find, with every
+    None end the one ground node."""
+    parent: Dict[Optional[int], Optional[int]] = {}
+    size = 0
+    for x, y in edges:
+        while x in parent:
+            x = parent[x]
+        while y in parent:
+            y = parent[y]
+        if x != y:
+            parent[x] = y
+            size += 1
+    return size
+
+
+def reachable_set(model: DimerModel, mu: Matching, i: int, d: int) -> ReachableSet:
+    if d < 0:
+        raise ValueError("degree must be nonnegative")
+    members = frozenset(j for j, e in degrees_toward(model, mu, i).items() if e <= d)
+    return ReachableSet(mu, i, d, members)
+
+
+def merged_complex_data(model: DimerModel, mu: Matching
+                        ) -> Tuple[Tuple[int, ...], Tuple[MergedFace, ...]]:
+    """(Q1^μ, Q2^μ): the unmatched arrows, and the merged faces of the
+    quotient quiver, one per matched internal arrow."""
+    require_matching(model, mu)
+    q1 = tuple(sorted(a.id for a in model.arrows if a.id not in mu.arrow_set))
+    q2 = []
+    for a in sorted(model.internal_arrows, key=lambda a: a.id):
+        if a.id not in mu.arrow_set:
+            continue
+        black = model.face_of_color(a.id, BLACK)
+        white = model.face_of_color(a.id, WHITE)
+        plus = tuple(x for x in black.boundary_cycle if x not in mu.arrow_set)
+        minus = tuple(x for x in white.boundary_cycle if x not in mu.arrow_set)
+        q2.append(MergedFace(a.id, a.tail, plus, minus))
+    return q1, tuple(q2)
+
+
+def graded_piece(model: DimerModel, mu: Matching, i: int, d: int) -> GradedComplexPiece:
+    """The degree-d piece at vertex i: the reduced cochain complex of the
+    merged quiver restricted to S(μ,i,d), with δ1(α) = tα − hα and
+    δ2(r) = Σ r⁺ − Σ r⁻."""
+    q1, q2 = merged_complex_data(model, mu)
+    return _piece(model, reachable_set(model, mu, i, d).members, q1, q2)
+
+
+def _piece(model: DimerModel, S: FrozenSet[int], q1: Tuple[int, ...],
+           q2: Tuple[MergedFace, ...]) -> GradedComplexPiece:
+    """The graded piece on the reachable set S; it depends on μ only
+    through the merged complex data (q1, q2)."""
+    c1 = [a for a in map(model.arrow, q1) if a.head in S]
+    c2 = [r for r in q2 if r.head in S]
+    plus = {a: r.matched_arrow for r in c2 for a in r.plus}
+    minus = {a: r.matched_arrow for r in c2 for a in r.minus}
+    return GradedComplexPiece(tuple([r.matched_arrow for r in c2]),
+                              tuple([a.id for a in c1]), tuple(sorted(S)),
+                              tuple([(plus.get(a.id), minus.get(a.id)) for a in c1]),
+                              tuple([(a.tail if a.tail in S else None, a.head)
+                                     for a in c1]))
+
+
+def saturation_degree(model: DimerModel, mu: Matching) -> int:
+    """The largest minimal path degree over all (source, target) pairs; for
+    d at or beyond it every reachable set is the whole vertex set."""
+    return max(max(degrees_toward(model, mu, v.id).values()) for v in model.vertices)
+
+
+def euler_class(model: DimerModel, mu) -> Dict[int, int]:
+    """[N_mu] read off the resolution data, without η: one projective per
+    vertex, minus one per unmatched arrow head, plus one per merged-face
+    head; zero coefficients left out."""
+    q1, q2 = merged_complex_data(model, mu)
+    coeffs = {v.id: 1 for v in model.vertices}
+    for aid in q1:
+        coeffs[model.arrow(aid).head] -= 1
+    for r in q2:
+        coeffs[r.head] += 1
+    return {v: c for v, c in coeffs.items() if c}
+
+
+def specialize(poly: LaurentPoly, assignment: Mapping[int, Fraction]) -> Fraction:
+    """Evaluate the polynomial at the given nonzero rational values."""
+    total = Fraction(0)
+    for key, coeff in poly.terms:
+        prod = Fraction(coeff)
+        for i, e in key:
+            x = Fraction(assignment[i])
+            if x == 0:
+                raise ValueError(f"assignment for index {i} must be nonzero")
+            prod *= x ** e
+        total += prod
+    return total

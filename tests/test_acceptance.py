@@ -8,7 +8,6 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from conftest import enumerate_dual_covers, euler_class
 from discdimer import fixtures as fx
 from discdimer.kclass_weights import (kclass_of_matching,
                                       muller_speyer_matching,
@@ -28,9 +27,9 @@ from discdimer.partition_functions import (boundary_measurement,
                                            check_plucker_relations,
                                            ms_formula,
                                            ms_formula_white_v2)
-from discdimer.resolution import (check_resolution, reachable_set,
-                                  rotate_matching, saturation_degree)
+from discdimer.resolution import check_resolution, rotate_matching
 from discdimer.strands import source_labels, strand_permutation, target_labels
+from oracles import enumerate_dual_covers, euler_class, reachable_set, saturation_degree
 
 CONSISTENT = ["triangle", "gr37", "uniform-1-3", "uniform-2-4",
               "uniform-2-5", "uniform-3-6"]

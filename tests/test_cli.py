@@ -1,11 +1,13 @@
 """End-to-end tests of the command-line interface."""
 
 import gc
+import hashlib
 import io
 import json
 import os
 import weakref
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -14,7 +16,9 @@ from discdimer import fixtures as fx
 from discdimer import lattice_maps, resolution
 from discdimer import strands as strands_module
 from discdimer.cli import main
-from discdimer.model import save
+from discdimer.model import save, to_dict
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.fixture()
@@ -286,6 +290,23 @@ def test_a_model_a_command_cannot_use_is_a_one_line_error(runner, tmp_path, args
     assert "Traceback" not in result.output
 
 
+@pytest.mark.parametrize("key", ["vertices", "arrows", "faces", "faces[0].boundary_cycle"])
+@pytest.mark.parametrize("container", ["{}", '""', "object"])
+def test_a_list_that_is_not_a_json_array_is_a_one_line_error(runner, tmp_path, key, container):
+    """The reader coerces nothing: a record list or a face cycle given as an
+    object (empty, or keyed by position) or as a string is rejected by name."""
+    doc = to_dict(fx.gr37())
+    owner, name = (doc["faces"][0], "boundary_cycle") if "[" in key else (doc, key)
+    owner[name] = ({str(i): entry for i, entry in enumerate(owner[name])}
+                   if container == "object" else json.loads(container))
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert result.output.startswith(f"Error: malformed document: {key} must be an array, got ")
+    assert result.output.count("\n") == 1
+
+
 @pytest.mark.parametrize("args, message", [
     (["twist-expr", "uniform-2-4", "--subset", "1,1,2"], "subset '1,1,2' repeats 1"),
     (["ms", "uniform-2-4", "--subset", "2, 1,2"], "subset '2, 1,2' repeats 2"),
@@ -326,3 +347,24 @@ def test_a_strand_that_never_ends_is_a_one_line_error(runner, monkeypatch):
     result = runner.invoke(main, ["strands", "gr37"])
     assert result.exit_code == 1
     assert result.output == "Error: strand fails to terminate; model is malformed\n"
+
+
+DIGEST_COMMANDS = [
+    *([cmd, model] for cmd in ["type", "strands", "labels", "check", "matchings", "positroid"]
+      for model in fx.FIXTURE_BUILDERS),
+    *(["lattice", model, "--check-ensemble"] for model in fx.FIXTURE_BUILDERS),
+    ["resolution", "gr37", "--matching", "1,3,9,10,15"],
+    ["rotate", "gr37", "--matching", "1,3,9,10,15", "--vertex", "1", "--degree", "1"],
+    ["kclass", "gr37", "--matching", "1,3,9,10,15"],
+]
+
+
+@pytest.mark.parametrize("args", DIGEST_COMMANDS, ids="-".join)
+def test_json_output_is_byte_identical_to_its_recorded_digest(runner, args):
+    """`tests/golden/cli-digests.json` holds the sha256 of stdout and the
+    exit code of each `--format json` command above, recorded before the
+    code behind it was last refactored."""
+    key = " ".join(args)
+    result = runner.invoke(main, [*args, "--format", "json"])
+    recorded = json.loads((GOLDEN / "cli-digests.json").read_text(encoding="utf-8"))
+    assert [hashlib.sha256(result.stdout_bytes).hexdigest(), result.exit_code] == recorded[key]

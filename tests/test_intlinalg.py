@@ -2,8 +2,7 @@
 `Fraction` Gauss-Jordan elimination kept here as an oracle independent of
 the Hermite core: its determinant checks the unimodularity test and every
 maximal minor. The rank by fraction-free elimination and the matrix
-product live here too: the library needs neither, and the resolution
-tests use them as the dense oracle of the graph ranks."""
+product come from `oracles`: the library needs neither."""
 
 from fractions import Fraction
 from itertools import combinations
@@ -12,45 +11,13 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import mat_mul, rational_rank
 from sympy.matrices.normalforms import smith_normal_form
 
 from discdimer.intlinalg import (column_hermite, hermite_canonical, identity,
                                  integer_inverse, kernel_basis,
                                  lattices_equal, maximal_minors,
                                  smith_invariant_factors)
-
-
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def rational_rank(a):
-    """Oracle: rank over the rationals by fraction-free (Bareiss)
-    elimination, stopping once every row has a pivot. A row below the pivot
-    becomes (p·row − f·pivot row) / p' for the new pivot p, its entry f in
-    the pivot column and the previous pivot p'; the division is exact."""
-    m = [list(row) for row in a]
-    rows, cols = len(m), len(m[0]) if m else 0
-    rank, prev = 0, 1
-    for col in range(cols):
-        if rank == rows:
-            break
-        pivot = next((i for i in range(rank, rows) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top, p = m[rank], m[rank][col]
-        for i in range(rank + 1, rows):
-            f = m[i][col]
-            if f == 0 and p == prev:
-                continue
-            m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        rank += 1
-    return rank
 
 
 small_matrix = st.integers(-6, 6).flatmap(

@@ -1,7 +1,7 @@
 """Downstream wedges, distinguished matchings, classes, and weights."""
 
 import pytest
-from conftest import euler_class
+from oracles import euler_class
 
 from discdimer import fixtures as fx
 from discdimer.kclass_weights import (downstream_wedge, kclass_of_matching,

@@ -6,8 +6,8 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import brute_force_matchings, enumerate_dual_covers
 
-from conftest import brute_force_matchings, enumerate_dual_covers
 from discdimer import fixtures as fx
 from discdimer import matchings as matchings_module
 from discdimer.matchings import (Matching, _height, boundary_value,

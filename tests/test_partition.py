@@ -11,6 +11,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import specialize
 
 from discdimer import fixtures as fx
 from discdimer import kasteleyn
@@ -24,8 +25,7 @@ from discdimer.partition_functions import (LaurentPoly, PluckerVector,
                                            check_plucker_relations,
                                            ms_formula,
                                            ms_formula_white_v2,
-                                           musp_twist_expression, specialize,
-                                           unit_weights)
+                                           musp_twist_expression, unit_weights)
 from discdimer.strands import source_labels
 
 exp_dicts = st.dictionaries(st.integers(0, 4), st.integers(-3, 3), max_size=3)

@@ -6,19 +6,18 @@ import zlib
 from collections import Counter
 
 import pytest
-from test_intlinalg import mat_mul, rational_rank
+from oracles import (GradedComplexPiece, _forest_size, _piece, graded_piece,
+                     mat_mul, merged_complex_data, rational_rank, reachable_set,
+                     saturation_degree)
 
 from discdimer import fixtures as fx
 from discdimer import resolution
 from discdimer.kclass_weights import kclass_of_matching
 from discdimer.matchings import Matching, enumerate_matchings
 from discdimer.model import opposite
-from discdimer.resolution import (GradedComplexPiece, _forest_size, _is_exact, _piece,
-                                  _piece_table, check_resolution, degree_table, degrees_toward,
-                                  first_rotation_failure, graded_piece,
-                                  merged_complex_data, reachable_set,
-                                  resolution_reports, rotate_matching,
-                                  saturation_degree)
+from discdimer.resolution import (_is_exact, _piece_table, check_resolution, degree_table,
+                                  degrees_toward, first_rotation_failure,
+                                  resolution_reports, rotate_matching)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 
