@@ -18,27 +18,17 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice_maps import KClass, _matching_class
-from .matchings import Matching, enumerate_matchings, is_matching, require_matching
+from .matchings import Matching, _arrow_bits, _enumeration, is_matching, require_matching
 from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, is_standardised,
                     opposite, per_model)
-from .resolution import degrees_toward
-from .strands import Strand, require_consistent
+from .resolution import _layout, _row, _target
+from .strands import require_consistent
 
 
 @dataclass(frozen=True)
 class Wedge:
     arrow_id: int
     members: FrozenSet[int]
-
-
-def _crossings_of(all_strands: List[Strand], aid: int) -> List[Tuple[Strand, int]]:
-    """The (strand, position) pairs at which the arrow is crossed."""
-    out = []
-    for s in all_strands:
-        for pos, (a, _) in enumerate(s.crossing_sequence):
-            if a == aid:
-                out.append((s, pos))
-    return out
 
 
 def downstream_wedge(model: DimerModel, aid: int) -> Wedge:
@@ -52,8 +42,10 @@ def downstream_wedge(model: DimerModel, aid: int) -> Wedge:
     except KeyError:
         raise ValueError(f"unknown arrow {aid}") from None
     cut = {aid}
-    for strand, pos in _crossings_of(all_strands, aid):
-        cut.update(a for a, _ in strand.crossing_sequence[pos + 1:])
+    for strand in all_strands:
+        for pos, (a, _) in enumerate(strand.crossing_sequence):
+            if a == aid:  # a tendril leaves the crossing here
+                cut.update(b for b, _ in strand.crossing_sequence[pos + 1:])
     return Wedge(aid, frozenset(_tiles_reached(model, [head], cut)))
 
 
@@ -87,18 +79,15 @@ def projective_matching_oracle(model: DimerModel, j: int,
                                mu0: Optional[Matching] = None) -> Matching:
     """The matching singled out by minimal path degrees from vertex j: the
     arrows along which the degree drop D(tα) + deg_{μ0}(α) − D(hα) is 1.
-    The result does not depend on the reference matching μ0."""
+    The result does not depend on the reference matching μ0, by default
+    the first one enumerated (a consistent model has the 𝔪_j)."""
     require_consistent(model)
-    if mu0 is None:
-        pool = enumerate_matchings(model)
-        if not pool:
-            raise ValueError("model has no perfect matchings")
-        mu0 = pool[0]
-    # A path j → i in Q is a path i → j in Q^op, which keeps the arrow ids.
-    dist = degrees_toward(opposite(model), mu0, j)
-    arrows = frozenset(a.id for a in model.arrows
-                       if dist[a.tail] + (1 if a.id in mu0.arrow_set else 0)
-                       - dist[a.head] == 1)
+    mu0_mask = _enumeration(model)[0][0] if mu0 is None else require_matching(model, mu0)
+    # A path j → i in Q is a path i → j in Q^op, which keeps the arrows in order.
+    layout = _layout(opposite(model))
+    dist = dict(zip(layout.vertices, _row(layout, mu0_mask, _target(layout, j))))
+    arrows = frozenset(a.id for a, bit in zip(model.arrows, _arrow_bits(model).values())
+                       if dist[a.tail] + bool(mu0_mask & bit) - dist[a.head] == 1)
     if not is_matching(model, arrows):
         raise ValueError(f"minimal path degrees at vertex {j} did not produce "
                          "a perfect matching")
@@ -107,8 +96,7 @@ def projective_matching_oracle(model: DimerModel, j: int,
 
 def kclass_of_matching(model: DimerModel, mu: Matching) -> KClass:
     """[N_μ] = η(μ) = Σ_j p_j − Σ_{γ∉μ} p_{hγ} + Σ_{γ∈μ internal} p_{tγ}."""
-    require_matching(model, mu)
-    return _matching_class(model, mu)
+    return _matching_class(model, require_matching(model, mu))
 
 
 def _truncated_cycle_weight(model: DimerModel, aid: int, color: str) -> Dict[int, int]:
@@ -147,15 +135,15 @@ def weights(model: DimerModel, mu: Matching, color: str = WHITE
     """
     if not is_standardised(model, color):
         raise ValueError(f"model is not standardised with {color} boundary faces")
-    require_matching(model, mu)
-    return _weights(model, mu)
+    return _weights(model, require_matching(model, mu))
 
 
-def _weights(model: DimerModel, mu: Matching) -> Tuple[KClass, KClass]:
-    """`weights` with neither the model nor μ checked."""
+def _weights(model: DimerModel, mu_mask: int) -> Tuple[KClass, KClass]:
+    """`weights` of the arrow mask μ, with neither the model nor μ checked."""
+    bits = _arrow_bits(model)
     wt: Dict[int, int] = {}
     for a in model.internal_arrows:
-        if a.id in mu.arrow_set:
+        if mu_mask & bits[a.id]:
             wt[a.tail] = wt.get(a.tail, 0) - 1
         else:
             wt[a.head] = wt.get(a.head, 0) + 1

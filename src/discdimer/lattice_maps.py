@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from . import intlinalg
-from .matchings import Matching, require_matching
+from .matchings import Matching, _arrow_bits, require_matching
 from .model import DimerModel, per_model, require_valid
 
 
@@ -96,9 +96,9 @@ def _eta(model: DimerModel, deg: int, values: Dict[int, int]) -> KClass:
     return KClass(tuple(sorted(coeffs.items())))
 
 
-def _matching_class(model: DimerModel, mu: Matching) -> KClass:
-    """[N_μ] = η(μ): `_eta` at degree 1, 1 on μ; μ is not checked."""
-    return _eta(model, 1, dict.fromkeys(mu.arrow_set, 1))
+def _matching_class(model: DimerModel, mu_mask: int) -> KClass:
+    """[N_μ] = η(μ): `_eta` at degree 1, 1 on the arrow mask μ (unchecked)."""
+    return _eta(model, 1, {aid: 1 for aid, bit in _arrow_bits(model).items() if mu_mask & bit})
 
 
 def _dual_tree(model: DimerModel) -> Dict[int, Tuple[int, Optional[int]]]:

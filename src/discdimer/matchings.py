@@ -4,6 +4,11 @@ A perfect matching picks exactly one arrow from every face cycle. Matchings
 with a fixed boundary value form a distributive lattice: the partial order
 is given by height functions (integrals of differences of matchings), and
 its covers are flips at internal quiver vertices.
+
+Inside the library a matching is an arrow mask: bit k is `model.arrows[k]`
+(`_arrow_bits`, the one bit order). A `Matching` of arrow ids lives at the
+public edge only: the CLI, the public functions and the verify witnesses.
+`require_matching` checks one and gives its mask; `_matching_of` goes back.
 """
 
 from __future__ import annotations
@@ -11,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from operator import ge
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .kasteleyn import _minors
 from .model import (BipartiteDual, DimerModel, ReadOnlyDict, bipartite_dual, per_model,
@@ -32,6 +37,22 @@ class HeightFunction:
     values: Tuple[Tuple[int, int], ...]  # sorted (vertex id, value) pairs
 
 
+@per_model
+def _arrow_bits(model: DimerModel) -> ReadOnlyDict[int, int]:
+    """Arrow id -> its bit in an arrow mask: 1 << index in model order."""
+    return ReadOnlyDict({a.id: 1 << k for k, a in enumerate(model.arrows)})
+
+
+def _mask_of(model: DimerModel, mu: Matching) -> int:
+    """μ as an arrow mask; μ is not checked."""
+    return sum(map(_arrow_bits(model).__getitem__, mu.arrow_set))
+
+
+def _matching_of(model: DimerModel, mu_mask: int) -> Matching:
+    """The arrow mask as a `Matching`."""
+    return Matching(frozenset(aid for aid, bit in _arrow_bits(model).items() if mu_mask & bit))
+
+
 def is_matching(model: DimerModel, arrows: Iterable[int]) -> bool:
     """Whether the ids are arrows of the model, exactly one in every face."""
     chosen = set(arrows)
@@ -39,105 +60,93 @@ def is_matching(model: DimerModel, arrows: Iterable[int]) -> bool:
             and all(sum(1 for a in f.boundary_cycle if a in chosen) == 1 for f in model.faces))
 
 
-def require_matching(model: DimerModel, mu: Matching) -> None:
+def require_matching(model: DimerModel, mu: Matching) -> int:
+    """μ as an arrow mask, once checked to be a perfect matching of the model."""
     if not is_matching(model, mu.arrow_set):
         raise ValueError("arrow set is not a perfect matching")
+    return _mask_of(model, mu)
 
 
-def _cover(faces: List[Tuple[int, ...]], idx: int, chosen: Set[int], forbidden: Set[int],
-           out: List[Matching]) -> None:
-    """Append to `out` every way of extending `chosen` to faces[idx:].
+def _cover(faces: List[Tuple[int, Tuple[int, ...]]], idx: int, chosen: int, forbidden: int,
+           out: List[int]) -> None:
+    """Append to `out` every way of extending the arrow mask `chosen` to
+    faces[idx:], each a cycle's mask and its bits in cycle order, without
+    the arrows of `forbidden`. Once a face is settled, its other arrows may
+    not be chosen by the face on their other side, so they are forbidden.
 
     State is passed down, not closed over: nested closures would form a
     reference cycle holding `out`, and keep every matching alive until the
     cyclic garbage collector ran.
     """
     if idx == len(faces):
-        out.append(Matching(frozenset(chosen)))
+        out.append(chosen)
         return
-    cycle = faces[idx]
-    count = sum(1 for a in cycle if a in chosen)
-    if count > 1:
+    cycle, bits = faces[idx]
+    hit = chosen & cycle
+    if hit:
+        if not hit & (hit - 1):  # exactly one arrow of the face is chosen
+            _cover(faces, idx + 1, chosen, forbidden | cycle ^ hit, out)
         return
-    if count == 1:
-        _settle(faces, idx, chosen, forbidden, out)
-        return
-    for aid in cycle:
-        if aid in forbidden:
-            continue
-        chosen.add(aid)
-        _settle(faces, idx, chosen, forbidden, out)
-        chosen.remove(aid)
+    for bit in bits:
+        if not forbidden & bit:
+            _cover(faces, idx + 1, chosen | bit, forbidden | cycle ^ bit, out)
 
 
-def _settle(faces: List[Tuple[int, ...]], idx: int, chosen: Set[int], forbidden: Set[int],
-            out: List[Matching]) -> None:
-    # Once a face is settled, its remaining arrows may not be chosen by the
-    # face on their other side, so they are forbidden in the subtree.
-    newly = [a for a in faces[idx] if a not in chosen and a not in forbidden]
-    forbidden.update(newly)
-    _cover(faces, idx + 1, chosen, forbidden, out)
-    forbidden.difference_update(newly)
+def _orientation(model: DimerModel) -> List[Tuple[int, int, bool]]:
+    """(arrow bit, label, clockwise) per boundary arrow."""
+    bits = _arrow_bits(model)
+    return [(bits[a.id], a.boundary_label, model.is_clockwise(a.id))
+            for a in model.boundary_arrows]
 
 
-Orientation = List[Tuple[int, int, bool]]  # (boundary arrow id, label, clockwise)
+def _boundary_of(orientation: List[Tuple[int, int, bool]], mu_mask: int) -> FrozenSet[int]:
+    return frozenset(label for bit, label, clockwise in orientation
+                     if bool(mu_mask & bit) == clockwise)
 
 
-def _orientation(model: DimerModel) -> Orientation:
-    return [(a.id, a.boundary_label, model.is_clockwise(a.id)) for a in model.boundary_arrows]
-
-
-def _boundary_of(orientation: Orientation, mu: Matching) -> FrozenSet[int]:
-    chosen = mu.arrow_set
-    return frozenset(label for aid, label, clockwise in orientation
-                     if (aid in chosen) == clockwise)
-
-
-def _search(model: DimerModel, chosen: Set[int], forbidden: Set[int]) -> Tuple[Matching, ...]:
-    """Every perfect matching that contains `chosen` and avoids `forbidden`,
-    by exact-cover backtracking over the faces in increasing id; within a
-    face, candidate arrows in boundary-cycle order, so the order is
-    canonical. Fixing arrows only prunes the search, so the result is the
-    unconstrained one with the other matchings left out, in the same order."""
+def _search(model: DimerModel, chosen: int, forbidden: int) -> Tuple[int, ...]:
+    """Every perfect matching holding the arrows of the mask `chosen` and
+    none of `forbidden`, by exact-cover backtracking over the faces in
+    increasing id; within a face, candidate arrows in boundary-cycle order,
+    so the order is canonical. Fixing arrows only prunes the search, so
+    the result is the unconstrained one with the other matchings left out,
+    in the same order."""
     require_valid(model)
-    faces = [f.boundary_cycle for f in sorted(model.faces, key=lambda f: f.id)]
-    found: List[Matching] = []
+    bits = _arrow_bits(model)
+    faces = [(sum(bits[a] for a in f.boundary_cycle), tuple(bits[a] for a in f.boundary_cycle))
+             for f in sorted(model.faces, key=lambda f: f.id)]
+    found: List[int] = []
     _cover(faces, 0, chosen, forbidden, found)
     return tuple(found)
 
 
 @per_model
-def _enumeration(model: DimerModel) -> Tuple[Tuple[Matching, ...],
-                                             ReadOnlyDict[FrozenSet[int], Tuple[Matching, ...]]]:
+def _enumeration(model: DimerModel) -> Tuple[Tuple[int, ...],
+                                             ReadOnlyDict[FrozenSet[int], Tuple[int, ...]]]:
     """Every perfect matching in canonical order, and the same matchings
     grouped by boundary value (in that order within each group): one pass
     for the callers that need every matching or every boundary value. A
     caller with one boundary value searches only its own matchings
-    (`matchings_with_boundary`). Both results are immutable, so every
-    caller on the model shares them."""
-    found = _search(model, set(), set())
+    (`_boundary_search`). Both results are immutable, so every caller on
+    the model shares them."""
+    found = _search(model, 0, 0)
     orientation = _orientation(model)
-    groups: Dict[FrozenSet[int], List[Matching]] = {}
-    for mu in found:
-        groups.setdefault(_boundary_of(orientation, mu), []).append(mu)
+    groups: Dict[FrozenSet[int], List[int]] = {}
+    for mu_mask in found:
+        groups.setdefault(_boundary_of(orientation, mu_mask), []).append(mu_mask)
     return found, ReadOnlyDict({I: tuple(pool) for I, pool in groups.items()})
 
 
+@per_model
 def enumerate_matchings(model: DimerModel) -> Tuple[Matching, ...]:
     """All perfect matchings, in canonical order (see `_search`)."""
-    return _enumeration(model)[0]
-
-
-def matchings_by_boundary(model: DimerModel) -> ReadOnlyDict[FrozenSet[int], Tuple[Matching, ...]]:
-    """Every boundary value mapped to its matchings in canonical order, from
-    one enumeration per model: for loops over all boundary values."""
-    return _enumeration(model)[1]
+    return tuple(_matching_of(model, mu_mask) for mu_mask in _enumeration(model)[0])
 
 
 def boundary_value(model: DimerModel, mu: Matching) -> FrozenSet[int]:
     """∂μ: label i is included iff boundary arrow i is clockwise (lies in a
     white face) and in μ, or anticlockwise and not in μ."""
-    return _boundary_of(_orientation(model), mu)
+    return _boundary_of(_orientation(model), require_matching(model, mu))
 
 
 def _require_subset(I: FrozenSet[int], k: int, n: int) -> None:
@@ -147,18 +156,21 @@ def _require_subset(I: FrozenSet[int], k: int, n: int) -> None:
         raise ValueError(f"expected a {k}-subset of 1..{n}, got {got}")
 
 
-def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
+def _boundary_search(model: DimerModel, I: Iterable[int]) -> Tuple[int, ...]:
     """The matchings with ∂μ = I in canonical order; () when I is not in
     the positroid. I fixes every boundary arrow (arrow i is in μ exactly
     when (i ∈ I) equals its being clockwise), so the search starts from
     those arrows and meets no matching with another boundary value."""
     I = frozenset(I)
     _require_subset(I, *type_of(model))
-    chosen: Set[int] = set()
-    forbidden: Set[int] = set()
-    for aid, label, clockwise in _orientation(model):
-        (chosen if (label in I) == clockwise else forbidden).add(aid)
-    return _search(model, chosen, forbidden)
+    orientation = _orientation(model)
+    chosen = sum(bit for bit, label, clockwise in orientation if (label in I) == clockwise)
+    return _search(model, chosen, sum(bit for bit, _, _ in orientation) ^ chosen)
+
+
+def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
+    """The matchings with ∂μ = I in canonical order (`_boundary_search`)."""
+    return tuple(_matching_of(model, mu_mask) for mu_mask in _boundary_search(model, I))
 
 
 @per_model
@@ -207,6 +219,14 @@ def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> boo
     return all(map(ge, map(int.bit_count, map(j.__and__, masks)), needs))
 
 
+def _flip(model: DimerModel, mu_mask: int, j: int) -> Optional[int]:
+    """`flip` on an arrow mask: either way it toggles the arrows at j."""
+    bits = _arrow_bits(model)
+    into = sum(bits[a.id] for a in model.arrows if a.head == j)
+    out = sum(bits[a.id] for a in model.arrows if a.tail == j)
+    return mu_mask ^ (into | out) if mu_mask & (into | out) in (into, out) else None
+
+
 def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:
     """Flip μ at the internal quiver vertex j: μ ± d(𝟙_j) when 0/1-valued.
 
@@ -214,17 +234,10 @@ def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:
     every arrow into j is present; subtracting is the converse. Returns None
     when neither direction applies.
     """
-    vertex = model.vertex(j)
-    if vertex.is_boundary:
-        raise ValueError(f"vertex {j} is on the boundary; flips need internal vertices")
-    outgoing = [a.id for a in model.arrows if a.tail == j]
-    incoming = [a.id for a in model.arrows if a.head == j]
-    in_mu = mu.arrow_set
-    if all(a in in_mu for a in incoming) and all(a not in in_mu for a in outgoing):
-        return Matching((in_mu - set(incoming)) | set(outgoing))
-    if all(a not in in_mu for a in incoming) and all(a in in_mu for a in outgoing):
-        return Matching((in_mu - set(outgoing)) | set(incoming))
-    return None
+    if j not in {v.id for v in model.vertices if not v.is_boundary}:
+        raise ValueError(f"vertex {j} is not an internal vertex; flips need one")
+    nu = _flip(model, require_matching(model, mu), j)
+    return None if nu is None else _matching_of(model, nu)
 
 
 @per_model
@@ -233,13 +246,13 @@ def _height_walk(model: DimerModel) -> Tuple[Tuple[Tuple[int, int, int, int], ..
     """A spanning tree of the quiver from its first boundary vertex, as
     (vertex, parent, arrow bit, sign) steps in walk order, the sign +1 when
     the arrow points to the vertex; and every arrow off the tree as (tail,
-    head, arrow bit). Vertices are positions and arrow bits 1 << index,
-    both in model order."""
+    head, arrow bit). Vertices are positions in model order."""
+    bits = _arrow_bits(model)
     position = {v.id: p for p, v in enumerate(model.vertices)}
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in position]
-    for k, a in enumerate(model.arrows):
-        adj[position[a.tail]].append((position[a.head], 1 << k, 1))
-        adj[position[a.head]].append((position[a.tail], 1 << k, -1))
+    for a in model.arrows:
+        adj[position[a.tail]].append((position[a.head], bits[a.id], 1))
+        adj[position[a.head]].append((position[a.tail], bits[a.id], -1))
     root = next(p for p, v in enumerate(model.vertices) if v.is_boundary)
     seen, stack, tree, on_tree = {root}, [root], [], 0
     while stack:
@@ -250,18 +263,17 @@ def _height_walk(model: DimerModel) -> Tuple[Tuple[Tuple[int, int, int, int], ..
                 stack.append(nb)
                 tree.append((nb, cur, bit, sign))
                 on_tree |= bit
-    off = tuple((position[a.tail], position[a.head], 1 << k)
-                for k, a in enumerate(model.arrows) if not on_tree >> k & 1)
+    off = tuple((position[a.tail], position[a.head], bits[a.id])
+                for a in model.arrows if not on_tree & bits[a.id])
     return tuple(tree), off
 
 
 def _heights(model: DimerModel, mu_mask: int, ref_mask: int) -> List[int]:
     """The h with h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] on every arrow
     γ and 0 at the first boundary vertex, per vertex position, for μ and
-    μ_ref as arrow masks (bit 1 << index in model order). The difference
-    sums to 0 around every face, so on a disc it is a coboundary for any
-    two matchings: integrated along the tree, it is checked on the arrows
-    off it."""
+    μ_ref as arrow masks. The difference sums to 0 around every face, so on
+    a disc it is a coboundary for any two matchings: integrated along the
+    tree, it is checked on the arrows off it."""
     tree, off = _height_walk(model)
     h = [0] * len(model.vertices)
     for v, parent, bit, sign in tree:
@@ -272,10 +284,8 @@ def _heights(model: DimerModel, mu_mask: int, ref_mask: int) -> List[int]:
     return h
 
 
-def _height(model: DimerModel, mu: Matching, mu_ref: Matching) -> Dict[int, int]:
-    """`_heights` of two matchings, by vertex id."""
-    mu_mask, ref_mask = (sum(1 << k for k, a in enumerate(model.arrows) if a.id in m.arrow_set)
-                         for m in (mu, mu_ref))
+def _height(model: DimerModel, mu_mask: int, ref_mask: int) -> Dict[int, int]:
+    """`_heights` of two arrow masks, by vertex id."""
     return {v.id: e for v, e in zip(model.vertices, _heights(model, mu_mask, ref_mask))}
 
 
@@ -283,22 +293,24 @@ def height(model: DimerModel, mu: Matching, mu_ref: Matching) -> HeightFunction:
     """The unique h with h(head) − h(tail) = 𝟙[γ ∈ μ_ref] − 𝟙[γ ∈ μ] that
     vanishes on boundary vertices: `_height`, since ∂μ = ∂μ_ref makes dh 0
     on the boundary arrows."""
-    if boundary_value(model, mu) != boundary_value(model, mu_ref):
+    if boundary_value(model, mu) != boundary_value(model, mu_ref):  # checks both
         raise ValueError("matchings have different boundary values")
-    return HeightFunction(tuple(sorted(_height(model, mu, mu_ref).items())))
+    h = _height(model, _mask_of(model, mu), _mask_of(model, mu_ref))
+    return HeightFunction(tuple(sorted(h.items())))
 
 
-def _extreme(model: DimerModel, current: Matching, up: bool) -> Matching:
+def _extreme(model: DimerModel, current: int, up: bool) -> int:
     """Apply flips that raise (up) or lower heights until none applies. A
     flip at j moves h(j) alone, up iff the arrows into j are matched."""
-    into = {a.head: a.id for a in model.arrows}  # one arrow into each vertex
+    bits = _arrow_bits(model)
+    into = {a.head: bits[a.id] for a in model.arrows}  # one arrow into each vertex
     internal = [v.id for v in model.vertices if not v.is_boundary]
     moved = True
     while moved:
         moved = False
         for j in internal:
-            candidate = flip(model, current, j)
-            if candidate is not None and (into[j] in current.arrow_set) == up:
+            candidate = _flip(model, current, j)
+            if candidate is not None and bool(current & into[j]) == up:
                 current = candidate
                 moved = True
     return current
@@ -307,10 +319,11 @@ def _extreme(model: DimerModel, current: Matching, up: bool) -> Matching:
 def extreme_matchings(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, Matching]:
     """The unique flip-minimal and flip-maximal matchings with boundary I,
     in the order (minimal, maximal) where μ ≤ μ′ iff height(μ′, μ) ≥ 0."""
-    pool = matchings_with_boundary(model, I)
+    pool = _boundary_search(model, I)
     if not pool:
         raise ValueError(f"{sorted(set(I))} is not in the positroid")
-    return _extreme(model, pool[0], False), _extreme(model, pool[0], True)
+    return (_matching_of(model, _extreme(model, pool[0], False)),
+            _matching_of(model, _extreme(model, pool[0], True)))
 
 
 def support_subgraph(model: DimerModel, I: Iterable[int]) -> BipartiteDual:
@@ -321,18 +334,13 @@ def support_subgraph(model: DimerModel, I: Iterable[int]) -> BipartiteDual:
     minimal, maximal = extreme_matchings(model, I)
     support = {v for v, val in height(model, maximal, minimal).values if val != 0}
     dual = bipartite_dual(model)
-    cycle_tiles: Dict[int, Set[int]] = {}
-    for f in model.faces:
-        tiles: Set[int] = set()
-        for aid in f.boundary_cycle:
-            a = model.arrow(aid)
-            tiles.update((a.tail, a.head))
-        cycle_tiles[f.id] = tiles
+
     def incident(aid: int) -> bool:
         a = model.arrow(aid)
         return bool({a.tail, a.head} & support)
 
-    nodes = tuple(nd for nd in dual.nodes if cycle_tiles[nd.face_id] & support)
+    nodes = tuple(nd for nd in dual.nodes
+                  if any(map(incident, model.face(nd.face_id).boundary_cycle)))
     edges = tuple(e for e in dual.edges if incident(e.arrow_id))
     half_edges = tuple(he for he in dual.half_edges if incident(he.arrow_id))
     return BipartiteDual(nodes=nodes, edges=edges, half_edges=half_edges,

@@ -3,9 +3,9 @@ boundary-weight formula in both colour conventions, the twist expression,
 and exact boundary measurements with Plücker-relation checking.
 
 The formulas sum over the matchings of one boundary value, found by a
-search seeded with that value; the private `_*_sum` helpers take the
-matchings, so a loop over every boundary value can pass the groups of one
-enumeration. The boundary measurements enumerate nothing: each Z_I is a
+search seeded with that value; the private `_*_sum` helpers take them as
+arrow masks, so a loop over every boundary value can pass the groups of
+one enumeration. The boundary measurements enumerate nothing: each Z_I is a
 maximal minor of one Kasteleyn matrix per weight draw (`kasteleyn`), and
 the Plücker check compares the values in integers over one common
 denominator, reading the values Z_{S∪xy} for one (k−2)-subset S at a time
@@ -29,7 +29,7 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 from .kasteleyn import boundary_minors
 from .kclass_weights import _weights
 from .lattice_maps import _matching_class
-from .matchings import Matching, matchings_with_boundary
+from .matchings import _boundary_search
 from .model import WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
 
@@ -85,7 +85,7 @@ def ms_formula(model: DimerModel, I: Iterable[int], color: str = WHITE) -> Laure
     MS• for BLACK. The zero polynomial when no matching has boundary I.
     The two satisfy MS°_D(I) = MS•_{D^op}(I^c) under the shared vertex ids."""
     _require_ms_model(model, color)
-    return _ms_sum(model, matchings_with_boundary(model, I))
+    return _ms_sum(model, _boundary_search(model, I))
 
 
 def _require_ms_model(model: DimerModel, color: str) -> None:
@@ -96,12 +96,12 @@ def _require_ms_model(model: DimerModel, color: str) -> None:
     require_consistent(model)
 
 
-def _ms_sum(model: DimerModel, pool: Iterable[Matching]) -> LaurentPoly:
-    """`ms_formula` summed over the given matchings, all of one boundary
+def _ms_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
+    """`ms_formula` summed over the given arrow masks, all of one boundary
     value; the model's standardisation makes it MS° or MS•."""
     terms = []
-    for mu in pool:
-        wt, wtd = _weights(model, mu)
+    for mu_mask in pool:
+        wt, wtd = _weights(model, mu_mask)
         exp = dict(wt.as_dict())
         for v, e in wtd.as_dict().items():
             exp[v] = exp.get(v, 0) - e
@@ -115,12 +115,11 @@ def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     Equals ms_formula(model, I, WHITE) exactly, though it reads no weight."""
     _require_ms_model(model, WHITE)
     I = frozenset(I)
-    return _ms_white_v2_sum(model, I, matchings_with_boundary(model, I))
+    return _ms_white_v2_sum(model, I, _boundary_search(model, I))
 
 
-def _ms_white_v2_sum(model: DimerModel, I: Iterable[int],
-                     pool: Iterable[Matching]) -> LaurentPoly:
-    """`ms_formula_white_v2` over the given matchings with ∂μ = I: the
+def _ms_white_v2_sum(model: DimerModel, I: Iterable[int], pool: Iterable[int]) -> LaurentPoly:
+    """`ms_formula_white_v2` over the given arrow masks with ∂μ = I: the
     twist sum shifted by [P_I°]."""
     p_I = Counter(model.boundary_arrow_with_label(i).head for i in I)
     return _twist_sum(model, pool).shifted(p_I)
@@ -129,15 +128,16 @@ def _ms_white_v2_sum(model: DimerModel, I: Iterable[int],
 def musp_twist_expression(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     """Σ_{μ: ∂μ=I} x^{−η(μ)}; raises when I is not a boundary value."""
     require_consistent(model)
-    pool = matchings_with_boundary(model, I)
+    pool = _boundary_search(model, I)
     if not pool:
         raise ValueError(f"{sorted(set(I))} is not in the positroid")
     return _twist_sum(model, pool)
 
 
-def _twist_sum(model: DimerModel, pool: Iterable[Matching]) -> LaurentPoly:
-    """`musp_twist_expression` summed over the given matchings."""
-    terms = [({v: -c for v, c in _matching_class(model, mu).coefficients}, 1) for mu in pool]
+def _twist_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
+    """`musp_twist_expression` summed over the given arrow masks."""
+    terms = [({v: -c for v, c in _matching_class(model, mu_mask).coefficients}, 1)
+             for mu_mask in pool]
     return LaurentPoly.from_terms(VERTEX_BASIS, terms)
 
 

@@ -21,8 +21,9 @@ kept as int bitmasks. The decision reads S as a vertex mask against one
 table of ints per matching (`_piece_table`, `_is_exact`). Its oracle, the
 same piece built as incidences and ranked by union-find
 (`GradedComplexPiece`), lives in the tests, in `tests/oracles.py`.
-The Euler identity weights the degree series by [N_μ] = η(μ). Public
-functions check their matching; the suite does not check enumerated ones.
+The Euler identity weights the degree series by [N_μ] = η(μ). Matchings are
+arrow masks (`matchings`): public functions check the `Matching` they take
+as they turn it into its mask; the suite does not check enumerated ones.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .lattice_maps import _matching_class
-from .matchings import Matching, _heights, enumerate_matchings, is_matching, require_matching
+from .matchings import (Matching, _arrow_bits, _enumeration, _heights, _matching_of, is_matching,
+                        require_matching)
 from .model import DimerModel, ReadOnlyDict, per_model
 from .strands import require_consistent
 
@@ -39,14 +41,12 @@ Row = Union[bytes, Tuple[int, ...]]  # degree toward one target, per vertex posi
 
 
 class _Layout(NamedTuple):
-    """Vertex positions and arrow bits, both in model order, the arrows at
-    each vertex position as lists and as bitmasks, and the faces: each face
-    cycle as an arrow mask, in model order, and the faces on the two sides
-    of each arrow, with len(cycles) standing for the missing side of a
-    boundary arrow."""
+    """Vertex positions in model order, the arrows at each vertex position
+    as lists and as arrow masks, and the faces: each face cycle as an arrow
+    mask, in model order, and the faces on the two sides of each arrow,
+    with len(cycles) standing for the missing side of a boundary arrow."""
     vertices: Tuple[int, ...]                      # vertex id at each position
     position: ReadOnlyDict[int, int]               # vertex id -> position
-    bit: ReadOnlyDict[int, int]                    # arrow id -> its bit
     into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
     into_mask: Tuple[int, ...]                     # arrows with head here
     out_mask: Tuple[int, ...]                      # arrows with tail here
@@ -59,7 +59,7 @@ class _Layout(NamedTuple):
 @per_model
 def _layout(model: DimerModel) -> _Layout:
     position = {v.id: p for p, v in enumerate(model.vertices)}
-    bit = {a.id: 1 << k for k, a in enumerate(model.arrows)}
+    bit = _arrow_bits(model)
     into: List[List[Tuple[int, int]]] = [[] for _ in position]
     into_mask, out_mask, internal_out = [0] * len(position), [0] * len(position), [0] * len(position)
     for a in model.arrows:
@@ -74,17 +74,12 @@ def _layout(model: DimerModel) -> _Layout:
         for aid in face.boundary_cycle:
             sides[bit[aid]] += (f,)
     missing = len(model.faces)
-    return _Layout(tuple(position), ReadOnlyDict(position), ReadOnlyDict(bit),
+    return _Layout(tuple(position), ReadOnlyDict(position),
                    tuple(map(tuple, into)), tuple(into_mask), tuple(out_mask),
                    tuple(i | o for i, o in zip(into_mask, internal_out)),
                    sum(bit[a.id] for a in model.internal_arrows),
                    tuple(sum(bit[aid] for aid in f.boundary_cycle) for f in model.faces),
                    ReadOnlyDict({b: fs + (missing,) * (2 - len(fs)) for b, fs in sides.items()}))
-
-
-def _mask(layout: _Layout, mu: Matching) -> int:
-    """μ as a bitmask over the model's arrows."""
-    return sum(bit for aid, bit in layout.bit.items() if aid in mu.arrow_set)
 
 
 def _as_row(dist: List[int]) -> Row:
@@ -133,13 +128,13 @@ def _target(layout: _Layout, i: int) -> int:
 def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
     """D(j) = minimal number of μ-arrows on a directed path j → i."""
     layout = _layout(model)
-    return dict(zip(layout.vertices, _row(layout, _mask(layout, mu), _target(layout, i))))
+    return dict(zip(layout.vertices, _row(layout, require_matching(model, mu), _target(layout, i))))
 
 
 class DegreeTable(NamedTuple):
     """The degree rows of every perfect matching of a consistent model, in
-    the order of `enumerate_matchings`. The keys of `by_mask` are exactly
-    the perfect matchings, as arrow bitmasks."""
+    enumeration order. The keys of `by_mask` are exactly the perfect
+    matchings, as arrow masks, in that order."""
     by_mask: ReadOnlyDict[int, int]      # arrow mask -> position of the matching
     rows: Tuple[Tuple[Row, ...], ...]    # per matching: one row per target
 
@@ -150,7 +145,7 @@ def degree_table(model: DimerModel) -> DegreeTable:
     first matching, shifted by the height h with dh = 𝟙_μ − 𝟙_ρ."""
     require_consistent(model)
     layout = _layout(model)
-    masks = [_mask(layout, mu) for mu in enumerate_matchings(model)]
+    masks = _enumeration(model)[0]
     ref = _rows(layout, masks[0])
     rows = []
     for mu_mask in masks:
@@ -292,17 +287,16 @@ def _is_exact(table: _PieceTable, S: int) -> bool:
             and _flood(table.neighbours, S, S & -S) == S)
 
 
-def _report(model: DimerModel, mu: Matching, rows: Tuple[Row, ...],
+def _report(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
             d_max: Optional[int], exact: Dict[int, bool]) -> ResolutionReport:
-    """check_resolution from μ's degree rows, deciding each piece whose key
-    is not in `exact` yet and recording it there."""
+    """check_resolution from the degree rows of the arrow mask μ, deciding
+    each piece whose key is not in `exact` yet and recording it there."""
     if d_max is None:
         d_max = max(map(max, rows)) + 1
     elif d_max < 0:
         raise ValueError("d_max must be nonnegative")
     layout = _layout(model)
-    mu_mask = _mask(layout, mu)
-    cls = _matching_class(model, mu).as_dict()
+    cls = _matching_class(model, mu_mask).as_dict()
     coefficients = [cls[v] for v in layout.vertices]
     table = None
     failures: List[Tuple[int, int]] = []
@@ -337,19 +331,18 @@ def check_resolution(model: DimerModel, mu: Matching,
     Past a vertex's largest degree the set is the whole vertex set, so
     those degrees are counted, not walked."""
     require_consistent(model)
-    require_matching(model, mu)
-    layout = _layout(model)
-    return _report(model, mu, _rows(layout, _mask(layout, mu)), d_max, {})
+    mu_mask = require_matching(model, mu)
+    return _report(model, mu_mask, _rows(_layout(model), mu_mask), d_max, {})
 
 
-def resolution_reports(model: DimerModel) -> Iterator[Tuple[Matching, ResolutionReport]]:
-    """check_resolution(model, μ) for every perfect matching μ, in
-    enumeration order, from the degree table. One piece memo serves every
-    matching; it lives as long as this iterator."""
+def resolution_reports(model: DimerModel) -> Iterator[Tuple[int, ResolutionReport]]:
+    """(μ, check_resolution(model, μ)) for every perfect matching μ, as an
+    arrow mask, in enumeration order, from the degree table. One piece memo
+    serves every matching; it lives as long as this iterator."""
     table = degree_table(model)
     exact: Dict[int, bool] = {}
-    for mu, rows in zip(enumerate_matchings(model), table.rows):
-        yield mu, _report(model, mu, rows, None, exact)
+    for mu_mask, k in table.by_mask.items():
+        yield mu_mask, _report(model, mu_mask, table.rows[k], None, exact)
 
 
 def _rotations(layout: _Layout, mu_mask: int, row: Row, stop: int) -> List[int]:
@@ -372,14 +365,13 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     if d < 1:
         raise ValueError("degree must be at least 1")
     require_consistent(model)
-    require_matching(model, mu)
+    mu_mask = require_matching(model, mu)
     layout = _layout(model)
-    mu_mask = _mask(layout, mu)
-    nu = _rotations(layout, mu_mask, _row(layout, mu_mask, _target(layout, i)), d)[-1]
-    arrows = frozenset(aid for aid, bit in layout.bit.items() if nu & bit)
-    if not is_matching(model, arrows):
+    nu = _matching_of(model, _rotations(layout, mu_mask,
+                                        _row(layout, mu_mask, _target(layout, i)), d)[-1])
+    if not is_matching(model, nu.arrow_set):
         raise ValueError("rotation did not produce a perfect matching")
-    return Matching(arrows)
+    return nu
 
 
 # _AT_MOST[d] maps each degree to 1 if it is at most d, else to 0.
@@ -393,14 +385,14 @@ def _at_most(row: Row, d: int) -> bytes:
     return bytes(e <= d for e in row)
 
 
-def first_rotation_failure(model: DimerModel) -> Optional[Tuple[Matching, int, int]]:
-    """The first (μ, i, d), over every perfect matching μ, vertex i and
-    1 ≤ d ≤ saturation(μ), with S(μ,i,d) ≠ S(ν,i,d−1) for the rotation ν
-    of μ; None if there is none. Both sides are read from the degree
-    table, whose keys are exactly the perfect matchings."""
+def first_rotation_failure(model: DimerModel) -> Optional[Tuple[int, int, int]]:
+    """The first (μ, i, d), over every perfect matching μ (as an arrow
+    mask), vertex i and 1 ≤ d ≤ saturation(μ), with S(μ,i,d) ≠ S(ν,i,d−1)
+    for the rotation ν of μ; None if there is none. Both sides are read
+    from the degree table, whose keys are exactly the perfect matchings."""
     table = degree_table(model)
     layout = _layout(model)
-    for (mu_mask, k), mu in zip(table.by_mask.items(), enumerate_matchings(model)):
+    for mu_mask, k in table.by_mask.items():
         saturation = max(map(max, table.rows[k]))
         for p, row in enumerate(table.rows[k]):
             for d, nu in enumerate(_rotations(layout, mu_mask, row, saturation), 1):
@@ -408,5 +400,5 @@ def first_rotation_failure(model: DimerModel) -> Optional[Tuple[Matching, int, i
                 if at is None:
                     raise ValueError("rotation did not produce a perfect matching")
                 if _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
-                    return mu, layout.vertices[p], d
+                    return mu_mask, layout.vertices[p], d
     return None

@@ -1,7 +1,8 @@
 """The ordered check suite behind `dimer verify`.
 
 Each check takes a model and returns ``(passed, witness)``, where the
-witness says where a failed check went wrong and is None on a pass.
+witness says where a failed check went wrong and is None on a pass; it
+names a matching, read here as an arrow mask, by its arrow ids.
 `run_checks` runs every check of `VERIFY_CHECKS` in order; an exception
 in a check (a failed precondition) makes that check fail with the
 exception as its witness.
@@ -11,16 +12,17 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .kclass_weights import (_weights, muller_speyer_matching, projective_matching_oracle,
                              upstream_matching, weight_table)
 from .lattice_maps import (_matching_class, check_cluster_ensemble, eta_inverse_basis,
                            eta_invariant_factors, is_eta_unimodular)
-from .matchings import (boundary_value, enumerate_matchings, matchings_by_boundary, positroid,
-                        positroid_contains_necklace_test)
+from .matchings import (_arrow_bits, _boundary_of, _enumeration, _mask_of, _matching_of,
+                        _orientation, positroid, positroid_contains_necklace_test)
 from .model import BLACK, WHITE, DimerModel, opposite, per_model, standardise, type_of, validate
 from .partition_functions import (LaurentPoly, _ms_sum, _ms_white_v2_sum, _require_ms_model,
                                   boundary_measurement, check_plucker_relations)
@@ -57,12 +59,17 @@ def _check_consistency(model: DimerModel) -> CheckResult:
                    f"closed loops={list(report.closed_loop_arrows)}")
 
 
+def _ids(model: DimerModel, mu_mask: int) -> List[int]:
+    """The arrow mask as a witness names it: its sorted arrow ids."""
+    return list(_matching_of(model, mu_mask).sorted_ids())
+
+
 def _check_boundary_sizes(model: DimerModel) -> CheckResult:
     k, _ = type_of(model)
-    for mu in enumerate_matchings(model):
-        I = boundary_value(model, mu)
+    # Groups come in the order of their first matchings: the first bad one is the witness.
+    for I, pool in _enumeration(model)[1].items():
         if len(I) != k:
-            return False, f"matching {list(mu.sorted_ids())} has |boundary| {len(I)} != {k}"
+            return False, f"matching {_ids(model, pool[0])} has |boundary| {len(I)} != {k}"
     return True, None
 
 
@@ -80,10 +87,14 @@ def _check_ensemble(model: DimerModel) -> CheckResult:
 def _check_wedge_labels(model: DimerModel) -> CheckResult:
     src = source_labels(model)
     tgt = target_labels(model)
+    orientation = _orientation(model)
     for v in model.vertices:
-        if boundary_value(model, muller_speyer_matching(model, v.id)) != src[v.id]:
+        # Both matchings are checked where they are built, so their masks are read unchecked.
+        down = _mask_of(model, muller_speyer_matching(model, v.id))
+        if _boundary_of(orientation, down) != src[v.id]:
             return False, f"downstream boundary at vertex {v.id} differs from source label"
-        if boundary_value(model, upstream_matching(model, v.id)) != tgt[v.id]:
+        up = _mask_of(model, upstream_matching(model, v.id))
+        if _boundary_of(orientation, up) != tgt[v.id]:
             return False, f"upstream boundary at vertex {v.id} differs from target label"
     return True, None
 
@@ -100,25 +111,24 @@ def _standardised_copy(model: DimerModel) -> Optional[DimerModel]:
 def _check_weight_formula(model: DimerModel) -> CheckResult:
     std = _standardised_copy(model) or model
     table = weight_table(std, WHITE)
-    for mu in enumerate_matchings(std):
-        wt, wtd = _weights(std, mu)
-        alt: Dict[int, int] = {}
+    bits = _arrow_bits(std)
+    orientation = _orientation(std)
+    for mu_mask in _enumeration(std)[0]:
+        wt, wtd = _weights(std, mu_mask)
+        alt: Counter = Counter()
         for a in std.internal_arrows:
-            if a.id in mu.arrow_set:
-                for v, e in table[a.id].as_dict().items():
-                    alt[v] = alt.get(v, 0) + e
+            if mu_mask & bits[a.id]:
+                alt.update(table[a.id].as_dict())
         if {v: e for v, e in wt.as_dict().items() if e} != {v: e for v, e in alt.items() if e}:
-            return False, f"weight formulas disagree on {list(mu.sorted_ids())}"
+            return False, f"weight formulas disagree on {_ids(std, mu_mask)}"
         # [N_mu] = wtD + sum over boundary labels of p_head - wt(mu).
-        expect = {v: -e for v, e in wt.as_dict().items()}
-        for v, e in wtd.as_dict().items():
-            expect[v] = expect.get(v, 0) + e
-        for i in boundary_value(std, mu):
-            h = std.boundary_arrow_with_label(i).head
-            expect[h] = expect.get(h, 0) + 1
-        cls = _matching_class(std, mu).as_dict()
+        expect = Counter(wtd.as_dict())
+        expect.subtract(wt.as_dict())
+        expect.update(std.boundary_arrow_with_label(i).head
+                      for i in _boundary_of(orientation, mu_mask))
+        cls = _matching_class(std, mu_mask).as_dict()
         if {v: e for v, e in expect.items() if e} != {v: e for v, e in cls.items() if e}:
-            return False, f"class identity fails on {list(mu.sorted_ids())}"
+            return False, f"class identity fails on {_ids(std, mu_mask)}"
     return True, None
 
 
@@ -130,7 +140,7 @@ def _white_ms_sums(model: DimerModel) -> Tuple[LaurentPoly, ...]:
     std = _standardised_copy(model) or model
     k, n = type_of(std)
     _require_ms_model(std, WHITE)
-    groups = matchings_by_boundary(std)
+    groups = _enumeration(std)[1]
     return tuple(_ms_sum(std, groups.get(frozenset(I), ()))
                  for I in combinations(range(1, n + 1), k))
 
@@ -139,7 +149,7 @@ def _check_ms_equality(model: DimerModel) -> CheckResult:
     std = _standardised_copy(model) or model
     k, n = type_of(std)
     white_sums = _white_ms_sums(model)
-    groups = matchings_by_boundary(std)
+    groups = _enumeration(std)[1]
     for I, white in zip(combinations(range(1, n + 1), k), white_sums):
         if white != _ms_white_v2_sum(std, I, groups.get(frozenset(I), ())):
             return False, f"formulas differ at {list(I)}"
@@ -152,7 +162,7 @@ def _check_duality(model: DimerModel) -> CheckResult:
     k, n = type_of(std)
     white_sums = _white_ms_sums(model)
     _require_ms_model(op, BLACK)
-    op_groups = matchings_by_boundary(op)
+    op_groups = _enumeration(op)[1]
     for I, white in zip(map(frozenset, combinations(range(1, n + 1), k)), white_sums):
         comp = frozenset(range(1, n + 1)) - I
         if white != _ms_sum(op, op_groups.get(comp, ())):
@@ -161,9 +171,9 @@ def _check_duality(model: DimerModel) -> CheckResult:
 
 
 def _check_resolution_all(model: DimerModel) -> CheckResult:
-    for mu, report in resolution_reports(model):
+    for mu_mask, report in resolution_reports(model):
         if not report.passed:
-            return False, (f"matching {list(mu.sorted_ids())}: "
+            return False, (f"matching {_ids(model, mu_mask)}: "
                            f"failures {report.failures}, euler {report.euler_failures}")
     return True, None
 
@@ -172,9 +182,9 @@ def _check_rotation(model: DimerModel) -> CheckResult:
     failure = first_rotation_failure(model)
     if failure is None:
         return True, None
-    mu, v, d = failure
+    mu_mask, v, d = failure
     return False, (f"rotation identity fails at matching "
-                   f"{list(mu.sorted_ids())}, vertex {v}, degree {d}")
+                   f"{_ids(model, mu_mask)}, vertex {v}, degree {d}")
 
 
 def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:
@@ -182,7 +192,7 @@ def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:
     rng = random.Random(seed)
     # The expected support comes from enumeration, not from the Kasteleyn
     # matrix that the positroid and every draw below are read from.
-    support_expected = frozenset(boundary_value(model, mu) for mu in enumerate_matchings(model))
+    support_expected = frozenset(_enumeration(model)[1])
     if positroid(model) != support_expected:
         return False, "Kasteleyn positroid disagrees with enumeration"
     gale = frozenset(frozenset(J) for J in combinations(range(1, n + 1), k)

@@ -20,9 +20,9 @@ from discdimer import resolution as resolution_mod
 from discdimer import strands as strands_mod
 from discdimer.kasteleyn import kasteleyn_signs
 from discdimer.lattice_maps import _eta_smith, eta_matrix, lattice_basis
-from discdimer.matchings import (boundary_value, enumerate_matchings, extreme_matchings,
-                                 matchings_by_boundary, matchings_with_boundary, positroid,
-                                 positroid_contains_necklace_test, support_subgraph)
+from discdimer.matchings import (Matching, _enumeration, _matching_of, boundary_value,
+                                 enumerate_matchings, extreme_matchings, matchings_with_boundary,
+                                 positroid, positroid_contains_necklace_test, support_subgraph)
 from discdimer.model import (Arrow, DimerModel, Face, StructuralError, Vertex, bipartite_dual,
                              WHITE, from_dict, opposite, standardise, to_dict, type_of, validate)
 from discdimer.partition_functions import (_ms_sum, _twist_sum, boundary_measurement, ms_formula,
@@ -45,7 +45,7 @@ MEMOISED = {
     "enumerate_matchings": enumerate_matchings,
     "positroid": positroid,
     "kasteleyn_signs": kasteleyn_signs,
-    "matchings_by_boundary": matchings_by_boundary,
+    "_enumeration": _enumeration,
     "lattice_basis": lattice_basis,
     "eta_matrix": eta_matrix,
     "eta_smith": _eta_smith,
@@ -106,7 +106,7 @@ def test_mutating_a_result_changes_no_later_call(gr37):
         lambda: kasteleyn_signs(model).__ior__({0: 1}),
     ]
     for result in (strands(model), enumerate_matchings(model),
-                   matchings_with_boundary(model, [1, 3, 5]), matchings_by_boundary(model),
+                   matchings_with_boundary(model, [1, 3, 5]), _enumeration(model)[1],
                    lattice_basis(model), eta_matrix(model), eta_matrix(model)[0]):
         attempts += [lambda result=result: result.clear(),
                      lambda result=result: result.__setitem__(0, None)]
@@ -195,8 +195,9 @@ def test_one_subset_callers_enumerate_nothing_else(monkeypatch):
     std = standardise(fx.build_uniform(4, 8), WHITE)
     other, std_other = fresh(model), fresh(std)
     subsets = [frozenset(I) for I in [(1, 2, 3, 4), (1, 3, 5, 7), (2, 3, 6, 8)]]
-    groups, std_groups = matchings_by_boundary(other), matchings_by_boundary(std_other)
-    expected = {I: (groups[I], _twist_sum(other, groups[I]), extreme_matchings(other, I),
+    groups, std_groups = _enumeration(other)[1], _enumeration(std_other)[1]
+    expected = {I: (tuple(_matching_of(other, mu_mask) for mu_mask in groups[I]),
+                    _twist_sum(other, groups[I]), extreme_matchings(other, I),
                     support_subgraph(other, I), _ms_sum(std_other, std_groups[I]))
                 for I in subsets}
 
@@ -221,8 +222,8 @@ def test_all_subset_checks_search_no_single_subset(monkeypatch, gr37):
     def one_subset(*args):
         raise AssertionError("searched the matchings of one boundary value")
 
-    monkeypatch.setattr(matchings_mod, "matchings_with_boundary", one_subset)
-    monkeypatch.setattr(partition_mod, "matchings_with_boundary", one_subset)
+    monkeypatch.setattr(matchings_mod, "_boundary_search", one_subset)
+    monkeypatch.setattr(partition_mod, "_boundary_search", one_subset)
     model = fresh(gr37)
     assert checks["ms_formula_equality"](model) == (True, None)
     assert checks["black_white_duality"](model) == (True, None)
@@ -312,3 +313,17 @@ def test_verify_enumerates_three_models_and_checks_no_enumerated_matching(monkey
     assert enumerated == [model, std, opposite(std)]
     assert len(set(map(id, enumerated))) == 3
     assert len(checked) <= 4 * len(model.vertices) < len(enumerate_matchings(model))
+
+
+def test_verify_builds_no_matching_object_per_enumerated_matching(monkeypatch):
+    """Inside the library a matching is an arrow mask: the suite builds a
+    `Matching` only for the ones built per vertex (wedges both ways and
+    minimal path degrees), not one per enumerated matching."""
+    built = []
+    init = Matching.__init__
+    monkeypatch.setattr(Matching, "__init__",
+                        lambda self, *args: built.append(args) or init(self, *args))
+    model = fx.build_uniform(3, 7)
+    assert all(r["passed"] for r in run_checks(model, 0))
+    count = len(built)
+    assert count <= 5 * len(model.vertices) < len(enumerate_matchings(model)), count

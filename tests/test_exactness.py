@@ -20,6 +20,8 @@ PAPER_OBJECTS = {
     "support_subgraph": "criterion 13: the part of the bipartite dual that a boundary "
                         "value's matchings cover",
     "ms_formula_white_v2": "the paper's identity MS° = x^[P_I°] · twist sum",
+    "flip": "a flip μ ± d(𝟙_j), a cover of the lattice of one boundary value's matchings",
+    "degrees_toward": "the minimal path degrees D(j → i) that grade the resolution of N_μ",
 }
 
 

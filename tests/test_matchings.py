@@ -1,7 +1,11 @@
 """Perfect matchings, boundary values, positroids, flips, and heights."""
 
+import hashlib
+import json
 import random
+import re
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,15 +14,16 @@ from oracles import brute_force_matchings, enumerate_dual_covers
 
 from discdimer import fixtures as fx
 from discdimer import matchings as matchings_module
-from discdimer.matchings import (Matching, _height, boundary_value,
-                                 enumerate_matchings, extreme_matchings, flip,
-                                 height, is_matching, matchings_by_boundary,
-                                 matchings_with_boundary,
+from discdimer.kclass_weights import kclass_of_matching, projective_matching_oracle, weights
+from discdimer.lattice_maps import lattice_point_of_matching
+from discdimer.matchings import (Matching, _enumeration, _height, _mask_of, _matching_of,
+                                 boundary_value, enumerate_matchings, extreme_matchings, flip,
+                                 height, is_matching, matchings_with_boundary,
                                  positroid, positroid_contains_necklace_test,
                                  require_matching, support_subgraph)
 from discdimer.model import WHITE, opposite, standardise, type_of
 from discdimer.partition_functions import musp_twist_expression
-from discdimer.resolution import degrees_toward
+from discdimer.resolution import check_resolution, degrees_toward, rotate_matching
 from discdimer.strands import necklaces
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
@@ -49,6 +54,56 @@ def test_boundary_size_is_k(name):
         assert len(boundary_value(model, mu)) == k
 
 
+ORDER_MODELS = {**fx.FIXTURE_BUILDERS, "uniform-4-9": lambda: fx.build_uniform(4, 9)}
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_MODELS))
+def test_the_enumeration_order_is_pinned_by_its_recorded_digest(name):
+    """The reference matching ρ of the degree table and every failure
+    witness depend on the canonical order, which no output shows: `dimer
+    matchings` sorts, and a passing `dimer verify` names no matching.
+    `tests/golden/enumeration-digests.json` holds, per model, the sha256 of
+    the JSON array of each enumerated matching's sorted arrow ids, and the
+    count, recorded before the search moved to arrow masks."""
+    recorded = json.loads((Path(__file__).parent / "golden" / "enumeration-digests.json")
+                          .read_text(encoding="utf-8"))
+    ids = [list(mu.sorted_ids()) for mu in enumerate_matchings(ORDER_MODELS[name]())]
+    assert [hashlib.sha256(json.dumps(ids).encode()).hexdigest(), len(ids)] == recorded[name]
+
+
+NOT_A_MATCHING = "arrow set is not a perfect matching"
+BAD = Matching(frozenset({1, 999}))
+TAKES_A_MATCHING = {
+    "degrees_toward": (lambda m, mu: degrees_toward(m, BAD, 1), NOT_A_MATCHING),
+    "height": (lambda m, mu: height(m, Matching(frozenset()), Matching(frozenset())),
+               NOT_A_MATCHING),
+    "flip-unknown-vertex": (lambda m, mu: flip(m, mu, 999),
+                            "vertex 999 is not an internal vertex; flips need one"),
+    "flip-boundary-vertex": (lambda m, mu: flip(m, mu, 0),
+                             "vertex 0 is not an internal vertex; flips need one"),
+    "flip": (lambda m, mu: flip(m, BAD, 9), NOT_A_MATCHING),
+    "boundary_value": (lambda m, mu: boundary_value(m, BAD), NOT_A_MATCHING),
+    "check_resolution": (lambda m, mu: check_resolution(m, BAD), NOT_A_MATCHING),
+    "rotate_matching": (lambda m, mu: rotate_matching(m, BAD, 1, 1), NOT_A_MATCHING),
+    "kclass_of_matching": (lambda m, mu: kclass_of_matching(m, BAD), NOT_A_MATCHING),
+    "weights": (lambda m, mu: weights(standardise(m, WHITE), BAD), NOT_A_MATCHING),
+    "lattice_point_of_matching": (lambda m, mu: lattice_point_of_matching(m, BAD),
+                                  NOT_A_MATCHING),
+    "projective_matching_oracle": (lambda m, mu: projective_matching_oracle(m, 1, BAD),
+                                   NOT_A_MATCHING),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAKES_A_MATCHING))
+def test_a_public_function_checks_the_matching_it_takes(gr37, name):
+    """Each public function that takes a `Matching` rejects one that is not
+    a perfect matching of the model (an unknown arrow id, an empty set), and
+    `flip` a vertex that is not internal, with one ValueError line."""
+    call, message = TAKES_A_MATCHING[name]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(gr37, enumerate_matchings(gr37)[0])
+
+
 def test_is_matching_rejects_partial(gr37):
     mu = enumerate_matchings(gr37)[0]
     some = sorted(mu.arrow_set)[:-1]
@@ -72,11 +127,12 @@ def test_seeded_search_equals_the_grouped_enumeration(name):
     """The search seeded with a boundary value finds that value's group of
     the full enumeration, in the same order, and () outside the positroid."""
     model = SEEDED_MODELS[name]()
-    groups = matchings_by_boundary(model)
+    groups = _enumeration(model)[1]
     k, n = type_of(model)
     subsets = [frozenset(I) for I in combinations(range(1, n + 1), k)]
     for I in subsets:
-        assert matchings_with_boundary(model, I) == groups.get(I, ())
+        assert matchings_with_boundary(model, I) == tuple(
+            _matching_of(model, mu_mask) for mu_mask in groups.get(I, ()))
     assert set(groups) <= set(subsets)
     if "gr37" in name:
         assert len(set(subsets) - set(groups)) == 5
@@ -257,7 +313,7 @@ def test_height_walk_integrates_any_two_matchings(gr37):
     unequal = 0
     for rho in pool:
         for mu in pool:
-            h = _height(gr37, rho, mu)
+            h = _height(gr37, _mask_of(gr37, rho), _mask_of(gr37, mu))
             assert h[root] == 0
             for a in gr37.arrows:
                 assert h[a.head] - h[a.tail] == (a.id in mu.arrow_set) - (a.id in rho.arrow_set)
@@ -278,7 +334,7 @@ def test_a_difference_that_is_no_coboundary_is_rejected(gr37):
     integrates it: the check on the arrows off the walk's tree fails."""
     one_arrow = Matching(frozenset([gr37.arrows[0].id]))
     with pytest.raises(ValueError, match="matching difference is not a coboundary"):
-        _height(gr37, Matching(frozenset()), one_arrow)
+        _height(gr37, 0, _mask_of(gr37, one_arrow))
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])

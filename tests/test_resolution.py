@@ -13,7 +13,7 @@ from oracles import (GradedComplexPiece, _forest_size, _piece, graded_piece,
 from discdimer import fixtures as fx
 from discdimer import resolution
 from discdimer.kclass_weights import kclass_of_matching
-from discdimer.matchings import Matching, enumerate_matchings
+from discdimer.matchings import Matching, _arrow_bits, _mask_of, _matching_of, enumerate_matchings
 from discdimer.model import opposite
 from discdimer.resolution import (_is_exact, _piece_table, check_resolution, degree_table,
                                   degrees_toward, first_rotation_failure,
@@ -149,7 +149,7 @@ def mask_decision(model, S, q1):
     """The mask decision on S, from the table of the matching whose
     unmatched arrows are q1."""
     layout = resolution._layout(model)
-    mu_mask = sum(bit for aid, bit in layout.bit.items() if aid not in q1)
+    mu_mask = sum(bit for aid, bit in _arrow_bits(model).items() if aid not in q1)
     S_mask = sum(1 << layout.position[v] for v in S)
     return _is_exact(_piece_table(layout, mu_mask), S_mask)
 
@@ -217,7 +217,7 @@ def every_verdict(model, mu):
 
 def table_of(model, mu):
     layout = resolution._layout(model)
-    return _piece_table(layout, resolution._mask(layout, mu))
+    return _piece_table(layout, _mask_of(model, mu))
 
 
 @pytest.mark.parametrize("name", [n for n in CONSISTENT_FIXTURES
@@ -417,7 +417,8 @@ def test_memoised_check_equals_per_piece_recomputation(name):
     matching read from the degree table with one memo across matchings,
     both equal the per-piece path, which uses neither."""
     model = fx.FIXTURE_BUILDERS[name]()
-    reports = list(resolution_reports(model))
+    reports = [(_matching_of(model, mu_mask), report)
+               for mu_mask, report in resolution_reports(model)]
     assert [mu for mu, _ in reports] == list(enumerate_matchings(model))
     for mu, report in reports:
         expected = per_piece_report(model, mu)
@@ -439,7 +440,7 @@ def decide_by(monkeypatch, model, rule):
     layout = resolution._layout(model)
 
     def rebuilt(mu_mask, S):
-        mu = Matching(frozenset(aid for aid, bit in layout.bit.items() if mu_mask & bit))
+        mu = _matching_of(model, mu_mask)
         members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
         return rule(_piece(model, members, *merged_complex_data(model, mu)))
 
@@ -456,8 +457,8 @@ def test_memo_across_matchings_answers_for_the_piece_itself(name, monkeypatch):
     model = fx.FIXTURE_BUILDERS[name]()
     decide_by(monkeypatch, model, whole_piece_rule)
     failures = 0
-    for mu, report in resolution_reports(model):
-        expected = per_piece_report(model, mu)
+    for mu_mask, report in resolution_reports(model):
+        expected = per_piece_report(model, _matching_of(model, mu_mask))
         failures += len(expected[2])
         assert report_tuple(report) == expected
     assert failures
@@ -483,8 +484,7 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
         coefficients = [cls[v] for v in layout.vertices]
         random_rows = tuple(bytes(rng.randrange(4) for _ in layout.vertices) for _ in range(8))
         for row in rows + random_rows:
-            keys, _ = resolution._piece_keys(layout, resolution._mask(layout, mu),
-                                             coefficients, row)
+            keys, _ = resolution._piece_keys(layout, _mask_of(model, mu), coefficients, row)
             for S, key in keys:
                 members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
                 piece = _piece(model, members, q1, q2)
