@@ -10,6 +10,9 @@ arrows whose wedge contains j yields a perfect matching 𝔪_j — the same
 matching that η^{-1} assigns to the projective class p_j, and the same one
 found by minimal path degrees. The module computes all three and the
 associated weights.
+
+wt(μ) and wtD are linear in the arrow mask of μ: inside the library, dense
+vectors in vertex position (`_weight_columns`); `weights` builds `KClass`es.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .lattice_maps import KClass, _matching_class
+from .lattice_maps import Columns, KClass, _class_vector, _kclass, _linear
 from .matchings import Matching, _arrow_bits, _enumeration, is_matching, require_matching
 from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, is_standardised,
                     opposite, per_model)
@@ -96,7 +99,7 @@ def projective_matching_oracle(model: DimerModel, j: int,
 
 def kclass_of_matching(model: DimerModel, mu: Matching) -> KClass:
     """[N_μ] = η(μ) = Σ_j p_j − Σ_{γ∉μ} p_{hγ} + Σ_{γ∈μ internal} p_{tγ}."""
-    return _matching_class(model, require_matching(model, mu))
+    return _kclass(model, _class_vector(model, require_matching(model, mu)))
 
 
 def _truncated_cycle_weight(model: DimerModel, aid: int, color: str) -> Dict[int, int]:
@@ -125,7 +128,8 @@ def weight_table(model: DimerModel, color: str) -> Dict[int, KClass]:
 
 def weights(model: DimerModel, mu: Matching, color: str = WHITE
             ) -> Tuple[KClass, KClass]:
-    """(wt(μ), wtD) in the given standardisation convention.
+    """(wt(μ), wtD) in the given standardisation convention, their nonzero
+    coefficients.
 
     wt(μ) = Σ over internal arrows of wt_μ(γ), where wt_μ(γ) = −p_{tγ} if
     γ ∈ μ and p_{hγ} otherwise; wtD = Σ over internal vertices of p_j.
@@ -135,17 +139,22 @@ def weights(model: DimerModel, mu: Matching, color: str = WHITE
     """
     if not is_standardised(model, color):
         raise ValueError(f"model is not standardised with {color} boundary faces")
-    return _weights(model, require_matching(model, mu))
+    base, columns, wtd = _weight_columns(model)
+    ids = [v.id for v in model.vertices]
+    return tuple(KClass(tuple(sorted((v, e) for v, e in zip(ids, vec) if e)))
+                 for vec in (_linear(base, columns, require_matching(model, mu)), wtd))
 
 
-def _weights(model: DimerModel, mu_mask: int) -> Tuple[KClass, KClass]:
-    """`weights` of the arrow mask μ, with neither the model nor μ checked."""
-    bits = _arrow_bits(model)
-    wt: Dict[int, int] = {}
+@per_model
+def _weight_columns(model: DimerModel) -> Tuple[Tuple[int, ...], Columns, Tuple[int, ...]]:
+    """`weights` as a linear map of the arrow mask, dense in vertex position
+    (model order): wt(μ) = base + Σ_{γ∈μ} column(γ) (`lattice_maps._linear`),
+    with base = Σ_{γ internal} p_{hγ} and column(γ) = −p_{tγ} − p_{hγ} for
+    internal γ, no entry for boundary γ; and wtD."""
+    pos = {v.id: p for p, v in enumerate(model.vertices)}
+    base = [0] * len(pos)
     for a in model.internal_arrows:
-        if mu_mask & bits[a.id]:
-            wt[a.tail] = wt.get(a.tail, 0) - 1
-        else:
-            wt[a.head] = wt.get(a.head, 0) + 1
-    wtd = {v.id: 1 for v in model.vertices if not v.is_boundary}
-    return (KClass(tuple(sorted(wt.items()))), KClass(tuple(sorted(wtd.items()))))
+        base[pos[a.head]] += 1
+    return (tuple(base), tuple(() if a.is_boundary else ((pos[a.tail], -1), (pos[a.head], -1))
+                               for a in model.arrows),
+            tuple(int(not v.is_boundary) for v in model.vertices))

@@ -11,16 +11,23 @@ to a distinguished matching 𝔪_j.
 The basis of 𝕄 comes from one spanning tree of the bipartite dual, with no
 elimination (`lattice_basis`); the column Hermite form of η gives its Smith
 invariant factors and, when it is the identity, its inverse.
+
+η has one body, its columns per arrow (`_eta_columns`): `eta`, its matrix,
+η∘d = β and the class [N_μ] = η(μ) of an arrow mask all read them, the last
+as a vector dense in vertex position (`_class_vector`), which the library
+uses as it is; a `KClass` is built only at the public edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
-from .matchings import Matching, _arrow_bits, require_matching
+from .matchings import Matching, require_matching
 from .model import DimerModel, per_model, require_valid
+
+Columns = Tuple[Tuple[Tuple[int, int], ...], ...]  # per arrow: its (vertex position, coefficient)s
 
 
 @dataclass(frozen=True)
@@ -73,32 +80,60 @@ def lattice_point_of_matching(model: DimerModel, mu: Matching) -> LatticePoint:
     return make_lattice_point(model, 1, {a: 1 for a in mu.arrow_set})
 
 
-def coboundary(model: DimerModel, g: Dict[int, int]) -> LatticePoint:
-    """d g: the degree-0 lattice point γ ↦ g(hγ) − g(tγ)."""
-    values = {a.id: g.get(a.head, 0) - g.get(a.tail, 0) for a in model.arrows}
-    return make_lattice_point(model, 0, values)
-
-
 def eta(model: DimerModel, f: LatticePoint) -> KClass:
     require_in_lattice(model, f)
     return _eta(model, f.deg, f.as_dict())
 
 
-def _eta(model: DimerModel, deg: int, values: Dict[int, int]) -> KClass:
-    """η(deg, f) = deg·Σ_j p_j − Σ_γ (deg − f(γ))·p_{hγ} + Σ_{γ internal} f(γ)·p_{tγ},
-    f given by `values` (0 where missing); the face sums are not checked."""
-    coeffs = {v.id: deg for v in model.vertices}
+@per_model
+def _eta_columns(model: DimerModel) -> Tuple[Tuple[int, ...], Columns]:
+    """The one body of η: η(deg, f) = deg·base + Σ_γ f(γ)·column(γ), with
+    base = Σ_j p_j − Σ_γ p_{hγ} and column(γ) = p_{hγ} + [γ internal]·p_{tγ},
+    dense in vertex position (model order); one column per arrow, in the
+    bit order of arrow masks."""
+    position = {v.id: p for p, v in enumerate(model.vertices)}
+    base = [1] * len(position)
+    columns = []
     for a in model.arrows:
-        x = values.get(a.id, 0)
-        coeffs[a.head] -= deg - x
-        if not a.is_boundary:
-            coeffs[a.tail] += x
-    return KClass(tuple(sorted(coeffs.items())))
+        h = position[a.head]
+        base[h] -= 1
+        columns.append(((h, 1),) if a.is_boundary else ((h, 1), (position[a.tail], 1)))
+    return tuple(base), tuple(columns)
 
 
-def _matching_class(model: DimerModel, mu_mask: int) -> KClass:
-    """[N_μ] = η(μ): `_eta` at degree 1, 1 on the arrow mask μ (unchecked)."""
-    return _eta(model, 1, {aid: 1 for aid, bit in _arrow_bits(model).items() if mu_mask & bit})
+def _linear(base: Sequence[int], columns: Columns, mask: int) -> List[int]:
+    """base + Σ of the columns at the set bits of the arrow mask: a linear
+    map of a matching, dense, in one pass over its arrow bits."""
+    vec = list(base)
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        for p, c in columns[low.bit_length() - 1]:
+            vec[p] += c
+    return vec
+
+
+def _kclass(model: DimerModel, vec: Sequence[int]) -> KClass:
+    """The dense vector as a `KClass`, every vertex listed: the public edge."""
+    return KClass(tuple(sorted(zip((v.id for v in model.vertices), vec))))
+
+
+def _eta(model: DimerModel, deg: int, values: Dict[int, int]) -> KClass:
+    """η(deg, f) from `_eta_columns`, f given by `values` (0 where missing);
+    the face sums are not checked."""
+    base, columns = _eta_columns(model)
+    vec = [deg * b for b in base]
+    for a, column in zip(model.arrows, columns):
+        x = values.get(a.id)
+        if x:
+            for p, c in column:
+                vec[p] += x * c
+    return _kclass(model, vec)
+
+
+def _class_vector(model: DimerModel, mu_mask: int) -> List[int]:
+    """[N_μ] = η(μ) = η(1, 𝟙_μ) of the arrow mask μ (unchecked), dense."""
+    return _linear(*_eta_columns(model), mu_mask)
 
 
 def _dual_tree(model: DimerModel) -> Dict[int, Tuple[int, Optional[int]]]:
@@ -227,10 +262,16 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     witnesses: List[str] = []
 
     beta = beta_matrix(model)
+    # η(d 1_i) sums η's columns: + for the arrows into i, − for those out of it.
+    eta_d = {i: [0] * dim for i in vertices}
+    for a, column in zip(model.arrows, _eta_columns(model)[1]):
+        for p, x in column:
+            eta_d[a.head][p] += x
+            eta_d[a.tail][p] -= x
+    order = sorted(range(dim), key=lambda p: model.vertices[p].id)
     eta_d_ok = True
     for c, i in enumerate(vertices):
-        lhs = _eta(model, 0, coboundary(model, {i: 1}).as_dict()).as_dict()
-        if lhs != {v: beta[r][c] for r, v in enumerate(vertices)}:
+        if [eta_d[i][p] for p in order] != [row[c] for row in beta]:
             eta_d_ok = False
             witnesses.append(f"eta(d 1_{i}) != beta[{i}]")
 

@@ -68,11 +68,13 @@ def require_matching(model: DimerModel, mu: Matching) -> int:
 
 
 def _cover(faces: List[Tuple[int, Tuple[int, ...]]], idx: int, chosen: int, forbidden: int,
-           out: List[int]) -> None:
+           out: List[int], first: bool) -> bool:
     """Append to `out` every way of extending the arrow mask `chosen` to
     faces[idx:], each a cycle's mask and its bits in cycle order, without
-    the arrows of `forbidden`. Once a face is settled, its other arrows may
-    not be chosen by the face on their other side, so they are forbidden.
+    the arrows of `forbidden`; or, if `first`, only the first way, and
+    return True once it is found. Once a face is settled, its other arrows
+    may not be chosen by the face on their other side, so they are
+    forbidden.
 
     State is passed down, not closed over: nested closures would form a
     reference cycle holding `out`, and keep every matching alive until the
@@ -80,16 +82,17 @@ def _cover(faces: List[Tuple[int, Tuple[int, ...]]], idx: int, chosen: int, forb
     """
     if idx == len(faces):
         out.append(chosen)
-        return
+        return first
     cycle, bits = faces[idx]
     hit = chosen & cycle
-    if hit:
-        if not hit & (hit - 1):  # exactly one arrow of the face is chosen
-            _cover(faces, idx + 1, chosen, forbidden | cycle ^ hit, out)
-        return
+    if hit:  # settled only if exactly one arrow of the face is chosen
+        return not hit & (hit - 1) and _cover(faces, idx + 1, chosen, forbidden | cycle ^ hit,
+                                              out, first)
     for bit in bits:
-        if not forbidden & bit:
-            _cover(faces, idx + 1, chosen | bit, forbidden | cycle ^ bit, out)
+        if not forbidden & bit and _cover(faces, idx + 1, chosen | bit, forbidden | cycle ^ bit,
+                                          out, first):
+            return True
+    return False
 
 
 def _orientation(model: DimerModel) -> List[Tuple[int, int, bool]]:
@@ -104,19 +107,20 @@ def _boundary_of(orientation: List[Tuple[int, int, bool]], mu_mask: int) -> Froz
                      if bool(mu_mask & bit) == clockwise)
 
 
-def _search(model: DimerModel, chosen: int, forbidden: int) -> Tuple[int, ...]:
+def _search(model: DimerModel, chosen: int, forbidden: int, first: bool = False
+            ) -> Tuple[int, ...]:
     """Every perfect matching holding the arrows of the mask `chosen` and
     none of `forbidden`, by exact-cover backtracking over the faces in
     increasing id; within a face, candidate arrows in boundary-cycle order,
     so the order is canonical. Fixing arrows only prunes the search, so
     the result is the unconstrained one with the other matchings left out,
-    in the same order."""
+    in the same order. With `first`, the search stops at the first one."""
     require_valid(model)
     bits = _arrow_bits(model)
     faces = [(sum(bits[a] for a in f.boundary_cycle), tuple(bits[a] for a in f.boundary_cycle))
              for f in sorted(model.faces, key=lambda f: f.id)]
     found: List[int] = []
-    _cover(faces, 0, chosen, forbidden, found)
+    _cover(faces, 0, chosen, forbidden, found, first)
     return tuple(found)
 
 
@@ -156,16 +160,18 @@ def _require_subset(I: FrozenSet[int], k: int, n: int) -> None:
         raise ValueError(f"expected a {k}-subset of 1..{n}, got {got}")
 
 
-def _boundary_search(model: DimerModel, I: Iterable[int]) -> Tuple[int, ...]:
-    """The matchings with ∂μ = I in canonical order; () when I is not in
-    the positroid. I fixes every boundary arrow (arrow i is in μ exactly
-    when (i ∈ I) equals its being clockwise), so the search starts from
-    those arrows and meets no matching with another boundary value."""
+def _boundary_search(model: DimerModel, I: Iterable[int], first: bool = False
+                     ) -> Tuple[int, ...]:
+    """The matchings with ∂μ = I in canonical order, or with `first` only
+    the first of them; () when I is not in the positroid. I fixes every
+    boundary arrow (arrow i is in μ exactly when (i ∈ I) equals its being
+    clockwise), so the search starts from those arrows and meets no
+    matching with another boundary value."""
     I = frozenset(I)
     _require_subset(I, *type_of(model))
     orientation = _orientation(model)
     chosen = sum(bit for bit, label, clockwise in orientation if (label in I) == clockwise)
-    return _search(model, chosen, sum(bit for bit, _, _ in orientation) ^ chosen)
+    return _search(model, chosen, sum(bit for bit, _, _ in orientation) ^ chosen, first)
 
 
 def matchings_with_boundary(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, ...]:
@@ -319,7 +325,7 @@ def _extreme(model: DimerModel, current: int, up: bool) -> int:
 def extreme_matchings(model: DimerModel, I: Iterable[int]) -> Tuple[Matching, Matching]:
     """The unique flip-minimal and flip-maximal matchings with boundary I,
     in the order (minimal, maximal) where μ ≤ μ′ iff height(μ′, μ) ≥ 0."""
-    pool = _boundary_search(model, I)
+    pool = _boundary_search(model, I, first=True)  # any start reaches both extremes
     if not pool:
         raise ValueError(f"{sorted(set(I))} is not in the positroid")
     return (_matching_of(model, _extreme(model, pool[0], False)),

@@ -3,13 +3,16 @@ boundary-weight formula in both colour conventions, the twist expression,
 and exact boundary measurements with Plücker-relation checking.
 
 The formulas sum over the matchings of one boundary value, found by a
-search seeded with that value; the private `_*_sum` helpers take them as
-arrow masks, so a loop over every boundary value can pass the groups of
-one enumeration. The boundary measurements enumerate nothing: each Z_I is a
-maximal minor of one Kasteleyn matrix per weight draw (`kasteleyn`), and
-the Plücker check compares the values in integers over one common
-denominator, reading the values Z_{S∪xy} for one (k−2)-subset S at a time
-into a list in which each relation on S is six fixed positions.
+search seeded with that value; the private `_*_exponents` helpers take them
+as arrow masks, so a loop over every boundary value can pass the groups of
+one enumeration, and count each matching's exponent vector as a tuple dense
+in vertex position (model order, which the standardised copy and its
+opposite share). A `LaurentPoly` is built from those counts only at the
+public edge (`_poly`). The boundary measurements enumerate nothing: each
+Z_I is a maximal minor of one Kasteleyn matrix per weight draw
+(`kasteleyn`), and the Plücker check compares the values in integers over
+one common denominator, reading the values Z_{S∪xy} for one (k−2)-subset S
+at a time into a list in which each relation on S is six fixed positions.
 
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
@@ -27,8 +30,8 @@ from math import comb, lcm
 from typing import Dict, Iterable, List, Mapping, Tuple
 
 from .kasteleyn import boundary_minors
-from .kclass_weights import _weights
-from .lattice_maps import _matching_class
+from .kclass_weights import _weight_columns
+from .lattice_maps import _class_vector, _linear
 from .matchings import _boundary_search
 from .model import WHITE, DimerModel, is_standardised, type_of
 from .strands import require_consistent
@@ -85,7 +88,7 @@ def ms_formula(model: DimerModel, I: Iterable[int], color: str = WHITE) -> Laure
     MS• for BLACK. The zero polynomial when no matching has boundary I.
     The two satisfy MS°_D(I) = MS•_{D^op}(I^c) under the shared vertex ids."""
     _require_ms_model(model, color)
-    return _ms_sum(model, _boundary_search(model, I))
+    return _poly(model, _ms_exponents(model, _boundary_search(model, I)))
 
 
 def _require_ms_model(model: DimerModel, color: str) -> None:
@@ -96,17 +99,21 @@ def _require_ms_model(model: DimerModel, color: str) -> None:
     require_consistent(model)
 
 
-def _ms_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
-    """`ms_formula` summed over the given arrow masks, all of one boundary
-    value; the model's standardisation makes it MS° or MS•."""
-    terms = []
-    for mu_mask in pool:
-        wt, wtd = _weights(model, mu_mask)
-        exp = dict(wt.as_dict())
-        for v, e in wtd.as_dict().items():
-            exp[v] = exp.get(v, 0) - e
-        terms.append((exp, 1))
-    return LaurentPoly.from_terms(VERTEX_BASIS, terms)
+def _poly(model: DimerModel, exponents: Mapping[Tuple[int, ...], int]) -> LaurentPoly:
+    """The Laurent polynomial with these coefficients of dense exponent
+    vectors (vertex positions in model order): the public edge."""
+    ids = [v.id for v in model.vertices]
+    return LaurentPoly.from_terms(VERTEX_BASIS, ((dict(zip(ids, exp)), coeff)
+                                                 for exp, coeff in exponents.items()))
+
+
+def _ms_exponents(model: DimerModel, pool: Iterable[int]) -> Counter:
+    """`ms_formula` over the given arrow masks, all of one boundary value,
+    as a Counter of dense exponent vectors wt(μ) − wtD; the model's
+    standardisation makes it MS° or MS•."""
+    wt_base, columns, wtd = _weight_columns(model)
+    base = [w - d for w, d in zip(wt_base, wtd)]
+    return Counter(tuple(_linear(base, columns, mu_mask)) for mu_mask in pool)
 
 
 def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
@@ -115,14 +122,7 @@ def ms_formula_white_v2(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     Equals ms_formula(model, I, WHITE) exactly, though it reads no weight."""
     _require_ms_model(model, WHITE)
     I = frozenset(I)
-    return _ms_white_v2_sum(model, I, _boundary_search(model, I))
-
-
-def _ms_white_v2_sum(model: DimerModel, I: Iterable[int], pool: Iterable[int]) -> LaurentPoly:
-    """`ms_formula_white_v2` over the given arrow masks with ∂μ = I: the
-    twist sum shifted by [P_I°]."""
-    p_I = Counter(model.boundary_arrow_with_label(i).head for i in I)
-    return _twist_sum(model, pool).shifted(p_I)
+    return _poly(model, _twist_exponents(model, _boundary_search(model, I), I))
 
 
 def musp_twist_expression(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
@@ -131,14 +131,19 @@ def musp_twist_expression(model: DimerModel, I: Iterable[int]) -> LaurentPoly:
     pool = _boundary_search(model, I)
     if not pool:
         raise ValueError(f"{sorted(set(I))} is not in the positroid")
-    return _twist_sum(model, pool)
+    return _poly(model, _twist_exponents(model, pool))
 
 
-def _twist_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
-    """`musp_twist_expression` summed over the given arrow masks."""
-    terms = [({v: -c for v, c in _matching_class(model, mu_mask).coefficients}, 1)
-             for mu_mask in pool]
-    return LaurentPoly.from_terms(VERTEX_BASIS, terms)
+def _twist_exponents(model: DimerModel, pool: Iterable[int], I: Iterable[int] = ()) -> Counter:
+    """`musp_twist_expression` over the given arrow masks as a Counter of
+    dense exponent vectors −η(μ), each shifted by [P_I°] = Σ_{i∈I} p_{h α_i}
+    (`ms_formula_white_v2` over masks with ∂μ = I)."""
+    shift = [0] * len(model.vertices)
+    position = {v.id: p for p, v in enumerate(model.vertices)}
+    for i in I:
+        shift[position[model.boundary_arrow_with_label(i).head]] += 1
+    return Counter(tuple(s - c for s, c in zip(shift, _class_vector(model, mu_mask)))
+                   for mu_mask in pool)
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,15 @@ kept as int bitmasks. The decision reads S as a vertex mask against one
 table of ints per matching (`_piece_table`, `_is_exact`). Its oracle, the
 same piece built as incidences and ranked by union-find
 (`GradedComplexPiece`), lives in the tests, in `tests/oracles.py`.
-The Euler identity weights the degree series by [N_μ] = η(μ). Matchings are
-arrow masks (`matchings`): public functions check the `Matching` they take
-as they turn it into its mask; the suite does not check enumerated ones.
+The Euler identity weights the degree series by [N_μ] = η(μ), read as a
+vector dense in vertex position (`lattice_maps._class_vector`).
+
+`resolution_reports` walks the table once for the resolution and the
+rotation check of `dimer verify`: one pass per row (`_row_levels`) gives the
+piece keys, the Euler series and the rotations. The separate loops it
+replaced are its oracles, in the tests. Matchings are arrow masks
+(`matchings`): public functions check the `Matching` they take as they turn
+it into its mask; the suite does not check enumerated ones.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
-from .lattice_maps import _matching_class
+from .lattice_maps import _class_vector
 from .matchings import (Matching, _arrow_bits, _enumeration, _heights, _matching_of, is_matching,
                         require_matching)
 from .model import DimerModel, ReadOnlyDict, per_model
@@ -50,7 +56,7 @@ class _Layout(NamedTuple):
     into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
     into_mask: Tuple[int, ...]                     # arrows with head here
     out_mask: Tuple[int, ...]                      # arrows with tail here
-    near: Tuple[int, ...]                          # into_mask | internal out_mask
+    bit: Tuple[int, ...]                           # 1 << position
     internal: int                                  # the internal arrows
     cycles: Tuple[int, ...]                        # arrows of each face
     sides: ReadOnlyDict[int, Tuple[int, int]]      # arrow bit -> its two faces
@@ -61,14 +67,12 @@ def _layout(model: DimerModel) -> _Layout:
     position = {v.id: p for p, v in enumerate(model.vertices)}
     bit = _arrow_bits(model)
     into: List[List[Tuple[int, int]]] = [[] for _ in position]
-    into_mask, out_mask, internal_out = [0] * len(position), [0] * len(position), [0] * len(position)
+    into_mask, out_mask = [0] * len(position), [0] * len(position)
     for a in model.arrows:
         h, t = position[a.head], position[a.tail]
         into[h].append((bit[a.id], t))
         into_mask[h] |= bit[a.id]
         out_mask[t] |= bit[a.id]
-        if not a.is_boundary:
-            internal_out[t] |= bit[a.id]
     sides: Dict[int, Tuple[int, ...]] = {bit[a.id]: () for a in model.arrows}
     for f, face in enumerate(model.faces):
         for aid in face.boundary_cycle:
@@ -76,7 +80,7 @@ def _layout(model: DimerModel) -> _Layout:
     missing = len(model.faces)
     return _Layout(tuple(position), ReadOnlyDict(position),
                    tuple(map(tuple, into)), tuple(into_mask), tuple(out_mask),
-                   tuple(i | o for i, o in zip(into_mask, internal_out)),
+                   tuple(1 << p for p in range(len(position))),
                    sum(bit[a.id] for a in model.internal_arrows),
                    tuple(sum(bit[aid] for aid in f.boundary_cycle) for f in model.faces),
                    ReadOnlyDict({b: fs + (missing,) * (2 - len(fs)) for b, fs in sides.items()}))
@@ -155,26 +159,34 @@ def degree_table(model: DimerModel) -> DegreeTable:
     return DegreeTable(ReadOnlyDict({mu_mask: k for k, mu_mask in enumerate(masks)}), tuple(rows))
 
 
-def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
-                row: Row) -> Tuple[List[Tuple[int, int]], bool]:
-    """For the row toward one target: per degree d from 0 to the row's
-    largest, the mask of S(μ,i,d) and the memo key of its piece, S with
-    the μ-arrows into S and the internal μ-arrows out of S; and whether
-    the degree series Σ_j c_j t^{D(j)} is the constant 1, with c_j the
-    coefficients of [N_μ] in layout order."""
+def _row_levels(layout: _Layout, mu_mask: int, coefficients: Sequence[int],
+                row: Row) -> Tuple[List[int], List[int], bool, List[int]]:
+    """One pass over the row toward one target, then one over its degrees
+    from 0 to the row's largest: the mask of S(μ,i,d) and the memo key of
+    its piece, S with the μ-arrows into S and the internal μ-arrows out of
+    S; whether the degree series Σ_j c_j t^{D(j)} is the constant 1, with
+    c_j the coefficients of [N_μ] in layout order; and the rotations of μ
+    for d = 1 up to the row's largest, ν = (μ \\ X) ∪ Y as arrow masks,
+    with X the matched arrows dropping degree d → d−1 and Y the unmatched
+    arrows rising d−1 → d, read off the arrows out of and into each degree."""
     top = max(row)
-    members, arrows, series = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
-    for j, e in enumerate(row):
-        members[e] |= 1 << j
-        arrows[e] |= layout.near[j]
-        series[e] += coefficients[j]
-    keys = []
+    members, series, out, into = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+    for e, bit, c, o, i in zip(row, layout.bit, coefficients, layout.out_mask, layout.into_mask):
+        members[e] |= bit
+        series[e] += c
+        out[e] |= o
+        into[e] |= i
+    sets, keys = [], []
     S = A = 0
-    for m, a in zip(members, arrows):
+    internal = layout.internal
+    for m, o, i in zip(members, out, into):
         S |= m
-        A |= a
-        keys.append((S, (mu_mask & A) << len(row) | S))
-    return keys, series[0] == 1 and not any(series[1:])
+        A |= i | o & internal
+        sets.append(S)
+        keys.append((mu_mask & A) << len(row) | S)
+    return (sets, keys, series[0] == 1 and not any(series[1:]),
+            [(mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
+             for d in range(1, top + 1)])
 
 
 @dataclass
@@ -287,36 +299,51 @@ def _is_exact(table: _PieceTable, S: int) -> bool:
             and _flood(table.neighbours, S, S & -S) == S)
 
 
-def _report(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
-            d_max: Optional[int], exact: Dict[int, bool]) -> ResolutionReport:
+Rotation = Tuple[int, int, bool]  # (vertex, degree, whether ν is a perfect matching)
+
+
+def _walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...], d_max: Optional[int],
+          exact: Dict[int, bool], table: Optional[DegreeTable] = None
+          ) -> Tuple[ResolutionReport, Optional[Rotation]]:
     """check_resolution from the degree rows of the arrow mask μ, deciding
-    each piece whose key is not in `exact` yet and recording it there."""
+    each piece whose key is not in `exact` yet and recording it there; and,
+    given the degree table that holds μ, the first (vertex, degree) in
+    order at which μ's rotation identity fails: its ν is no perfect
+    matching, or S(μ,i,d) ≠ S(ν,i,d−1). Both read one `_row_levels` pass
+    per row. Past the row's largest degree ν = μ, so d stops there."""
     if d_max is None:
         d_max = max(map(max, rows)) + 1
     elif d_max < 0:
         raise ValueError("d_max must be nonnegative")
     layout = _layout(model)
-    cls = _matching_class(model, mu_mask).as_dict()
-    coefficients = [cls[v] for v in layout.vertices]
-    table = None
+    coefficients = _class_vector(model, mu_mask)
+    pieces = None
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
-    for vid, row in zip(layout.vertices, rows):
-        keys, euler = _piece_keys(layout, mu_mask, coefficients, row)
-        for d, (S, key) in enumerate(keys[:d_max + 1]):
+    rotation = None
+    for p, (vid, row) in enumerate(zip(layout.vertices, rows)):
+        sets, keys, euler, turns = _row_levels(layout, mu_mask, coefficients, row)
+        for d, S, key in zip(range(d_max + 1), sets, keys):
             ok = exact.get(key)
             if ok is None:
-                if table is None:
-                    table = _piece_table(layout, mu_mask)
-                ok = exact[key] = _is_exact(table, S)
+                if pieces is None:
+                    pieces = _piece_table(layout, mu_mask)
+                ok = exact[key] = _is_exact(pieces, S)
             if not ok:
                 failures.append((vid, d))
-        # From degree len(keys) - 1 on, S is every vertex: the last S walked above.
-        if d_max >= len(keys) and not ok:
-            failures.extend((vid, d) for d in range(len(keys), d_max + 1))
+        # From degree len(sets) - 1 on, S is every vertex: the last S walked above.
+        if d_max >= len(sets) and not ok:
+            failures.extend((vid, d) for d in range(len(sets), d_max + 1))
         if not euler:
             euler_failures.append(vid)
-    return ResolutionReport(d_max, len(rows) * (d_max + 1), failures, euler_failures)
+        if table is None or rotation is not None:
+            continue
+        for d, nu in enumerate(turns, 1):
+            at = table.by_mask.get(nu)
+            if at is None or _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
+                rotation = vid, d, at is not None
+                break
+    return ResolutionReport(d_max, len(rows) * (d_max + 1), failures, euler_failures), rotation
 
 
 def check_resolution(model: DimerModel, mu: Matching,
@@ -332,30 +359,23 @@ def check_resolution(model: DimerModel, mu: Matching,
     those degrees are counted, not walked."""
     require_consistent(model)
     mu_mask = require_matching(model, mu)
-    return _report(model, mu_mask, _rows(_layout(model), mu_mask), d_max, {})
+    return _walk(model, mu_mask, _rows(_layout(model), mu_mask), d_max, {})[0]
 
 
-def resolution_reports(model: DimerModel) -> Iterator[Tuple[int, ResolutionReport]]:
-    """(μ, check_resolution(model, μ)) for every perfect matching μ, as an
-    arrow mask, in enumeration order, from the degree table. One piece memo
-    serves every matching; it lives as long as this iterator."""
+def resolution_reports(model: DimerModel
+                       ) -> Iterator[Tuple[int, ResolutionReport, Optional[Rotation]]]:
+    """(μ, check_resolution(model, μ), μ's rotation failure) for every
+    perfect matching μ, as an arrow mask, in enumeration order, from one
+    walk of the degree table. The rotation failure is the first (vertex i,
+    degree d), 1 ≤ d ≤ saturation(μ), at which the rotation ν of μ is no
+    perfect matching (False) or S(μ,i,d) ≠ S(ν,i,d−1) (True), both sides
+    read from the table, whose keys are exactly the perfect matchings; None
+    if there is none. One piece memo serves every matching; it lives as
+    long as this iterator."""
     table = degree_table(model)
     exact: Dict[int, bool] = {}
     for mu_mask, k in table.by_mask.items():
-        yield mu_mask, _report(model, mu_mask, table.rows[k], None, exact)
-
-
-def _rotations(layout: _Layout, mu_mask: int, row: Row, stop: int) -> List[int]:
-    """ν = (μ \\ X) ∪ Y as an arrow mask for each d = 1..stop, with X the
-    matched arrows dropping degree d → d−1 and Y the unmatched arrows
-    rising d−1 → d (degrees toward the row's target)."""
-    size = max(max(row), stop) + 1
-    out, into = [0] * size, [0] * size
-    for j, e in enumerate(row):
-        out[e] |= layout.out_mask[j]
-        into[e] |= layout.into_mask[j]
-    return [(mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
-            for d in range(1, stop + 1)]
+        yield (mu_mask,) + _walk(model, mu_mask, table.rows[k], None, exact, table)
 
 
 def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching:
@@ -367,8 +387,9 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     require_consistent(model)
     mu_mask = require_matching(model, mu)
     layout = _layout(model)
-    nu = _matching_of(model, _rotations(layout, mu_mask,
-                                        _row(layout, mu_mask, _target(layout, i)), d)[-1])
+    row = _row(layout, mu_mask, _target(layout, i))
+    turns = _row_levels(layout, mu_mask, _class_vector(model, mu_mask), row)[-1]
+    nu = _matching_of(model, turns[d - 1] if d <= len(turns) else mu_mask)
     if not is_matching(model, nu.arrow_set):
         raise ValueError("rotation did not produce a perfect matching")
     return nu
@@ -383,22 +404,3 @@ def _at_most(row: Row, d: int) -> bytes:
     if isinstance(row, bytes):
         return row.translate(_AT_MOST[min(d, 255)])
     return bytes(e <= d for e in row)
-
-
-def first_rotation_failure(model: DimerModel) -> Optional[Tuple[int, int, int]]:
-    """The first (μ, i, d), over every perfect matching μ (as an arrow
-    mask), vertex i and 1 ≤ d ≤ saturation(μ), with S(μ,i,d) ≠ S(ν,i,d−1)
-    for the rotation ν of μ; None if there is none. Both sides are read
-    from the degree table, whose keys are exactly the perfect matchings."""
-    table = degree_table(model)
-    layout = _layout(model)
-    for mu_mask, k in table.by_mask.items():
-        saturation = max(map(max, table.rows[k]))
-        for p, row in enumerate(table.rows[k]):
-            for d, nu in enumerate(_rotations(layout, mu_mask, row, saturation), 1):
-                at = table.by_mask.get(nu)
-                if at is None:
-                    raise ValueError("rotation did not produce a perfect matching")
-                if _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
-                    return mu_mask, layout.vertices[p], d
-    return None

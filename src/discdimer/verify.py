@@ -6,27 +6,32 @@ names a matching, read here as an arrow mask, by its arrow ids.
 `run_checks` runs every check of `VERIFY_CHECKS` in order; an exception
 in a check (a failed precondition) makes that check fail with the
 exception as its witness.
+
+The per-matching checks compare vectors dense in vertex position, and the
+Marsh–Scott checks count them per boundary value. `rotation_identities`
+reads the walk of the degree table that `resolution_exactness` runs
+(`_degree_walk`), so its `seconds` is near 0 and the other's cover both.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
-from .kclass_weights import (_weights, muller_speyer_matching, projective_matching_oracle,
-                             upstream_matching, weight_table)
-from .lattice_maps import (_matching_class, check_cluster_ensemble, eta_inverse_basis,
+from .kclass_weights import (_weight_columns, muller_speyer_matching,
+                             projective_matching_oracle, upstream_matching, weight_table)
+from .lattice_maps import (_class_vector, _linear, check_cluster_ensemble, eta_inverse_basis,
                            eta_invariant_factors, is_eta_unimodular)
-from .matchings import (_arrow_bits, _boundary_of, _enumeration, _mask_of, _matching_of,
-                        _orientation, positroid, positroid_contains_necklace_test)
-from .model import BLACK, WHITE, DimerModel, opposite, per_model, standardise, type_of, validate
-from .partition_functions import (LaurentPoly, _ms_sum, _ms_white_v2_sum, _require_ms_model,
+from .matchings import (_boundary_of, _enumeration, _mask_of, _matching_of, _orientation,
+                        positroid, positroid_contains_necklace_test)
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, opposite, per_model, standardise,
+                    type_of, validate)
+from .partition_functions import (_ms_exponents, _require_ms_model, _twist_exponents,
                                   boundary_measurement, check_plucker_relations)
-from .resolution import first_rotation_failure, resolution_reports
+from .resolution import resolution_reports
 from .strands import check_postnikov, source_labels, target_labels
 
 CheckResult = Tuple[bool, Optional[str]]
@@ -110,38 +115,38 @@ def _standardised_copy(model: DimerModel) -> Optional[DimerModel]:
 
 def _check_weight_formula(model: DimerModel) -> CheckResult:
     std = _standardised_copy(model) or model
+    position = {v.id: p for p, v in enumerate(std.vertices)}
     table = weight_table(std, WHITE)
-    bits = _arrow_bits(std)
+    alt = [tuple((position[v], e) for v, e in table[a.id].coefficients) if a.id in table else ()
+           for a in std.arrows]
+    head = {a.boundary_label: position[a.head] for a in std.boundary_arrows}
     orientation = _orientation(std)
+    wt_base, wt_columns, wtd = _weight_columns(std)
+    zero = [0] * len(position)
     for mu_mask in _enumeration(std)[0]:
-        wt, wtd = _weights(std, mu_mask)
-        alt: Counter = Counter()
-        for a in std.internal_arrows:
-            if mu_mask & bits[a.id]:
-                alt.update(table[a.id].as_dict())
-        if {v: e for v, e in wt.as_dict().items() if e} != {v: e for v, e in alt.items() if e}:
+        wt = _linear(wt_base, wt_columns, mu_mask)
+        if wt != _linear(zero, alt, mu_mask):
             return False, f"weight formulas disagree on {_ids(std, mu_mask)}"
         # [N_mu] = wtD + sum over boundary labels of p_head - wt(mu).
-        expect = Counter(wtd.as_dict())
-        expect.subtract(wt.as_dict())
-        expect.update(std.boundary_arrow_with_label(i).head
-                      for i in _boundary_of(orientation, mu_mask))
-        cls = _matching_class(std, mu_mask).as_dict()
-        if {v: e for v, e in expect.items() if e} != {v: e for v, e in cls.items() if e}:
+        expect = [d - w for d, w in zip(wtd, wt)]
+        for i in _boundary_of(orientation, mu_mask):
+            expect[head[i]] += 1
+        if expect != _class_vector(std, mu_mask):
             return False, f"class identity fails on {_ids(std, mu_mask)}"
     return True, None
 
 
 @per_model
-def _white_ms_sums(model: DimerModel) -> Tuple[LaurentPoly, ...]:
-    """MS° of every k-subset in lexicographic order: `_ms_sum` over its
-    matchings of the white-standardised copy, once per model for the two
-    checks that set it against another computation."""
+def _white_ms_sums(model: DimerModel) -> Tuple[ReadOnlyDict[Tuple[int, ...], int], ...]:
+    """MS° of every k-subset in lexicographic order, as its dense exponent
+    vectors counted (`_ms_exponents`) over the subset's matchings of the
+    white-standardised copy, once per model for the two checks that set it
+    against another computation."""
     std = _standardised_copy(model) or model
     k, n = type_of(std)
     _require_ms_model(std, WHITE)
     groups = _enumeration(std)[1]
-    return tuple(_ms_sum(std, groups.get(frozenset(I), ()))
+    return tuple(ReadOnlyDict(_ms_exponents(std, groups.get(frozenset(I), ())))
                  for I in combinations(range(1, n + 1), k))
 
 
@@ -151,38 +156,54 @@ def _check_ms_equality(model: DimerModel) -> CheckResult:
     white_sums = _white_ms_sums(model)
     groups = _enumeration(std)[1]
     for I, white in zip(combinations(range(1, n + 1), k), white_sums):
-        if white != _ms_white_v2_sum(std, I, groups.get(frozenset(I), ())):
+        if white != _twist_exponents(std, groups.get(frozenset(I), ()), I):
             return False, f"formulas differ at {list(I)}"
     return True, None
 
 
 def _check_duality(model: DimerModel) -> CheckResult:
     std = _standardised_copy(model) or model
-    op = opposite(std)
+    op = opposite(std)  # the same vertices in the same order, so the same dense vectors
     k, n = type_of(std)
     white_sums = _white_ms_sums(model)
     _require_ms_model(op, BLACK)
     op_groups = _enumeration(op)[1]
     for I, white in zip(map(frozenset, combinations(range(1, n + 1), k)), white_sums):
         comp = frozenset(range(1, n + 1)) - I
-        if white != _ms_sum(op, op_groups.get(comp, ())):
+        if white != _ms_exponents(op, op_groups.get(comp, ())):
             return False, f"duality fails at {sorted(I)}"
     return True, None
 
 
+@per_model
+def _degree_walk(model: DimerModel) -> Tuple[CheckResult, Optional[Tuple[int, int, int, bool]]]:
+    """The resolution check's result and the first rotation failure (μ,
+    vertex, degree, whether ν is a perfect matching), from one walk of the
+    degree table (`resolution_reports`) that the two checks share. The walk
+    goes on over every matching after either check's first failure, so
+    neither hides the other's."""
+    resolution: CheckResult = (True, None)
+    rotation = None
+    for mu_mask, report, turn in resolution_reports(model):
+        if resolution[0] and not report.passed:
+            resolution = False, (f"matching {_ids(model, mu_mask)}: "
+                                 f"failures {report.failures}, euler {report.euler_failures}")
+        if rotation is None and turn is not None:
+            rotation = (mu_mask,) + turn
+    return resolution, rotation
+
+
 def _check_resolution_all(model: DimerModel) -> CheckResult:
-    for mu_mask, report in resolution_reports(model):
-        if not report.passed:
-            return False, (f"matching {_ids(model, mu_mask)}: "
-                           f"failures {report.failures}, euler {report.euler_failures}")
-    return True, None
+    return _degree_walk(model)[0]
 
 
 def _check_rotation(model: DimerModel) -> CheckResult:
-    failure = first_rotation_failure(model)
+    failure = _degree_walk(model)[1]
     if failure is None:
         return True, None
-    mu_mask, v, d = failure
+    mu_mask, v, d, found = failure
+    if not found:
+        raise ValueError("rotation did not produce a perfect matching")
     return False, (f"rotation identity fails at matching "
                    f"{_ids(model, mu_mask)}, vertex {v}, degree {d}")
 

@@ -19,19 +19,31 @@ that the library does another way:
   `kclass_of_matching`.
 - `specialize`: a Laurent polynomial evaluated term by term at rational
   values; it checks the partition-function identities at a point.
+- The dict forms of the per-matching vectors, which the library keeps dense
+  (`_eta` and `_matching_class`, `_weights`, `_ms_sum`, `_twist_sum`,
+  `_ms_white_v2_sum`), and `coboundary`, a lattice point per vertex: they
+  check `kclass_of_matching`, `weights`, the Marsh–Scott and twist sums and
+  η∘d = β.
+- The separate resolution and rotation loops over the degree table
+  (`resolution_reports` with `_report` and `_piece_keys`, and
+  `first_rotation_failure` with `_rotations` and `_at_most`): they check the
+  one walk that `resolution.resolution_reports` makes for both.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
 
-from discdimer.matchings import Matching, require_matching
+from discdimer import resolution
+from discdimer.lattice_maps import KClass, LatticePoint, make_lattice_point
+from discdimer.matchings import Matching, _arrow_bits, require_matching
 from discdimer.model import BLACK, WHITE, DimerModel
-from discdimer.partition_functions import LaurentPoly
-from discdimer.resolution import degrees_toward
+from discdimer.partition_functions import VERTEX_BASIS, LaurentPoly
+from discdimer.resolution import ResolutionReport, Row, _Layout, degrees_toward
 
 
 def mat_mul(a, b):
@@ -269,3 +281,173 @@ def specialize(poly: LaurentPoly, assignment: Mapping[int, Fraction]) -> Fractio
             prod *= x ** e
         total += prod
     return total
+
+
+def coboundary(model: DimerModel, g: Dict[int, int]) -> LatticePoint:
+    """d g: the degree-0 lattice point γ ↦ g(hγ) − g(tγ)."""
+    values = {a.id: g.get(a.head, 0) - g.get(a.tail, 0) for a in model.arrows}
+    return make_lattice_point(model, 0, values)
+
+
+def _eta(model: DimerModel, deg: int, values: Dict[int, int]) -> KClass:
+    """η(deg, f) = deg·Σ_j p_j − Σ_γ (deg − f(γ))·p_{hγ} + Σ_{γ internal} f(γ)·p_{tγ},
+    f given by `values` (0 where missing); the face sums are not checked."""
+    coeffs = {v.id: deg for v in model.vertices}
+    for a in model.arrows:
+        x = values.get(a.id, 0)
+        coeffs[a.head] -= deg - x
+        if not a.is_boundary:
+            coeffs[a.tail] += x
+    return KClass(tuple(sorted(coeffs.items())))
+
+
+def _matching_class(model: DimerModel, mu_mask: int) -> KClass:
+    """[N_μ] = η(μ): `_eta` at degree 1, 1 on the arrow mask μ (unchecked)."""
+    return _eta(model, 1, {aid: 1 for aid, bit in _arrow_bits(model).items() if mu_mask & bit})
+
+
+def _weights(model: DimerModel, mu_mask: int) -> Tuple[KClass, KClass]:
+    """`weights` of the arrow mask μ, with neither the model nor μ checked."""
+    bits = _arrow_bits(model)
+    wt: Dict[int, int] = {}
+    for a in model.internal_arrows:
+        if mu_mask & bits[a.id]:
+            wt[a.tail] = wt.get(a.tail, 0) - 1
+        else:
+            wt[a.head] = wt.get(a.head, 0) + 1
+    wtd = {v.id: 1 for v in model.vertices if not v.is_boundary}
+    return (KClass(tuple(sorted(wt.items()))), KClass(tuple(sorted(wtd.items()))))
+
+
+def _ms_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
+    """`ms_formula` summed over the given arrow masks, all of one boundary
+    value; the model's standardisation makes it MS° or MS•."""
+    terms = []
+    for mu_mask in pool:
+        wt, wtd = _weights(model, mu_mask)
+        exp = dict(wt.as_dict())
+        for v, e in wtd.as_dict().items():
+            exp[v] = exp.get(v, 0) - e
+        terms.append((exp, 1))
+    return LaurentPoly.from_terms(VERTEX_BASIS, terms)
+
+
+def _ms_white_v2_sum(model: DimerModel, I: Iterable[int], pool: Iterable[int]) -> LaurentPoly:
+    """`ms_formula_white_v2` over the given arrow masks with ∂μ = I: the
+    twist sum shifted by [P_I°]."""
+    p_I = Counter(model.boundary_arrow_with_label(i).head for i in I)
+    return _twist_sum(model, pool).shifted(p_I)
+
+
+def _twist_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
+    """`musp_twist_expression` summed over the given arrow masks."""
+    terms = [({v: -c for v, c in _matching_class(model, mu_mask).coefficients}, 1)
+             for mu_mask in pool]
+    return LaurentPoly.from_terms(VERTEX_BASIS, terms)
+
+
+def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
+                row: Row) -> Tuple[List[Tuple[int, int]], bool]:
+    """For the row toward one target: per degree d from 0 to the row's
+    largest, the mask of S(μ,i,d) and the memo key of its piece, S with
+    the μ-arrows into S and the internal μ-arrows out of S; and whether
+    the degree series Σ_j c_j t^{D(j)} is the constant 1, with c_j the
+    coefficients of [N_μ] in layout order."""
+    top = max(row)
+    members, arrows, series = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+    for j, e in enumerate(row):
+        members[e] |= 1 << j
+        arrows[e] |= layout.into_mask[j] | layout.out_mask[j] & layout.internal
+        series[e] += coefficients[j]
+    keys = []
+    S = A = 0
+    for m, a in zip(members, arrows):
+        S |= m
+        A |= a
+        keys.append((S, (mu_mask & A) << len(row) | S))
+    return keys, series[0] == 1 and not any(series[1:])
+
+
+def _report(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
+            d_max: Optional[int], exact: Dict[int, bool]) -> ResolutionReport:
+    """check_resolution from the degree rows of the arrow mask μ, deciding
+    each piece whose key is not in `exact` yet and recording it there."""
+    if d_max is None:
+        d_max = max(map(max, rows)) + 1
+    elif d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    layout = resolution._layout(model)
+    cls = _matching_class(model, mu_mask).as_dict()
+    coefficients = [cls[v] for v in layout.vertices]
+    table = None
+    failures: List[Tuple[int, int]] = []
+    euler_failures: List[int] = []
+    for vid, row in zip(layout.vertices, rows):
+        keys, euler = _piece_keys(layout, mu_mask, coefficients, row)
+        for d, (S, key) in enumerate(keys[:d_max + 1]):
+            ok = exact.get(key)
+            if ok is None:
+                if table is None:
+                    table = resolution._piece_table(layout, mu_mask)
+                ok = exact[key] = resolution._is_exact(table, S)
+            if not ok:
+                failures.append((vid, d))
+        # From degree len(keys) - 1 on, S is every vertex: the last S walked above.
+        if d_max >= len(keys) and not ok:
+            failures.extend((vid, d) for d in range(len(keys), d_max + 1))
+        if not euler:
+            euler_failures.append(vid)
+    return ResolutionReport(d_max, len(rows) * (d_max + 1), failures, euler_failures)
+
+
+def resolution_reports(model: DimerModel) -> Iterator[Tuple[int, ResolutionReport]]:
+    """(μ, check_resolution(model, μ)) for every perfect matching μ, as an
+    arrow mask, in enumeration order, from the degree table. One piece memo
+    serves every matching; it lives as long as this iterator."""
+    table = resolution.degree_table(model)
+    exact: Dict[int, bool] = {}
+    for mu_mask, k in table.by_mask.items():
+        yield mu_mask, _report(model, mu_mask, table.rows[k], None, exact)
+
+
+def _rotations(layout: _Layout, mu_mask: int, row: Row, stop: int) -> List[int]:
+    """ν = (μ \\ X) ∪ Y as an arrow mask for each d = 1..stop, with X the
+    matched arrows dropping degree d → d−1 and Y the unmatched arrows
+    rising d−1 → d (degrees toward the row's target)."""
+    size = max(max(row), stop) + 1
+    out, into = [0] * size, [0] * size
+    for j, e in enumerate(row):
+        out[e] |= layout.out_mask[j]
+        into[e] |= layout.into_mask[j]
+    return [(mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
+            for d in range(1, stop + 1)]
+
+
+# _AT_MOST[d] maps each degree to 1 if it is at most d, else to 0.
+_AT_MOST = tuple(b"\1" * (d + 1) + b"\0" * (255 - d) for d in range(256))
+
+
+def _at_most(row: Row, d: int) -> bytes:
+    """The reachable set of degree d in the row, as one 0/1 byte per vertex."""
+    if isinstance(row, bytes):
+        return row.translate(_AT_MOST[min(d, 255)])
+    return bytes(e <= d for e in row)
+
+
+def first_rotation_failure(model: DimerModel) -> Optional[Tuple[int, int, int]]:
+    """The first (μ, i, d), over every perfect matching μ (as an arrow
+    mask), vertex i and 1 ≤ d ≤ saturation(μ), with S(μ,i,d) ≠ S(ν,i,d−1)
+    for the rotation ν of μ; None if there is none. Both sides are read
+    from the degree table, whose keys are exactly the perfect matchings."""
+    table = resolution.degree_table(model)
+    layout = resolution._layout(model)
+    for mu_mask, k in table.by_mask.items():
+        saturation = max(map(max, table.rows[k]))
+        for p, row in enumerate(table.rows[k]):
+            for d, nu in enumerate(_rotations(layout, mu_mask, row, saturation), 1):
+                at = table.by_mask.get(nu)
+                if at is None:
+                    raise ValueError("rotation did not produce a perfect matching")
+                if _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
+                    return mu_mask, layout.vertices[p], d
+    return None

@@ -10,6 +10,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import _ms_sum, _twist_sum
 
 from discdimer import fixtures as fx
 from discdimer import kclass_weights as kclass_mod
@@ -25,7 +26,7 @@ from discdimer.matchings import (Matching, _enumeration, _matching_of, boundary_
                                  positroid, positroid_contains_necklace_test, support_subgraph)
 from discdimer.model import (Arrow, DimerModel, Face, StructuralError, Vertex, bipartite_dual,
                              WHITE, from_dict, opposite, standardise, to_dict, type_of, validate)
-from discdimer.partition_functions import (_ms_sum, _twist_sum, boundary_measurement, ms_formula,
+from discdimer.partition_functions import (boundary_measurement, ms_formula,
                                            ms_formula_white_v2, musp_twist_expression)
 from discdimer.strands import (check_postnikov, label_table, necklaces, require_consistent,
                                strands)

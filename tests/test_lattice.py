@@ -2,11 +2,12 @@
 cluster-ensemble exactness checks."""
 
 import pytest
+from oracles import coboundary
 
 from discdimer import fixtures as fx
 from discdimer.intlinalg import kernel_basis, lattices_equal
 from discdimer.lattice_maps import (_dual_tree, _rank_kernel, beta_matrix,
-                                    check_cluster_ensemble, coboundary, eta, eta_inverse_basis,
+                                    check_cluster_ensemble, eta, eta_inverse_basis,
                                     eta_invariant_factors, is_eta_unimodular,
                                     lattice_basis, lattice_point_of_matching,
                                     make_lattice_point, require_in_lattice)

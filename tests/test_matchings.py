@@ -352,6 +352,29 @@ def test_extremes_walk_no_heights(name, monkeypatch):
     assert walks == []
 
 
+@pytest.mark.parametrize("name", ["gr37", "uniform-2-4", "uniform-3-6"])
+def test_extremes_search_only_the_first_matching(name, monkeypatch):
+    """The seeded search stops at the first matching of the boundary value,
+    the first of the full search, and every leaf it reaches is that one."""
+    model = fx.FIXTURE_BUILDERS[name]()
+    groups = _enumeration(model)[1]
+    leaves = []
+    cover = matchings_module._cover
+
+    def counting(faces, idx, chosen, *rest):
+        if idx == len(faces):
+            leaves.append(chosen)
+        return cover(faces, idx, chosen, *rest)
+
+    monkeypatch.setattr(matchings_module, "_cover", counting)
+    for I in positroid(model):
+        del leaves[:]
+        assert matchings_module._boundary_search(model, I, first=True) == groups[I][:1]
+        assert leaves == list(groups[I][:1])
+        extreme_matchings(model, I)
+        assert leaves == list(groups[I][:1] * 2)
+
+
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])
 def test_extremes_are_unique_height_extrema(name):
     model = fx.FIXTURE_BUILDERS[name]()

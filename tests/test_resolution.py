@@ -5,10 +5,11 @@ import random
 import zlib
 from collections import Counter
 
+import oracles
 import pytest
-from oracles import (GradedComplexPiece, _forest_size, _piece, graded_piece,
-                     mat_mul, merged_complex_data, rational_rank, reachable_set,
-                     saturation_degree)
+from oracles import (GradedComplexPiece, _forest_size, _piece, first_rotation_failure,
+                     graded_piece, mat_mul, merged_complex_data, rational_rank,
+                     reachable_set, saturation_degree)
 
 from discdimer import fixtures as fx
 from discdimer import resolution
@@ -16,8 +17,7 @@ from discdimer.kclass_weights import kclass_of_matching
 from discdimer.matchings import Matching, _arrow_bits, _mask_of, _matching_of, enumerate_matchings
 from discdimer.model import opposite
 from discdimer.resolution import (_is_exact, _piece_table, check_resolution, degree_table,
-                                  degrees_toward, first_rotation_failure,
-                                  resolution_reports, rotate_matching)
+                                  degrees_toward, resolution_reports, rotate_matching)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 
@@ -345,9 +345,16 @@ def test_rotations_from_level_masks_equal_the_arrow_scan(name):
                 assert rotate_matching(model, mu, v.id, d) == rotation_oracle(model, mu, v.id, d)
 
 
+def rotation_failures(model):
+    """The walk's rotation failure of each matching that has one."""
+    return [(mu_mask, turn) for mu_mask, _, turn in resolution_reports(model) if turn]
+
+
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
 def test_the_rotation_check_passes_on_every_consistent_fixture(name):
-    assert first_rotation_failure(fx.FIXTURE_BUILDERS[name]()) is None
+    model = fx.FIXTURE_BUILDERS[name]()
+    assert rotation_failures(model) == []
+    assert first_rotation_failure(model) is None
 
 
 def test_the_rotation_check_fails_on_a_stale_table_entry(gr37, monkeypatch):
@@ -358,6 +365,7 @@ def test_the_rotation_check_fails_on_a_stale_table_entry(gr37, monkeypatch):
     rows[5] = rows[4]
     monkeypatch.setattr(resolution, "degree_table",
                         lambda model: table._replace(rows=tuple(rows)))
+    assert rotation_failures(gr37)
     assert first_rotation_failure(gr37) is not None
 
 
@@ -418,7 +426,7 @@ def test_memoised_check_equals_per_piece_recomputation(name):
     both equal the per-piece path, which uses neither."""
     model = fx.FIXTURE_BUILDERS[name]()
     reports = [(_matching_of(model, mu_mask), report)
-               for mu_mask, report in resolution_reports(model)]
+               for mu_mask, report, _ in resolution_reports(model)]
     assert [mu for mu, _ in reports] == list(enumerate_matchings(model))
     for mu, report in reports:
         expected = per_piece_report(model, mu)
@@ -457,7 +465,7 @@ def test_memo_across_matchings_answers_for_the_piece_itself(name, monkeypatch):
     model = fx.FIXTURE_BUILDERS[name]()
     decide_by(monkeypatch, model, whole_piece_rule)
     failures = 0
-    for mu_mask, report in resolution_reports(model):
+    for mu_mask, report, _ in resolution_reports(model):
         expected = per_piece_report(model, _matching_of(model, mu_mask))
         failures += len(expected[2])
         assert report_tuple(report) == expected
@@ -484,14 +492,28 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
         coefficients = [cls[v] for v in layout.vertices]
         random_rows = tuple(bytes(rng.randrange(4) for _ in layout.vertices) for _ in range(8))
         for row in rows + random_rows:
-            keys, _ = resolution._piece_keys(layout, _mask_of(model, mu), coefficients, row)
-            for S, key in keys:
+            sets, keys = resolution._row_levels(layout, _mask_of(model, mu), coefficients, row)[:2]
+            for S, key in zip(sets, keys):
                 members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
                 piece = _piece(model, members, q1, q2)
                 seen = first.setdefault(key, (mu, piece))
                 assert seen[1] == piece, (seen[0], mu, sorted(members))
                 across += seen[0] != mu
     assert across > 0
+
+
+@pytest.mark.parametrize("name", ["triangle", "gr37", "uniform-2-5", "uniform-3-6",
+                                  "uniform-4-8"])
+def test_the_shared_walk_equals_the_separate_loops(name):
+    """One walk of the degree table gives every matching's report, as the
+    resolution loop of the oracle does with its own piece keys and the dict
+    form of [N_μ], and no rotation failure, as the oracle's rotation loop."""
+    model = build(name)
+    walk = list(resolution_reports(model))
+    assert [(mu_mask, report_tuple(report)) for mu_mask, report, _ in walk] == [
+        (mu_mask, report_tuple(report)) for mu_mask, report in oracles.resolution_reports(model)]
+    assert [turn for _, _, turn in walk if turn] == []
+    assert first_rotation_failure(model) is None
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8"])

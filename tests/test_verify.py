@@ -5,13 +5,14 @@ the CLI: `tests/golden/verify-<model>.json` is `dimer verify <model>
 import json
 from pathlib import Path
 
+import oracles
 import pytest
 from click.testing import CliRunner
 
 from discdimer import fixtures as fx
-from discdimer import lattice_maps, verify
+from discdimer import lattice_maps, resolution, verify
 from discdimer.cli import main
-from discdimer.lattice_maps import KClass
+from discdimer.matchings import _matching_of
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MODELS = ["triangle", "gr37", "inconsistent", "uniform-1-3", "uniform-2-4",
@@ -45,16 +46,78 @@ def test_plucker_draws_take_the_support_from_enumeration(gr37, monkeypatch):
 
 
 def test_the_eta_formula_is_pinned_by_four_checks(monkeypatch):
-    """η has one body, shared by the lattice map, the matching classes and
-    the twist sum. Dropped internal-tail terms must fail the checks that
-    compare it with something computed without η."""
-    def without_internal_tails(model, deg, values):
-        coeffs = {v.id: deg for v in model.vertices}
-        for a in model.arrows:
-            coeffs[a.head] -= deg - values.get(a.id, 0)
-        return KClass(tuple(sorted(coeffs.items())))
+    """η has one body, `lattice_maps._eta_columns`, shared by the lattice
+    map, the matching classes and the twist sum. Dropped internal-tail terms
+    must fail the checks that compare it with something computed without η."""
+    eta_columns = lattice_maps._eta_columns
 
-    monkeypatch.setattr(lattice_maps, "_eta", without_internal_tails)
+    def without_internal_tails(model):
+        base, columns = eta_columns(model)
+        return base, tuple(column[:1] for column in columns)  # the head term alone
+
+    monkeypatch.setattr(lattice_maps, "_eta_columns", without_internal_tails)
     failed = {r["name"] for r in verify.run_checks(fx.gr37(), 0) if not r["passed"]}
     assert {"eta_unimodular", "weight_double_formula", "ms_formula_equality",
             "resolution_exactness"} <= failed
+
+
+# Entries of gr37's degree table set to a wrong degree, each as (matching,
+# target position, vertex position, degree), in enumeration and layout order.
+ROTATION_ONLY, PIECE_ONLY = (0, 0, 0, 1), (43, 2, 0, 1)
+CORRUPTIONS = {
+    "rotation only": ([ROTATION_ONLY], False, True),
+    "piece only": ([PIECE_ONLY], True, False),
+    "both, the rotation's first": ([PIECE_ONLY, ROTATION_ONLY], True, True),
+    "both, the piece's first": ([(0, 2, 4, 1), (45, 0, 0, 1)], True, True),
+    "both, in one matching": ([(0, 0, 2, 2)], True, True),
+}
+
+
+@pytest.mark.parametrize("kind", CORRUPTIONS)
+def test_the_shared_walk_hides_neither_checks_failure(kind, monkeypatch):
+    """With entries of the degree table corrupted, the resolution and the
+    rotation check, which share one walk of the table, each report the
+    witness of their own loop in `oracles`: the walk goes on over every
+    matching after either check's first failure."""
+    entries, breaks_a_piece, breaks_a_rotation = CORRUPTIONS[kind]
+    model = fx.gr37()
+    table = resolution.degree_table(model)
+    rows = [list(matching_rows) for matching_rows in table.rows]
+    for k, p, j, degree in entries:
+        row = bytearray(rows[k][p])
+        row[j] = degree
+        rows[k][p] = bytes(row)
+    monkeypatch.setattr(resolution, "degree_table",
+                        lambda m: table._replace(rows=tuple(map(tuple, rows))))
+    def ids(mu_mask):
+        return list(_matching_of(model, mu_mask).sorted_ids())
+
+    first = next(((mu_mask, report) for mu_mask, report in oracles.resolution_reports(model)
+                  if not report.passed), None)
+    rotation = oracles.first_rotation_failure(model)
+    assert (first is not None, rotation is not None) == (breaks_a_piece, breaks_a_rotation)
+    assert verify._check_resolution_all(model) == (
+        (True, None) if first is None else
+        (False, f"matching {ids(first[0])}: failures {first[1].failures}, "
+                f"euler {first[1].euler_failures}"))
+    assert verify._check_rotation(model) == (
+        (True, None) if rotation is None else
+        (False, f"rotation identity fails at matching {ids(rotation[0])}, "
+                f"vertex {rotation[1]}, degree {rotation[2]}"))
+
+
+def test_a_rotation_outside_the_table_fails_the_rotation_check_alone(monkeypatch):
+    """With a matching left out of the table's keys, some rotation is no
+    longer a perfect matching of the table: the rotation check fails as its
+    oracle does, with that error, and the resolution check still passes."""
+    model = fx.gr37()
+    table = resolution.degree_table(model)
+    by_mask = dict(list(table.by_mask.items())[:-1])
+    monkeypatch.setattr(resolution, "degree_table",
+                        lambda m: table._replace(by_mask=by_mask))
+    with pytest.raises(ValueError, match="^rotation did not produce a perfect matching$"):
+        oracles.first_rotation_failure(model)
+    checks = {r["name"]: (r["passed"], r["witness"]) for r in verify.run_checks(model, 0)}
+    assert checks["resolution_exactness"] == (True, None)
+    assert checks["rotation_identities"] == (
+        False, "ValueError: rotation did not produce a perfect matching")
