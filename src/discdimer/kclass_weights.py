@@ -22,8 +22,8 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice_maps import Columns, KClass, _class_vector, _kclass, _linear
 from .matchings import Matching, _arrow_bits, _enumeration, is_matching, require_matching
-from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, is_standardised,
-                    opposite, per_model)
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, _vertex_positions,
+                    is_standardised, opposite, per_model)
 from .resolution import _layout, _row, _target
 from .strands import require_consistent
 
@@ -151,7 +151,7 @@ def _weight_columns(model: DimerModel) -> Tuple[Tuple[int, ...], Columns, Tuple[
     (model order): wt(μ) = base + Σ_{γ∈μ} column(γ) (`lattice_maps._linear`),
     with base = Σ_{γ internal} p_{hγ} and column(γ) = −p_{tγ} − p_{hγ} for
     internal γ, no entry for boundary γ; and wtD."""
-    pos = {v.id: p for p, v in enumerate(model.vertices)}
+    pos = _vertex_positions(model)
     base = [0] * len(pos)
     for a in model.internal_arrows:
         base[pos[a.head]] += 1

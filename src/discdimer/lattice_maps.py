@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .matchings import Matching, require_matching
-from .model import DimerModel, per_model, require_valid
+from .model import DimerModel, _vertex_positions, per_model, require_valid
 
 Columns = Tuple[Tuple[Tuple[int, int], ...], ...]  # per arrow: its (vertex position, coefficient)s
 
@@ -91,7 +91,7 @@ def _eta_columns(model: DimerModel) -> Tuple[Tuple[int, ...], Columns]:
     base = Σ_j p_j − Σ_γ p_{hγ} and column(γ) = p_{hγ} + [γ internal]·p_{tγ},
     dense in vertex position (model order); one column per arrow, in the
     bit order of arrow masks."""
-    position = {v.id: p for p, v in enumerate(model.vertices)}
+    position = _vertex_positions(model)
     base = [1] * len(position)
     columns = []
     for a in model.arrows:

@@ -19,8 +19,8 @@ from operator import ge
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .kasteleyn import _minors
-from .model import (BipartiteDual, DimerModel, ReadOnlyDict, bipartite_dual, per_model,
-                    require_valid, type_of)
+from .model import (BipartiteDual, DimerModel, ReadOnlyDict, _vertex_positions, bipartite_dual,
+                    per_model, require_valid, type_of)
 from .strands import necklaces
 
 
@@ -254,7 +254,7 @@ def _height_walk(model: DimerModel) -> Tuple[Tuple[Tuple[int, int, int, int], ..
     the arrow points to the vertex; and every arrow off the tree as (tail,
     head, arrow bit). Vertices are positions in model order."""
     bits = _arrow_bits(model)
-    position = {v.id: p for p, v in enumerate(model.vertices)}
+    position = _vertex_positions(model)
     adj: List[List[Tuple[int, int, int]]] = [[] for _ in position]
     for a in model.arrows:
         adj[position[a.tail]].append((position[a.head], bits[a.id], 1))

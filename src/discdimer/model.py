@@ -446,6 +446,13 @@ def type_of(model: DimerModel) -> Tuple[int, int]:
     return white - (len(model.faces) - white) + anticlockwise, model.n
 
 
+@per_model
+def _vertex_positions(model: DimerModel) -> ReadOnlyDict[int, int]:
+    """Vertex id -> its position in model order, the index of every vector
+    dense in vertex position."""
+    return ReadOnlyDict({v.id: p for p, v in enumerate(model.vertices)})
+
+
 # ---------------------------------------------------------------------------
 # Opposite and standardisation
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .kasteleyn import boundary_minors
 from .kclass_weights import _weight_columns
 from .lattice_maps import _class_vector, _linear
 from .matchings import _boundary_search
-from .model import WHITE, DimerModel, is_standardised, type_of
+from .model import WHITE, DimerModel, _vertex_positions, is_standardised, type_of
 from .strands import require_consistent
 
 ExponentVector = Tuple[Tuple[int, int], ...]  # sorted (index, exponent) pairs
@@ -139,7 +139,7 @@ def _twist_exponents(model: DimerModel, pool: Iterable[int], I: Iterable[int] = 
     dense exponent vectors −η(μ), each shifted by [P_I°] = Σ_{i∈I} p_{h α_i}
     (`ms_formula_white_v2` over masks with ∂μ = I)."""
     shift = [0] * len(model.vertices)
-    position = {v.id: p for p, v in enumerate(model.vertices)}
+    position = _vertex_positions(model)
     for i in I:
         shift[position[model.boundary_arrow_with_label(i).head]] += 1
     return Counter(tuple(s - c for s, c in zip(shift, _class_vector(model, mu_mask)))

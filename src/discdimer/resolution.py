@@ -17,9 +17,13 @@ a height h, so every path j → i gains h(i) − h(j) in degree from ρ to μ,
 and so does D. A piece depends on μ only through the μ-arrows with head in
 S and the internal μ-arrows with tail in S, so exactness is decided once per
 distinct (S, those arrows), across all the matchings of one check, with both
-kept as int bitmasks. The decision reads S as a vertex mask against one
-table of ints per matching (`_piece_table`, `_is_exact`). Its oracle, the
-same piece built as incidences and ranked by union-find
+kept as int bitmasks. The decision reads S as a vertex mask against three
+ints per vertex position, in one table per matching (`_piece_table`): S
+must be closed under the tails of the unmatched arrows into it, the counts
+of its unmatched arrows in and matched internal arrows out must give
+|S| − 1, and one flood must find S connected. `_is_exact` proves that
+these decide the piece: on a closed S, δ1δ2 = 0 and δ2 is injective.
+Its oracle, the same piece built as incidences and ranked by union-find
 (`GradedComplexPiece`), lives in the tests, in `tests/oracles.py`.
 The Euler identity weights the degree series by [N_μ] = η(μ), read as a
 vector dense in vertex position (`lattice_maps._class_vector`).
@@ -40,17 +44,15 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, 
 from .lattice_maps import _class_vector
 from .matchings import (Matching, _arrow_bits, _enumeration, _heights, _matching_of, is_matching,
                         require_matching)
-from .model import DimerModel, ReadOnlyDict, per_model
+from .model import DimerModel, ReadOnlyDict, _vertex_positions, per_model
 from .strands import require_consistent
 
 Row = Union[bytes, Tuple[int, ...]]  # degree toward one target, per vertex position
 
 
 class _Layout(NamedTuple):
-    """Vertex positions in model order, the arrows at each vertex position
-    as lists and as arrow masks, and the faces: each face cycle as an arrow
-    mask, in model order, and the faces on the two sides of each arrow,
-    with len(cycles) standing for the missing side of a boundary arrow."""
+    """Vertex positions in model order, and the arrows at each vertex
+    position as lists and as arrow masks."""
     vertices: Tuple[int, ...]                      # vertex id at each position
     position: ReadOnlyDict[int, int]               # vertex id -> position
     into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
@@ -58,13 +60,11 @@ class _Layout(NamedTuple):
     out_mask: Tuple[int, ...]                      # arrows with tail here
     bit: Tuple[int, ...]                           # 1 << position
     internal: int                                  # the internal arrows
-    cycles: Tuple[int, ...]                        # arrows of each face
-    sides: ReadOnlyDict[int, Tuple[int, int]]      # arrow bit -> its two faces
 
 
 @per_model
 def _layout(model: DimerModel) -> _Layout:
-    position = {v.id: p for p, v in enumerate(model.vertices)}
+    position = _vertex_positions(model)
     bit = _arrow_bits(model)
     into: List[List[Tuple[int, int]]] = [[] for _ in position]
     into_mask, out_mask = [0] * len(position), [0] * len(position)
@@ -73,17 +73,10 @@ def _layout(model: DimerModel) -> _Layout:
         into[h].append((bit[a.id], t))
         into_mask[h] |= bit[a.id]
         out_mask[t] |= bit[a.id]
-    sides: Dict[int, Tuple[int, ...]] = {bit[a.id]: () for a in model.arrows}
-    for f, face in enumerate(model.faces):
-        for aid in face.boundary_cycle:
-            sides[bit[aid]] += (f,)
-    missing = len(model.faces)
-    return _Layout(tuple(position), ReadOnlyDict(position),
+    return _Layout(tuple(position), position,
                    tuple(map(tuple, into)), tuple(into_mask), tuple(out_mask),
                    tuple(1 << p for p in range(len(position))),
-                   sum(bit[a.id] for a in model.internal_arrows),
-                   tuple(sum(bit[aid] for aid in f.boundary_cycle) for f in model.faces),
-                   ReadOnlyDict({b: fs + (missing,) * (2 - len(fs)) for b, fs in sides.items()}))
+                   sum(bit[a.id] for a in model.internal_arrows))
 
 
 def _as_row(dist: List[int]) -> Row:
@@ -202,46 +195,27 @@ class ResolutionReport:
 
 
 class _PieceTable(NamedTuple):
-    """What the pieces of one matching μ are decided from, in plain ints.
-    Merged faces are numbered in the order of their matched arrows, and
-    the number after the last stands for the ground: a boundary arrow's
-    missing side, or a face whose matched arrow is a boundary arrow."""
-    tails: Tuple[int, ...]        # per vertex position: tails of the unmatched arrows into it
-    neighbours: Tuple[int, ...]   # per vertex position: its neighbours along unmatched arrows
-    in_degree: Tuple[int, ...]    # per vertex position: the unmatched arrows into it
-    faces: Tuple[int, ...]        # per vertex position: the merged faces headed there
-    across: Tuple[int, ...]       # per merged face: the faces across its unmatched arrows
+    """What the pieces of one matching μ are decided from: plain ints per
+    vertex position."""
+    tails: Tuple[int, ...]        # the tails of the unmatched arrows into it
+    neighbours: Tuple[int, ...]   # its neighbours along unmatched arrows
+    excess: Tuple[int, ...]       # unmatched arrows into it − matched internal arrows out of it
 
 
 def _piece_table(layout: _Layout, mu_mask: int) -> _PieceTable:
-    """The table of the matching with arrow mask μ: vertex masks and
-    counts per vertex position, face masks per merged face."""
-    merged: Dict[int, int] = {}  # matched internal arrow bit -> merged face
-    rest = mu_mask & layout.internal
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        merged[low] = len(merged)
-    ground = len(merged)
-    face_of = [merged.get(mu_mask & cycle, ground) for cycle in layout.cycles] + [ground]
+    """The table of the matching with arrow mask μ."""
     n = len(layout.vertices)
-    tails, neighbours, in_degree, faces = [0] * n, [0] * n, [0] * n, [0] * n
-    across = [0] * (ground + 1)
+    tails, neighbours, excess = [0] * n, [0] * n, [0] * n
     for h, arrows in enumerate(layout.into):
         for bit, t in arrows:
             if mu_mask & bit:
-                if bit in merged:
-                    faces[t] |= 1 << merged[bit]
+                excess[t] -= bool(layout.internal & bit)
                 continue
             tails[h] |= 1 << t
             neighbours[h] |= 1 << t
             neighbours[t] |= 1 << h
-            in_degree[h] += 1
-            r, s = (face_of[f] for f in layout.sides[bit])
-            across[r] |= 1 << s
-            across[s] |= 1 << r
-    return _PieceTable(tuple(tails), tuple(neighbours), tuple(in_degree), tuple(faces),
-                       tuple(across))
+            excess[h] += 1
+    return _PieceTable(tuple(tails), tuple(neighbours), tuple(excess))
 
 
 def _flood(adjacency: Sequence[int], within: int, start: int) -> int:
@@ -258,7 +232,9 @@ def _flood(adjacency: Sequence[int], within: int, start: int) -> int:
 
 
 def _is_exact(table: _PieceTable, S: int) -> bool:
-    """Whether μ's piece on the vertex mask S is exact.
+    """Whether μ's piece on the vertex mask S is exact. Its C1 is the
+    unmatched arrows with head in S, its C2 the merged faces, one per
+    matched internal arrow β with t(β) in S.
 
     Once S is closed (the tails of the unmatched arrows into S lie in S),
     every unmatched arrow of a face of C2 is in C1 with both ends in S: μ
@@ -266,36 +242,32 @@ def _is_exact(table: _PieceTable, S: int) -> bool:
     are directed paths of unmatched arrows from the head of its matched
     arrow β to its head, the tail of β, which is in S, and closure pulls
     both paths into S. Hence δ1δ2 = 0 needs no test: under δ1 each path
-    telescopes to the same h(β) − t(β). The conditions read:
+    telescopes to the same h(β) − t(β). Nor does rank δ2 = |C2|. δ2ᵀ is
+    the incidence matrix of a graph on C2 and the ground with one edge per
+    C1 arrow, a face outside C2 being part of the ground, so its rank is
+    |C2| iff that graph is connected. The merged faces and the ground,
+    joined across every unmatched arrow, form a connected graph: the
+    disc's faces and its outside, joined across every arrow, do, and
+    merging the two faces of each matched arrow contracts that arrow's
+    edge. So any set K of faces of C2 has an unmatched arrow with one side
+    in K and the other outside it. That arrow is an arrow of a face of C2,
+    so it is in C1: an edge of the graph out of K. No K is cut off from
+    the ground. The conditions read:
 
     - C0 = S is not empty, and no δ1 tail is at the ground: S is closed;
-    - rank δ2 = |C2|: δ2ᵀ is the incidence matrix of a graph on C2 and the
-      ground with one edge per C1 arrow, so every face of C2 must be
-      joined to the ground, which a face outside C2 is part of;
-    - rank δ1 = |S| − 1: S is connected along the unmatched arrows;
-    - rank δ1 = |C1| − rank δ2: given both ranks, |S| − 1 = |C1| − |C2|."""
+    - rank δ1 = |C1| − rank δ2 = |C1| − |C2|, which is Σ_{p∈S} excess[p];
+    - rank δ1 = |S| − 1: S is connected along the unmatched arrows."""
     if not S:
         return False
-    tails = c2 = c1 = 0
+    tails = excess = 0
     rest = S
     while rest:
         low = rest & -rest
         rest ^= low
         p = low.bit_length() - 1
         tails |= table.tails[p]
-        c2 |= table.faces[p]
-        c1 += table.in_degree[p]
-    if tails & ~S or S.bit_count() - 1 != c1 - c2.bit_count():
-        return False
-    across = table.across
-    grounded = 0
-    rest = c2
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        if across[low.bit_length() - 1] & ~c2:
-            grounded |= low
-    return (_flood(across, c2, grounded) == c2
+        excess += table.excess[p]
+    return (not tails & ~S and S.bit_count() - 1 == excess
             and _flood(table.neighbours, S, S & -S) == S)
 
 

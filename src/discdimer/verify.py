@@ -27,8 +27,8 @@ from .lattice_maps import (_class_vector, _linear, check_cluster_ensemble, eta_i
                            eta_invariant_factors, is_eta_unimodular)
 from .matchings import (_boundary_of, _enumeration, _mask_of, _matching_of, _orientation,
                         positroid, positroid_contains_necklace_test)
-from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, opposite, per_model, standardise,
-                    type_of, validate)
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _vertex_positions, opposite, per_model,
+                    standardise, type_of, validate)
 from .partition_functions import (_ms_exponents, _require_ms_model, _twist_exponents,
                                   boundary_measurement, check_plucker_relations)
 from .resolution import resolution_reports
@@ -115,7 +115,7 @@ def _standardised_copy(model: DimerModel) -> Optional[DimerModel]:
 
 def _check_weight_formula(model: DimerModel) -> CheckResult:
     std = _standardised_copy(model) or model
-    position = {v.id: p for p, v in enumerate(std.vertices)}
+    position = _vertex_positions(std)
     table = weight_table(std, WHITE)
     alt = [tuple((position[v], e) for v, e in table[a.id].coefficients) if a.id in table else ()
            for a in std.arrows]

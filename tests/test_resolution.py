@@ -14,6 +14,7 @@ from oracles import (GradedComplexPiece, _forest_size, _piece, first_rotation_fa
 from discdimer import fixtures as fx
 from discdimer import resolution
 from discdimer.kclass_weights import kclass_of_matching
+from discdimer.lattice_maps import _class_vector
 from discdimer.matchings import Matching, _arrow_bits, _mask_of, _matching_of, enumerate_matchings
 from discdimer.model import opposite
 from discdimer.resolution import (_is_exact, _piece_table, check_resolution, degree_table,
@@ -232,6 +233,21 @@ def test_mask_decision_equals_the_piece_on_every_vertex_set(name):
             every_verdict(model, mu), mu
 
 
+def seeded_closed_sets(model):
+    """Seeded random vertex sets, 100 for every fifth matching, each closed
+    under the tails of the unmatched arrows into it: (μ, q1, q2, S)."""
+    vertices = resolution._layout(model).vertices
+    rng = random.Random("closed sets")
+    for mu in enumerate_matchings(model)[::5]:
+        q1, q2 = merged_complex_data(model, mu)
+        unmatched = [model.arrow(a) for a in q1]
+        for _ in range(100):
+            S = {v for v in vertices if rng.random() < 0.25}
+            while not (tails := {a.tail for a in unmatched if a.head in S}) <= S:
+                S |= tails
+            yield mu, q1, q2, frozenset(S)
+
+
 def test_mask_decision_on_closed_sets_where_only_the_ranks_decide():
     """Seeded random vertex sets of `uniform-4-8`, closed under the tails
     of the unmatched arrows into them: the mask decision equals the
@@ -241,38 +257,63 @@ def test_mask_decision_on_closed_sets_where_only_the_ranks_decide():
     on those the dense verdict is taken too."""
     model = build("uniform-4-8")
     vertices = resolution._layout(model).vertices
-    rng = random.Random("closed sets")
     decided_by_rank = 0
-    for mu in enumerate_matchings(model)[::5]:
-        q1, q2 = merged_complex_data(model, mu)
-        unmatched = [model.arrow(a) for a in q1]
-        table = table_of(model, mu)
-        for _ in range(100):
-            S = {v for v in vertices if rng.random() < 0.25}
-            while not (tails := {a.tail for a in unmatched if a.head in S}) <= S:
-                S |= tails
-            piece = _piece(model, frozenset(S), q1, q2)
-            S_mask = sum(1 << p for p, v in enumerate(vertices) if v in S)
-            assert _is_exact(table, S_mask) == piece.is_exact(), (mu, sorted(S))
-            if S and len(S) - 1 == len(piece.c1) - len(piece.c2) and not piece.is_exact():
-                decided_by_rank += 1
-                assert graph_equals_dense(model, frozenset(S), q1, q2) == "middle rank"
+    for mu, q1, q2, S in seeded_closed_sets(model):
+        piece = _piece(model, S, q1, q2)
+        S_mask = sum(1 << p for p, v in enumerate(vertices) if v in S)
+        assert _is_exact(table_of(model, mu), S_mask) == piece.is_exact(), (mu, sorted(S))
+        if S and len(S) - 1 == len(piece.c1) - len(piece.c2) and not piece.is_exact():
+            decided_by_rank += 1
+            assert graph_equals_dense(model, S, q1, q2) == "middle rank"
     assert decided_by_rank
+
+
+def delta2_is_injective_if_closed(piece):
+    """The lemma `_is_exact` stands on, checked on the union-find piece:
+    on a closed vertex set rank δ2 = |C2|. Returns whether S was closed
+    and C2 not empty, so that the lemma said something."""
+    if any(t is None for t, _ in piece.delta1):
+        return False
+    assert _forest_size(piece.delta2) == len(piece.c2), piece
+    return bool(piece.c2)
+
+
+@pytest.mark.parametrize("name", [n for n in CONSISTENT_FIXTURES
+                                  if len(fx.FIXTURE_BUILDERS[n]().vertices) <= 10])
+def test_delta2_is_injective_on_every_closed_vertex_set(name):
+    """All 2^|V| vertex sets, for every matching of every consistent
+    fixture with at most 10 vertices; the closed ones are checked."""
+    model = fx.FIXTURE_BUILDERS[name]()
+    vertices = resolution._layout(model).vertices
+    checked = faces = 0
+    for mu in enumerate_matchings(model):
+        q1, q2 = merged_complex_data(model, mu)
+        faces += len(q2)
+        for S in range(1 << len(vertices)):
+            piece = _piece(model, frozenset(v for p, v in enumerate(vertices) if S >> p & 1),
+                           q1, q2)
+            checked += delta2_is_injective_if_closed(piece)
+    assert checked or not faces
+
+
+def test_delta2_is_injective_on_seeded_closed_sets():
+    """The closed sets that the mask decision is tested on in `uniform-4-8`."""
+    model = build("uniform-4-8")
+    assert sum(delta2_is_injective_if_closed(_piece(model, S, q1, q2))
+               for _, q1, q2, S in seeded_closed_sets(model))
 
 
 def test_a_table_with_one_dropped_bit_is_caught(gr37):
     """Against the piece's own decision on every vertex set, a table with
-    one bit dropped is caught: for every third matching of gr37, some tail
-    of an unmatched arrow dropped from the tails into its head, and the
-    ground dropped from a merged face whose only neighbour it is. Most
-    single drops change no decision, as the conditions overlap: a set that
-    is not closed mostly fails the count or the vertex flood as well, and
-    on a closed set every face of C2 reaches the ground (the merged faces
-    and the ground are joined across the unmatched arrows)."""
-    grounded_alone = 0
+    one entry changed is caught: for every third matching of gr37, some
+    tail of an unmatched arrow dropped from the tails into its head, some
+    neighbour dropped from the neighbours of a vertex, and every excess
+    entry moved by +1 or by −1 (the whole vertex set is exact and holds
+    every vertex). Most single drops change no decision, as the conditions
+    overlap: a set that is not closed mostly fails the count or the
+    vertex flood as well."""
     for mu in enumerate_matchings(gr37)[::3]:
         table, verdicts = table_of(gr37, mu), every_verdict(gr37, mu)
-        ground = 1 << (len(table.across) - 1)
 
         def caught(**changed):
             bad = table._replace(**changed)
@@ -281,14 +322,18 @@ def test_a_table_with_one_dropped_bit_is_caught(gr37):
         def dropped(entries, i, bit):
             return entries[:i] + (entries[i] & ~bit,) + entries[i + 1:]
 
+        def moved(entries, i, by):
+            return entries[:i] + (entries[i] + by,) + entries[i + 1:]
+
         assert any(caught(tails=dropped(table.tails, p, 1 << t))
                    for p, tails in enumerate(table.tails)
                    for t in range(len(gr37.vertices)) if tails >> t & 1), mu
-        for r, across in enumerate(table.across[:-1]):
-            if across == ground:
-                grounded_alone += 1
-                assert caught(across=dropped(table.across, r, ground)), (mu, r)
-    assert grounded_alone
+        assert any(caught(neighbours=dropped(table.neighbours, p, 1 << q))
+                   for p, neighbours in enumerate(table.neighbours)
+                   for q in range(len(gr37.vertices)) if neighbours >> q & 1), mu
+        for p in range(len(gr37.vertices)):
+            for by in (1, -1):
+                assert caught(excess=moved(table.excess, p, by)), (mu, p, by)
 
 
 def test_graded_piece_composition_is_zero(gr37):
@@ -367,6 +412,30 @@ def test_the_rotation_check_fails_on_a_stale_table_entry(gr37, monkeypatch):
                         lambda model: table._replace(rows=tuple(rows)))
     assert rotation_failures(gr37)
     assert first_rotation_failure(gr37) is not None
+
+
+def test_rows_with_a_degree_of_256_are_tuples(gr37):
+    """No model here has a degree of 256, so the tuple form of a row is
+    tested on synthetic rows: a degree ≥ 256 gives a tuple with the right
+    `_at_most` masks, and below 256 the tuple and bytes forms of a row give
+    the same `_at_most` masks and the same `_row_levels`."""
+    row = resolution._as_row([0, 256, 3, 300, 255])
+    assert row == (0, 256, 3, 300, 255)
+    for d in (0, 3, 254, 255, 256, 299, 300, 1000):
+        assert resolution._at_most(row, d) == bytes(e <= d for e in row), d
+    layout = resolution._layout(gr37)
+    rng = random.Random("rows")
+    for mu in enumerate_matchings(gr37):
+        mu_mask = _mask_of(gr37, mu)
+        coefficients = _class_vector(gr37, mu_mask)
+        top = rng.choice([3, 255])
+        dist = [rng.randint(0, top) for _ in layout.vertices]
+        as_bytes, as_tuple = resolution._as_row(dist), tuple(dist)
+        assert isinstance(as_bytes, bytes)
+        for d in range(max(dist) + 2):
+            assert resolution._at_most(as_bytes, d) == resolution._at_most(as_tuple, d)
+        assert resolution._row_levels(layout, mu_mask, coefficients, as_bytes) == \
+            resolution._row_levels(layout, mu_mask, coefficients, as_tuple)
 
 
 def test_rotation_beyond_saturation_is_identity_like(gr37):
