@@ -431,8 +431,8 @@ def cmd_twist_expr(file: str, subset: str, fmt: str) -> None:
 @main.command("measure")
 @click.argument("file")
 @click.option("--weights", "weights_arg", required=True,
-              help="Either 'unit' or a JSON file mapping arrow id to a "
-                   "positive rational like \"3/7\".")
+              help="Either 'unit' or a JSON file mapping each arrow id, written "
+                   "as its decimal id like \"12\", to a positive rational like \"3/7\".")
 @click.option("--check-plucker", "check", is_flag=True,
               help="Verify every three-term Plücker relation.")
 @format_option
@@ -447,7 +447,11 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
                 raw = json.load(fh)
             if not isinstance(raw, dict):
                 raise ValueError("expected a JSON object mapping arrow ids to weights")
-            w = {int(a): Fraction(str(x)) for a, x in raw.items()}
+            ids = {str(a.id): a.id for a in model.arrows}
+            unknown = next((key for key in raw if key not in ids), None)
+            if unknown is not None:
+                raise ValueError(f"key {unknown!r} is not the id of an arrow of the model")
+            w = {ids[key]: Fraction(str(x)) for key, x in raw.items()}
         except ZeroDivisionError as exc:
             raise click.ClickException(f"cannot read weights: zero denominator in {exc}")
         except (OSError, ValueError) as exc:

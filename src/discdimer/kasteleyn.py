@@ -41,7 +41,8 @@ from numbers import Rational
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .intlinalg import maximal_minors
-from .model import BLACK, DimerModel, ReadOnlyDict, per_model, require_valid, type_of
+from .model import (BLACK, DimerModel, ReadOnlyDict, _arrow_bits, _layout, per_model, require_valid,
+                    type_of)
 
 Entry = Tuple[int, int, Optional[int], int]  # (row, column, weighted arrow, sign)
 
@@ -60,17 +61,16 @@ class Frame:
 def kasteleyn_signs(model: DimerModel) -> ReadOnlyDict[int, int]:
     """A Kasteleyn sign ±1 for every internal arrow: around each internal
     vertex of degree 2m, the number of negative arrows is ≡ m + 1 (mod 2).
-    Solved over GF(2) with one bit per internal arrow."""
+    Solved over GF(2), a row per internal vertex: its internal arrows as
+    an arrow mask of the graph index (`model._layout`)."""
     require_valid(model)
-    internal = model.internal_arrows
-    masks: Dict[int, int] = {v.id: 0 for v in model.vertices if not v.is_boundary}
-    for bit, a in enumerate(internal):
-        for end in (a.tail, a.head):
-            if end in masks:
-                masks[end] |= 1 << bit
+    layout = _layout(model)
+    masks = [(into | out) & layout.internal
+             for v, into, out in zip(model.vertices, layout.into_mask, layout.out_mask)
+             if not v.is_boundary]
     # Rows of a reduced echelon form: no row holds another row's pivot bit.
     solved: List[Tuple[int, int, int]] = []  # (pivot bit, mask, right-hand side)
-    for mask in masks.values():
+    for mask in masks:
         rhs = (bin(mask).count("1") // 2 + 1) & 1
         for pivot, row, value in solved:
             if mask & pivot:
@@ -90,7 +90,8 @@ def kasteleyn_signs(model: DimerModel) -> ReadOnlyDict[int, int]:
     for pivot, _, value in solved:
         if value:
             negative |= pivot
-    return ReadOnlyDict({a.id: -1 if negative >> bit & 1 else 1 for bit, a in enumerate(internal)})
+    bits = _arrow_bits(model)
+    return ReadOnlyDict({a.id: -1 if negative & bits[a.id] else 1 for a in model.internal_arrows})
 
 
 @per_model

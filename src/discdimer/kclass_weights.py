@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice_maps import Columns, KClass, _class_vector, _kclass, _linear
-from .matchings import Matching, _arrow_bits, _enumeration, is_matching, require_matching
-from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, _vertex_positions,
-                    is_standardised, opposite, per_model)
-from .resolution import _layout, _row, _target
+from .matchings import Matching, _enumeration, is_matching, require_matching
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _arrow_bits, _arrow_mask,
+                    _layout, _require_colour, _tiles_reached, _vertex_positions, is_standardised,
+                    opposite, per_model)
+from .resolution import _row, _target
 from .strands import require_consistent
 
 
@@ -46,10 +47,11 @@ def downstream_wedge(model: DimerModel, aid: int) -> Wedge:
         raise ValueError(f"unknown arrow {aid}") from None
     cut = {aid}
     for strand in all_strands:
-        for pos, (a, _) in enumerate(strand.crossing_sequence):
-            if a == aid:  # a tendril leaves the crossing here
-                cut.update(b for b, _ in strand.crossing_sequence[pos + 1:])
-    return Wedge(aid, frozenset(_tiles_reached(model, [head], cut)))
+        if aid in strand.arrows:  # a tendril leaves the crossing here
+            cut.update(strand.arrows[strand.arrows.index(aid) + 1:])
+    layout = _layout(model)
+    reached = _tiles_reached(model, layout.bit[layout.position[head]], _arrow_mask(model, cut))
+    return Wedge(aid, frozenset(v for v, bit in zip(layout.vertices, layout.bit) if reached & bit))
 
 
 @per_model
@@ -102,27 +104,20 @@ def kclass_of_matching(model: DimerModel, mu: Matching) -> KClass:
     return _kclass(model, _class_vector(model, require_matching(model, mu)))
 
 
-def _truncated_cycle_weight(model: DimerModel, aid: int, color: str) -> Dict[int, int]:
-    """Σ p_j over the vertices of the arrow's face cycle of the given
-    colour, with the arrow's own tail and head dropped."""
-    face = model.face_of_color(aid, color)
-    if face is None:
-        raise ValueError(f"arrow {aid} has no {color} face")
-    arrow = model.arrow(aid)
-    vertices = {model.arrow(a).tail for a in face.boundary_cycle}
-    vertices -= {arrow.tail, arrow.head}
-    return {v: 1 for v in vertices}
-
-
 def weight_table(model: DimerModel, color: str) -> Dict[int, KClass]:
-    """wtMS per internal arrow: for the white convention, the sum of p_j
-    over the truncated black cycle bl′₀(γ); for the black convention, over
-    the truncated white cycle."""
+    """wtMS per internal arrow γ: for the white convention, the sum of p_j
+    over the truncated black cycle bl′₀(γ), the tails of its face cycle
+    without γ's own tail and head; for the black convention, over the
+    truncated white cycle."""
+    _require_colour(color)
     cycle_color = BLACK if color == WHITE else WHITE
     out = {}
     for a in model.internal_arrows:
-        out[a.id] = KClass(tuple(sorted(
-            _truncated_cycle_weight(model, a.id, cycle_color).items())))
+        face = model.face_of_color(a.id, cycle_color)
+        if face is None:
+            raise ValueError(f"arrow {a.id} has no {cycle_color} face")
+        tails = {model.arrow(b).tail for b in face.boundary_cycle} - {a.tail, a.head}
+        out[a.id] = KClass(tuple(sorted((v, 1) for v in tails)))
     return out
 
 

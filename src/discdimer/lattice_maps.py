@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .matchings import Matching, require_matching
-from .model import DimerModel, _vertex_positions, per_model, require_valid
+from .model import DimerModel, _layout, _vertex_positions, per_model, require_valid
 
 Columns = Tuple[Tuple[Tuple[int, int], ...], ...]  # per arrow: its (vertex position, coefficient)s
 
@@ -222,21 +222,18 @@ def eta_invariant_factors(model: DimerModel) -> List[int]:
 def beta_matrix(model: DimerModel) -> List[List[int]]:
     """β[S_i] = p_i − Σ_{a: ta=i} p_{ha} + Σ_{a: ha=i, a internal} p_{ta}
     − χ_i p_i (χ_i = 1 iff i is internal); columns indexed by sorted
-    vertices i, rows by sorted vertices."""
-    vertices = sorted(v.id for v in model.vertices)
-    row_of = {v: r for r, v in enumerate(vertices)}
-    mat = intlinalg.zeros(len(vertices), len(vertices))
-    for c, i in enumerate(vertices):
-        col: Dict[int, int] = {i: 1}
-        if not model.vertex(i).is_boundary:
-            col[i] -= 1
-        for a in model.arrows:
-            if a.tail == i:
-                col[a.head] = col.get(a.head, 0) - 1
-            if a.head == i and not a.is_boundary:
-                col[a.tail] = col.get(a.tail, 0) + 1
-        for v, x in col.items():
-            mat[row_of[v]][c] = x
+    vertices i, rows by sorted vertices. One pass over the arrows: each
+    adds to the column of its tail and, if internal, to that of its head."""
+    at = {v: r for r, v in enumerate(sorted(v.id for v in model.vertices))}
+    mat = intlinalg.zeros(len(at), len(at))
+    for v in model.vertices:
+        if v.is_boundary:
+            mat[at[v.id]][at[v.id]] = 1
+    for a in model.arrows:
+        t, h = at[a.tail], at[a.head]
+        mat[h][t] -= 1
+        if not a.is_boundary:
+            mat[t][h] += 1
     return mat
 
 
@@ -257,23 +254,19 @@ class ClusterEnsembleReport:
 def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     """Verify exactness of ℤ → ℤ^{Q0} → ℤ^{Q0} → ℤ (constants, then β,
     then coefficient sum) together with η∘d = β and rank∘η = deg."""
-    vertices = sorted(v.id for v in model.vertices)
-    dim = len(vertices)
+    dim = len(model.vertices)
     witnesses: List[str] = []
 
     beta = beta_matrix(model)
     # η(d 1_i) sums η's columns: + for the arrows into i, − for those out of it.
-    eta_d = {i: [0] * dim for i in vertices}
-    for a, column in zip(model.arrows, _eta_columns(model)[1]):
-        for p, x in column:
-            eta_d[a.head][p] += x
-            eta_d[a.tail][p] -= x
-    order = sorted(range(dim), key=lambda p: model.vertices[p].id)
+    layout, (_, columns) = _layout(model), _eta_columns(model)
+    order = sorted(range(dim), key=layout.vertices.__getitem__)
     eta_d_ok = True
-    for c, i in enumerate(vertices):
-        if [eta_d[i][p] for p in order] != [row[c] for row in beta]:
+    for c, p in enumerate(order):
+        into, out = (_linear([0] * dim, columns, m[p]) for m in (layout.into_mask, layout.out_mask))
+        if [into[q] - out[q] for q in order] != [row[c] for row in beta]:
             eta_d_ok = False
-            witnesses.append(f"eta(d 1_{i}) != beta[{i}]")
+            witnesses.append(f"eta(d 1_{layout.vertices[p]}) != beta[{layout.vertices[p]}]")
 
     rank_ok = True
     for b, column in zip(lattice_basis(model), zip(*eta_matrix(model))):

@@ -6,8 +6,9 @@ is given by height functions (integrals of differences of matchings), and
 its covers are flips at internal quiver vertices.
 
 Inside the library a matching is an arrow mask: bit k is `model.arrows[k]`
-(`_arrow_bits`, the one bit order). A `Matching` of arrow ids lives at the
-public edge only: the CLI, the public functions and the verify witnesses.
+(`model._arrow_bits`, the one bit order of the graph index in `model`,
+whose masks flips read). A `Matching` of arrow ids lives at the public
+edge only: the CLI, the public functions and the verify witnesses.
 `require_matching` checks one and gives its mask; `_matching_of` goes back.
 """
 
@@ -19,8 +20,8 @@ from operator import ge
 from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from .kasteleyn import _minors
-from .model import (BipartiteDual, DimerModel, ReadOnlyDict, _vertex_positions, bipartite_dual,
-                    per_model, require_valid, type_of)
+from .model import (BipartiteDual, DimerModel, ReadOnlyDict, _arrow_bits, _arrow_mask, _layout,
+                    _vertex_positions, bipartite_dual, per_model, require_valid, type_of)
 from .strands import necklaces
 
 
@@ -37,15 +38,9 @@ class HeightFunction:
     values: Tuple[Tuple[int, int], ...]  # sorted (vertex id, value) pairs
 
 
-@per_model
-def _arrow_bits(model: DimerModel) -> ReadOnlyDict[int, int]:
-    """Arrow id -> its bit in an arrow mask: 1 << index in model order."""
-    return ReadOnlyDict({a.id: 1 << k for k, a in enumerate(model.arrows)})
-
-
 def _mask_of(model: DimerModel, mu: Matching) -> int:
     """μ as an arrow mask; μ is not checked."""
-    return sum(map(_arrow_bits(model).__getitem__, mu.arrow_set))
+    return _arrow_mask(model, mu.arrow_set)
 
 
 def _matching_of(model: DimerModel, mu_mask: int) -> Matching:
@@ -225,25 +220,21 @@ def positroid_contains_necklace_test(model: DimerModel, J: Iterable[int]) -> boo
     return all(map(ge, map(int.bit_count, map(j.__and__, masks)), needs))
 
 
-def _flip(model: DimerModel, mu_mask: int, j: int) -> Optional[int]:
-    """`flip` on an arrow mask: either way it toggles the arrows at j."""
-    bits = _arrow_bits(model)
-    into = sum(bits[a.id] for a in model.arrows if a.head == j)
-    out = sum(bits[a.id] for a in model.arrows if a.tail == j)
-    return mu_mask ^ (into | out) if mu_mask & (into | out) in (into, out) else None
-
-
 def flip(model: DimerModel, mu: Matching, j: int) -> Optional[Matching]:
     """Flip μ at the internal quiver vertex j: μ ± d(𝟙_j) when 0/1-valued.
 
     Adding d(𝟙_j) is valid when every arrow out of j is absent from μ and
-    every arrow into j is present; subtracting is the converse. Returns None
-    when neither direction applies.
+    every arrow into j is present; subtracting is the converse. Either way
+    the flip toggles the arrows at j. Returns None when neither applies.
     """
     if j not in {v.id for v in model.vertices if not v.is_boundary}:
         raise ValueError(f"vertex {j} is not an internal vertex; flips need one")
-    nu = _flip(model, require_matching(model, mu), j)
-    return None if nu is None else _matching_of(model, nu)
+    mu_mask = require_matching(model, mu)
+    layout = _layout(model)
+    into, out = layout.into_mask[layout.position[j]], layout.out_mask[layout.position[j]]
+    if mu_mask & (into | out) not in (into, out):
+        return None
+    return _matching_of(model, mu_mask ^ into ^ out)
 
 
 @per_model
@@ -308,16 +299,16 @@ def height(model: DimerModel, mu: Matching, mu_ref: Matching) -> HeightFunction:
 def _extreme(model: DimerModel, current: int, up: bool) -> int:
     """Apply flips that raise (up) or lower heights until none applies. A
     flip at j moves h(j) alone, up iff the arrows into j are matched."""
-    bits = _arrow_bits(model)
-    into = {a.head: bits[a.id] for a in model.arrows}  # one arrow into each vertex
-    internal = [v.id for v in model.vertices if not v.is_boundary]
+    layout = _layout(model)
+    internal = [(into | out, into if up else out)
+                for v, into, out in zip(model.vertices, layout.into_mask, layout.out_mask)
+                if not v.is_boundary]
     moved = True
     while moved:
         moved = False
-        for j in internal:
-            candidate = _flip(model, current, j)
-            if candidate is not None and bool(current & into[j]) == up:
-                current = candidate
+        for at, held in internal:
+            if current & at == held:
+                current ^= at
                 moved = True
     return current
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass
-from typing import (Any, Callable, Collection, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Set, Tuple, TypeVar)
+from typing import (Any, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+                    TypeVar)
 
 BLACK = "black"
 WHITE = "white"
@@ -284,8 +284,15 @@ def validate(model: DimerModel) -> ModelReport:
     flag_bad = [v.id for v in model.vertices if v.is_boundary != (v.id in on_boundary)]
     checks["boundary_flags"] = (not flag_bad, f"vertices: {flag_bad}")
 
-    # Connectivity of the underlying graph.
-    connected = _is_connected(model)
+    # Connectivity of the underlying graph; validation builds no `_layout`.
+    position = _vertex_positions(model)
+    adjacency = [0] * len(position)
+    for a in model.arrows:
+        t, h = position[a.tail], position[a.head]
+        adjacency[t] |= 1 << h
+        adjacency[h] |= 1 << t
+    everything = (1 << len(position)) - 1
+    connected = bool(position) and _flood(adjacency, everything, 1) == everything
     checks["connected"] = (connected, "quiver is disconnected" if not connected else "")
     return ModelReport(ReadOnlyDict(checks), len(boundary), connected)
 
@@ -294,22 +301,26 @@ def _incidence_ok(nodes: List[int], edges: List[Tuple[int, int]], on_boundary: b
     """Whether the graph on the arrows at one vertex (`nodes`), joined by
     consecutive pairs through that vertex (`edges`), is a line (boundary
     vertex) or a cycle (internal vertex). It is one exactly when it has
-    |nodes| - 1 or |nodes| edges, no degree above 2, and is connected: a
-    connected graph with one edge fewer than nodes is a tree, a line when no
-    degree is above 2; with as many edges as nodes and no degree above 2,
-    every degree is 2, so a connected one is a single cycle."""
+    |nodes| - 1 or |nodes| edges, no degree above 2 (a repeated pair counts
+    twice), and is connected: a connected graph with one edge fewer than
+    nodes is a tree, a line when no degree is above 2; with as many edges as
+    nodes and no degree above 2, every degree is 2, so a connected one is a
+    single cycle."""
     if not nodes or len(edges) != len(nodes) - on_boundary:
         return False
-    adj: Dict[int, List[int]] = {nid: [] for nid in nodes}
+    local = {nid: p for p, nid in enumerate(nodes)}
+    adjacency, degree = [0] * len(nodes), [0] * len(nodes)
     try:
         for x, y in edges:
-            adj[x].append(y)
-            adj[y].append(x)
+            px, py = local[x], local[y]
+            adjacency[px] |= 1 << py
+            adjacency[py] |= 1 << px
+            degree[px] += 1
+            degree[py] += 1
     except KeyError:  # an edge to an arrow not at this vertex
         return False
-    if max(map(len, adj.values())) > 2:
-        return False
-    return len(_flood(adj, [nodes[0]])) == len(nodes)
+    everything = (1 << len(nodes)) - 1
+    return max(degree) <= 2 and _flood(adjacency, everything, 1) == everything
 
 
 def _check_boundary_cycle(model: DimerModel, boundary: Sequence[Arrow]) -> Tuple[bool, str]:
@@ -349,33 +360,18 @@ def _check_boundary_cycle(model: DimerModel, boundary: Sequence[Arrow]) -> Tuple
     return True, ""
 
 
-def _is_connected(model: DimerModel) -> bool:
-    return bool(model.vertices) and (
-        len(_tiles_reached(model, [model.vertices[0].id])) == len(model.vertices))
-
-
-def _flood(adjacency: Mapping[int, Iterable[int]], seeds: Iterable[int]) -> Set[int]:
-    """Every node reachable from the seeds along the adjacency lists."""
-    seen = set(seeds)
-    stack = list(seen)
-    while stack:
-        for nb in adjacency[stack.pop()]:
-            if nb not in seen:
-                seen.add(nb)
-                stack.append(nb)
-    return seen
-
-
-def _tiles_reached(model: DimerModel, seeds: Iterable[int],
-                   cut: Collection[int] = ()) -> Set[int]:
-    """The tiles reachable from the seeds in the undirected tile adjacency
-    graph with the arrows in `cut` removed."""
-    adjacency: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
-    for a in model.arrows:
-        if a.id not in cut:
-            adjacency[a.tail].append(a.head)
-            adjacency[a.head].append(a.tail)
-    return _flood(adjacency, seeds)
+def _flood(adjacency: Sequence[int], within: int, start: int) -> int:
+    """The positions of the mask `within` joined to those of `start`
+    through `within`, with adjacency[p] the mask of p's neighbours: the
+    library's one flood fill."""
+    reached = frontier = start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = adjacency[low.bit_length() - 1] & within & ~reached
+        reached |= new
+        frontier |= new
+    return reached
 
 
 def require_valid(model: DimerModel) -> ModelReport:
@@ -446,11 +442,66 @@ def type_of(model: DimerModel) -> Tuple[int, int]:
     return white - (len(model.faces) - white) + anticlockwise, model.n
 
 
+# The graph index: vertex positions, arrow bits, and the arrows at each vertex.
+
 @per_model
 def _vertex_positions(model: DimerModel) -> ReadOnlyDict[int, int]:
-    """Vertex id -> its position in model order, the index of every vector
-    dense in vertex position."""
+    """Vertex id -> its position in model order, the index of every vertex
+    mask and of every vector dense in vertex position."""
     return ReadOnlyDict({v.id: p for p, v in enumerate(model.vertices)})
+
+
+@per_model
+def _arrow_bits(model: DimerModel) -> ReadOnlyDict[int, int]:
+    """Arrow id -> its bit in an arrow mask: 1 << index in model order, the
+    library's one bit order."""
+    return ReadOnlyDict({a.id: 1 << k for k, a in enumerate(model.arrows)})
+
+
+def _arrow_mask(model: DimerModel, aids: Iterable[int]) -> int:
+    """The arrow mask of the ids."""
+    return sum(map(_arrow_bits(model).__getitem__, set(aids)))
+
+
+class _Layout(NamedTuple):
+    """Vertex positions in model order, the arrows at each vertex position
+    as lists and as arrow masks, and the tile graph as a flood reads it."""
+    vertices: Tuple[int, ...]                      # vertex id at each position
+    position: ReadOnlyDict[int, int]               # vertex id -> position
+    into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
+    into_mask: Tuple[int, ...]                     # arrows with head here
+    out_mask: Tuple[int, ...]                      # arrows with tail here
+    bit: Tuple[int, ...]                           # 1 << position
+    internal: int                                  # the internal arrows
+    incidence: Tuple[int, ...]                     # flood rows: vertices, then arrows
+
+
+@per_model
+def _layout(model: DimerModel) -> _Layout:
+    position = _vertex_positions(model)
+    bit = _arrow_bits(model)
+    n = len(position)
+    into: List[List[Tuple[int, int]]] = [[] for _ in position]
+    into_mask, out_mask, ends = [0] * n, [0] * n, []
+    for a in model.arrows:
+        h, t = position[a.head], position[a.tail]
+        into[h].append((bit[a.id], t))
+        into_mask[h] |= bit[a.id]
+        out_mask[t] |= bit[a.id]
+        ends.append(1 << h | 1 << t)
+    return _Layout(tuple(position), position, tuple(map(tuple, into)), tuple(into_mask),
+                   tuple(out_mask), tuple(1 << p for p in range(n)),
+                   sum(bit[a.id] for a in model.internal_arrows),
+                   tuple((i | o) << n for i, o in zip(into_mask, out_mask)) + tuple(ends))
+
+
+def _tiles_reached(model: DimerModel, seeds: int, cut: int = 0) -> int:
+    """The vertex mask reachable from the vertex mask `seeds` in the tile
+    graph without the arrows of the arrow mask `cut`. The flood runs over
+    vertices and arrows (node n + k is arrow k, joined to its two ends), so
+    a cut arrow is left out of `within`."""
+    n = len(model.vertices)
+    return _flood(_layout(model).incidence, ~(cut << n), seeds) & ((1 << n) - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +520,11 @@ def opposite(model: DimerModel) -> DimerModel:
     return DimerModel(model.vertices, arrows, faces)
 
 
+def _require_colour(color: str) -> None:
+    if color not in (BLACK, WHITE):
+        raise ValueError(f"bad colour {color!r}")
+
+
 def standardise(model: DimerModel, target_color: str = WHITE) -> DimerModel:
     """Glue a digon onto every boundary arrow not lying in a face of the
     target colour, so that afterwards every boundary arrow does.
@@ -477,8 +533,7 @@ def standardise(model: DimerModel, target_color: str = WHITE) -> DimerModel:
     over its boundary label, and the pair bounds a fresh digon face of the
     target colour. Existing ids are untouched.
     """
-    if target_color not in (BLACK, WHITE):
-        raise ValueError(f"bad colour {target_color!r}")
+    _require_colour(target_color)
     require_valid(model)
     offenders = [a for a in model.boundary_arrows
                  if model.face(model.faces_of_arrow(a.id)[0]).color != target_color]
@@ -502,6 +557,7 @@ def standardise(model: DimerModel, target_color: str = WHITE) -> DimerModel:
 
 
 def is_standardised(model: DimerModel, target_color: str) -> bool:
+    _require_colour(target_color)
     return all(model.face(model.faces_of_arrow(a.id)[0]).color == target_color
                for a in model.boundary_arrows)
 

@@ -21,8 +21,10 @@ kept as int bitmasks. The decision reads S as a vertex mask against three
 ints per vertex position, in one table per matching (`_piece_table`): S
 must be closed under the tails of the unmatched arrows into it, the counts
 of its unmatched arrows in and matched internal arrows out must give
-|S| − 1, and one flood must find S connected. `_is_exact` proves that
-these decide the piece: on a closed S, δ1δ2 = 0 and δ2 is injective.
+|S| − 1, and the one flood (`model._flood`) must find S connected.
+`_is_exact` proves that these decide the piece: on a closed S, δ1δ2 = 0
+and δ2 is injective. The arrows at each vertex position come from the
+graph index, `model._layout`.
 Its oracle, the same piece built as incidences and ranked by union-find
 (`GradedComplexPiece`), lives in the tests, in `tests/oracles.py`.
 The Euler identity weights the degree series by [N_μ] = η(μ), read as a
@@ -42,41 +44,11 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .lattice_maps import _class_vector
-from .matchings import (Matching, _arrow_bits, _enumeration, _heights, _matching_of, is_matching,
-                        require_matching)
-from .model import DimerModel, ReadOnlyDict, _vertex_positions, per_model
+from .matchings import Matching, _enumeration, _heights, _matching_of, is_matching, require_matching
+from .model import DimerModel, ReadOnlyDict, _flood, _Layout, _layout, per_model
 from .strands import require_consistent
 
 Row = Union[bytes, Tuple[int, ...]]  # degree toward one target, per vertex position
-
-
-class _Layout(NamedTuple):
-    """Vertex positions in model order, and the arrows at each vertex
-    position as lists and as arrow masks."""
-    vertices: Tuple[int, ...]                      # vertex id at each position
-    position: ReadOnlyDict[int, int]               # vertex id -> position
-    into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
-    into_mask: Tuple[int, ...]                     # arrows with head here
-    out_mask: Tuple[int, ...]                      # arrows with tail here
-    bit: Tuple[int, ...]                           # 1 << position
-    internal: int                                  # the internal arrows
-
-
-@per_model
-def _layout(model: DimerModel) -> _Layout:
-    position = _vertex_positions(model)
-    bit = _arrow_bits(model)
-    into: List[List[Tuple[int, int]]] = [[] for _ in position]
-    into_mask, out_mask = [0] * len(position), [0] * len(position)
-    for a in model.arrows:
-        h, t = position[a.head], position[a.tail]
-        into[h].append((bit[a.id], t))
-        into_mask[h] |= bit[a.id]
-        out_mask[t] |= bit[a.id]
-    return _Layout(tuple(position), position,
-                   tuple(map(tuple, into)), tuple(into_mask), tuple(out_mask),
-                   tuple(1 << p for p in range(len(position))),
-                   sum(bit[a.id] for a in model.internal_arrows))
 
 
 def _as_row(dist: List[int]) -> Row:
@@ -216,19 +188,6 @@ def _piece_table(layout: _Layout, mu_mask: int) -> _PieceTable:
             neighbours[t] |= 1 << h
             excess[h] += 1
     return _PieceTable(tuple(tails), tuple(neighbours), tuple(excess))
-
-
-def _flood(adjacency: Sequence[int], within: int, start: int) -> int:
-    """The positions of the mask `within` joined to those of `start`
-    through `within`, with adjacency[p] the mask of p's neighbours."""
-    reached = frontier = start
-    while frontier:
-        low = frontier & -frontier
-        frontier ^= low
-        new = adjacency[low.bit_length() - 1] & within & ~reached
-        reached |= new
-        frontier |= new
-    return reached
 
 
 def _is_exact(table: _PieceTable, S: int) -> bool:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _tiles_reached, per_model,
-                    require_valid, type_of)
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _arrow_mask, _tiles_reached,
+                    _vertex_positions, per_model, require_valid, type_of)
 
 
 def _other(color: str) -> str:
@@ -163,20 +163,18 @@ def boundary_tile(model: DimerModel, m: int) -> int:
     return shared.pop()
 
 
-def _left_region(model: DimerModel, strand: Strand) -> FrozenSet[int]:
-    """Tiles on the left of the strand: cut the tile adjacency graph along
-    every arrow the strand crosses, then flood fill from the boundary tiles
-    in the cyclic label interval [start, end-1]."""
+def _left_region(model: DimerModel, strand: Strand) -> int:
+    """Tiles on the left of the strand, as a vertex mask: cut the tile
+    adjacency graph along every arrow the strand crosses, then flood fill
+    from the boundary tiles in the cyclic label interval [start, end-1]."""
     n = model.n
     i, j = strand.start_label, strand.end_label
     if i == j:
         raise ValueError(f"strand {i} is a lollipop; not supported")
-    seeds = []
-    m = i
-    while m != j:
-        seeds.append(boundary_tile(model, m))
-        m = m % n + 1
-    return frozenset(_tiles_reached(model, seeds, cut=set(strand.arrows)))
+    position = _vertex_positions(model)
+    seeds = sum(1 << position[boundary_tile(model, (i + r - 1) % n + 1)]
+                for r in range((j - i) % n))
+    return _tiles_reached(model, seeds, _arrow_mask(model, strand.arrows))
 
 
 @per_model
@@ -185,10 +183,10 @@ def label_table(model: DimerModel) -> LabelTable:
     its left) and target labels (same, for the strand ending there)."""
     all_strands = require_consistent(model)
     k, n = type_of(model)
-    regions = {s.start_label: _left_region(model, s) for s in all_strands}
+    regions = [(s.start_label, _left_region(model, s)) for s in all_strands]
     pi = {s.start_label: s.end_label for s in all_strands}
-    source = {v.id: frozenset(i for i, region in regions.items() if v.id in region)
-              for v in model.vertices}
+    source = {v.id: frozenset(i for i, region in regions if region >> p & 1)
+              for p, v in enumerate(model.vertices)}
     target = {vid: frozenset(pi[i] for i in src) for vid, src in source.items()}
     return LabelTable(k, n, ReadOnlyDict(source), ReadOnlyDict(target))
 

@@ -6,6 +6,11 @@ that the library does another way:
   fraction-free (Bareiss) elimination. They check the Hermite core in
   `test_intlinalg` and, as dense matrices, the graph ranks of the graded
   pieces in `test_resolution`.
+- `flood` and `tiles_reached`: a flood fill over sets and adjacency
+  lists, and the tile graph cut along arrow ids flooded with it. They
+  check the vertex incidence of `model.validate` (in `test_model`) and the
+  one bitmask flood, `model._flood`, as strand regions and wedges read it
+  (`model._tiles_reached`).
 - `brute_force_matchings`: every perfect matching, by a product over the
   face cycles; it checks `matchings.enumerate_matchings`.
 - `enumerate_dual_covers`: every exact cover of the bipartite dual's nodes;
@@ -77,6 +82,30 @@ def rational_rank(a):
         prev = p
         rank += 1
     return rank
+
+
+def flood(adjacency: Mapping[int, Iterable[int]], seeds: Iterable[int]) -> Set[int]:
+    """Every node reachable from the seeds along the adjacency lists."""
+    seen = set(seeds)
+    stack = list(seen)
+    while stack:
+        for nb in adjacency[stack.pop()]:
+            if nb not in seen:
+                seen.add(nb)
+                stack.append(nb)
+    return seen
+
+
+def tiles_reached(model: DimerModel, seeds: Iterable[int], cut: Iterable[int] = ()) -> Set[int]:
+    """The vertex ids reachable from the seed ids in the undirected tile
+    graph with the arrows of the ids in `cut` removed."""
+    cut = set(cut)
+    adjacency: Dict[int, List[int]] = {v.id: [] for v in model.vertices}
+    for a in model.arrows:
+        if a.id not in cut:
+            adjacency[a.tail].append(a.head)
+            adjacency[a.head].append(a.tail)
+    return flood(adjacency, seeds)
 
 
 def brute_force_matchings(model: DimerModel) -> Set[FrozenSet[int]]:

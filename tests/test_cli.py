@@ -206,6 +206,30 @@ def test_measure_bad_weights(runner, tmp_path, weights, message):
     assert result.output == message
 
 
+@pytest.mark.parametrize("key", ["01", "999", " 1", "+1", "-0", "1_0", "1.0", "one"])
+def test_measure_rejects_a_weight_key_that_is_no_arrow_id(runner, tmp_path, key):
+    """Only the decimal id of an arrow of the model names it: "01" would
+    otherwise override arrow 1 (Z_{1,3,5} of gr37 at unit weights would
+    read 15, not 3), and "999" would be dropped without a word."""
+    weights = {str(a.id): "1" for a in fx.gr37().arrows}
+    weights[key] = "5"
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps(weights))
+    result = runner.invoke(main, ["measure", "gr37", "--weights", str(wfile)])
+    assert result.exit_code == 1
+    assert result.output == ("Error: cannot read weights: "
+                             f"key {key!r} is not the id of an arrow of the model\n")
+
+
+def test_measure_reads_each_arrow_weight_from_its_own_key(runner, tmp_path):
+    wfile = tmp_path / "w.json"
+    wfile.write_text(json.dumps({str(a.id): "1" for a in fx.gr37().arrows}))
+    result = runner.invoke(main, ["measure", "gr37", "--weights", str(wfile),
+                                  "--format", "json"])
+    assert result.exit_code == 0
+    assert json.loads(result.output)["values"]["1,3,5"] == "3"
+
+
 def test_resolution_and_rotate(runner, gr37_file):
     result = runner.invoke(main, ["resolution", gr37_file,
                                   "--matching", "1,3,9,10,15"])
@@ -356,6 +380,13 @@ DIGEST_COMMANDS = [
     ["resolution", "gr37", "--matching", "1,3,9,10,15"],
     ["rotate", "gr37", "--matching", "1,3,9,10,15", "--vertex", "1", "--degree", "1"],
     ["kclass", "gr37", "--matching", "1,3,9,10,15"],
+    *(["wedge", "gr37", "--arrow", str(a.id)] for a in fx.gr37().arrows),
+    *([cmd, model] for cmd in ["ms-matchings", "verify-msmatch"] for model in fx.FIXTURE_BUILDERS),
+    *(["labels", model, "--target"] for model in fx.FIXTURE_BUILDERS),
+    # One boundary value per fixture, the one with the most matchings.
+    *(["extremes", model, "--boundary", boundary] for model, boundary in [
+        ("triangle", "1"), ("gr37", "1,3,5"), ("inconsistent", "1"), ("uniform-1-3", "1"),
+        ("uniform-2-4", "1,3"), ("uniform-2-5", "1,3"), ("uniform-3-6", "1,3,4")]),
 ]
 
 

@@ -1,7 +1,7 @@
 """Downstream wedges, distinguished matchings, classes, and weights."""
 
 import pytest
-from oracles import euler_class
+from oracles import euler_class, tiles_reached
 
 from discdimer import fixtures as fx
 from discdimer.kclass_weights import (downstream_wedge, kclass_of_matching,
@@ -11,7 +11,8 @@ from discdimer.kclass_weights import (downstream_wedge, kclass_of_matching,
 from discdimer.lattice_maps import eta_inverse_basis, lattice_point_of_matching
 from discdimer.matchings import Matching, boundary_value, enumerate_matchings
 from discdimer.model import WHITE, opposite, standardise
-from discdimer.strands import source_labels, target_labels
+from discdimer.partition_functions import ms_formula
+from discdimer.strands import source_labels, strands, target_labels
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 MODELS = {**fx.FIXTURE_BUILDERS, **{f"uniform-{k}-{n}": lambda k=k, n=n: fx.build_uniform(k, n)
@@ -40,6 +41,19 @@ def test_wedge_matchings_agree_with_one_wedge_per_arrow(name):
         for v in m.vertices:
             expected = frozenset(aid for aid, members in wedges.items() if v.id in members)
             assert muller_speyer_matching(m, v.id).arrow_set == expected
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-4-8"])
+def test_wedges_are_the_set_floods(name):
+    """Each downstream wedge holds the tiles the set flood reaches from the
+    arrow's head with the arrow and both tendrils cut."""
+    model = MODELS[name]()
+    for a in model.arrows:
+        cut = {a.id}
+        for s in strands(model):
+            if a.id in s.arrows:
+                cut.update(s.arrows[s.arrows.index(a.id) + 1:])
+        assert downstream_wedge(model, a.id).members == tiles_reached(model, [a.head], cut)
 
 
 def test_wedge_matching_errors_are_unchanged(inconsistent, gr37):
@@ -128,6 +142,16 @@ def test_weight_double_formula(name):
                     alt[v] = alt.get(v, 0) + e
         assert ({v: e for v, e in wt.as_dict().items() if e}
                 == {v: e for v, e in alt.items() if e})
+
+
+def test_a_colour_other_than_black_or_white_is_rejected(gr37):
+    """Not read as the black convention, nor blamed on standardisation."""
+    model = standardise(gr37, WHITE)
+    mu = enumerate_matchings(model)[0]
+    for call in (lambda: weight_table(model, "red"), lambda: weights(model, mu, "red"),
+                 lambda: ms_formula(model, [1, 3, 5], "red")):
+        with pytest.raises(ValueError, match=r"^bad colour 'red'$"):
+            call()
 
 
 def test_weights_require_standardised(gr37):

@@ -2,18 +2,21 @@
 
 import json
 import os
+import random
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import flood, tiles_reached
+
 from discdimer import fixtures as fx
 from discdimer.model import (BLACK, WHITE, ModelReport, ReadOnlyDict, StructuralError,
-                             _check_boundary_cycle, _check_structure, _flood,
-                             _is_connected, bipartite_dual, from_dict, is_standardised,
-                             load, opposite, require_valid, save, standardise, to_dict,
-                             type_of, validate)
+                             _arrow_mask, _check_boundary_cycle, _check_structure,
+                             _incidence_ok, _tiles_reached, bipartite_dual, from_dict,
+                             is_standardised, load, opposite, require_valid, save, standardise,
+                             to_dict, type_of, validate)
 
 ALL_FIXTURES = sorted(fx.FIXTURE_BUILDERS)
 CONSISTENT_FIXTURES = [n for n in ALL_FIXTURES if n != "inconsistent"]
@@ -247,7 +250,7 @@ def oracle_incidence_ok(nodes, edges, on_boundary):
         degree[y] += 1
         adj[x].append(y)
         adj[y].append(x)
-    if len(_flood(adj, [nodes[0]])) != len(nodes):
+    if len(flood(adj, [nodes[0]])) != len(nodes):
         return False
     degs = sorted(degree.values())
     if on_boundary:
@@ -299,7 +302,8 @@ def oracle_validate(model):
     on_boundary = {end for a in boundary for end in (a.tail, a.head)}
     flag_bad = [v.id for v in model.vertices if v.is_boundary != (v.id in on_boundary)]
     checks["boundary_flags"] = (not flag_bad, f"vertices: {flag_bad}")
-    connected = _is_connected(model)
+    connected = bool(model.vertices) and (
+        len(tiles_reached(model, [model.vertices[0].id])) == len(model.vertices))
     checks["connected"] = (connected, "quiver is disconnected" if not connected else "")
     return ModelReport(ReadOnlyDict(checks), len(boundary), connected)
 
@@ -328,6 +332,78 @@ def test_validate_matches_the_oracle_on_fixtures(name):
 def test_validate_matches_the_oracle_on_uniform_models(n):
     for k in range(1, min(n, 6)):
         assert_validate_matches_oracle(fx.build_uniform(k, n))
+
+
+@pytest.mark.parametrize("nodes, edges, on_boundary, expected", [
+    ([1, 2], [(1, 2), (1, 2)], False, True),   # one pair twice: a cycle of two arrows
+    ([1, 2], [(1, 2), (2, 1)], False, True),
+    ([1, 2], [(1, 2), (1, 2)], True, False),   # a line has one edge fewer than nodes
+    ([1, 2, 3], [(1, 2), (1, 2), (2, 3)], False, False),  # the repeat gives 2 degree 3
+    ([1, 2, 3, 4], [(1, 2), (1, 2), (3, 4), (3, 4)], False, False),  # two cycles
+    ([1, 2, 3], [(1, 2), (2, 3)], True, True),
+    ([1, 2, 3], [(2, 1), (1, 3)], True, True),
+    ([1, 2, 3], [(1, 2), (2, 3), (3, 1)], False, True),
+    ([1, 2, 3], [(1, 2), (1, 2)], True, False),  # degrees fine, 3 cut off
+    ([1], [], True, True),
+    ([1], [(1, 1)], False, True),
+    ([1, 2], [(1, 3), (2, 1)], False, False),  # an edge to an arrow not at the vertex
+    ([], [], False, False),
+])
+def test_incidence_ok_matches_the_oracle(nodes, edges, on_boundary, expected):
+    assert _incidence_ok(nodes, edges, on_boundary) is expected
+    assert oracle_incidence_ok(nodes, edges, on_boundary) is expected
+
+
+def subdivided(model, aid):
+    """`model` with the internal arrow `aid` split in two at a new internal
+    vertex w: both faces of the arrow pass through w along the same pair of
+    arrows, so the consecutive pairs at w repeat one pair."""
+    doc = to_dict(model)
+    w = max(v["id"] for v in doc["vertices"]) + 1
+    second = max(a["id"] for a in doc["arrows"]) + 1
+    arrow = next(a for a in doc["arrows"] if a["id"] == aid)
+    doc["vertices"].append({"id": w, "is_boundary": False})
+    doc["arrows"].append({"id": second, "tail": w, "head": arrow["head"], "is_boundary": False})
+    arrow["head"] = w
+    for face in doc["faces"]:
+        cycle = face["boundary_cycle"]
+        if aid in cycle:
+            cycle.insert(cycle.index(aid) + 1, second)
+    return from_dict(doc)
+
+
+def test_a_vertex_whose_pairs_repeat_one_pair_validates_as_the_oracle(gr37):
+    for a in gr37.internal_arrows:
+        model = subdivided(gr37, a.id)
+        assert validate(model).passed
+        assert_validate_matches_oracle(model)
+
+
+@pytest.mark.parametrize("name", ALL_FIXTURES + ["uniform-4-8", "gr37-black", "uniform-3-6-white"])
+def test_tiles_reached_floods_as_the_set_oracle(name):
+    """The bitmask flood over the graph index reaches the tiles the set
+    flood over adjacency lists reaches, for seeded seeds and cuts; the
+    standardised models hold digons, whose two arrows join the same tiles."""
+    model = {"uniform-4-8": lambda: fx.build_uniform(4, 8),
+             "gr37-black": lambda: standardise(fx.gr37(), BLACK),
+             "uniform-3-6-white": lambda: standardise(fx.build_uniform(3, 6), WHITE),
+             }.get(name, fx.FIXTURE_BUILDERS.get(name))()
+    rng = random.Random(f"tiles/{name}")
+    vids = [v.id for v in model.vertices]
+    aids = [a.id for a in model.arrows]
+    for _ in range(60):
+        seeds = rng.sample(vids, rng.randint(1, 3))
+        cut = rng.sample(aids, rng.randint(0, len(aids)))
+        reached = _tiles_reached(model, sum(1 << vids.index(v) for v in seeds),
+                                 _arrow_mask(model, cut))
+        assert {v for p, v in enumerate(vids) if reached >> p & 1} == tiles_reached(
+            model, seeds, cut)
+
+
+def test_a_colour_other_than_black_or_white_is_rejected(gr37):
+    for call in (lambda: standardise(gr37, "red"), lambda: is_standardised(gr37, "red")):
+        with pytest.raises(ValueError, match=r"^bad colour 'red'$"):
+            call()
 
 
 AXIOM_MUTATIONS = ("head", "reverse", "rotate", "move", "flag", "colour")

@@ -2,6 +2,8 @@
 measurements with Plücker relations."""
 
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -210,6 +212,20 @@ def test_kasteleyn_signs_meet_the_parity_condition(name):
         around = [a for a in model.arrows if v.id in (a.tail, a.head)]
         negative = sum(1 for a in around if signs[a.id] == -1)
         assert negative % 2 == (len(around) // 2 + 1) % 2, v.id
+
+
+def test_kasteleyn_signs_are_pinned_by_their_digest():
+    """One digest over the signs of every fixture, then of build_uniform(k, n)
+    for 1 <= k < n, 3 <= n <= 10, n ascending then k ascending, each as its
+    sorted (arrow id, sign) pairs: recorded before the signs were solved in
+    the arrow-mask bit order, which keeps the pivots in the same arrow order."""
+    h = hashlib.sha256()
+    for name in sorted(fx.FIXTURE_BUILDERS):
+        h.update(json.dumps(sorted(kasteleyn_signs(fx.FIXTURE_BUILDERS[name]()).items())).encode())
+    for n in range(3, 11):
+        for k in range(1, n):
+            h.update(json.dumps(sorted(kasteleyn_signs(fx.build_uniform(k, n)).items())).encode())
+    assert h.hexdigest() == "57eac144d4bc3603b92ed8a03203e8cb9473bfed4cfe856777f794f22768bfa2"
 
 
 def test_flipping_any_one_sign_changes_some_measurement(gr37, monkeypatch):

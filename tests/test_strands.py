@@ -1,17 +1,34 @@
 """Strand extraction, consistency checking, and tile labels."""
 
 import pytest
+from oracles import tiles_reached
 
 from discdimer import fixtures as fx
 from discdimer import strands as strands_module
 from discdimer.model import opposite, type_of
-from discdimer.strands import (Strand, boundary_tile, check_postnikov, label_table,
+from discdimer.strands import (Strand, _left_region, boundary_tile, check_postnikov, label_table,
                                necklaces, require_consistent, source_labels,
                                strand_permutation, strands, target_labels)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 
 GR37_PERMUTATION = {1: 5, 2: 4, 3: 1, 4: 6, 5: 7, 6: 2, 7: 3}
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-4-8"])
+def test_left_regions_are_the_set_floods(name):
+    """Each strand's left region, a vertex mask, holds the tiles the set
+    flood reaches from the boundary tiles of [start, end-1] with the
+    strand's arrows cut."""
+    model = fx.build_uniform(4, 8) if name == "uniform-4-8" else fx.FIXTURE_BUILDERS[name]()
+    for s in strands(model):
+        seeds, m = [], s.start_label
+        while m != s.end_label:
+            seeds.append(boundary_tile(model, m))
+            m = m % model.n + 1
+        region = _left_region(model, s)
+        assert ({v.id for p, v in enumerate(model.vertices) if region >> p & 1}
+                == tiles_reached(model, seeds, s.arrows))
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
