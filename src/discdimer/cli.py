@@ -72,12 +72,20 @@ def _load(name: str) -> DimerModel:
                                "not under DIMER_FIXTURES, not a bundled fixture")
 
 
+_ID = re.compile(r" *(0|[1-9][0-9]*) *")
+
+
+def _parse_id(token: str, what: str, text: str) -> int:
+    """The id a token spells: ASCII digits with no sign and no leading zero,
+    between optional spaces; any other token is an error that names it."""
+    match = _ID.fullmatch(token)
+    if match is None:
+        raise click.ClickException(f"cannot parse {what} {text!r}: {token!r} is not a decimal id")
+    return int(match[1])
+
+
 def _parse_ints(text: str, what: str) -> List[int]:
-    try:
-        ids = [int(x) for x in text.replace(" ", "").split(",") if x != ""]
-    except ValueError:
-        raise click.ClickException(f"cannot parse {what} {text!r}; expected "
-                                   "comma-separated integers")
+    ids = [_parse_id(token, what, text) for token in text.split(",")]
     repeated = sorted({x for x in ids if ids.count(x) > 1})
     if repeated:
         raise click.ClickException(f"{what} {text!r} repeats {repeated[0]}")
@@ -355,10 +363,11 @@ def cmd_ms_matchings(file: str, fmt: str) -> None:
 
 @main.command("wedge")
 @click.argument("file")
-@click.option("--arrow", "arrow", type=int, required=True)
+@click.option("--arrow", "arrow_text", required=True, help="Arrow id.")
 @format_option
-def cmd_wedge(file: str, arrow: int, fmt: str) -> None:
+def cmd_wedge(file: str, arrow_text: str, fmt: str) -> None:
     """Vertices in the downstream wedge of an arrow."""
+    arrow = _parse_id(arrow_text, "arrow", arrow_text)
     model = _load(file)
     members = sorted(downstream_wedge(model, arrow).members)
     doc = {"command": "wedge", "arrow": arrow, "members": members}
@@ -512,11 +521,12 @@ def cmd_resolution(file: str, matching: str, dmax: Optional[int], fmt: str) -> N
 @click.argument("file")
 @click.option("--matching", "matching", required=True,
               help="Matching as comma-separated arrow ids.")
-@click.option("--vertex", "vertex", type=int, required=True)
+@click.option("--vertex", "vertex_text", required=True, help="Vertex id.")
 @click.option("--degree", "degree", type=int, required=True)
 @format_option
-def cmd_rotate(file: str, matching: str, vertex: int, degree: int, fmt: str) -> None:
+def cmd_rotate(file: str, matching: str, vertex_text: str, degree: int, fmt: str) -> None:
     """Rotate a matching one degree step toward a vertex."""
+    vertex = _parse_id(vertex_text, "vertex", vertex_text)
     model = _load(file)
     mu = _matching_from_option(model, matching)
     nu = rotate_matching(model, mu, vertex, degree)

@@ -107,9 +107,8 @@ def kasteleyn_frame(model: DimerModel) -> Frame:
     for a in model.internal_arrows:
         b, w = sorted(model.faces_of_arrow(a.id), key=lambda fid: fid not in black)
         entries.append((white[w], black[b], a.id, signs[a.id]))
-    for a in sorted(model.boundary_arrows, key=lambda a: a.boundary_label):
+    for t, a in enumerate(map(model.boundary_arrow_with_label, range(1, model.n + 1)), len(black)):
         face = model.faces_of_arrow(a.id)[0]
-        t = len(black) + a.boundary_label - 1
         if model.is_clockwise(a.id):
             entries.append((white[face], t, a.id, 1))
         else:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .lattice_maps import Columns, KClass, _class_vector, _kclass, _linear
-from .matchings import Matching, _enumeration, is_matching, require_matching
+from .matchings import Matching, _search, is_matching, require_matching
 from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _arrow_bits, _arrow_mask,
                     _layout, _require_colour, _tiles_reached, _vertex_positions, is_standardised,
                     opposite, per_model)
@@ -80,14 +80,21 @@ def upstream_matching(model: DimerModel, j: int) -> Matching:
     return muller_speyer_matching(opposite(model), j)
 
 
+@per_model
+def _first_matching(model: DimerModel) -> int:
+    """The first perfect matching in canonical order, as an arrow mask: a
+    search that stops there, with no other matching enumerated."""
+    return _search(model, 0, 0, first=True)[0]
+
+
 def projective_matching_oracle(model: DimerModel, j: int,
                                mu0: Optional[Matching] = None) -> Matching:
     """The matching singled out by minimal path degrees from vertex j: the
     arrows along which the degree drop D(tα) + deg_{μ0}(α) − D(hα) is 1.
     The result does not depend on the reference matching μ0, by default
-    the first one enumerated (a consistent model has the 𝔪_j)."""
+    the first one in canonical order (a consistent model has the 𝔪_j)."""
     require_consistent(model)
-    mu0_mask = _enumeration(model)[0][0] if mu0 is None else require_matching(model, mu0)
+    mu0_mask = _first_matching(model) if mu0 is None else require_matching(model, mu0)
     # A path j → i in Q is a path i → j in Q^op, which keeps the arrows in order.
     layout = _layout(opposite(model))
     dist = dict(zip(layout.vertices, _row(layout, mu0_mask, _target(layout, j))))

@@ -90,14 +90,15 @@ def _cover(faces: List[Tuple[int, Tuple[int, ...]]], idx: int, chosen: int, forb
     return False
 
 
-def _orientation(model: DimerModel) -> List[Tuple[int, int, bool]]:
+@per_model
+def _orientation(model: DimerModel) -> Tuple[Tuple[int, int, bool], ...]:
     """(arrow bit, label, clockwise) per boundary arrow."""
     bits = _arrow_bits(model)
-    return [(bits[a.id], a.boundary_label, model.is_clockwise(a.id))
-            for a in model.boundary_arrows]
+    return tuple((bits[a.id], a.boundary_label, model.is_clockwise(a.id))
+                 for a in model.boundary_arrows)
 
 
-def _boundary_of(orientation: List[Tuple[int, int, bool]], mu_mask: int) -> FrozenSet[int]:
+def _boundary_of(orientation: Tuple[Tuple[int, int, bool], ...], mu_mask: int) -> FrozenSet[int]:
     return frozenset(label for bit, label, clockwise in orientation
                      if bool(mu_mask & bit) == clockwise)
 

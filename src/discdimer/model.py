@@ -72,6 +72,8 @@ class DimerModel:
             "_face_by_id": face_by_id,
             "_faces_of_arrow": faces_of,
             "_boundary_arrows": boundary,
+            # The first arrow per label, as a scan in model order would find.
+            "_arrow_by_label": {a.boundary_label: a for a in reversed(boundary)},
             "_internal_arrows": tuple(a for a in self.arrows if not a.is_boundary),
             # A boundary arrow is clockwise iff its face is white.
             "_clockwise": {a.id: face_by_id[faces_of[a.id][0]].color == WHITE
@@ -110,13 +112,13 @@ class DimerModel:
 
     @property
     def n(self) -> int:
-        return len(self.boundary_arrows)
+        return len(self._boundary_arrows)
 
     def boundary_arrow_with_label(self, label: int) -> Arrow:
-        for a in self.boundary_arrows:
-            if a.boundary_label == label:
-                return a
-        raise KeyError(f"no boundary arrow labelled {label}")
+        try:
+            return self._arrow_by_label[label]
+        except KeyError:
+            raise KeyError(f"no boundary arrow labelled {label}") from None
 
     def is_clockwise(self, aid: int) -> bool:
         """A boundary arrow is clockwise iff it lies in a white face."""
@@ -442,7 +444,7 @@ def type_of(model: DimerModel) -> Tuple[int, int]:
     return white - (len(model.faces) - white) + anticlockwise, model.n
 
 
-# The graph index: vertex positions, arrow bits, and the arrows at each vertex.
+# The graph index: vertex positions, arrow bits, corners, and the arrows at each vertex.
 
 @per_model
 def _vertex_positions(model: DimerModel) -> ReadOnlyDict[int, int]:
@@ -461,6 +463,19 @@ def _arrow_bits(model: DimerModel) -> ReadOnlyDict[int, int]:
 def _arrow_mask(model: DimerModel, aids: Iterable[int]) -> int:
     """The arrow mask of the ids."""
     return sum(map(_arrow_bits(model).__getitem__, set(aids)))
+
+
+@per_model
+def _corners(model: DimerModel) -> ReadOnlyDict[int, Optional[int]]:
+    """Marked point m of 1..n -> the corner between marked points m and m+1
+    (mod n): the one vertex that boundary arrows m and m+1 share, or None.
+    Each pair is read once, from the label index, on invalid models too."""
+    by_label, n, corners = model._arrow_by_label, model.n, {}
+    for m in range(1, n + 1):
+        a, b = by_label.get(m), by_label.get(m % n + 1)
+        shared = {a.tail, a.head} & {b.tail, b.head} if a and b else set()
+        corners[m] = shared.pop() if len(shared) == 1 else None
+    return ReadOnlyDict(corners)
 
 
 class _Layout(NamedTuple):
@@ -535,22 +550,19 @@ def standardise(model: DimerModel, target_color: str = WHITE) -> DimerModel:
     """
     _require_colour(target_color)
     require_valid(model)
-    offenders = [a for a in model.boundary_arrows
+    offenders = [a for a in map(model.boundary_arrow_with_label, range(1, model.n + 1))
                  if model.face(model.faces_of_arrow(a.id)[0]).color != target_color]
     if not offenders:
         return model
-    offenders.sort(key=lambda a: a.boundary_label)
     next_aid = max(a.id for a in model.arrows) + 1
     next_fid = max(f.id for f in model.faces) + 1
     arrows = {a.id: a for a in model.arrows}
     faces = list(model.faces)
-    for gamma in offenders:
-        new_arrow = Arrow(next_aid, gamma.head, gamma.tail, True, gamma.boundary_label)
+    for r, gamma in enumerate(offenders):
+        aid = next_aid + r
         arrows[gamma.id] = Arrow(gamma.id, gamma.tail, gamma.head, False, None)
-        arrows[new_arrow.id] = new_arrow
-        faces.append(Face(next_fid, target_color, (gamma.id, new_arrow.id)))
-        next_aid += 1
-        next_fid += 1
+        arrows[aid] = Arrow(aid, gamma.head, gamma.tail, True, gamma.boundary_label)
+        faces.append(Face(next_fid + r, target_color, (gamma.id, aid)))
     return DimerModel(model.vertices,
                       tuple(arrows[a] for a in sorted(arrows)),
                       tuple(faces))
@@ -595,6 +607,12 @@ def _bool(value: Any, where: str, *at: int) -> bool:
     return value
 
 
+def _str(value: Any, where: str, *at: int) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{where.format(*at)} must be a string, got {value!r}")
+    return value
+
+
 def _array(value: Any, where: str, *at: int) -> list:
     if type(value) is not list:
         got = {dict: "an object", str: "a string"}.get(type(value)) or repr(value)
@@ -612,7 +630,8 @@ def _cycle(entries: Any, i: int) -> Tuple[int, ...]:
 
 def from_dict(doc: dict) -> DimerModel:
     """The model a JSON document describes. Lists must be arrays, ids, endpoints,
-    labels and cycle entries integers and flags booleans; nothing is coerced."""
+    labels and cycle entries integers, colours strings and flags booleans;
+    nothing is coerced."""
     try:
         vertices = tuple(Vertex(_int(v["id"], "vertices[{}].id", i),
                                 _bool(v["is_boundary"], "vertices[{}].is_boundary", i))
@@ -626,8 +645,8 @@ def from_dict(doc: dict) -> DimerModel:
                                 _bool(a["is_boundary"], "arrows[{}].is_boundary", i),
                                 None if label is None
                                 else _int(label, "arrows[{}].boundary_label", i)))
-        faces = tuple(Face(_int(f["id"], "faces[{}].id", i), str(f["color"]),
-                           _cycle(f["boundary_cycle"], i))
+        faces = tuple(Face(_int(f["id"], "faces[{}].id", i),
+                           _str(f["color"], "faces[{}].color", i), _cycle(f["boundary_cycle"], i))
                       for i, f in enumerate(_array(doc["faces"], "faces")))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed document: {exc}") from exc

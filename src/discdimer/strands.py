@@ -12,27 +12,19 @@ that colour, built from the face cycles on first use.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _arrow_mask, _tiles_reached,
-                    _vertex_positions, per_model, require_valid, type_of)
-
-
-def _other(color: str) -> str:
-    return WHITE if color == BLACK else BLACK
+from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _arrow_mask, _corners,
+                    _tiles_reached, _vertex_positions, per_model, require_valid, type_of)
 
 
 @dataclass(frozen=True)
 class Strand:
     start_label: int
     end_label: int
-    crossing_sequence: Tuple[Tuple[int, str], ...]
-
-    @cached_property
-    def arrows(self) -> Tuple[int, ...]:
-        return tuple(aid for aid, _ in self.crossing_sequence)
+    arrows: Tuple[int, ...]  # the arrows crossed, in order
 
 
 @dataclass(frozen=True)
@@ -75,12 +67,12 @@ def _turns(model: DimerModel) -> ReadOnlyDict[str, ReadOnlyDict[int, int]]:
 def _trace(model: DimerModel, start_label: int) -> Strand:
     start = model.boundary_arrow_with_label(start_label)
     color = model.face(model.faces_of_arrow(start.id)[0]).color
-    other = _other(color)
+    other = WHITE if color == BLACK else BLACK
     turns = _turns(model)
-    seq: List[Tuple[int, str]] = []
+    seq: List[int] = []
     cur = start.id
     for _ in range(2 * len(model.arrows) + 2):
-        seq.append((cur, color))
+        seq.append(cur)
         nxt = turns[color].get(cur)
         if nxt is None:
             break
@@ -119,11 +111,8 @@ def check_postnikov(model: DimerModel) -> ConsistencyReport:
 
     # Closed zig-zag loops exist iff some arrow is crossed fewer than twice
     # by the boundary-to-boundary strands.
-    passages: Dict[int, int] = {a.id: 0 for a in model.arrows}
-    for s in all_strands:
-        for aid in s.arrows:
-            passages[aid] += 1
-    closed_loop_arrows = tuple(sorted(aid for aid, c in passages.items() if c < 2))
+    passages = Counter(aid for s in all_strands for aid in s.arrows)
+    closed_loop_arrows = tuple(sorted(a.id for a in model.arrows if passages[a.id] < 2))
 
     # (b2): along any two strands, the interior arrows they both cross must
     # appear in exactly opposite orders. Checking consecutive common pairs
@@ -152,15 +141,13 @@ def require_consistent(model: DimerModel) -> Tuple[Strand, ...]:
 
 def boundary_tile(model: DimerModel, m: int) -> int:
     """The boundary quiver vertex between marked points m and m+1 (mod n),
-    i.e. the vertex shared by the boundary arrows labelled m and m+1."""
-    n = model.n
-    a = model.boundary_arrow_with_label(m)
-    b = model.boundary_arrow_with_label(m % n + 1)
-    shared = {a.tail, a.head} & {b.tail, b.head}
-    if len(shared) != 1:
-        raise ValueError(f"boundary arrows {m} and {m % n + 1} do not share "
+    i.e. the vertex shared by the boundary arrows labelled m and m+1, read
+    from the model's corner table (`model._corners`)."""
+    tile = _corners(model).get(m)
+    if tile is None:
+        raise ValueError(f"boundary arrows {m} and {m % model.n + 1} do not share "
                          "exactly one vertex")
-    return shared.pop()
+    return tile
 
 
 def _left_region(model: DimerModel, strand: Strand) -> int:

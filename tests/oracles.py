@@ -11,6 +11,9 @@ that the library does another way:
   check the vertex incidence of `model.validate` (in `test_model`) and the
   one bitmask flood, `model._flood`, as strand regions and wedges read it
   (`model._tiles_reached`).
+- `boundary_tile`: the corner between two marked points, paired from
+  their two boundary arrows on every call; it checks the corner table
+  that `model._corners` builds once per model.
 - `brute_force_matchings`: every perfect matching, by a product over the
   face cycles; it checks `matchings.enumerate_matchings`.
 - `enumerate_dual_covers`: every exact cover of the bipartite dual's nodes;
@@ -106,6 +109,19 @@ def tiles_reached(model: DimerModel, seeds: Iterable[int], cut: Iterable[int] = 
             adjacency[a.tail].append(a.head)
             adjacency[a.head].append(a.tail)
     return flood(adjacency, seeds)
+
+
+def boundary_tile(model: DimerModel, m: int) -> int:
+    """The boundary quiver vertex between marked points m and m+1 (mod n),
+    i.e. the vertex shared by the boundary arrows labelled m and m+1."""
+    n = model.n
+    a = model.boundary_arrow_with_label(m)
+    b = model.boundary_arrow_with_label(m % n + 1)
+    shared = {a.tail, a.head} & {b.tail, b.head}
+    if len(shared) != 1:
+        raise ValueError(f"boundary arrows {m} and {m % n + 1} do not share "
+                         "exactly one vertex")
+    return shared.pop()
 
 
 def brute_force_matchings(model: DimerModel) -> Set[FrozenSet[int]]:

@@ -4,6 +4,8 @@ import pytest
 from oracles import euler_class, tiles_reached
 
 from discdimer import fixtures as fx
+from discdimer import kclass_weights as kclass_module
+from discdimer import matchings as matchings_module
 from discdimer.kclass_weights import (downstream_wedge, kclass_of_matching,
                                       muller_speyer_matching,
                                       projective_matching_oracle,
@@ -72,6 +74,33 @@ def test_three_way_matching_equality(name):
         inv_mu = frozenset(a for a, x in inverse[v.id].values if x == 1)
         oracle_mu = projective_matching_oracle(model, v.id).arrow_set
         assert wedge_mu == inv_mu == oracle_mu
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURE_BUILDERS))
+def test_the_oracle_reference_is_the_first_matching_and_enumerates_nothing(name, monkeypatch):
+    """The default μ0 is the first matching in canonical order, found by a
+    search that stops there: the oracle gives what it gives with the first
+    enumerated matching, at every vertex, and never enumerates."""
+    reference = fx.FIXTURE_BUILDERS[name]()
+    first = enumerate_matchings(reference)[0]
+    expected = {}
+    for v in reference.vertices:
+        try:
+            expected[v.id] = projective_matching_oracle(reference, v.id, first)
+        except ValueError as exc:
+            expected[v.id] = str(exc)
+
+    def enumeration(model):
+        raise AssertionError("enumerated every matching")
+
+    monkeypatch.setattr(matchings_module, "_enumeration", enumeration)
+    monkeypatch.setattr(kclass_module, "_enumeration", enumeration, raising=False)
+    model = fx.FIXTURE_BUILDERS[name]()
+    for v in model.vertices:
+        try:
+            assert projective_matching_oracle(model, v.id) == expected[v.id]
+        except ValueError as exc:
+            assert str(exc) == expected[v.id]
 
 
 def test_oracle_independent_of_reference(gr37):

@@ -88,8 +88,13 @@ def test_from_dict_rejects_missing_keys():
      "faces[4].boundary_cycle[0] must be an integer, got '7'"),
     (("arrows", 11, "boundary_label"), 4.0,
      "arrows[11].boundary_label must be an integer, got 4.0"),
+    (("faces", 2, "color"), 1, "faces[2].color must be a string, got 1"),
+    (("faces", 2, "color"), None, "faces[2].color must be a string, got None"),
+    (("faces", 2, "color"), True, "faces[2].color must be a string, got True"),
+    (("faces", 2, "color"), ["white"], "faces[2].color must be a string, got ['white']"),
 ], ids=["string-bool", "int-bool", "float-vertex-id", "float-arrow-id", "float-tail",
-        "bool-head", "float-face-id", "string-cycle-entry", "float-label"])
+        "bool-head", "float-face-id", "string-cycle-entry", "float-label", "int-colour",
+        "null-colour", "bool-colour", "list-colour"])
 def test_from_dict_coerces_nothing(gr37, path, value, message):
     doc = to_dict(gr37)
     *keys, last = path
@@ -100,6 +105,14 @@ def test_from_dict_coerces_nothing(gr37, path, value, message):
     with pytest.raises(StructuralError) as info:
         from_dict(doc)
     assert str(info.value) == f"malformed document: {message}"
+
+
+def test_from_dict_names_an_unknown_colour_string(gr37):
+    doc = to_dict(gr37)
+    doc["faces"][2]["color"] = "red"
+    with pytest.raises(StructuralError) as info:
+        from_dict(doc)
+    assert str(info.value) == f"face {doc['faces'][2]['id']} has colour 'red'"
 
 
 @pytest.mark.parametrize("section", ["vertices", "arrows", "faces"])

@@ -1,11 +1,14 @@
 """Strand extraction, consistency checking, and tile labels."""
 
+import dataclasses
+
 import pytest
+import oracles
 from oracles import tiles_reached
 
 from discdimer import fixtures as fx
 from discdimer import strands as strands_module
-from discdimer.model import opposite, type_of
+from discdimer.model import WHITE, Arrow, DimerModel, Face, Vertex, opposite, type_of, validate
 from discdimer.strands import (Strand, _left_region, boundary_tile, check_postnikov, label_table,
                                necklaces, require_consistent, source_labels,
                                strand_permutation, strands, target_labels)
@@ -37,11 +40,12 @@ def test_consistent_fixtures_pass(name):
     assert report.passed
 
 
-def test_strand_arrows_built_once_and_not_part_of_identity(gr37):
+def test_a_strand_keeps_its_crossings_in_one_field(gr37):
+    """A strand is its end labels and the arrows it crosses, nothing else."""
     s = strands(gr37)[0]
-    assert s.arrows is s.arrows
-    assert s.arrows == tuple(aid for aid, _ in s.crossing_sequence)
-    fresh = Strand(s.start_label, s.end_label, s.crossing_sequence)
+    assert [f.name for f in dataclasses.fields(Strand)] == ["start_label", "end_label", "arrows"]
+    assert type(s.arrows) is tuple and all(type(aid) is int for aid in s.arrows)
+    fresh = Strand(s.start_label, s.end_label, s.arrows)
     assert fresh == s and hash(fresh) == hash(s)
 
 
@@ -134,3 +138,74 @@ def test_a_walk_that_never_ends_is_a_value_error(monkeypatch):
         color: dict.fromkeys(table, internal) for color, table in turns(model).items()})
     with pytest.raises(ValueError, match="fails to terminate"):
         strands(model)
+
+
+def outcome(tile_of, model, m):
+    """The corner at m, or the type and message of the error raised for it."""
+    try:
+        return tile_of(model, m)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name", sorted(fx.FIXTURE_BUILDERS) + ["uniform-4-8"])
+def test_the_corner_table_is_the_pairwise_oracle(name):
+    model = fx.build_uniform(4, 8) if name == "uniform-4-8" else fx.FIXTURE_BUILDERS[name]()
+    for m in range(1, model.n + 1):
+        assert boundary_tile(model, m) == oracles.boundary_tile(model, m)
+
+
+def digon() -> DimerModel:
+    """A valid model with n = 2: its two boundary arrows share both ends."""
+    return DimerModel((Vertex(0, True), Vertex(1, True)),
+                      (Arrow(1, 0, 1, True, 1), Arrow(2, 1, 0, True, 2)),
+                      (Face(0, WHITE, (1, 2)),))
+
+
+def test_a_digon_has_no_corner_and_says_so_as_the_oracle_does():
+    model = digon()
+    assert validate(model).passed and model.n == 2
+    for m in (1, 2):
+        assert (outcome(boundary_tile, model, m) == outcome(oracles.boundary_tile, model, m)
+                == (ValueError, f"boundary arrows {m} and {3 - m} do not share exactly one vertex"))
+    with pytest.raises(ValueError, match="^boundary arrows 1 and 2 do not share exactly one vertex$"):
+        label_table(model)
+
+
+def test_a_pair_that_is_no_corner_fails_alone_as_in_the_oracle(gr37):
+    """With the labels of two boundary arrows swapped, the model is invalid
+    and some pairs share no vertex: each of those m raises, every other m
+    still has its corner, as the oracle has."""
+    one, two = gr37.boundary_arrow_with_label(1), gr37.boundary_arrow_with_label(2)
+    swapped = {one.id: 2, two.id: 1}
+    model = DimerModel(gr37.vertices,
+                       tuple(Arrow(a.id, a.tail, a.head, True, swapped[a.id])
+                             if a.id in swapped else a for a in gr37.arrows),
+                       gr37.faces)
+    outcomes = [outcome(boundary_tile, model, m) for m in range(1, model.n + 1)]
+    assert outcomes == [outcome(oracles.boundary_tile, model, m) for m in range(1, model.n + 1)]
+    assert {type(x) for x in outcomes} == {int, tuple}
+
+
+def test_labels_and_necklaces_pair_each_corner_once_and_scan_no_boundary(monkeypatch):
+    """On uniform-4-8, `label_table` and then `necklaces` read every corner
+    from one table that asks the label index for each corner's two arrows
+    once, and make no pass over the boundary arrows. Pairing the arrows on
+    every call made 40 `boundary_tile` calls and 88 boundary scans."""
+    model = fx.build_uniform(4, 8)
+    validate(model)
+    lookups, scans = [], []
+
+    class CountingIndex(dict):
+        def get(self, label, default=None):
+            lookups.append(label)
+            return super().get(label, default)
+
+    object.__setattr__(model, "_arrow_by_label", CountingIndex(model._arrow_by_label))
+    boundary = DimerModel.boundary_arrows
+    monkeypatch.setattr(DimerModel, "boundary_arrows",
+                        property(lambda self: scans.append(1) or boundary.fget(self)))
+    label_table(model)
+    necklaces(model)
+    assert scans == []
+    assert lookups == [label for m in range(1, 9) for label in (m, m % 8 + 1)]
