@@ -472,17 +472,14 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
         raise click.ClickException(f"bad weights: {exc}")
     doc = {"command": "measure",
            "values": {",".join(map(str, I)): str(x) for I, x in vec.values}}
-    lines = [f"{list(I)}: {x}" for I, x in vec.values]
-    failed = False
-    if check:
-        report = check_plucker_relations(vec, vec.k, vec.n)
+    summary = []
+    report = check_plucker_relations(vec, vec.k, vec.n) if check else None
+    if report is not None:
         doc["plucker"] = {"checked": report.checked, "passed": report.passed,
                           "failures": [[list(S), list(q)] for S, q in report.failures]}
-        lines.append(f"plucker relations checked: {report.checked}, "
-                     f"passed: {report.passed}")
-        failed = not report.passed
-    _emit(doc, fmt, lambda: lines)
-    if failed:
+        summary = [f"plucker relations checked: {report.checked}, passed: {report.passed}"]
+    _emit(doc, fmt, lambda: [f"{list(I)}: {x}" for I, x in vec.values] + summary)
+    if report is not None and not report.passed:
         sys.exit(1)
 
 

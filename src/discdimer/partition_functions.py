@@ -200,16 +200,17 @@ def check_plucker_relations(vec: PluckerVector, k: int, n: int) -> PluckerReport
     Z_{S∪ac}·Z_{S∪bd} = Z_{S∪ab}·Z_{S∪cd} + Z_{S∪ad}·Z_{S∪bc}
     for a<b<c<d and (k−2)-subsets S disjoint from {a,b,c,d}."""
     vals = vec.as_dict()
-    expected = {tuple(sorted(I)) for I in combinations(range(1, n + 1), k)}
-    if set(vals) != expected:
+    # Each k-subset once, in lexicographic order; equal counts leave no other key.
+    ordered = [(I, vals.get(I)) for I in combinations(range(1, n + 1), k)]
+    if len(ordered) != len(vals) or any(x is None for _, x in ordered):
         raise ValueError("vector keys are not exactly the k-subsets of 1..n")
     if k < 2 or n - k < 2:
         return PluckerReport(0, [])
     # The relations are homogeneous, so they hold for the values times one
     # common denominator exactly when they hold for the values: compare ints,
     # keyed by subset bitmask.
-    den = lcm(*(x.denominator for x in vals.values()))
-    ints = {_mask(I): x.numerator * (den // x.denominator) for I, x in vals.items()}
+    den = lcm(*(x.denominator for _, x in ordered))
+    ints = {_mask(I): x.numerator * (den // x.denominator) for I, x in ordered}
     # Per S, the m labels outside it give C(m, 2) values Z_{S∪xy}, read once;
     # each relation is six fixed positions among those pairs.
     m = n - k + 2

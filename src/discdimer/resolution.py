@@ -15,24 +15,26 @@ rows of their one matching. The suite reads every matching's rows from one
 `degree_table` per model, which searches one matching ρ: 𝟙_μ − 𝟙_ρ = dh for
 a height h, so every path j → i gains h(i) − h(j) in degree from ρ to μ,
 and so does D. A piece depends on μ only through the μ-arrows with head in
-S and the internal μ-arrows with tail in S, so exactness is decided once per
-distinct (S, those arrows), across all the matchings of one check, with both
-kept as int bitmasks. The decision reads S as a vertex mask against three
-ints per vertex position, in one table per matching (`_piece_table`): S
-must be closed under the tails of the unmatched arrows into it, the counts
-of its unmatched arrows in and matched internal arrows out must give
-|S| − 1, and the one flood (`model._flood`) must find S connected.
-`_is_exact` proves that these decide the piece: on a closed S, δ1δ2 = 0
-and δ2 is injective. The arrows at each vertex position come from the
-graph index, `model._layout`.
-Its oracle, the same piece built as incidences and ranked by union-find
-(`GradedComplexPiece`), lives in the tests, in `tests/oracles.py`.
+S and the internal μ-arrows with tail in S. It is decided from masks: one
+pass over a row (`_levels`) ORs each vertex's bit, out-arrow mask and
+in-arrow mask into its degree level and adds its η(μ) coefficient there.
+With S and the arrows into S (I) and out of S (O) accumulated per degree,
+S must be closed (I \\ μ ⊆ O), the count |S| − 1 = |I \\ μ| −
+|O ∩ μ ∩ internal| must hold, and the one flood (`model._flood`) over the
+matching's unmatched-neighbour rows must find S connected; `_walk` proves
+that these decide the piece. Only the flood is memoised, once per distinct
+(S, those μ-arrows) across all the matchings of one check. The arrows at
+each vertex position come from the graph index, `model._layout`.
+Its oracles, the same piece built as incidences and ranked by union-find
+(`GradedComplexPiece`) and a walk that sums three ints per vertex bit by
+bit, live in the tests, in `tests/oracles.py`.
 The Euler identity weights the degree series by [N_μ] = η(μ), read as a
 vector dense in vertex position (`lattice_maps._class_vector`).
 
 `resolution_reports` walks the table once for the resolution and the
-rotation check of `dimer verify`: one pass per row (`_row_levels`) gives the
-piece keys, the Euler series and the rotations. The separate loops it
+rotation check of `dimer verify`: one level pass per row gives the piece
+decisions, the Euler series and, while no rotation has failed, the
+rotations; `rotate_matching` reads the same pass. The separate loops it
 replaced are its oracles, in the tests. Matchings are arrow masks
 (`matchings`): public functions check the `Matching` they take as they turn
 it into its mask; the suite does not check enumerated ones.
@@ -41,7 +43,8 @@ it into its mask; the suite does not check enumerated ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import repeat
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .lattice_maps import _class_vector
 from .matchings import Matching, _enumeration, _heights, _matching_of, is_matching, require_matching
@@ -124,16 +127,12 @@ def degree_table(model: DimerModel) -> DegreeTable:
     return DegreeTable(ReadOnlyDict({mu_mask: k for k, mu_mask in enumerate(masks)}), tuple(rows))
 
 
-def _row_levels(layout: _Layout, mu_mask: int, coefficients: Sequence[int],
-                row: Row) -> Tuple[List[int], List[int], bool, List[int]]:
-    """One pass over the row toward one target, then one over its degrees
-    from 0 to the row's largest: the mask of S(μ,i,d) and the memo key of
-    its piece, S with the μ-arrows into S and the internal μ-arrows out of
-    S; whether the degree series Σ_j c_j t^{D(j)} is the constant 1, with
-    c_j the coefficients of [N_μ] in layout order; and the rotations of μ
-    for d = 1 up to the row's largest, ν = (μ \\ X) ∪ Y as arrow masks,
-    with X the matched arrows dropping degree d → d−1 and Y the unmatched
-    arrows rising d−1 → d, read off the arrows out of and into each degree."""
+def _levels(layout: _Layout, coefficients: Iterable[int], row: Row
+            ) -> Tuple[List[int], List[int], List[int], List[int]]:
+    """One pass over the row toward one target: per degree from 0 to the
+    row's largest, the vertices at that degree as a mask, the η(μ)
+    coefficients summed over them (c_j in layout order), and the arrows with
+    tail and with head at them as masks."""
     top = max(row)
     members, series, out, into = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
     for e, bit, c, o, i in zip(row, layout.bit, coefficients, layout.out_mask, layout.into_mask):
@@ -141,17 +140,17 @@ def _row_levels(layout: _Layout, mu_mask: int, coefficients: Sequence[int],
         series[e] += c
         out[e] |= o
         into[e] |= i
-    sets, keys = [], []
-    S = A = 0
-    internal = layout.internal
-    for m, o, i in zip(members, out, into):
-        S |= m
-        A |= i | o & internal
-        sets.append(S)
-        keys.append((mu_mask & A) << len(row) | S)
-    return (sets, keys, series[0] == 1 and not any(series[1:]),
-            [(mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
-             for d in range(1, top + 1)])
+    return members, series, out, into
+
+
+def _rotation(mu_mask: int, out: List[int], into: List[int], d: int) -> int:
+    """The rotation ν = (μ \\ X) ∪ Y of μ at degree d ≥ 1 of one row's
+    levels, as an arrow mask: X the matched arrows dropping degree d → d−1,
+    Y the unmatched arrows rising d−1 → d. Past the row's largest degree it
+    is μ."""
+    if d >= len(out):
+        return mu_mask
+    return (mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
 
 
 @dataclass
@@ -166,34 +165,42 @@ class ResolutionReport:
         return not self.failures and not self.euler_failures
 
 
-class _PieceTable(NamedTuple):
-    """What the pieces of one matching μ are decided from: plain ints per
-    vertex position."""
-    tails: Tuple[int, ...]        # the tails of the unmatched arrows into it
-    neighbours: Tuple[int, ...]   # its neighbours along unmatched arrows
-    excess: Tuple[int, ...]       # unmatched arrows into it − matched internal arrows out of it
-
-
-def _piece_table(layout: _Layout, mu_mask: int) -> _PieceTable:
-    """The table of the matching with arrow mask μ."""
-    n = len(layout.vertices)
-    tails, neighbours, excess = [0] * n, [0] * n, [0] * n
+def _unmatched_neighbours(layout: _Layout, mu_mask: int) -> Tuple[int, ...]:
+    """The rows the connectivity flood of the matching with arrow mask μ
+    reads: per vertex position, the mask of its neighbours along unmatched
+    arrows."""
+    neighbours = [0] * len(layout.vertices)
     for h, arrows in enumerate(layout.into):
         for bit, t in arrows:
-            if mu_mask & bit:
-                excess[t] -= bool(layout.internal & bit)
-                continue
-            tails[h] |= 1 << t
-            neighbours[h] |= 1 << t
-            neighbours[t] |= 1 << h
-            excess[h] += 1
-    return _PieceTable(tuple(tails), tuple(neighbours), tuple(excess))
+            if not mu_mask & bit:
+                neighbours[h] |= 1 << t
+                neighbours[t] |= 1 << h
+    return tuple(neighbours)
 
 
-def _is_exact(table: _PieceTable, S: int) -> bool:
-    """Whether μ's piece on the vertex mask S is exact. Its C1 is the
-    unmatched arrows with head in S, its C2 the merged faces, one per
-    matched internal arrow β with t(β) in S.
+def _connected(neighbours: Sequence[int], S: int) -> bool:
+    """Whether the vertex mask S is joined along the unmatched arrows whose
+    rows these are: one flood (`model._flood`) from its lowest vertex."""
+    return _flood(neighbours, S, S & -S) == S
+
+
+Rotation = Tuple[int, int, bool]  # (vertex, degree, whether ν is a perfect matching)
+
+
+def _walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...], d_max: Optional[int],
+          exact: Dict[int, bool], table: Optional[DegreeTable] = None
+          ) -> Tuple[ResolutionReport, Optional[Rotation]]:
+    """check_resolution from the degree rows of the arrow mask μ, recording
+    in `exact` the connectivity of each piece whose key it had to flood;
+    and, given the degree table that holds μ, the first (vertex, degree) in
+    order at which μ's rotation identity fails: its ν is no perfect
+    matching, or S(μ,i,d) ≠ S(ν,i,d−1). Each row takes one level pass
+    (`_levels`). Past the row's largest degree ν = μ, so d stops there.
+
+    The piece on S = S(μ,i,d) is decided from the unions over the levels up
+    to d of S, of I, the arrows with head in S, and of O, those with tail in
+    S. Its C1 is the unmatched arrows with head in S, I \\ μ, its C2 the
+    merged faces, one per matched internal arrow β with t(β) in S.
 
     Once S is closed (the tails of the unmatched arrows into S lie in S),
     every unmatched arrow of a face of C2 is in C1 with both ends in S: μ
@@ -211,66 +218,58 @@ def _is_exact(table: _PieceTable, S: int) -> bool:
     edge. So any set K of faces of C2 has an unmatched arrow with one side
     in K and the other outside it. That arrow is an arrow of a face of C2,
     so it is in C1: an edge of the graph out of K. No K is cut off from
-    the ground. The conditions read:
+    the ground. The piece is exact iff:
 
-    - C0 = S is not empty, and no δ1 tail is at the ground: S is closed;
-    - rank δ1 = |C1| − rank δ2 = |C1| − |C2|, which is Σ_{p∈S} excess[p];
-    - rank δ1 = |S| − 1: S is connected along the unmatched arrows."""
-    if not S:
-        return False
-    tails = excess = 0
-    rest = S
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        p = low.bit_length() - 1
-        tails |= table.tails[p]
-        excess += table.excess[p]
-    return (not tails & ~S and S.bit_count() - 1 == excess
-            and _flood(table.neighbours, S, S & -S) == S)
+    - no δ1 tail is at the ground: S is closed, I \\ μ ⊆ O;
+    - rank δ1 is both |C1| − rank δ2 = |C1| − |C2| and |S| − 1, so the
+      count |S| − 1 = |I \\ μ| − |O ∩ μ ∩ internal| holds (on an empty S
+      it does not);
+    - rank δ1 = |S| − 1: S is connected along the unmatched arrows.
 
-
-Rotation = Tuple[int, int, bool]  # (vertex, degree, whether ν is a perfect matching)
-
-
-def _walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...], d_max: Optional[int],
-          exact: Dict[int, bool], table: Optional[DegreeTable] = None
-          ) -> Tuple[ResolutionReport, Optional[Rotation]]:
-    """check_resolution from the degree rows of the arrow mask μ, deciding
-    each piece whose key is not in `exact` yet and recording it there; and,
-    given the degree table that holds μ, the first (vertex, degree) in
-    order at which μ's rotation identity fails: its ν is no perfect
-    matching, or S(μ,i,d) ≠ S(ν,i,d−1). Both read one `_row_levels` pass
-    per row. Past the row's largest degree ν = μ, so d stops there."""
+    The first two are a few mask operations per level. Only the flood of
+    the third is memoised, keyed by S with the μ-arrows in I and the
+    internal μ-arrows in O, on which the whole piece depends."""
     if d_max is None:
         d_max = max(map(max, rows)) + 1
     elif d_max < 0:
         raise ValueError("d_max must be nonnegative")
     layout = _layout(model)
     coefficients = _class_vector(model, mu_mask)
-    pieces = None
+    n = len(layout.vertices)
+    unmatched, internal = ~mu_mask, layout.internal
+    matched_internal = mu_mask & internal
+    neighbours = None
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
     rotation = None
     for p, (vid, row) in enumerate(zip(layout.vertices, rows)):
-        sets, keys, euler, turns = _row_levels(layout, mu_mask, coefficients, row)
-        for d, S, key in zip(range(d_max + 1), sets, keys):
-            ok = exact.get(key)
-            if ok is None:
-                if pieces is None:
-                    pieces = _piece_table(layout, mu_mask)
-                ok = exact[key] = _is_exact(pieces, S)
+        members, series, out, into = _levels(layout, coefficients, row)
+        S = I = O = 0
+        for d, m, o, i in zip(range(d_max + 1), members, out, into):
+            S |= m
+            I |= i
+            O |= o
+            free = I & unmatched
+            ok = (not free & ~O and
+                  S.bit_count() - 1 == free.bit_count() - (O & matched_internal).bit_count())
+            if ok:
+                key = (mu_mask & (I | O & internal)) << n | S
+                ok = exact.get(key)
+                if ok is None:
+                    if neighbours is None:
+                        neighbours = _unmatched_neighbours(layout, mu_mask)
+                    ok = exact[key] = _connected(neighbours, S)
             if not ok:
                 failures.append((vid, d))
-        # From degree len(sets) - 1 on, S is every vertex: the last S walked above.
-        if d_max >= len(sets) and not ok:
-            failures.extend((vid, d) for d in range(len(sets), d_max + 1))
-        if not euler:
+        # From degree len(members) - 1 on, S is every vertex: the last S walked above.
+        if d_max >= len(members) and not ok:
+            failures.extend((vid, d) for d in range(len(members), d_max + 1))
+        if series[0] != 1 or any(series[1:]):
             euler_failures.append(vid)
         if table is None or rotation is not None:
             continue
-        for d, nu in enumerate(turns, 1):
-            at = table.by_mask.get(nu)
+        for d in range(1, len(members)):
+            at = table.by_mask.get(_rotation(mu_mask, out, into, d))
             if at is None or _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
                 rotation = vid, d, at is not None
                 break
@@ -319,8 +318,8 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     mu_mask = require_matching(model, mu)
     layout = _layout(model)
     row = _row(layout, mu_mask, _target(layout, i))
-    turns = _row_levels(layout, mu_mask, _class_vector(model, mu_mask), row)[-1]
-    nu = _matching_of(model, turns[d - 1] if d <= len(turns) else mu_mask)
+    _, _, out, into = _levels(layout, repeat(0), row)
+    nu = _matching_of(model, _rotation(mu_mask, out, into, d))
     if not is_matching(model, nu.arrow_set):
         raise ValueError("rotation did not produce a perfect matching")
     return nu

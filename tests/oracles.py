@@ -36,6 +36,12 @@ that the library does another way:
   (`resolution_reports` with `_report` and `_piece_keys`, and
   `first_rotation_failure` with `_rotations` and `_at_most`): they check the
   one walk that `resolution.resolution_reports` makes for both.
+- The walk as it was before the level decision was fused into it
+  (`row_levels_walk`, with `_row_levels`, `_piece_table` and the
+  three-int `_is_exact`): each piece decided from per-vertex tails and
+  excesses summed bit by bit, the rotations built for every degree. It
+  checks `resolution._walk` on real and on random degree rows, and its
+  piece decision is the one `_report` reads.
 """
 
 from __future__ import annotations
@@ -44,14 +50,14 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from discdimer import resolution
-from discdimer.lattice_maps import KClass, LatticePoint, make_lattice_point
+from discdimer.lattice_maps import KClass, LatticePoint, _class_vector, make_lattice_point
 from discdimer.matchings import Matching, _arrow_bits, require_matching
-from discdimer.model import BLACK, WHITE, DimerModel
+from discdimer.model import BLACK, WHITE, DimerModel, _flood
 from discdimer.partition_functions import VERTEX_BASIS, LaurentPoly
-from discdimer.resolution import ResolutionReport, Row, _Layout, degrees_toward
+from discdimer.resolution import DegreeTable, ResolutionReport, Row, _Layout, degrees_toward
 
 
 def mat_mul(a, b):
@@ -433,8 +439,8 @@ def _report(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
             ok = exact.get(key)
             if ok is None:
                 if table is None:
-                    table = resolution._piece_table(layout, mu_mask)
-                ok = exact[key] = resolution._is_exact(table, S)
+                    table = _piece_table(layout, mu_mask)
+                ok = exact[key] = _is_exact(table, S)
             if not ok:
                 failures.append((vid, d))
         # From degree len(keys) - 1 on, S is every vertex: the last S walked above.
@@ -496,3 +502,143 @@ def first_rotation_failure(model: DimerModel) -> Optional[Tuple[int, int, int]]:
                 if _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
                     return mu_mask, layout.vertices[p], d
     return None
+
+
+class _PieceTable(NamedTuple):
+    """What the pieces of one matching μ are decided from: plain ints per
+    vertex position."""
+    tails: Tuple[int, ...]        # the tails of the unmatched arrows into it
+    neighbours: Tuple[int, ...]   # its neighbours along unmatched arrows
+    excess: Tuple[int, ...]       # unmatched arrows into it − matched internal arrows out of it
+
+
+def _piece_table(layout: _Layout, mu_mask: int) -> _PieceTable:
+    """The table of the matching with arrow mask μ."""
+    n = len(layout.vertices)
+    tails, neighbours, excess = [0] * n, [0] * n, [0] * n
+    for h, arrows in enumerate(layout.into):
+        for bit, t in arrows:
+            if mu_mask & bit:
+                excess[t] -= bool(layout.internal & bit)
+                continue
+            tails[h] |= 1 << t
+            neighbours[h] |= 1 << t
+            neighbours[t] |= 1 << h
+            excess[h] += 1
+    return _PieceTable(tuple(tails), tuple(neighbours), tuple(excess))
+
+
+def _is_exact(table: _PieceTable, S: int) -> bool:
+    """Whether μ's piece on the vertex mask S is exact. Its C1 is the
+    unmatched arrows with head in S, its C2 the merged faces, one per
+    matched internal arrow β with t(β) in S.
+
+    Once S is closed (the tails of the unmatched arrows into S lie in S),
+    every unmatched arrow of a face of C2 is in C1 with both ends in S: μ
+    has one arrow in each face, so a merged face's plus and minus cycles
+    are directed paths of unmatched arrows from the head of its matched
+    arrow β to its head, the tail of β, which is in S, and closure pulls
+    both paths into S. Hence δ1δ2 = 0 needs no test: under δ1 each path
+    telescopes to the same h(β) − t(β). Nor does rank δ2 = |C2|. δ2ᵀ is
+    the incidence matrix of a graph on C2 and the ground with one edge per
+    C1 arrow, a face outside C2 being part of the ground, so its rank is
+    |C2| iff that graph is connected. The merged faces and the ground,
+    joined across every unmatched arrow, form a connected graph: the
+    disc's faces and its outside, joined across every arrow, do, and
+    merging the two faces of each matched arrow contracts that arrow's
+    edge. So any set K of faces of C2 has an unmatched arrow with one side
+    in K and the other outside it. That arrow is an arrow of a face of C2,
+    so it is in C1: an edge of the graph out of K. No K is cut off from
+    the ground. The conditions read:
+
+    - C0 = S is not empty, and no δ1 tail is at the ground: S is closed;
+    - rank δ1 = |C1| − rank δ2 = |C1| − |C2|, which is Σ_{p∈S} excess[p];
+    - rank δ1 = |S| − 1: S is connected along the unmatched arrows."""
+    if not S:
+        return False
+    tails = excess = 0
+    rest = S
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        p = low.bit_length() - 1
+        tails |= table.tails[p]
+        excess += table.excess[p]
+    return (not tails & ~S and S.bit_count() - 1 == excess
+            and _flood(table.neighbours, S, S & -S) == S)
+
+
+def _row_levels(layout: _Layout, mu_mask: int, coefficients: Sequence[int],
+                row: Row) -> Tuple[List[int], List[int], bool, List[int]]:
+    """One pass over the row toward one target, then one over its degrees
+    from 0 to the row's largest: the mask of S(μ,i,d) and the memo key of
+    its piece, S with the μ-arrows into S and the internal μ-arrows out of
+    S; whether the degree series Σ_j c_j t^{D(j)} is the constant 1, with
+    c_j the coefficients of [N_μ] in layout order; and the rotations of μ
+    for d = 1 up to the row's largest, ν = (μ \\ X) ∪ Y as arrow masks,
+    with X the matched arrows dropping degree d → d−1 and Y the unmatched
+    arrows rising d−1 → d, read off the arrows out of and into each degree."""
+    top = max(row)
+    members, series, out, into = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
+    for e, bit, c, o, i in zip(row, layout.bit, coefficients, layout.out_mask, layout.into_mask):
+        members[e] |= bit
+        series[e] += c
+        out[e] |= o
+        into[e] |= i
+    sets, keys = [], []
+    S = A = 0
+    internal = layout.internal
+    for m, o, i in zip(members, out, into):
+        S |= m
+        A |= i | o & internal
+        sets.append(S)
+        keys.append((mu_mask & A) << len(row) | S)
+    return (sets, keys, series[0] == 1 and not any(series[1:]),
+            [(mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
+             for d in range(1, top + 1)])
+
+
+
+def row_levels_walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
+                    d_max: Optional[int], exact: Dict[int, bool],
+                    table: Optional[DegreeTable] = None
+                    ) -> Tuple[ResolutionReport, Optional[Tuple[int, int, bool]]]:
+    """check_resolution from the degree rows of the arrow mask μ, deciding
+    each piece whose key is not in `exact` yet and recording it there; and,
+    given the degree table that holds μ, the first (vertex, degree) in
+    order at which μ's rotation identity fails: its ν is no perfect
+    matching, or S(μ,i,d) ≠ S(ν,i,d−1). Both read one `_row_levels` pass
+    per row. Past the row's largest degree ν = μ, so d stops there."""
+    if d_max is None:
+        d_max = max(map(max, rows)) + 1
+    elif d_max < 0:
+        raise ValueError("d_max must be nonnegative")
+    layout = resolution._layout(model)
+    coefficients = _class_vector(model, mu_mask)
+    pieces = None
+    failures: List[Tuple[int, int]] = []
+    euler_failures: List[int] = []
+    rotation = None
+    for p, (vid, row) in enumerate(zip(layout.vertices, rows)):
+        sets, keys, euler, turns = _row_levels(layout, mu_mask, coefficients, row)
+        for d, S, key in zip(range(d_max + 1), sets, keys):
+            ok = exact.get(key)
+            if ok is None:
+                if pieces is None:
+                    pieces = _piece_table(layout, mu_mask)
+                ok = exact[key] = _is_exact(pieces, S)
+            if not ok:
+                failures.append((vid, d))
+        # From degree len(sets) - 1 on, S is every vertex: the last S walked above.
+        if d_max >= len(sets) and not ok:
+            failures.extend((vid, d) for d in range(len(sets), d_max + 1))
+        if not euler:
+            euler_failures.append(vid)
+        if table is None or rotation is not None:
+            continue
+        for d, nu in enumerate(turns, 1):
+            at = table.by_mask.get(nu)
+            if at is None or _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
+                rotation = vid, d, at is not None
+                break
+    return ResolutionReport(d_max, len(rows) * (d_max + 1), failures, euler_failures), rotation

@@ -434,6 +434,18 @@ def test_plucker_check_counts_every_relation(n, codim):
     assert report.failures == fraction_plucker_failures(vec, k, n)
 
 
+def test_plucker_check_rejects_keys_that_are_not_the_k_subsets():
+    """A missing subset, an extra key, an unsorted tuple in place of a
+    subset or beside it, and the values of another k each raise the one
+    ValueError."""
+    base = [(I, Fraction(1)) for I in combinations(range(1, 6), 2)]
+    for values, k in [(base[1:], 2), (base + [((1, 2, 3), Fraction(1))], 2),
+                      ([((2, 1), Fraction(1))] + base[1:], 2),
+                      (base + [((2, 1), Fraction(1))], 2), (base, 3)]:
+        with pytest.raises(ValueError, match="^vector keys are not exactly the k-subsets of 1..n$"):
+            check_plucker_relations(PluckerVector(2, 5, tuple(values)), k, 5)
+
+
 @pytest.mark.parametrize("n", [4, 7, 8])
 def test_plucker_failures_come_in_the_oracles_order_for_every_k(n):
     """The check reads the relations S by S; for every 0 ≤ k ≤ n, on seeded

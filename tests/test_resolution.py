@@ -1,6 +1,7 @@
 """Graded resolution pieces, exactness, saturation, and rotation."""
 
 import dataclasses
+import inspect
 import random
 import zlib
 from collections import Counter
@@ -17,8 +18,8 @@ from discdimer.kclass_weights import kclass_of_matching
 from discdimer.lattice_maps import _class_vector
 from discdimer.matchings import Matching, _arrow_bits, _mask_of, _matching_of, enumerate_matchings
 from discdimer.model import opposite
-from discdimer.resolution import (_is_exact, _piece_table, check_resolution, degree_table,
-                                  degrees_toward, resolution_reports, rotate_matching)
+from discdimer.resolution import (check_resolution, degree_table, degrees_toward,
+                                  resolution_reports, rotate_matching)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
 
@@ -146,13 +147,21 @@ def dense_oracle(model, S, q1, q2):
     return delta1, delta2, verdict, r1, r2
 
 
+def walk_decision(model, mu_mask, S_mask):
+    """The walk's decision on the vertex mask S: one row with S at degree 0
+    and every other vertex at degree 1, walked to degree 0 with a fresh
+    memo."""
+    row = bytes(0 if S_mask >> p & 1 else 1 for p in range(len(model.vertices)))
+    report, _ = resolution._walk(model, mu_mask, (row,), 0, {})
+    return not report.failures
+
+
 def mask_decision(model, S, q1):
-    """The mask decision on S, from the table of the matching whose
-    unmatched arrows are q1."""
+    """The walk's decision on S, for the matching whose unmatched arrows
+    are q1."""
     layout = resolution._layout(model)
     mu_mask = sum(bit for aid, bit in _arrow_bits(model).items() if aid not in q1)
-    S_mask = sum(1 << layout.position[v] for v in S)
-    return _is_exact(_piece_table(layout, mu_mask), S_mask)
+    return walk_decision(model, mu_mask, sum(1 << layout.position[v] for v in S))
 
 
 def graph_equals_dense(model, S, q1, q2):
@@ -216,21 +225,27 @@ def every_verdict(model, mu):
             for S in range(1 << len(vertices))]
 
 
-def table_of(model, mu):
-    layout = resolution._layout(model)
-    return _piece_table(layout, _mask_of(model, mu))
+def every_walk_decision(model, mu):
+    """The walk's decision on every vertex set, by vertex mask."""
+    mu_mask = _mask_of(model, mu)
+    return [walk_decision(model, mu_mask, S) for S in range(1 << len(model.vertices))]
 
 
 @pytest.mark.parametrize("name", [n for n in CONSISTENT_FIXTURES
                                   if len(fx.FIXTURE_BUILDERS[n]().vertices) <= 10])
 def test_mask_decision_equals_the_piece_on_every_vertex_set(name):
     """Not only on reachable sets: on all 2^|V| vertex sets, for every
-    matching of every consistent fixture with at most 10 vertices."""
+    matching of every consistent fixture with at most 10 vertices, the
+    walk's level decision equals the piece's own, and so does the oracle's
+    three-int decision."""
     model = fx.FIXTURE_BUILDERS[name]()
+    layout = resolution._layout(model)
     for mu in enumerate_matchings(model):
-        table = table_of(model, mu)
-        assert [_is_exact(table, S) for S in range(1 << len(model.vertices))] == \
-            every_verdict(model, mu), mu
+        verdicts = every_verdict(model, mu)
+        assert every_walk_decision(model, mu) == verdicts, mu
+        table = oracles._piece_table(layout, _mask_of(model, mu))
+        assert [oracles._is_exact(table, S) for S in range(1 << len(model.vertices))] == \
+            verdicts, mu
 
 
 def seeded_closed_sets(model):
@@ -261,7 +276,8 @@ def test_mask_decision_on_closed_sets_where_only_the_ranks_decide():
     for mu, q1, q2, S in seeded_closed_sets(model):
         piece = _piece(model, S, q1, q2)
         S_mask = sum(1 << p for p, v in enumerate(vertices) if v in S)
-        assert _is_exact(table_of(model, mu), S_mask) == piece.is_exact(), (mu, sorted(S))
+        assert walk_decision(model, _mask_of(model, mu), S_mask) == piece.is_exact(), \
+            (mu, sorted(S))
         if S and len(S) - 1 == len(piece.c1) - len(piece.c2) and not piece.is_exact():
             decided_by_rank += 1
             assert graph_equals_dense(model, S, q1, q2) == "middle rank"
@@ -269,9 +285,9 @@ def test_mask_decision_on_closed_sets_where_only_the_ranks_decide():
 
 
 def delta2_is_injective_if_closed(piece):
-    """The lemma `_is_exact` stands on, checked on the union-find piece:
-    on a closed vertex set rank δ2 = |C2|. Returns whether S was closed
-    and C2 not empty, so that the lemma said something."""
+    """The lemma the walk's decision stands on, checked on the union-find
+    piece: on a closed vertex set rank δ2 = |C2|. Returns whether S was
+    closed and C2 not empty, so that the lemma said something."""
     if any(t is None for t, _ in piece.delta1):
         return False
     assert _forest_size(piece.delta2) == len(piece.c2), piece
@@ -303,37 +319,53 @@ def test_delta2_is_injective_on_seeded_closed_sets():
                for _, q1, q2, S in seeded_closed_sets(model))
 
 
-def test_a_table_with_one_dropped_bit_is_caught(gr37):
-    """Against the piece's own decision on every vertex set, a table with
-    one entry changed is caught: for every third matching of gr37, some
-    tail of an unmatched arrow dropped from the tails into its head, some
-    neighbour dropped from the neighbours of a vertex, and every excess
-    entry moved by +1 or by −1 (the whole vertex set is exact and holds
-    every vertex). Most single drops change no decision, as the conditions
-    overlap: a set that is not closed mostly fails the count or the
-    vertex flood as well."""
+def test_a_table_with_one_dropped_bit_is_caught(gr37, monkeypatch):
+    """Against the piece's own decision on every vertex set, the flood's
+    rows with one neighbour dropped are caught: for every third matching
+    of gr37, some neighbour dropped from the neighbours of a vertex. Most
+    single drops change no decision, as the set that a drop cuts apart
+    must also be closed and pass the count for the flood to decide it."""
+    neighbours = resolution._unmatched_neighbours
     for mu in enumerate_matchings(gr37)[::3]:
-        table, verdicts = table_of(gr37, mu), every_verdict(gr37, mu)
+        verdicts = every_verdict(gr37, mu)
+        rows = neighbours(resolution._layout(gr37), _mask_of(gr37, mu))
 
-        def caught(**changed):
-            bad = table._replace(**changed)
-            return any(_is_exact(bad, S) != ok for S, ok in enumerate(verdicts))
+        def caught(p, q):
+            bad = rows[:p] + (rows[p] & ~(1 << q),) + rows[p + 1:]
+            monkeypatch.setattr(resolution, "_unmatched_neighbours", lambda layout, mu_mask: bad)
+            return every_walk_decision(gr37, mu) != verdicts
 
-        def dropped(entries, i, bit):
-            return entries[:i] + (entries[i] & ~bit,) + entries[i + 1:]
+        assert any(caught(p, q) for p, row in enumerate(rows)
+                   for q in range(len(gr37.vertices)) if row >> q & 1), mu
 
-        def moved(entries, i, by):
-            return entries[:i] + (entries[i] + by,) + entries[i + 1:]
 
-        assert any(caught(tails=dropped(table.tails, p, 1 << t))
-                   for p, tails in enumerate(table.tails)
-                   for t in range(len(gr37.vertices)) if tails >> t & 1), mu
-        assert any(caught(neighbours=dropped(table.neighbours, p, 1 << q))
-                   for p, neighbours in enumerate(table.neighbours)
-                   for q in range(len(gr37.vertices)) if neighbours >> q & 1), mu
-        for p in range(len(gr37.vertices)):
-            for by in (1, -1):
-                assert caught(excess=moved(table.excess, p, by)), (mu, p, by)
+def mutated_walk(monkeypatch, old, new):
+    """Replaces `resolution._walk` by the function built from its source
+    with the text `old`, found once, replaced by `new`."""
+    source = inspect.getsource(resolution._walk)
+    assert source.count(old) == 1, old
+    scope = dict(vars(resolution))
+    exec(source.replace(old, new), scope)
+    monkeypatch.setattr(resolution, "_walk", scope["_walk"])
+
+
+# Mutations of the walk's level decision: (text, replacement).
+LEVEL_MUTATIONS = {
+    "closure dropped": ("not free & ~O and", "True and"),
+    "C2 left out of the count": ("free.bit_count() - (O & matched_internal).bit_count()",
+                                 "free.bit_count()"),
+}
+
+
+@pytest.mark.parametrize("kind", LEVEL_MUTATIONS)
+def test_a_mutated_level_decision_is_caught(gr37, monkeypatch, kind):
+    """With the closure test alone or the count alone changed in the walk,
+    the walk's decision differs from the piece's own on some vertex set of
+    some matching of gr37. Dropping the closure changes no decision on a
+    reachable set, as each is closed: only other vertex sets show it."""
+    mutated_walk(monkeypatch, *LEVEL_MUTATIONS[kind])
+    assert any(every_walk_decision(gr37, mu) != every_verdict(gr37, mu)
+               for mu in enumerate_matchings(gr37))
 
 
 def test_graded_piece_composition_is_zero(gr37):
@@ -418,12 +450,12 @@ def test_rows_with_a_degree_of_256_are_tuples(gr37):
     """No model here has a degree of 256, so the tuple form of a row is
     tested on synthetic rows: a degree ≥ 256 gives a tuple with the right
     `_at_most` masks, and below 256 the tuple and bytes forms of a row give
-    the same `_at_most` masks and the same `_row_levels`."""
+    the same `_at_most` masks, the same level pass and the same walk."""
     row = resolution._as_row([0, 256, 3, 300, 255])
     assert row == (0, 256, 3, 300, 255)
     for d in (0, 3, 254, 255, 256, 299, 300, 1000):
         assert resolution._at_most(row, d) == bytes(e <= d for e in row), d
-    layout = resolution._layout(gr37)
+    layout, table = resolution._layout(gr37), degree_table(gr37)
     rng = random.Random("rows")
     for mu in enumerate_matchings(gr37):
         mu_mask = _mask_of(gr37, mu)
@@ -434,8 +466,12 @@ def test_rows_with_a_degree_of_256_are_tuples(gr37):
         assert isinstance(as_bytes, bytes)
         for d in range(max(dist) + 2):
             assert resolution._at_most(as_bytes, d) == resolution._at_most(as_tuple, d)
-        assert resolution._row_levels(layout, mu_mask, coefficients, as_bytes) == \
-            resolution._row_levels(layout, mu_mask, coefficients, as_tuple)
+        assert resolution._levels(layout, coefficients, as_bytes) == \
+            resolution._levels(layout, coefficients, as_tuple)
+        walks = [resolution._walk(gr37, mu_mask, (row,) * len(layout.vertices), None, {}, table)
+                 for row in (as_bytes, as_tuple)]
+        assert report_tuple(walks[0][0]) == report_tuple(walks[1][0])
+        assert walks[0][1] == walks[1][1]
 
 
 def test_rotation_beyond_saturation_is_identity_like(gr37):
@@ -509,11 +545,19 @@ def whole_piece_rule(piece):
     return zlib.crc32(repr(piece).encode()) % 3 != 0
 
 
+def closed_and_counted(piece):
+    """What the walk decides before its memo: no δ1 tail of the piece is at
+    the ground, and |C0| − 1 = |C1| − |C2|."""
+    return (all(tail is not None for tail, _ in piece.delta1)
+            and len(piece.c0) - 1 == len(piece.c1) - len(piece.c2))
+
+
 def decide_by(monkeypatch, model, rule):
-    """Replaces exactness by rule(piece) on both paths: in the per-piece
-    path, as `GradedComplexPiece.is_exact`, and at the mask decision, where
-    the piece is rebuilt from the vertex mask S and μ (the table the memoised
-    check builds for μ is then μ's arrow mask)."""
+    """Replaces the connectivity of a piece by rule(piece) on both paths: in
+    the per-piece path, where `GradedComplexPiece.is_exact` becomes the
+    closure, the count and the rule, and behind the walk's memo, where the
+    piece is rebuilt from the vertex mask S and μ (the flood rows the walk
+    builds for μ are then μ's arrow mask)."""
     layout = resolution._layout(model)
 
     def rebuilt(mu_mask, S):
@@ -521,9 +565,10 @@ def decide_by(monkeypatch, model, rule):
         members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
         return rule(_piece(model, members, *merged_complex_data(model, mu)))
 
-    monkeypatch.setattr(GradedComplexPiece, "is_exact", rule)
-    monkeypatch.setattr(resolution, "_piece_table", lambda layout, mu_mask: mu_mask)
-    monkeypatch.setattr(resolution, "_is_exact", rebuilt)
+    monkeypatch.setattr(GradedComplexPiece, "is_exact",
+                        lambda piece: closed_and_counted(piece) and rule(piece))
+    monkeypatch.setattr(resolution, "_unmatched_neighbours", lambda layout, mu_mask: mu_mask)
+    monkeypatch.setattr(resolution, "_connected", rebuilt)
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-5", "uniform-3-6"])
@@ -541,27 +586,46 @@ def test_memo_across_matchings_answers_for_the_piece_itself(name, monkeypatch):
     assert failures
 
 
+class KeyLog(dict):
+    """A memo that answers no key, so that the walk floods every piece that
+    reaches it, and logs the keys it was asked for."""
+
+    def __init__(self):
+        super().__init__()
+        self.asked = []
+
+    def get(self, key):
+        self.asked.append(key)
+        return None
+
+
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
 def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
     """Every (matching, vertex set) whose memo key was seen before, with
     another matching or the same one, builds the very piece the key was
-    first seen with. The sets are the reachable sets of the degree table
-    and those of seeded random degree rows. On a reachable set every
-    μ-arrow out of S also ends in S, so there the internal μ-arrows out of
-    S add nothing to the key; on other sets they do, and the key must
-    hold on any S."""
+    first seen with. The sets are the level sets of the degree table's rows
+    and of seeded random degree rows, keyed as in the oracle's
+    `_row_levels`; every key the walk asks its memo for on a row, for the
+    level sets that are closed and pass the count, is one of these. On a
+    reachable set every μ-arrow out of S also ends in S, so there the
+    internal μ-arrows out of S add nothing to the key; on other sets they
+    do, and the key must hold on any S."""
     model = fx.FIXTURE_BUILDERS[name]()
     layout = resolution._layout(model)
     rng = random.Random(name)
     first = {}
     across = 0
     for mu, rows in zip(enumerate_matchings(model), degree_table(model).rows):
+        mu_mask = _mask_of(model, mu)
         q1, q2 = merged_complex_data(model, mu)
         cls = kclass_of_matching(model, mu)
         coefficients = [cls[v] for v in layout.vertices]
         random_rows = tuple(bytes(rng.randrange(4) for _ in layout.vertices) for _ in range(8))
         for row in rows + random_rows:
-            sets, keys = resolution._row_levels(layout, _mask_of(model, mu), coefficients, row)[:2]
+            sets, keys = oracles._row_levels(layout, mu_mask, coefficients, row)[:2]
+            memo = KeyLog()
+            resolution._walk(model, mu_mask, (row,), None, memo)
+            assert set(memo.asked) <= set(keys), (mu, row)
             for S, key in zip(sets, keys):
                 members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
                 piece = _piece(model, members, q1, q2)
@@ -583,6 +647,34 @@ def test_the_shared_walk_equals_the_separate_loops(name):
         (mu_mask, report_tuple(report)) for mu_mask, report in oracles.resolution_reports(model)]
     assert [turn for _, _, turn in walk if turn] == []
     assert first_rotation_failure(model) is None
+
+
+UNIFORM_UP_TO_8 = [name for n in range(3, 9) for k in range(1, n)
+                   if (name := f"uniform-{k}-{n}") not in fx.FIXTURE_BUILDERS]
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + UNIFORM_UP_TO_8)
+def test_the_fused_walk_equals_the_row_levels_oracle(name):
+    """The walk that decides each piece from its level's arrow masks gives
+    the report and the rotation failure of the oracle walk, which decides
+    it from `_row_levels` keys and the three-int `_is_exact`: on every
+    matching's rows in the degree table, and on seeded random rows (to
+    saturation + 1 and to degree 1), where most pieces and the rotations
+    fail. Each path keeps one memo across the matchings, as
+    `resolution_reports` does."""
+    model = build(name)
+    table = degree_table(model)
+    n = len(model.vertices)
+    rng = random.Random(name)
+    memo, oracle_memo = {}, {}
+    for mu_mask, k in table.by_mask.items():
+        random_rows = tuple(bytes(rng.randrange(4) for _ in range(n)) for _ in range(n))
+        for rows, d_max in ((table.rows[k], None), (random_rows, None), (random_rows, 1)):
+            report, rotation = resolution._walk(model, mu_mask, rows, d_max, memo, table)
+            expected, expected_rotation = oracles.row_levels_walk(model, mu_mask, rows, d_max,
+                                                                  oracle_memo, table)
+            assert (report_tuple(report), rotation) == \
+                (report_tuple(expected), expected_rotation), (mu_mask, d_max)
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8"])

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from discdimer import fixtures as fx
 from discdimer import lattice_maps, resolution, verify
 from discdimer.cli import main
-from discdimer.matchings import _matching_of
+from discdimer.matchings import _enumeration, _matching_of
 
 GOLDEN = Path(__file__).parent / "golden"
 GOLDEN_MODELS = ["triangle", "gr37", "inconsistent", "uniform-1-3", "uniform-2-4",
@@ -104,6 +104,46 @@ def test_the_shared_walk_hides_neither_checks_failure(kind, monkeypatch):
         (True, None) if rotation is None else
         (False, f"rotation identity fails at matching {ids(rotation[0])}, "
                 f"vertex {rotation[1]}, degree {rotation[2]}"))
+
+
+WALK_CHECKS = {"resolution_exactness", "rotation_identities"}
+
+
+def failed_walk_checks(model):
+    return {r["name"] for r in verify.run_checks(model, 0) if not r["passed"]} & WALK_CHECKS
+
+
+@pytest.mark.parametrize("target, vertex, by", [(0, 1, 1), (0, 1, -1), (2, 4, 1)])
+def test_a_corrupted_reference_row_fails_both_walk_checks(monkeypatch, target, vertex, by):
+    """The degree table shifts the reference matching's rows
+    (`resolution._rows`) by each matching's height: with one entry of one
+    of those rows moved by one, both checks that walk the table fail."""
+    rows = resolution._rows
+
+    def corrupted(layout, mu_mask):
+        reference = [bytearray(row) for row in rows(layout, mu_mask)]
+        reference[target][vertex] += by
+        return tuple(map(bytes, reference))
+
+    monkeypatch.setattr(resolution, "_rows", corrupted)
+    assert failed_walk_checks(fx.gr37()) == WALK_CHECKS
+
+
+@pytest.mark.parametrize("matching, vertex, by", [(1, 0, 1), (5, 3, -1), (45, 9, 1)])
+def test_a_corrupted_height_fails_both_walk_checks(monkeypatch, matching, vertex, by):
+    """With the height of one vertex moved by one for one matching of
+    gr37 (`matchings._heights`, as the degree table reads it), both checks
+    that walk the table fail."""
+    heights = resolution._heights
+
+    def corrupted(model, ref_mask, mu_mask):
+        h = heights(model, ref_mask, mu_mask)
+        if mu_mask == _enumeration(model)[0][matching]:
+            h[vertex] += by
+        return h
+
+    monkeypatch.setattr(resolution, "_heights", corrupted)
+    assert failed_walk_checks(fx.gr37()) == WALK_CHECKS
 
 
 def test_a_rotation_outside_the_table_fails_the_rotation_check_alone(monkeypatch):
