@@ -109,7 +109,8 @@ def _poly_doc(poly: LaurentPoly) -> dict:
                       for key, c in poly.terms]}
 
 
-def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]]) -> None:
+def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]], passed: bool = True) -> None:
+    """Print the report; exit with code 1 after it unless it `passed`."""
     # Echoes name sys.stdout: click's default lookup keeps every redirected stdout alive.
     if fmt == "json":
         doc = {"schema": SCHEMA, **doc}
@@ -117,6 +118,8 @@ def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]]) -> None:
     else:
         for line in text_lines():
             click.echo(line, file=sys.stdout)
+    if not passed:
+        sys.exit(1)
 
 
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
@@ -157,9 +160,7 @@ def cmd_validate(file: str, fmt: str) -> None:
     _emit(doc, fmt, lambda: [
         *(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail and not ok else "")
           for name, (ok, detail) in report.checks.items()),
-        f"valid: {report.passed}"])
-    if not report.passed:
-        sys.exit(1)
+        f"valid: {report.passed}"], report.passed)
 
 
 @main.command("type")
@@ -259,9 +260,7 @@ def cmd_check(file: str, fmt: str) -> None:
         f"b1 (no double crossing): {'pass' if report.b1_pass else 'FAIL'}",
         f"b2 (opposite orders): {'pass' if report.b2_pass else 'FAIL'}",
         f"closed loops: {list(report.closed_loop_arrows) or 'none'}",
-        f"consistent: {report.passed}"])
-    if not report.passed:
-        sys.exit(1)
+        f"consistent: {report.passed}"], report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +331,14 @@ def cmd_lattice(file: str, check_ensemble: bool, fmt: str) -> None:
     lines = [f"lattice rank: {len(basis)}",
              f"invariant factors of the vertex-lattice map: {factors}",
              f"unimodular: {unimodular}"]
-    failed = not unimodular
+    passed = unimodular
     if check_ensemble:
         report = check_cluster_ensemble(model)
         doc["ensemble"] = {"passed": report.passed, "witnesses": report.witnesses}
         lines.append(f"cluster ensemble exact: {report.passed}")
         lines.extend(f"  witness: {w}" for w in report.witnesses)
-        failed = failed or not report.passed
-    _emit(doc, fmt, lambda: lines)
-    if failed:
-        sys.exit(1)
+        passed = passed and report.passed
+    _emit(doc, fmt, lambda: lines, passed)
 
 
 @main.command("ms-matchings")
@@ -399,9 +396,7 @@ def cmd_verify_msmatch(file: str, fmt: str) -> None:
     ok, witness = three_way_msmatch(model)
     doc = {"command": "verify-msmatch", "passed": ok, "witness": witness}
     _emit(doc, fmt, lambda: [f"three-way equality: {'pass' if ok else 'FAIL'}"]
-          + ([f"witness: {witness}"] if witness else []))
-    if not ok:
-        sys.exit(1)
+          + ([f"witness: {witness}"] if witness else []), ok)
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +473,8 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
         doc["plucker"] = {"checked": report.checked, "passed": report.passed,
                           "failures": [[list(S), list(q)] for S, q in report.failures]}
         summary = [f"plucker relations checked: {report.checked}, passed: {report.passed}"]
-    _emit(doc, fmt, lambda: [f"{list(I)}: {x}" for I, x in vec.values] + summary)
-    if report is not None and not report.passed:
-        sys.exit(1)
+    _emit(doc, fmt, lambda: [f"{list(I)}: {x}" for I, x in vec.values] + summary,
+          report is None or report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +503,7 @@ def cmd_resolution(file: str, matching: str, dmax: Optional[int], fmt: str) -> N
         f"pieces checked: {report.pieces_checked}",
         f"exact: {report.passed}"]
         + [f"  inexact at (vertex, degree) = {f}" for f in report.failures]
-        + [f"  degree series off at vertex {v}" for v in report.euler_failures])
-    if not report.passed:
-        sys.exit(1)
+        + [f"  degree series off at vertex {v}" for v in report.euler_failures], report.passed)
 
 
 @main.command("rotate")
@@ -555,9 +547,7 @@ def cmd_verify(file: str, seed: int, fmt: str) -> None:
         *(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} ({r['seconds']}s)"
           + (f": {r['witness']}" if r["witness"] else "")
           for r in results),
-        f"overall: {'pass' if passed else 'FAIL'}"])
-    if not passed:
-        sys.exit(1)
+        f"overall: {'pass' if passed else 'FAIL'}"], passed)
 
 
 @main.command("fixtures")

@@ -13,19 +13,22 @@ elimination (`lattice_basis`); the column Hermite form of η gives its Smith
 invariant factors and, when it is the identity, its inverse.
 
 η has one body, its columns per arrow (`_eta_columns`): `eta`, its matrix,
-η∘d = β and the class [N_μ] = η(μ) of an arrow mask all read them, the last
-as a vector dense in vertex position (`_class_vector`), which the library
-uses as it is; a `KClass` is built only at the public edge.
+η∘d = β and the class [N_μ] = η(μ) of an arrow mask all read them as
+vectors dense in vertex position (`_eta_vector`, `_class_vector`), which the
+library uses as they are. Vertex position (model order) is the one vertex
+order here: the rows of η's matrix, both indices of β and the columns of η⁻¹
+follow it, and sorted vertex ids appear only where a `KClass` is built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import intlinalg
 from .matchings import Matching, require_matching
-from .model import DimerModel, _layout, _vertex_positions, per_model, require_valid
+from .model import DimerModel, _arrow_bits, _layout, _vertex_positions, per_model, require_valid
 
 Columns = Tuple[Tuple[Tuple[int, int], ...], ...]  # per arrow: its (vertex position, coefficient)s
 
@@ -55,10 +58,6 @@ class KClass:
     def as_dict(self) -> Dict[int, int]:
         return dict(self.coefficients)
 
-    @property
-    def rank(self) -> int:
-        return sum(c for _, c in self.coefficients)
-
 
 def make_lattice_point(model: DimerModel, deg: int, values: Dict[int, int]) -> LatticePoint:
     point = LatticePoint(deg, tuple(sorted((a.id, values.get(a.id, 0))
@@ -82,7 +81,7 @@ def lattice_point_of_matching(model: DimerModel, mu: Matching) -> LatticePoint:
 
 def eta(model: DimerModel, f: LatticePoint) -> KClass:
     require_in_lattice(model, f)
-    return _eta(model, f.deg, f.as_dict())
+    return _kclass(model, _eta_vector(model, f))
 
 
 @per_model
@@ -118,17 +117,17 @@ def _kclass(model: DimerModel, vec: Sequence[int]) -> KClass:
     return KClass(tuple(sorted(zip((v.id for v in model.vertices), vec))))
 
 
-def _eta(model: DimerModel, deg: int, values: Dict[int, int]) -> KClass:
-    """η(deg, f) from `_eta_columns`, f given by `values` (0 where missing);
-    the face sums are not checked."""
+def _eta_vector(model: DimerModel, f: LatticePoint) -> List[int]:
+    """η(f) from `_eta_columns`, dense in vertex position; the face sums are
+    not checked, and an id that is no arrow of the model adds nothing."""
     base, columns = _eta_columns(model)
-    vec = [deg * b for b in base]
-    for a, column in zip(model.arrows, columns):
-        x = values.get(a.id)
-        if x:
-            for p, c in column:
+    bits = _arrow_bits(model)
+    vec = [f.deg * b for b in base]
+    for aid, x in f.values:
+        if x and aid in bits:
+            for p, c in columns[bits[aid].bit_length() - 1]:
                 vec[p] += x * c
-    return _kclass(model, vec)
+    return vec
 
 
 def _class_vector(model: DimerModel, mu_mask: int) -> List[int]:
@@ -140,9 +139,10 @@ def _dual_tree(model: DimerModel) -> Dict[int, Tuple[int, Optional[int]]]:
     """One BFS spanning tree of the bipartite dual (faces are nodes, internal
     arrows edges) with a ground node that every boundary arrow joins, rooted
     at the ground: each face mapped to the arrow joining it to its parent and
-    that parent (None for the ground)."""
+    that parent (None for the ground). The ground's arrows are taken in id
+    order, so the tree does not depend on the order of the model's records."""
     parent: Dict[int, Tuple[int, Optional[int]]] = {}
-    for a in model.boundary_arrows:
+    for a in sorted(model.boundary_arrows, key=lambda a: a.id):
         parent.setdefault(model.faces_of_arrow(a.id)[0], (a.id, None))
     order = list(parent)
     for fid in order:
@@ -197,11 +197,10 @@ def lattice_basis(model: DimerModel) -> Tuple[LatticePoint, ...]:
 
 @per_model
 def eta_matrix(model: DimerModel) -> Tuple[Tuple[int, ...], ...]:
-    """Matrix of η on the lattice_basis of 𝕄; rows indexed by sorted quiver
-    vertices, columns by basis elements."""
-    vertices = sorted(v.id for v in model.vertices)
-    cols = [_eta(model, b.deg, b.as_dict()).as_dict() for b in lattice_basis(model)]
-    return tuple(tuple(c[v] for c in cols) for v in vertices)
+    """Matrix of η on the lattice_basis of 𝕄: rows indexed by vertex position
+    (model order), columns by basis elements. On a model whose vertex
+    records are not in id order, the rows are those of sorted ids permuted."""
+    return tuple(zip(*(_eta_vector(model, b) for b in lattice_basis(model))))
 
 
 @per_model
@@ -221,10 +220,12 @@ def eta_invariant_factors(model: DimerModel) -> List[int]:
 
 def beta_matrix(model: DimerModel) -> List[List[int]]:
     """β[S_i] = p_i − Σ_{a: ta=i} p_{ha} + Σ_{a: ha=i, a internal} p_{ta}
-    − χ_i p_i (χ_i = 1 iff i is internal); columns indexed by sorted
-    vertices i, rows by sorted vertices. One pass over the arrows: each
-    adds to the column of its tail and, if internal, to that of its head."""
-    at = {v: r for r, v in enumerate(sorted(v.id for v in model.vertices))}
+    − χ_i p_i (χ_i = 1 iff i is internal); columns indexed by the vertex
+    position of i, rows by vertex position (model order). On a model whose
+    vertex records are not in id order, rows and columns are both those of
+    sorted ids under one permutation. One pass over the arrows: each adds to
+    the column of its tail and, if internal, to that of its head."""
+    at = _vertex_positions(model)
     mat = intlinalg.zeros(len(at), len(at))
     for v in model.vertices:
         if v.is_boundary:
@@ -260,13 +261,12 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     beta = beta_matrix(model)
     # η(d 1_i) sums η's columns: + for the arrows into i, − for those out of it.
     layout, (_, columns) = _layout(model), _eta_columns(model)
-    order = sorted(range(dim), key=layout.vertices.__getitem__)
     eta_d_ok = True
-    for c, p in enumerate(order):
+    for p, v in enumerate(layout.vertices):
         into, out = (_linear([0] * dim, columns, m[p]) for m in (layout.into_mask, layout.out_mask))
-        if [into[q] - out[q] for q in order] != [row[c] for row in beta]:
+        if [i - o for i, o in zip(into, out)] != [row[p] for row in beta]:
             eta_d_ok = False
-            witnesses.append(f"eta(d 1_{layout.vertices[p]}) != beta[{layout.vertices[p]}]")
+            witnesses.append(f"eta(d 1_{v}) != beta[{v}]")
 
     rank_ok = True
     for b, column in zip(lattice_basis(model), zip(*eta_matrix(model))):
@@ -282,8 +282,7 @@ def check_cluster_ensemble(model: DimerModel) -> ClusterEnsembleReport:
     if not first:
         witnesses.append("kernel of beta differs from the constants")
     # Exactness at the second: kernel of the rank map = column span of β.
-    columns = [[beta[r][c] for r in range(dim)] for c in range(dim)]
-    second = intlinalg.lattices_equal(_rank_kernel(dim), columns, dim)
+    second = intlinalg.lattices_equal(_rank_kernel(dim), list(map(list, zip(*beta))), dim)
     if not second:
         witnesses.append("image of beta differs from the kernel of the rank map")
     return ClusterEnsembleReport(eta_d_ok, rank_ok, first, second, witnesses)
@@ -296,21 +295,21 @@ def _rank_kernel(dim: int) -> List[List[int]]:
 
 
 def eta_inverse_basis(model: DimerModel) -> Dict[int, LatticePoint]:
-    """The lattice points 𝔪_j = η^{-1}(p_j), one per quiver vertex; raises
-    if η is not unimodular or some preimage fails to be a perfect matching."""
+    """The lattice points 𝔪_j = η^{-1}(p_j), one per quiver vertex, in model
+    order; raises if η is not unimodular or some preimage fails to be a
+    perfect matching."""
     try:
         inv = intlinalg.integer_inverse(eta_matrix(model))  # basis coordinates per p_j column
     except ValueError:
         raise ValueError("eta is not unimodular; no integral inverse") from None
     basis = lattice_basis(model)
-    basis_values = [b.as_dict() for b in basis]
-    arrows = sorted(a.id for a in model.arrows)
+    arrows = [aid for aid, _ in basis[0].values]  # every basis point lists every arrow, in id order
+    columns = list(zip(*([x for _, x in b.values] for b in basis)))  # per arrow, its basis values
     out: Dict[int, LatticePoint] = {}
-    for j, coords in zip(sorted(v.id for v in model.vertices), zip(*inv)):
+    for v, coords in zip(model.vertices, zip(*inv)):
         deg = sum(x * b.deg for x, b in zip(coords, basis))
-        values = {aid: sum(x * b[aid] for x, b in zip(coords, basis_values))
-                  for aid in arrows}
-        if deg != 1 or any(x not in (0, 1) for x in values.values()):
-            raise ValueError(f"eta^-1(p_{j}) is not a perfect matching")
-        out[j] = LatticePoint(deg, tuple(values.items()))  # a ℤ-combination of basis points
+        values = [sum(map(mul, coords, column)) for column in columns]
+        if deg != 1 or any(x not in (0, 1) for x in values):
+            raise ValueError(f"eta^-1(p_{v.id}) is not a perfect matching")
+        out[v.id] = LatticePoint(deg, tuple(zip(arrows, values)))  # a ℤ-combination of basis points
     return out

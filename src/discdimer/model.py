@@ -82,9 +82,6 @@ class DimerModel:
         for name, value in index.items():
             object.__setattr__(self, name, value)
 
-    def vertex(self, vid: int) -> Vertex:
-        return self._vertex_by_id[vid]
-
     def arrow(self, aid: int) -> Arrow:
         return self._arrow_by_id[aid]
 
@@ -192,18 +189,18 @@ class ModelReport:
 
 
 def _check_structure(model: DimerModel) -> None:
-    vids = [v.id for v in model.vertices]
-    aids = [a.id for a in model.arrows]
-    fids = [f.id for f in model.faces]
-    for name, ids in (("vertex", vids), ("arrow", aids), ("face", fids)):
-        if len(set(ids)) != len(ids):
+    """Reads the model's by-id index: a repeated id leaves it shorter than
+    its records."""
+    vertex, arrow = model._vertex_by_id, model._arrow_by_id
+    for name, records, by_id in (("vertex", model.vertices, vertex),
+                                 ("arrow", model.arrows, arrow),
+                                 ("face", model.faces, model._face_by_id)):
+        if len(by_id) != len(records):
             raise StructuralError(f"duplicate {name} ids")
-        if any(i < 0 for i in ids):
+        if any(i < 0 for i in by_id):
             raise StructuralError(f"negative {name} id")
-    vset = set(vids)
-    aset = set(aids)
     for a in model.arrows:
-        if a.tail not in vset or a.head not in vset:
+        if a.tail not in vertex or a.head not in vertex:
             raise StructuralError(f"arrow {a.id} references unknown vertex")
         if a.is_boundary and a.boundary_label is None:
             raise StructuralError(f"boundary arrow {a.id} lacks a label")
@@ -215,7 +212,7 @@ def _check_structure(model: DimerModel) -> None:
         if not f.boundary_cycle:
             raise StructuralError(f"face {f.id} has an empty cycle")
         for aid in f.boundary_cycle:
-            if aid not in aset:
+            if aid not in arrow:
                 raise StructuralError(f"face {f.id} references unknown arrow {aid}")
         if len(set(f.boundary_cycle)) != len(f.boundary_cycle):
             raise StructuralError(f"face {f.id} repeats an arrow in its cycle")
@@ -235,12 +232,12 @@ def validate(model: DimerModel) -> ModelReport:
     # Face multiplicity: internal arrows once in a black and once in a white
     # cycle; boundary arrows in exactly one cycle. (_check_structure rules
     # out an arrow repeated within one cycle and colours other than the two.)
-    color = {f.id: f.color for f in model.faces}
+    face = model._face_by_id
     bad_mult = []
     for a in model.arrows:
         fids = model._faces_of_arrow[a.id]
         if not (len(fids) == 1 if a.is_boundary
-                else len(fids) == 2 and color[fids[0]] != color[fids[1]]):
+                else len(fids) == 2 and face[fids[0]].color != face[fids[1]].color):
             bad_mult.append(a.id)
     checks["face_multiplicity"] = (not bad_mult, f"arrows: {bad_mult}")
 

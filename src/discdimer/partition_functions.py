@@ -59,16 +59,6 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def shifted(self, exp: Mapping[int, int]) -> "LaurentPoly":
-        """Multiply by the monomial with the given exponent vector."""
-        out = []
-        for key, coeff in self.terms:
-            d = dict(key)
-            for i, e in exp.items():
-                d[i] = d.get(i, 0) + e
-            out.append((d, coeff))
-        return LaurentPoly.from_terms(self.basis, out)
-
     def pretty(self) -> str:
         if self.is_zero:
             return "0"

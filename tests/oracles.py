@@ -27,6 +27,8 @@ that the library does another way:
   `kclass_of_matching`.
 - `specialize`: a Laurent polynomial evaluated term by term at rational
   values; it checks the partition-function identities at a point.
+- `shifted`: a Laurent polynomial times a monomial, term by term; the
+  twist sum shifted by [P_I°] checks `ms_formula_white_v2`.
 - The dict forms of the per-matching vectors, which the library keeps dense
   (`_eta` and `_matching_class`, `_weights`, `_ms_sum`, `_twist_sum`,
   `_ms_white_v2_sum`), and `coboundary`, a lattice point per vertex: they
@@ -383,11 +385,22 @@ def _ms_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
     return LaurentPoly.from_terms(VERTEX_BASIS, terms)
 
 
+def shifted(poly: LaurentPoly, exp: Mapping[int, int]) -> LaurentPoly:
+    """Multiply by the monomial with the given exponent vector."""
+    out = []
+    for key, coeff in poly.terms:
+        d = dict(key)
+        for i, e in exp.items():
+            d[i] = d.get(i, 0) + e
+        out.append((d, coeff))
+    return LaurentPoly.from_terms(poly.basis, out)
+
+
 def _ms_white_v2_sum(model: DimerModel, I: Iterable[int], pool: Iterable[int]) -> LaurentPoly:
     """`ms_formula_white_v2` over the given arrow masks with ∂μ = I: the
     twist sum shifted by [P_I°]."""
     p_I = Counter(model.boundary_arrow_with_label(i).head for i in I)
-    return _twist_sum(model, pool).shifted(p_I)
+    return shifted(_twist_sum(model, pool), p_I)
 
 
 def _twist_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:

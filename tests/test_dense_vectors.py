@@ -58,7 +58,7 @@ def test_partition_sums_equal_the_dict_forms(name):
 @pytest.mark.parametrize("name", ORACLE_MODELS + ["inconsistent"])
 def test_the_eta_matrix_equals_the_dict_form(name):
     model = build(name)
-    vertices = sorted(v.id for v in model.vertices)
+    vertices = [v.id for v in model.vertices]  # vertex position
     columns = [oracles._eta(model, b.deg, b.as_dict()).as_dict() for b in lattice_basis(model)]
     assert eta_matrix(model) == tuple(tuple(c[v] for c in columns) for v in vertices)
 
@@ -68,7 +68,7 @@ def test_eta_of_each_coboundary_equals_the_oracle(name):
     """check_cluster_ensemble sums η's columns for η(d 1_i); the oracle
     builds d 1_i as a lattice point and applies the dict form of η to it."""
     model = build(name)
-    vertices = sorted(v.id for v in model.vertices)
+    vertices = [v.id for v in model.vertices]  # vertex position
     beta = beta_matrix(model)
     agree = all(oracles._eta(model, 0, oracles.coboundary(model, {i: 1}).as_dict()).as_dict()
                 == {v: beta[r][c] for r, v in enumerate(vertices)}

@@ -13,7 +13,7 @@ import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import specialize
+from oracles import shifted, specialize
 
 from discdimer import fixtures as fx
 from discdimer import kasteleyn
@@ -38,7 +38,7 @@ polys = st.lists(st.tuples(exp_dicts, st.integers(-5, 5)), max_size=5).map(
 @given(polys, exp_dicts)
 @settings(max_examples=60, deadline=None)
 def test_poly_shift_preserves_coefficient_count(p, exp):
-    assert len(p.shifted(exp).terms) == len(p.terms)
+    assert len(shifted(p, exp).terms) == len(p.terms)
 
 
 @given(polys, exp_dicts)
@@ -48,7 +48,7 @@ def test_specialize_respects_shift(p, exp):
     factor = Fraction(1)
     for i, e in exp.items():
         factor *= Fraction(2) ** e
-    assert specialize(p.shifted(exp), assign) == factor * specialize(p, assign)
+    assert specialize(shifted(p, exp), assign) == factor * specialize(p, assign)
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-2-4"])
