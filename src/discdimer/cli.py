@@ -84,6 +84,21 @@ def _parse_id(token: str, what: str, text: str) -> int:
     return int(match[1])
 
 
+_WEIGHT = re.compile(r"(0|[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
+
+
+def _read_weight(key: str, x: object) -> Fraction:
+    """An arrow's weight: a JSON integer, or a string p or p/q of ASCII
+    digits with no sign and no leading zero; nothing else."""
+    if type(x) is int:
+        return Fraction(x)
+    match = _WEIGHT.fullmatch(x) if isinstance(x, str) else None
+    if match is None:
+        raise ValueError(f"weight {json.dumps(x)} of arrow {key} is not an integer "
+                         "or a string p or p/q of decimal digits")
+    return Fraction(int(match[1]), int(match[2] or 1))
+
+
 def _parse_ints(text: str, what: str) -> List[int]:
     ids = [_parse_id(token, what, text) for token in text.split(",")]
     repeated = sorted({x for x in ids if ids.count(x) > 1})
@@ -455,7 +470,7 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
             unknown = next((key for key in raw if key not in ids), None)
             if unknown is not None:
                 raise ValueError(f"key {unknown!r} is not the id of an arrow of the model")
-            w = {ids[key]: Fraction(str(x)) for key, x in raw.items()}
+            w = {ids[key]: _read_weight(key, x) for key, x in raw.items()}
         except ZeroDivisionError as exc:
             raise click.ClickException(f"cannot read weights: zero denominator in {exc}")
         except (OSError, ValueError) as exc:

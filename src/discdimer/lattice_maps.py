@@ -67,6 +67,10 @@ def make_lattice_point(model: DimerModel, deg: int, values: Dict[int, int]) -> L
 
 
 def require_in_lattice(model: DimerModel, f: LatticePoint) -> None:
+    bits = _arrow_bits(model)
+    stray = next((a for a, _ in f.values if a not in bits), None)
+    if stray is not None:
+        raise ValueError(f"lattice point has a value on {stray}, which is no arrow of the model")
     vals = f.as_dict()
     for face in model.faces:
         total = sum(vals.get(a, 0) for a in face.boundary_cycle)

@@ -1,14 +1,17 @@
 """The ordered check suite behind `dimer verify`.
 
-Each check takes a model and returns ``(passed, witness)``, where the
-witness says where a failed check went wrong and is None on a pass; it
-names a matching, read here as an arrow mask, by its arrow ids.
-`run_checks` runs every check of `VERIFY_CHECKS` in order; an exception
-in a check (a failed precondition) makes that check fail with the
-exception as its witness.
+Each check gives ``(passed, witness)``; the witness says where a failed
+check went wrong (a matching, read here as an arrow mask, by its arrow
+ids) and is None on a pass. A step of `VERIFY_STEPS` is a tuple of check
+names and a function of the model and the seed that yields their results
+in order: checks that share work are one generator step, so what they
+share is a local that goes when the step ends. `run_checks` runs the steps
+in order; an exception in a step (a failed precondition) fails each of its
+checks left, with the exception as the witness.
 
 The per-matching checks compare vectors dense in vertex position, and the
-Marsh–Scott checks count them per boundary value. `rotation_identities`
+Marsh–Scott checks count them per boundary value, on a white-standardised
+copy that lives only while those three checks run. `rotation_identities`
 reads the walk of the degree table that `resolution_exactness` runs
 (`_degree_walk`), so its `seconds` is near 0 and the other's cover both.
 """
@@ -19,7 +22,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .kclass_weights import (_weight_columns, muller_speyer_matching,
                              projective_matching_oracle, upstream_matching, weight_table)
@@ -27,14 +30,16 @@ from .lattice_maps import (_class_vector, _linear, check_cluster_ensemble, eta_i
                            eta_invariant_factors, is_eta_unimodular)
 from .matchings import (_boundary_of, _enumeration, _mask_of, _matching_of, _orientation,
                         positroid, positroid_contains_necklace_test)
-from .model import (BLACK, WHITE, DimerModel, ReadOnlyDict, _vertex_positions, opposite, per_model,
-                    standardise, type_of, validate)
+from .model import (BLACK, WHITE, DimerModel, _vertex_positions, opposite, standardise, type_of,
+                    validate)
 from .partition_functions import (_ms_exponents, _require_ms_model, _twist_exponents,
                                   boundary_measurement, check_plucker_relations)
 from .resolution import resolution_reports
 from .strands import check_postnikov, source_labels, target_labels
 
 CheckResult = Tuple[bool, Optional[str]]
+# Of (model, seed); naming DimerModel here would pin each imported copy in typing's cache.
+Step = Callable[..., Iterable[CheckResult]]
 
 
 def three_way_msmatch(model: DimerModel) -> CheckResult:
@@ -104,17 +109,7 @@ def _check_wedge_labels(model: DimerModel) -> CheckResult:
     return True, None
 
 
-@per_model
-def _standardised_copy(model: DimerModel) -> Optional[DimerModel]:
-    """standardise(model, WHITE), built once per model for the checks; None
-    when that is the model itself, which kept in its own memo would be a
-    reference cycle that only the cyclic garbage collector frees."""
-    std = standardise(model, WHITE)
-    return None if std is model else std
-
-
-def _check_weight_formula(model: DimerModel) -> CheckResult:
-    std = _standardised_copy(model) or model
+def _weight_formula(std: DimerModel) -> CheckResult:
     position = _vertex_positions(std)
     table = weight_table(std, WHITE)
     alt = [tuple((position[v], e) for v, e in table[a.id].coefficients) if a.id in table else ()
@@ -136,52 +131,34 @@ def _check_weight_formula(model: DimerModel) -> CheckResult:
     return True, None
 
 
-@per_model
-def _white_ms_sums(model: DimerModel) -> Tuple[ReadOnlyDict[Tuple[int, ...], int], ...]:
-    """MS° of every k-subset in lexicographic order, as its dense exponent
-    vectors counted (`_ms_exponents`) over the subset's matchings of the
-    white-standardised copy, once per model for the two checks that set it
-    against another computation."""
-    std = _standardised_copy(model) or model
+def _marsh_scott(model: DimerModel, seed: int) -> Iterator[CheckResult]:
+    """The weight formula, then MS° against the twist sum and against MS• of
+    the opposite at the complement, for every k-subset I: all three on the
+    white-standardised copy, a local that goes when the step ends. MS° of
+    every I is counted once (`_ms_exponents`) for the last two."""
+    std = standardise(model, WHITE)
+    yield _weight_formula(std)
     k, n = type_of(std)
     _require_ms_model(std, WHITE)
     groups = _enumeration(std)[1]
-    return tuple(ReadOnlyDict(_ms_exponents(std, groups.get(frozenset(I), ())))
-                 for I in combinations(range(1, n + 1), k))
-
-
-def _check_ms_equality(model: DimerModel) -> CheckResult:
-    std = _standardised_copy(model) or model
-    k, n = type_of(std)
-    white_sums = _white_ms_sums(model)
-    groups = _enumeration(std)[1]
-    for I, white in zip(combinations(range(1, n + 1), k), white_sums):
-        if white != _twist_exponents(std, groups.get(frozenset(I), ()), I):
-            return False, f"formulas differ at {list(I)}"
-    return True, None
-
-
-def _check_duality(model: DimerModel) -> CheckResult:
-    std = _standardised_copy(model) or model
+    subsets = list(combinations(range(1, n + 1), k))
+    white = [_ms_exponents(std, groups.get(frozenset(I), ())) for I in subsets]
+    yield next(((False, f"formulas differ at {list(I)}") for I, sums in zip(subsets, white)
+                if sums != _twist_exponents(std, groups.get(frozenset(I), ()), I)), (True, None))
     op = opposite(std)  # the same vertices in the same order, so the same dense vectors
-    k, n = type_of(std)
-    white_sums = _white_ms_sums(model)
     _require_ms_model(op, BLACK)
     op_groups = _enumeration(op)[1]
-    for I, white in zip(map(frozenset, combinations(range(1, n + 1), k)), white_sums):
-        comp = frozenset(range(1, n + 1)) - I
-        if white != _ms_exponents(op, op_groups.get(comp, ())):
-            return False, f"duality fails at {sorted(I)}"
-    return True, None
+    everything = frozenset(range(1, n + 1))
+    yield next(((False, f"duality fails at {list(I)}") for I, sums in zip(subsets, white)
+                if sums != _ms_exponents(op, op_groups.get(everything - frozenset(I), ()))),
+               (True, None))
 
 
-@per_model
-def _degree_walk(model: DimerModel) -> Tuple[CheckResult, Optional[Tuple[int, int, int, bool]]]:
-    """The resolution check's result and the first rotation failure (μ,
-    vertex, degree, whether ν is a perfect matching), from one walk of the
-    degree table (`resolution_reports`) that the two checks share. The walk
-    goes on over every matching after either check's first failure, so
-    neither hides the other's."""
+def _degree_walk(model: DimerModel, seed: int) -> Iterator[CheckResult]:
+    """The resolution check, then the rotation check, from one walk of the
+    degree table (`resolution_reports`). The walk goes on over every
+    matching after either check's first failure, so neither hides the
+    other's."""
     resolution: CheckResult = (True, None)
     rotation = None
     for mu_mask, report, turn in resolution_reports(model):
@@ -190,22 +167,15 @@ def _degree_walk(model: DimerModel) -> Tuple[CheckResult, Optional[Tuple[int, in
                                  f"failures {report.failures}, euler {report.euler_failures}")
         if rotation is None and turn is not None:
             rotation = (mu_mask,) + turn
-    return resolution, rotation
-
-
-def _check_resolution_all(model: DimerModel) -> CheckResult:
-    return _degree_walk(model)[0]
-
-
-def _check_rotation(model: DimerModel) -> CheckResult:
-    failure = _degree_walk(model)[1]
-    if failure is None:
-        return True, None
-    mu_mask, v, d, found = failure
+    yield resolution
+    if rotation is None:
+        yield True, None
+        return
+    mu_mask, v, d, found = rotation
     if not found:
         raise ValueError("rotation did not produce a perfect matching")
-    return False, (f"rotation identity fails at matching "
-                   f"{_ids(model, mu_mask)}, vertex {v}, degree {d}")
+    yield False, (f"rotation identity fails at matching "
+                  f"{_ids(model, mu_mask)}, vertex {v}, degree {d}")
 
 
 def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:
@@ -233,34 +203,44 @@ def _check_plucker_draws(model: DimerModel, seed: int) -> CheckResult:
     return True, None
 
 
-VERIFY_CHECKS: List[Tuple[str, Callable[..., CheckResult]]] = [
-    ("validate", _check_validate),
-    ("check_postnikov", _check_consistency),
-    ("boundary_size_sweep", _check_boundary_sizes),
-    ("eta_unimodular", _check_eta_unimodular),
-    ("cluster_ensemble", _check_ensemble),
-    ("msmatch_three_way", three_way_msmatch),
-    ("wedge_boundary_labels", _check_wedge_labels),
-    ("weight_double_formula", _check_weight_formula),
-    ("ms_formula_equality", _check_ms_equality),
-    ("black_white_duality", _check_duality),
-    ("resolution_exactness", _check_resolution_all),
-    ("rotation_identities", _check_rotation),
-    ("plucker_relation_draws", _check_plucker_draws),
+def _alone(check: Callable[[DimerModel], CheckResult]) -> Step:
+    return lambda model, seed: [check(model)]
+
+
+VERIFY_STEPS: List[Tuple[Tuple[str, ...], Step]] = [
+    (("validate",), _alone(_check_validate)),
+    (("check_postnikov",), _alone(_check_consistency)),
+    (("boundary_size_sweep",), _alone(_check_boundary_sizes)),
+    (("eta_unimodular",), _alone(_check_eta_unimodular)),
+    (("cluster_ensemble",), _alone(_check_ensemble)),
+    (("msmatch_three_way",), _alone(three_way_msmatch)),
+    (("wedge_boundary_labels",), _alone(_check_wedge_labels)),
+    (("weight_double_formula", "ms_formula_equality", "black_white_duality"), _marsh_scott),
+    (("resolution_exactness", "rotation_identities"), _degree_walk),
+    (("plucker_relation_draws",), lambda model, seed: [_check_plucker_draws(model, seed)]),
 ]
 
 
+def _answers(step: Step, model: DimerModel, seed: int) -> Iterator[CheckResult]:
+    """The step's results, then, once it raises, a failure with the
+    exception as its witness for each of its checks left."""
+    try:
+        yield from step(model, seed)
+    except Exception as exc:  # a failed precondition is a failed check
+        while True:
+            yield False, f"{type(exc).__name__}: {exc}"
+
+
 def run_checks(model: DimerModel, seed: int) -> List[dict]:
-    """Run every check in order: one ``{"name", "passed", "witness",
-    "seconds"}`` record per check. The seed drives the Plücker weight draws."""
+    """Run every step in order: one ``{"name", "passed", "witness",
+    "seconds"}`` record per check, timed from the record before it. The
+    seed drives the Plücker weight draws."""
     results = []
-    for name, fn in VERIFY_CHECKS:
-        start = time.monotonic()
-        try:
-            ok, witness = (fn(model, seed) if name == "plucker_relation_draws"
-                           else fn(model))
-        except Exception as exc:  # a failed precondition is a failed check
-            ok, witness = False, f"{type(exc).__name__}: {exc}"
-        results.append({"name": name, "passed": ok, "witness": witness,
-                        "seconds": round(time.monotonic() - start, 3)})
+    clock = time.monotonic()
+    for names, step in VERIFY_STEPS:
+        for name, (ok, witness) in zip(names, _answers(step, model, seed)):
+            now = time.monotonic()
+            results.append({"name": name, "passed": ok, "witness": witness,
+                            "seconds": round(now - clock, 3)})
+            clock = now
     return results

@@ -4,7 +4,9 @@ once per instance."""
 
 import copy
 import gc
+import importlib
 import pickle
+import sys
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -30,7 +32,7 @@ from discdimer.partition_functions import (boundary_measurement, ms_formula,
                                            ms_formula_white_v2, musp_twist_expression)
 from discdimer.strands import (check_postnikov, label_table, necklaces, require_consistent,
                                strands)
-from discdimer.verify import VERIFY_CHECKS, run_checks
+from discdimer.verify import run_checks
 
 MODELS = {**fx.FIXTURE_BUILDERS, "uniform-3-7": lambda: fx.build_uniform(3, 7)}
 
@@ -218,16 +220,14 @@ def test_one_subset_callers_enumerate_nothing_else(monkeypatch):
 def test_all_subset_checks_search_no_single_subset(monkeypatch, gr37):
     """The checks that loop over every k-subset read one grouped enumeration
     per model instead of searching each subset."""
-    checks = dict(VERIFY_CHECKS)
-
     def one_subset(*args):
         raise AssertionError("searched the matchings of one boundary value")
 
     monkeypatch.setattr(matchings_mod, "_boundary_search", one_subset)
     monkeypatch.setattr(partition_mod, "_boundary_search", one_subset)
-    model = fresh(gr37)
-    assert checks["ms_formula_equality"](model) == (True, None)
-    assert checks["black_white_duality"](model) == (True, None)
+    checks = {r["name"]: (r["passed"], r["witness"]) for r in run_checks(fresh(gr37), 0)}
+    assert checks["ms_formula_equality"] == (True, None)
+    assert checks["black_white_duality"] == (True, None)
 
 
 def test_inconsistent_model_raises_the_same_error_every_call(inconsistent):
@@ -285,6 +285,30 @@ def test_a_verified_model_is_freed_without_the_cyclic_collector(name):
         assert probe() is None
     finally:
         gc.enable()
+
+
+def test_a_fresh_import_frees_the_classes_of_the_one_before():
+    """No cache outside the library keeps what an import of it defined: once
+    discdimer is imported afresh and garbage is collected, the model class
+    of the import before is gone. (A `typing` alias subscripted with
+    `DimerModel` at module level would keep every imported copy.)"""
+    saved = dict(sys.modules)
+
+    def drop_library():
+        for name in [m for m in sys.modules if m == "discdimer" or m.startswith("discdimer.")]:
+            del sys.modules[name]
+
+    try:
+        drop_library()
+        importlib.import_module("discdimer.cli")
+        probe = weakref.ref(sys.modules["discdimer.model"].DimerModel)
+        drop_library()
+        importlib.import_module("discdimer.cli")
+        gc.collect()
+        assert probe() is None
+    finally:
+        drop_library()
+        sys.modules.update(saved)
 
 
 def test_verify_enumerates_three_models_and_checks_no_enumerated_matching(monkeypatch):

@@ -7,16 +7,20 @@ import json
 import os
 import weakref
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from discdimer import fixtures as fx
 from discdimer import lattice_maps, resolution
 from discdimer import strands as strands_module
 from discdimer.cli import main
 from discdimer.model import save, to_dict
+from discdimer.partition_functions import boundary_measurement
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -191,12 +195,25 @@ def test_measure_on_an_inconsistent_model_blames_the_model(runner):
     assert "bad weights" not in result.output
 
 
+def weight_error(key, value):
+    return (f"Error: cannot read weights: weight {json.dumps(value)} of arrow {key} "
+            "is not an integer or a string p or p/q of decimal digits\n")
+
+
+# The first eight strings and the float were once read through
+# `Fraction(str(x))`, as 10, 10, 1, 3, 2, 2, 2, 2 and 2, with exit code 0.
+MISREAD_WEIGHTS = ["1_0", "1e1", "١", "３", "+2", "02", " 2 ", "2.0", 2.0, "", True, None, [2]]
+
+
 @pytest.mark.parametrize("weights, message", [
     ({"0": "1"}, "Error: bad weights: no weight for arrow 1\n"),
     ({str(a): "0" for a in range(10)}, "Error: bad weights: weight of arrow 0 is not positive: 0\n"),
     ({"0": "1/0"}, "Error: cannot read weights: zero denominator in Fraction(1, 0)\n"),
     ([1, 2], "Error: cannot read weights: expected a JSON object mapping arrow ids to weights\n"),
-], ids=["missing-arrow", "non-positive", "zero-denominator", "not-an-object"])
+] + [({**{str(a): "1" for a in range(10)}, "0": value}, weight_error("0", value))
+     for value in MISREAD_WEIGHTS],
+    ids=["missing-arrow", "non-positive", "zero-denominator", "not-an-object"]
+    + [f"value-{json.dumps(value)}" for value in MISREAD_WEIGHTS])
 def test_measure_bad_weights(runner, tmp_path, weights, message):
     assert len(fx.build_uniform(2, 4).arrows) == 10
     wfile = tmp_path / "w.json"
@@ -219,6 +236,82 @@ def test_measure_rejects_a_weight_key_that_is_no_arrow_id(runner, tmp_path, key)
     assert result.exit_code == 1
     assert result.output == ("Error: cannot read weights: "
                              f"key {key!r} is not the id of an arrow of the model\n")
+
+
+GR37_KEYS = [str(a.id) for a in fx.gr37().arrows]
+WEIGHT_TOKENS = ["1", "2", "3/7", "10", "0", "0/5", "1/0", "02", "3/07", "+2", "-2", " 2 ",
+                 "1_0", "1e1", "١", "３", "²", "1.5", "2/", "/3", "1//2", "1/2/3", "", "x"]
+WEIGHT_VALUES = st.one_of(st.sampled_from(WEIGHT_TOKENS), st.integers(-2, 10**20), st.booleans(),
+                          st.none(), st.floats(), st.lists(st.integers(0, 3), max_size=1),
+                          st.text(alphabet="0123456789/+-_ e.", max_size=4))
+
+
+@st.composite
+def weight_files(draw):
+    """Every arrow of gr37 weighted, then some values redrawn, some arrows
+    dropped and some keys added that name no arrow."""
+    doc = {key: draw(st.sampled_from(["1", "2", "3/7", 5])) for key in GR37_KEYS}
+    for key in draw(st.lists(st.sampled_from(GR37_KEYS), max_size=3)):
+        doc[key] = draw(WEIGHT_VALUES)
+    for key in draw(st.lists(st.sampled_from(GR37_KEYS), max_size=1)):
+        doc.pop(key, None)
+    for key in draw(st.lists(st.sampled_from(["01", "999", "+1", " 1", "1_0", "١"]), max_size=1)):
+        doc[key] = draw(WEIGHT_VALUES)
+    return doc
+
+
+def reference_weight(value):
+    """The weight the grammar reads: a JSON integer as itself, or a string
+    of ASCII digits p or p/q with no leading zero, as (p, q); None if the
+    grammar rejects it."""
+    if type(value) is int:
+        return value, 1
+    if not isinstance(value, str):
+        return None
+    parts = value.split("/")
+    if len(parts) > 2 or any(not part or any(c not in "0123456789" for c in part)
+                             or (part[0] == "0" and len(part) > 1) for part in parts):
+        return None
+    return int(parts[0]), int(parts[1]) if len(parts) == 2 else 1
+
+
+def expected_measure(doc):
+    """The exit code and output of `dimer measure gr37 --format json` for
+    the weights file as the reference grammar reads it: keys first, then
+    values in file order, then the library's own checks of the weights."""
+    stray = next((key for key in doc if key not in GR37_KEYS), None)
+    if stray is not None:
+        return 1, ("Error: cannot read weights: "
+                   f"key {stray!r} is not the id of an arrow of the model\n")
+    weights = {}
+    for key, value in doc.items():
+        read = reference_weight(value)
+        if read is None:
+            return 1, weight_error(key, value)
+        if read[1] == 0:
+            return 1, f"Error: cannot read weights: zero denominator in Fraction({read[0]}, 0)\n"
+        weights[int(key)] = Fraction(*read)
+    try:
+        vec = boundary_measurement(fx.gr37(), weights)
+    except ValueError as exc:
+        return 1, f"Error: bad weights: {exc}\n"
+    return 0, {",".join(map(str, I)): str(x) for I, x in vec.values}
+
+
+@settings(max_examples=60, deadline=None)
+@given(weight_files())
+@example({**{key: "1" for key in GR37_KEYS}, "0": "1_0"})
+@example({**{key: "1" for key in GR37_KEYS}, "0": "1/0", "1": "+2"})
+def test_a_weights_file_is_read_as_the_grammar_reads_it(doc):
+    """Each file is read as the reference grammar reads it, or rejected
+    with one `Error:` line and exit code 1; never a traceback."""
+    with CliRunner().isolated_filesystem():
+        Path("w.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["measure", "gr37", "--weights", "w.json",
+                                           "--format", "json"])
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    output = json.loads(result.output)["values"] if result.exit_code == 0 else result.output
+    assert (result.exit_code, output) == expected_measure(doc)
 
 
 def test_measure_reads_each_arrow_weight_from_its_own_key(runner, tmp_path):

@@ -6,7 +6,7 @@ from oracles import coboundary
 
 from discdimer import fixtures as fx
 from discdimer.intlinalg import kernel_basis, lattices_equal
-from discdimer.lattice_maps import (_dual_tree, _rank_kernel, beta_matrix,
+from discdimer.lattice_maps import (LatticePoint, _dual_tree, _rank_kernel, beta_matrix,
                                     check_cluster_ensemble, eta, eta_inverse_basis,
                                     eta_invariant_factors, is_eta_unimodular,
                                     lattice_basis, lattice_point_of_matching,
@@ -80,6 +80,18 @@ def test_make_lattice_point_rejects_bad_face_sums(gr37):
     some_arrow = gr37.arrows[0].id
     with pytest.raises(ValueError):
         make_lattice_point(gr37, 1, {some_arrow: 1})
+
+
+def test_a_value_on_an_id_that_is_no_arrow_is_rejected(gr37):
+    """The face sums read only the model's arrows, so a value on any other
+    id would leave them, and η, as they were: it is an error that names it."""
+    point = lattice_point_of_matching(gr37, enumerate_matchings(gr37)[0])
+    stray = LatticePoint(point.deg, point.values + ((999, 5),))
+    message = "^lattice point has a value on 999, which is no arrow of the model$"
+    with pytest.raises(ValueError, match=message):
+        require_in_lattice(gr37, stray)
+    with pytest.raises(ValueError, match=message):
+        eta(gr37, stray)
 
 
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)

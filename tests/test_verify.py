@@ -2,7 +2,9 @@
 the CLI: `tests/golden/verify-<model>.json` is `dimer verify <model>
 --format json` with the per-check `seconds` removed."""
 
+import gc
 import json
+import weakref
 from pathlib import Path
 
 import oracles
@@ -96,11 +98,12 @@ def test_the_shared_walk_hides_neither_checks_failure(kind, monkeypatch):
                   if not report.passed), None)
     rotation = oracles.first_rotation_failure(model)
     assert (first is not None, rotation is not None) == (breaks_a_piece, breaks_a_rotation)
-    assert verify._check_resolution_all(model) == (
+    checks = {r["name"]: (r["passed"], r["witness"]) for r in verify.run_checks(model, 0)}
+    assert checks["resolution_exactness"] == (
         (True, None) if first is None else
         (False, f"matching {ids(first[0])}: failures {first[1].failures}, "
                 f"euler {first[1].euler_failures}"))
-    assert verify._check_rotation(model) == (
+    assert checks["rotation_identities"] == (
         (True, None) if rotation is None else
         (False, f"rotation identity fails at matching {ids(rotation[0])}, "
                 f"vertex {rotation[1]}, degree {rotation[2]}"))
@@ -161,3 +164,63 @@ def test_a_rotation_outside_the_table_fails_the_rotation_check_alone(monkeypatch
     assert checks["resolution_exactness"] == (True, None)
     assert checks["rotation_identities"] == (
         False, "ValueError: rotation did not produce a perfect matching")
+
+
+def test_the_standardised_copy_is_freed_before_the_walk_starts(monkeypatch):
+    """The white-standardised copy is a local of the Marsh–Scott step: with
+    the cyclic collector off, it is gone before the walk step reads the
+    degree table, and the suite stores nothing of its own on the model."""
+    copies, alive_at_walk = [], []
+    standardise, reports = verify.standardise, verify.resolution_reports
+
+    def caught(model, color):
+        std = standardise(model, color)
+        assert std is not model
+        copies.append(weakref.ref(std))
+        return std
+
+    def walk(model):
+        alive_at_walk.append([ref() is not None for ref in copies])
+        return reports(model)
+
+    monkeypatch.setattr(verify, "standardise", caught)
+    monkeypatch.setattr(verify, "resolution_reports", walk)
+    model = fx.gr37()
+    gc.collect()
+    gc.disable()
+    try:
+        assert all(r["passed"] for r in verify.run_checks(model, 0))
+    finally:
+        gc.enable()
+    assert alive_at_walk == [[False]]
+    assert [key for key in vars(model) if key.startswith("discdimer.verify.")] == []
+
+
+def test_a_step_that_raises_fails_only_the_checks_it_has_not_answered(monkeypatch):
+    """The Marsh–Scott step builds the opposite only after the MS° equality
+    is answered: when building it raises, the weight formula and the
+    equality still pass, and duality alone fails with that exception."""
+    def no_opposite(model):
+        raise RuntimeError("no opposite")
+
+    monkeypatch.setattr(verify, "opposite", no_opposite)
+    checks = {r["name"]: (r["passed"], r["witness"]) for r in verify.run_checks(fx.gr37(), 0)}
+    assert checks.pop("black_white_duality") == (False, "RuntimeError: no opposite")
+    assert set(checks.values()) == {(True, None)}
+
+
+def test_the_inconsistent_golden_shows_a_step_that_raises_before_its_first_result():
+    """On `inconsistent` the walk step raises before the resolution check's
+    result, so both of its checks fail with that error; the Marsh–Scott step
+    raises after the weight formula's, so only the two checks after it do."""
+    golden = json.loads((GOLDEN / "verify-inconsistent.json").read_text(encoding="utf-8"))
+    checks = {c["name"]: (c["passed"], c["witness"]) for c in golden["checks"]}
+    error = checks["resolution_exactness"]
+    assert error[0] is False and error[1].startswith("ValueError: model is not consistent: ")
+    assert checks["rotation_identities"] == error
+    assert checks["weight_double_formula"] == (True, None)
+    assert checks["ms_formula_equality"] == checks["black_white_duality"] == error
+    records = verify.run_checks(fx.FIXTURE_BUILDERS["inconsistent"](), 0)
+    assert [r["name"] for r in records] == [name for names, _ in verify.VERIFY_STEPS
+                                            for name in names]
+    assert {r["name"]: (r["passed"], r["witness"]) for r in records} == checks
