@@ -84,6 +84,15 @@ def _parse_id(token: str, what: str, text: str) -> int:
     return int(match[1])
 
 
+class _Integer(click.ParamType):
+    """An integer option, read as `_parse_id` reads an id; its default is
+    an int already."""
+    name = "integer"
+
+    def convert(self, value, param, ctx) -> int:
+        return value if isinstance(value, int) else _parse_id(value, param.name, value)
+
+
 _WEIGHT = re.compile(r"(0|[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
 
 
@@ -189,8 +198,8 @@ def cmd_type(file: str, fmt: str) -> None:
 
 
 @main.command("build-uniform")
-@click.option("-k", "k", type=int, required=True)
-@click.option("-n", "n", type=int, required=True)
+@click.option("-k", "k", type=_Integer(), required=True)
+@click.option("-n", "n", type=_Integer(), required=True)
 @click.option("-o", "out", required=True, help="Output model file.")
 def cmd_build_uniform(k: int, n: int, out: str) -> None:
     """Build the uniform (k,n) model and write it to a file."""
@@ -500,7 +509,7 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
 @click.argument("file")
 @click.option("--matching", "matching", required=True,
               help="Matching as comma-separated arrow ids.")
-@click.option("--dmax", "dmax", type=int, default=None,
+@click.option("--dmax", "dmax", type=_Integer(), default=None,
               help="Largest degree to check (default: saturation + 1).")
 @format_option
 def cmd_resolution(file: str, matching: str, dmax: Optional[int], fmt: str) -> None:
@@ -526,7 +535,7 @@ def cmd_resolution(file: str, matching: str, dmax: Optional[int], fmt: str) -> N
 @click.option("--matching", "matching", required=True,
               help="Matching as comma-separated arrow ids.")
 @click.option("--vertex", "vertex_text", required=True, help="Vertex id.")
-@click.option("--degree", "degree", type=int, required=True)
+@click.option("--degree", "degree", type=_Integer(), required=True)
 @format_option
 def cmd_rotate(file: str, matching: str, vertex_text: str, degree: int, fmt: str) -> None:
     """Rotate a matching one degree step toward a vertex."""
@@ -544,7 +553,7 @@ def cmd_rotate(file: str, matching: str, vertex_text: str, degree: int, fmt: str
 
 @main.command("verify")
 @click.argument("file")
-@click.option("--seed", "seed", type=int, default=0, show_default=True,
+@click.option("--seed", "seed", type=_Integer(), default=0, show_default=True,
               help="Seed for the randomized weight draws.")
 @format_option
 def cmd_verify(file: str, seed: int, fmt: str) -> None:

@@ -60,8 +60,8 @@ class KClass:
 
 
 def make_lattice_point(model: DimerModel, deg: int, values: Dict[int, int]) -> LatticePoint:
-    point = LatticePoint(deg, tuple(sorted((a.id, values.get(a.id, 0))
-                                           for a in model.arrows)))
+    point = LatticePoint(deg, tuple(sorted({**dict.fromkeys(_arrow_bits(model), 0),
+                                            **values}.items())))
     require_in_lattice(model, point)
     return point
 

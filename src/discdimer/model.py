@@ -477,7 +477,9 @@ def _corners(model: DimerModel) -> ReadOnlyDict[int, Optional[int]]:
 
 class _Layout(NamedTuple):
     """Vertex positions in model order, the arrows at each vertex position
-    as lists and as arrow masks, and the tile graph as a flood reads it."""
+    as lists and as arrow masks, those masks packed with the vertex's bit
+    as the resolution's level pass ORs them, and the tile graph as a flood
+    reads it."""
     vertices: Tuple[int, ...]                      # vertex id at each position
     position: ReadOnlyDict[int, int]               # vertex id -> position
     into: Tuple[Tuple[Tuple[int, int], ...], ...]  # (arrow bit, tail position) per head
@@ -485,6 +487,7 @@ class _Layout(NamedTuple):
     out_mask: Tuple[int, ...]                      # arrows with tail here
     bit: Tuple[int, ...]                           # 1 << position
     internal: int                                  # the internal arrows
+    packed: Tuple[int, ...]                        # bit | out_mask << n | into_mask << n + arrows
     incidence: Tuple[int, ...]                     # flood rows: vertices, then arrows
 
 
@@ -501,9 +504,12 @@ def _layout(model: DimerModel) -> _Layout:
         into_mask[h] |= bit[a.id]
         out_mask[t] |= bit[a.id]
         ends.append(1 << h | 1 << t)
+    shift = n + len(model.arrows)
     return _Layout(tuple(position), position, tuple(map(tuple, into)), tuple(into_mask),
                    tuple(out_mask), tuple(1 << p for p in range(n)),
                    sum(bit[a.id] for a in model.internal_arrows),
+                   tuple(1 << p | o << n | i << shift
+                         for p, (i, o) in enumerate(zip(into_mask, out_mask))),
                    tuple((i | o) << n for i, o in zip(into_mask, out_mask)) + tuple(ends))
 
 

@@ -9,20 +9,23 @@ contracted (faces merged across matched internal arrows); the resolution is
 exact iff every piece is exact. Both maps of a piece are signed incidence
 matrices of graphs, so their ranks are read off connectivity.
 
-The degrees toward every vertex are one row of bytes per target, in the
-model's vertex order. `check_resolution` and `rotate_matching` search the
-rows of their one matching. The suite reads every matching's rows from one
-`degree_table` per model, which searches one matching ρ: 𝟙_μ − 𝟙_ρ = dh for
-a height h, so every path j → i gains h(i) − h(j) in degree from ρ to μ,
-and so does D. A piece depends on μ only through the μ-arrows with head in
-S and the internal μ-arrows with tail in S. It is decided from masks: one
-pass over a row (`_levels`) ORs each vertex's bit, out-arrow mask and
-in-arrow mask into its degree level and adds its η(μ) coefficient there.
-With S and the arrows into S (I) and out of S (O) accumulated per degree,
-S must be closed (I \\ μ ⊆ O), the count |S| − 1 = |I \\ μ| −
-|O ∩ μ ∩ internal| must hold, and the one flood (`model._flood`) over the
-matching's unmatched-neighbour rows must find S connected; `_walk` proves
-that these decide the piece. Only the flood is memoised, once per distinct
+The degrees toward every vertex are one row per target, in the model's
+vertex order. `check_resolution` and `rotate_matching` search the rows of
+their one matching. The suite reads every matching's degrees from one
+`degree_table` per model, which searches one matching ρ and keeps its rows
+and one height vector per matching: 𝟙_μ − 𝟙_ρ = dh for a height h, so
+every path j → i gains h(i) − h(j) in degree from ρ to μ, and so does D.
+The walk forms μ's row toward i from ρ's where it reads it (`_shifted`);
+the single-matching checks walk their own rows at height 0. A piece
+depends on μ only through the μ-arrows with head in S and the internal
+μ-arrows with tail in S. It is decided from masks: one pass over a row
+(`_levels`) ORs each vertex's bit, out-arrow mask and in-arrow mask,
+packed in one int (`_Layout.packed`), into its degree level and adds its η(μ)
+coefficient there. With S and the arrows into S (I) and out of S (O)
+accumulated per degree, S must be closed (I \\ μ ⊆ O), the count |S| − 1
+= |I \\ μ| − |O ∩ μ ∩ internal| must hold, and the one flood
+(`model._flood`) over the matching's unmatched-neighbour rows must find S
+connected; `_walk` proves that these decide the piece, once per distinct
 (S, those μ-arrows) across all the matchings of one check. The arrows at
 each vertex position come from the graph index, `model._layout`.
 Its oracles, the same piece built as incidences and ranked by union-find
@@ -34,32 +37,32 @@ vector dense in vertex position (`lattice_maps._class_vector`).
 `resolution_reports` walks the table once for the resolution and the
 rotation check of `dimer verify`: one level pass per row gives the piece
 decisions, the Euler series and, while no rotation has failed, the
-rotations; `rotate_matching` reads the same pass. The separate loops it
-replaced are its oracles, in the tests. Matchings are arrow masks
-(`matchings`): public functions check the `Matching` they take as they turn
-it into its mask; the suite does not check enumerated ones.
+rotations; `rotate_matching` reads the same pass. The rotation check
+compares two vertex masks: S(μ,i,d), which the walk holds, and S(ν,i,d−1),
+a sublevel set D_ρ(j → i) − h_ν(j) ≤ d − 1 − h_ν(i) read from the table's
+cumulative masks of ρ's row and the height levels of ν (`_sublevel`). The
+separate loops it replaced, over every matching's rows written out, are
+its oracles, in the tests. Matchings are arrow masks (`matchings`): public
+functions check the `Matching` they take as they turn it into its mask;
+the suite does not check enumerated ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
+from itertools import accumulate, repeat
+from operator import or_
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .lattice_maps import _class_vector
 from .matchings import Matching, _enumeration, _heights, _matching_of, is_matching, require_matching
 from .model import DimerModel, ReadOnlyDict, _flood, _Layout, _layout, per_model
 from .strands import require_consistent
 
-Row = Union[bytes, Tuple[int, ...]]  # degree toward one target, per vertex position
+Row = Sequence[int]  # degree toward one target, per vertex position
 
 
-def _as_row(dist: List[int]) -> Row:
-    """Degrees as bytes, or as a tuple once one of them reaches 256."""
-    return bytes(dist) if max(dist) < 256 else tuple(dist)
-
-
-def _row(layout: _Layout, mu_mask: int, target: int) -> Row:
+def _row(layout: _Layout, mu_mask: int, target: int) -> Tuple[int, ...]:
     """The degrees toward the target position, level by level: each level
     is closed under unmatched arrows before matched ones open the next."""
     n = len(layout.into)
@@ -82,12 +85,20 @@ def _row(layout: _Layout, mu_mask: int, target: int) -> Row:
         level = nxt
     if n in dist:
         raise ValueError(f"not every vertex reaches {layout.vertices[target]}")
-    return _as_row(dist)
+    return tuple(dist)
 
 
-def _rows(layout: _Layout, mu_mask: int) -> Tuple[Row, ...]:
+def _rows(layout: _Layout, mu_mask: int) -> Tuple[Tuple[int, ...], ...]:
     """The degrees toward every vertex, one row per target in vertex order."""
     return tuple(_row(layout, mu_mask, p) for p in range(len(layout.vertices)))
+
+
+def _shifted(ref: Row, h: Sequence[int], p: int) -> List[int]:
+    """ρ's row toward position p as μ's, for the height h with dh = 𝟙_μ − 𝟙_ρ:
+    every path j → p gains h(p) − h(j) in degree from ρ to μ, and so does
+    the least, D_μ(j→p) = D_ρ(j→p) + h(p) − h(j)."""
+    hp = h[p]
+    return [e + hp - hj for e, hj in zip(ref, h)]
 
 
 def _target(layout: _Layout, i: int) -> int:
@@ -104,53 +115,96 @@ def degrees_toward(model: DimerModel, mu: Matching, i: int) -> Dict[int, int]:
 
 
 class DegreeTable(NamedTuple):
-    """The degree rows of every perfect matching of a consistent model, in
-    enumeration order. The keys of `by_mask` are exactly the perfect
-    matchings, as arrow masks, in that order."""
-    by_mask: ReadOnlyDict[int, int]      # arrow mask -> position of the matching
-    rows: Tuple[Tuple[Row, ...], ...]    # per matching: one row per target
+    """What every perfect matching's degrees of a consistent model are
+    read from, in enumeration order: ρ's rows and each matching's height.
+    The keys of `by_mask` are exactly the perfect matchings, as arrow
+    masks, in that order; ρ is the first."""
+    by_mask: ReadOnlyDict[int, int]         # arrow mask -> position of the matching
+    ref: Tuple[Tuple[int, ...], ...]        # ρ's rows: per target, the degree per vertex
+    heights: Tuple[Tuple[int, ...], ...]    # per matching μ: `matchings._heights` of ρ and μ
+    sublevels: Tuple[Tuple[int, ...], ...]  # per target p, per x: {j : D_ρ(j→p) ≤ x}, a mask
 
 
 @per_model
 def degree_table(model: DimerModel) -> DegreeTable:
-    """Every matching μ's degree rows, once per model: the rows of ρ, the
-    first matching, shifted by the height h with dh = 𝟙_μ − 𝟙_ρ."""
+    """Every matching's degrees, once per model: the rows of ρ, the first
+    matching, with their cumulative level masks, and the height of every
+    matching against ρ."""
     require_consistent(model)
     layout = _layout(model)
     masks = _enumeration(model)[0]
     ref = _rows(layout, masks[0])
-    rows = []
-    for mu_mask in masks:
-        h = _heights(model, masks[0], mu_mask)
-        rows.append(tuple(_as_row([e + hi - hj for e, hj in zip(row, h)])
-                          for row, hi in zip(ref, h)))
-    return DegreeTable(ReadOnlyDict({mu_mask: k for k, mu_mask in enumerate(masks)}), tuple(rows))
+    sublevels = []
+    for row in ref:
+        below = [0] * (max(row) + 1)
+        for e, bit in zip(row, layout.bit):
+            below[e] |= bit
+        sublevels.append(tuple(accumulate(below, or_)))
+    return DegreeTable(ReadOnlyDict({mu_mask: k for k, mu_mask in enumerate(masks)}), ref,
+                       tuple(tuple(_heights(model, masks[0], mu_mask)) for mu_mask in masks),
+                       tuple(sublevels))
 
 
-def _levels(layout: _Layout, coefficients: Iterable[int], row: Row
-            ) -> Tuple[List[int], List[int], List[int], List[int]]:
+HeightLevels = Tuple[int, List[int]]  # the lowest height, and the vertex mask at each height up
+
+
+def _height_levels(h: Sequence[int]) -> HeightLevels:
+    """The vertices of each height of h, as masks, from its lowest up."""
+    lo = min(h)
+    masks = [0] * (max(h) - lo + 1)
+    for p, v in enumerate(h):
+        masks[v - lo] |= 1 << p
+    return lo, masks
+
+
+def _sublevel(table: DegreeTable, height_levels: Dict[int, HeightLevels],
+              k: int, p: int, x: int) -> int:
+    """S(ν,p,x) = {j : D_ν(j→p) ≤ x} for the matching ν at position k of
+    the table, as a vertex mask: D_ν(j→p) ≤ x iff D_ρ(j→p) ≤ x − h_ν(p) +
+    h_ν(j), so it is the union over ν's heights v of its vertices at v
+    within ρ's sublevel set at x − h_ν(p) + v. ν's height levels are built
+    on first use and kept in `height_levels`."""
+    found = height_levels.get(k)
+    if found is None:
+        found = height_levels[k] = _height_levels(table.heights[k])
+    lo, masks = found
+    below = table.sublevels[p]
+    top = len(below) - 1
+    t = x - table.heights[k][p] + lo
+    S = 0
+    for m in masks:
+        if t >= top:
+            S |= m
+        elif t >= 0:
+            S |= m & below[t]
+        t += 1
+    return S
+
+
+def _levels(packed: Sequence[int], coefficients: Iterable[int], row: Row, top: int
+            ) -> Tuple[List[int], List[int]]:
     """One pass over the row toward one target: per degree from 0 to the
-    row's largest, the vertices at that degree as a mask, the η(μ)
-    coefficients summed over them (c_j in layout order), and the arrows with
-    tail and with head at them as masks."""
-    top = max(row)
-    members, series, out, into = [0] * (top + 1), [0] * (top + 1), [0] * (top + 1), [0] * (top + 1)
-    for e, bit, c, o, i in zip(row, layout.bit, coefficients, layout.out_mask, layout.into_mask):
-        members[e] |= bit
+    row's largest, top, the packed vertices at that degree ORed
+    (`_Layout.packed`), and the η(μ) coefficients summed over them (c_j in
+    layout order)."""
+    levels, series = [0] * (top + 1), [0] * (top + 1)
+    for e, x, c in zip(row, packed, coefficients):
+        levels[e] |= x
         series[e] += c
-        out[e] |= o
-        into[e] |= i
-    return members, series, out, into
+    return levels, series
 
 
-def _rotation(mu_mask: int, out: List[int], into: List[int], d: int) -> int:
+def _rotation(mu_mask: int, levels: List[int], d: int, n: int, shift: int) -> int:
     """The rotation ν = (μ \\ X) ∪ Y of μ at degree d ≥ 1 of one row's
-    levels, as an arrow mask: X the matched arrows dropping degree d → d−1,
-    Y the unmatched arrows rising d−1 → d. Past the row's largest degree it
-    is μ."""
-    if d >= len(out):
+    packed levels, as an arrow mask: X the matched arrows dropping degree
+    d → d−1, Y the unmatched arrows rising d−1 → d. Past the row's largest
+    degree it is μ. The levels are packed as `_Layout.packed`, with n
+    vertices and the in-arrows from bit shift up."""
+    if d >= len(levels):
         return mu_mask
-    return (mu_mask & ~(out[d] & into[d - 1])) | (out[d - 1] & into[d] & ~mu_mask)
+    up, down = levels[d], levels[d - 1]
+    # The in-arrows, shifted down to the arrow bits, mask off the rest.
+    return (mu_mask & ~(up >> n & down >> shift)) | (down >> n & up >> shift & ~mu_mask)
 
 
 @dataclass
@@ -187,15 +241,20 @@ def _connected(neighbours: Sequence[int], S: int) -> bool:
 Rotation = Tuple[int, int, bool]  # (vertex, degree, whether ν is a perfect matching)
 
 
-def _walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...], d_max: Optional[int],
-          exact: Dict[int, bool], table: Optional[DegreeTable] = None
+def _walk(model: DimerModel, mu_mask: int, ref: Sequence[Row], h: Sequence[int],
+          d_max: Optional[int], exact: Dict[int, bool], table: Optional[DegreeTable] = None,
+          height_levels: Optional[Dict[int, HeightLevels]] = None
           ) -> Tuple[ResolutionReport, Optional[Rotation]]:
-    """check_resolution from the degree rows of the arrow mask μ, recording
-    in `exact` the connectivity of each piece whose key it had to flood;
-    and, given the degree table that holds μ, the first (vertex, degree) in
-    order at which μ's rotation identity fails: its ν is no perfect
-    matching, or S(μ,i,d) ≠ S(ν,i,d−1). Each row takes one level pass
-    (`_levels`). Past the row's largest degree ν = μ, so d stops there.
+    """check_resolution for the arrow mask μ, whose row toward each target
+    p is ρ's row toward p shifted by μ's height h (`_shifted`), recording
+    in `exact` the decision of each piece whose key it had not met; and,
+    given the degree table that holds μ and a memo of its matchings'
+    height levels, the first (vertex, degree) in order at which μ's
+    rotation identity fails: its ν is no perfect matching, or S(μ,i,d) ≠
+    S(ν,i,d−1), the left side the walk's own S, the right read from the
+    table (`_sublevel`). Each row takes one level pass (`_levels`). Past
+    the row's largest degree ν = μ, so d stops there. A negative degree,
+    which no height of two matchings gives, is an error.
 
     The piece on S = S(μ,i,d) is decided from the unions over the levels up
     to d of S, of I, the arrows with head in S, and of O, those with tail in
@@ -226,51 +285,63 @@ def _walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...], d_max: Optiona
       it does not);
     - rank δ1 = |S| − 1: S is connected along the unmatched arrows.
 
-    The first two are a few mask operations per level. Only the flood of
-    the third is memoised, keyed by S with the μ-arrows in I and the
-    internal μ-arrows in O, on which the whole piece depends."""
-    if d_max is None:
-        d_max = max(map(max, rows)) + 1
-    elif d_max < 0:
+    The first two are a few mask operations per level, the third one
+    flood. The decision is memoised, keyed by S with the μ-arrows in I and
+    the internal μ-arrows in O, on which the whole piece depends: a level
+    whose key was met before reads its decision."""
+    if d_max is not None and d_max < 0:
         raise ValueError("d_max must be nonnegative")
     layout = _layout(model)
+    rows = [_shifted(row, h, p) for p, row in enumerate(ref)]
+    tops = list(map(max, rows))
+    if min(map(min, rows)) < 0:
+        p, j, e = next((p, j, e) for p, row in enumerate(rows) for j, e in enumerate(row) if e < 0)
+        raise ValueError(f"matching {list(_matching_of(model, mu_mask).sorted_ids())} has degree "
+                         f"{e} at vertex {layout.vertices[j]} toward vertex {layout.vertices[p]}")
+    if d_max is None:
+        d_max = max(tops) + 1
     coefficients = _class_vector(model, mu_mask)
     n = len(layout.vertices)
+    shift = n + len(model.arrows)
+    vertices, arrows = (1 << n) - 1, (1 << shift - n) - 1
     unmatched, internal = ~mu_mask, layout.internal
     matched_internal = mu_mask & internal
     neighbours = None
     failures: List[Tuple[int, int]] = []
     euler_failures: List[int] = []
     rotation = None
-    for p, (vid, row) in enumerate(zip(layout.vertices, rows)):
-        members, series, out, into = _levels(layout, coefficients, row)
-        S = I = O = 0
-        for d, m, o, i in zip(range(d_max + 1), members, out, into):
-            S |= m
-            I |= i
-            O |= o
-            free = I & unmatched
-            ok = (not free & ~O and
-                  S.bit_count() - 1 == free.bit_count() - (O & matched_internal).bit_count())
-            if ok:
-                key = (mu_mask & (I | O & internal)) << n | S
-                ok = exact.get(key)
-                if ok is None:
+    for p, (vid, row, top) in enumerate(zip(layout.vertices, rows, tops)):
+        levels, series = _levels(layout.packed, coefficients, row, top)
+        P = 0
+        for d, x in zip(range(d_max + 1), levels):
+            P |= x  # S, O and I of the levels up to d, packed (`_Layout.packed`)
+            S = P & vertices
+            key = (mu_mask & (P >> shift | P >> n & internal)) << n | S
+            ok = exact.get(key)
+            if ok is None:
+                I, O = P >> shift, P >> n & arrows
+                free = I & unmatched
+                ok = (not free & ~O and
+                      S.bit_count() - 1 == free.bit_count() - (O & matched_internal).bit_count())
+                if ok:
                     if neighbours is None:
                         neighbours = _unmatched_neighbours(layout, mu_mask)
-                    ok = exact[key] = _connected(neighbours, S)
+                    ok = _connected(neighbours, S)
+                exact[key] = ok
             if not ok:
                 failures.append((vid, d))
-        # From degree len(members) - 1 on, S is every vertex: the last S walked above.
-        if d_max >= len(members) and not ok:
-            failures.extend((vid, d) for d in range(len(members), d_max + 1))
-        if series[0] != 1 or any(series[1:]):
+        # From degree len(levels) - 1 on, S is every vertex: the last S walked above.
+        if d_max >= len(levels) and not ok:
+            failures.extend((vid, d) for d in range(len(levels), d_max + 1))
+        if series[0] != 1 or series.count(0) != top:
             euler_failures.append(vid)
         if table is None or rotation is not None:
             continue
-        for d in range(1, len(members)):
-            at = table.by_mask.get(_rotation(mu_mask, out, into, d))
-            if at is None or _at_most(row, d) != _at_most(table.rows[at][p], d - 1):
+        P = levels[0]
+        for d in range(1, len(levels)):
+            P |= levels[d]
+            at = table.by_mask.get(_rotation(mu_mask, levels, d, n, shift))
+            if at is None or P & vertices != _sublevel(table, height_levels, at, p, d - 1):
                 rotation = vid, d, at is not None
                 break
     return ResolutionReport(d_max, len(rows) * (d_max + 1), failures, euler_failures), rotation
@@ -289,7 +360,8 @@ def check_resolution(model: DimerModel, mu: Matching,
     those degrees are counted, not walked."""
     require_consistent(model)
     mu_mask = require_matching(model, mu)
-    return _walk(model, mu_mask, _rows(_layout(model), mu_mask), d_max, {})[0]
+    layout = _layout(model)
+    return _walk(model, mu_mask, _rows(layout, mu_mask), [0] * len(layout.vertices), d_max, {})[0]
 
 
 def resolution_reports(model: DimerModel
@@ -300,12 +372,14 @@ def resolution_reports(model: DimerModel
     degree d), 1 ≤ d ≤ saturation(μ), at which the rotation ν of μ is no
     perfect matching (False) or S(μ,i,d) ≠ S(ν,i,d−1) (True), both sides
     read from the table, whose keys are exactly the perfect matchings; None
-    if there is none. One piece memo serves every matching; it lives as
-    long as this iterator."""
+    if there is none. One piece memo and one memo of height levels serve
+    every matching; they live as long as this iterator."""
     table = degree_table(model)
     exact: Dict[int, bool] = {}
+    height_levels: Dict[int, HeightLevels] = {}
     for mu_mask, k in table.by_mask.items():
-        yield (mu_mask,) + _walk(model, mu_mask, table.rows[k], None, exact, table)
+        yield (mu_mask,) + _walk(model, mu_mask, table.ref, table.heights[k], None, exact,
+                                 table, height_levels)
 
 
 def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching:
@@ -317,20 +391,11 @@ def rotate_matching(model: DimerModel, mu: Matching, i: int, d: int) -> Matching
     require_consistent(model)
     mu_mask = require_matching(model, mu)
     layout = _layout(model)
+    n = len(layout.vertices)
     row = _row(layout, mu_mask, _target(layout, i))
-    _, _, out, into = _levels(layout, repeat(0), row)
-    nu = _matching_of(model, _rotation(mu_mask, out, into, d))
+    levels, _ = _levels(layout.packed, repeat(0), row, max(row))
+    nu = _matching_of(model, _rotation(mu_mask, levels, d, n, n + len(model.arrows)))
     if not is_matching(model, nu.arrow_set):
         raise ValueError("rotation did not produce a perfect matching")
     return nu
 
-
-# _AT_MOST[d] maps each degree to 1 if it is at most d, else to 0.
-_AT_MOST = tuple(b"\1" * (d + 1) + b"\0" * (255 - d) for d in range(256))
-
-
-def _at_most(row: Row, d: int) -> bytes:
-    """The reachable set of degree d in the row, as one 0/1 byte per vertex."""
-    if isinstance(row, bytes):
-        return row.translate(_AT_MOST[min(d, 255)])
-    return bytes(e <= d for e in row)

@@ -34,16 +34,21 @@ that the library does another way:
   `_ms_white_v2_sum`), and `coboundary`, a lattice point per vertex: they
   check `kclass_of_matching`, `weights`, the Marsh–Scott and twist sums and
   η∘d = β.
-- The separate resolution and rotation loops over the degree table
+- The degree table as it was stored before it kept heights
+  (`shifted_table`): every matching's row toward every target, ρ's row
+  shifted by the matching's height (`resolution._shifted`). The loops
+  below read both sides of each rotation identity from its rows.
+- The separate resolution and rotation loops over the shifted table
   (`resolution_reports` with `_report` and `_piece_keys`, and
   `first_rotation_failure` with `_rotations` and `_at_most`): they check the
   one walk that `resolution.resolution_reports` makes for both.
 - The walk as it was before the level decision was fused into it
   (`row_levels_walk`, with `_row_levels`, `_piece_table` and the
   three-int `_is_exact`): each piece decided from per-vertex tails and
-  excesses summed bit by bit, the rotations built for every degree. It
-  checks `resolution._walk` on real and on random degree rows, and its
-  piece decision is the one `_report` reads.
+  excesses summed bit by bit, the rotations built for every degree and
+  their sides compared as 0/1 bytes. It checks `resolution._walk` on real
+  and on random degree rows, and its piece decision is the one `_report`
+  reads.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ from discdimer.lattice_maps import KClass, LatticePoint, _class_vector, make_lat
 from discdimer.matchings import Matching, _arrow_bits, require_matching
 from discdimer.model import BLACK, WHITE, DimerModel, _flood
 from discdimer.partition_functions import VERTEX_BASIS, LaurentPoly
-from discdimer.resolution import DegreeTable, ResolutionReport, Row, _Layout, degrees_toward
+from discdimer.resolution import ResolutionReport, Row, _Layout, degrees_toward
 
 
 def mat_mul(a, b):
@@ -410,6 +415,23 @@ def _twist_sum(model: DimerModel, pool: Iterable[int]) -> LaurentPoly:
     return LaurentPoly.from_terms(VERTEX_BASIS, terms)
 
 
+class ShiftedTable(NamedTuple):
+    """Every perfect matching's degree rows, one per target, in
+    enumeration order; the keys of `by_mask` are the matchings' arrow
+    masks, in that order."""
+    by_mask: Mapping[int, int]
+    rows: Tuple[Tuple[Row, ...], ...]
+
+
+def shifted_table(model: DimerModel) -> ShiftedTable:
+    """The rows of `resolution.degree_table` written out: ρ's row toward
+    each target shifted by each matching's height."""
+    table = resolution.degree_table(model)
+    return ShiftedTable(table.by_mask, tuple(
+        tuple(resolution._shifted(row, h, p) for p, row in enumerate(table.ref))
+        for h in table.heights))
+
+
 def _piece_keys(layout: _Layout, mu_mask: int, coefficients: List[int],
                 row: Row) -> Tuple[List[Tuple[int, int]], bool]:
     """For the row toward one target: per degree d from 0 to the row's
@@ -466,9 +488,9 @@ def _report(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
 
 def resolution_reports(model: DimerModel) -> Iterator[Tuple[int, ResolutionReport]]:
     """(μ, check_resolution(model, μ)) for every perfect matching μ, as an
-    arrow mask, in enumeration order, from the degree table. One piece memo
+    arrow mask, in enumeration order, from the shifted table. One piece memo
     serves every matching; it lives as long as this iterator."""
-    table = resolution.degree_table(model)
+    table = shifted_table(model)
     exact: Dict[int, bool] = {}
     for mu_mask, k in table.by_mask.items():
         yield mu_mask, _report(model, mu_mask, table.rows[k], None, exact)
@@ -487,14 +509,8 @@ def _rotations(layout: _Layout, mu_mask: int, row: Row, stop: int) -> List[int]:
             for d in range(1, stop + 1)]
 
 
-# _AT_MOST[d] maps each degree to 1 if it is at most d, else to 0.
-_AT_MOST = tuple(b"\1" * (d + 1) + b"\0" * (255 - d) for d in range(256))
-
-
 def _at_most(row: Row, d: int) -> bytes:
     """The reachable set of degree d in the row, as one 0/1 byte per vertex."""
-    if isinstance(row, bytes):
-        return row.translate(_AT_MOST[min(d, 255)])
     return bytes(e <= d for e in row)
 
 
@@ -502,8 +518,8 @@ def first_rotation_failure(model: DimerModel) -> Optional[Tuple[int, int, int]]:
     """The first (μ, i, d), over every perfect matching μ (as an arrow
     mask), vertex i and 1 ≤ d ≤ saturation(μ), with S(μ,i,d) ≠ S(ν,i,d−1)
     for the rotation ν of μ; None if there is none. Both sides are read
-    from the degree table, whose keys are exactly the perfect matchings."""
-    table = resolution.degree_table(model)
+    from the shifted table, whose keys are exactly the perfect matchings."""
+    table = shifted_table(model)
     layout = resolution._layout(model)
     for mu_mask, k in table.by_mask.items():
         saturation = max(map(max, table.rows[k]))
@@ -614,11 +630,11 @@ def _row_levels(layout: _Layout, mu_mask: int, coefficients: Sequence[int],
 
 def row_levels_walk(model: DimerModel, mu_mask: int, rows: Tuple[Row, ...],
                     d_max: Optional[int], exact: Dict[int, bool],
-                    table: Optional[DegreeTable] = None
+                    table: Optional[ShiftedTable] = None
                     ) -> Tuple[ResolutionReport, Optional[Tuple[int, int, bool]]]:
     """check_resolution from the degree rows of the arrow mask μ, deciding
     each piece whose key is not in `exact` yet and recording it there; and,
-    given the degree table that holds μ, the first (vertex, degree) in
+    given the shifted table that holds μ, the first (vertex, degree) in
     order at which μ's rotation identity fails: its ν is no perfect
     matching, or S(μ,i,d) ≠ S(ν,i,d−1). Both read one `_row_levels` pass
     per row. Past the row's largest degree ν = μ, so d stops there."""

@@ -431,7 +431,7 @@ def test_a_list_that_is_not_a_json_array_is_a_one_line_error(runner, tmp_path, k
     (["extremes", "uniform-2-4", "--boundary", "3,3"], "boundary '3,3' repeats 3"),
     (["resolution", "gr37", "--matching", "1,3,9,10,15,1"], "matching '1,3,9,10,15,1' repeats 1"),
     (["resolution", "gr37", "--matching", "1,3,9,10,15", "--dmax", "-3"],
-     "d_max must be nonnegative"),
+     "cannot parse dmax '-3': '-3' is not a decimal id"),
     (["rotate", "gr37", "--matching", "1,3,9,10,15,999", "--vertex", "1", "--degree", "1"],
      "arrow ids [1, 3, 9, 10, 15, 999] are not a perfect matching"),
     (["resolution", "gr37", "--matching", "1,3,9,10,15,999"],

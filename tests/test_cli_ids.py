@@ -1,10 +1,14 @@
 """The one reader of the ids that the CLI takes: `--boundary`, `--subset`,
-`--matching`, `--arrow` and `--vertex`.
+`--matching`, `--arrow` and `--vertex`, and of its integer options:
+`--degree`, `--dmax`, `--seed`, `-k` and `-n`.
 
 An id is ASCII digits with no sign and no leading zero, between optional
-spaces; a list is ids joined by commas, with no empty item. Any other token
-is one `Error:` line that names it, with exit code 1.
+spaces; a list is ids joined by commas, with no empty item. An integer
+option is read as one id. Any other token is one `Error:` line that names
+it, with exit code 1.
 """
+
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -157,3 +161,66 @@ def test_arrow_is_read_by_the_grammar(text):
 @example('1,')
 def test_vertex_is_read_by_the_grammar(text):
     check_reading("vertex", text)
+
+
+# Each integer option and the command that reads it.
+INTEGER_OPTIONS = {
+    "degree": ["rotate", "gr37", "--matching", "2,4,6,10,12", "--vertex", "3", "--degree", None],
+    "dmax": ["resolution", "gr37", "--matching", "2,4,6,10,12", "--dmax", None],
+    "seed": ["verify", "uniform-2-4", "--format", "json", "--seed", None],
+    "k": ["build-uniform", "-k", None, "-n", "4", "-o", "$OUT"],
+    "n": ["build-uniform", "-k", "2", "-n", None, "-o", "$OUT"],
+}
+
+
+def invoke_integer(what, text, out="model.json"):
+    args = [text if x is None else out if x == "$OUT" else x for x in INTEGER_OPTIONS[what]]
+    return CliRunner().invoke(main, args)
+
+
+def untimed(output):
+    """The output without the verify checks' timings."""
+    return re.sub(r'"seconds": [0-9.e-]+', '"seconds": 0', output)
+
+
+@pytest.mark.parametrize("what, text", [
+    ("degree", "1_0"), ("degree", "+1"), ("degree", "01"), ("degree", "١"),
+    ("dmax", "1_0"), ("dmax", "-3"),
+    ("seed", "٥"), ("seed", "0_5"), ("seed", "+5"),
+    ("k", "0_2"), ("n", "+4"),
+])
+def test_an_integer_option_that_is_no_id_is_named_in_one_error_line(what, text, tmp_path):
+    """Each of these was once read as a number: degree 10, 1, 1 and 1;
+    d_max 10 (and -3, which only the library rejected); seed 5 three
+    times; and the uniform (2, 4) model."""
+    result = invoke_integer(what, text, str(tmp_path / "model.json"))
+    assert result.exit_code == 1
+    assert result.output == f"Error: cannot parse {what} {text!r}: {text!r} is not a decimal id\n"
+    assert not (tmp_path / "model.json").exists()
+
+
+def test_integer_options_keep_their_metavar():
+    for what, args in INTEGER_OPTIONS.items():
+        flag = args[args.index(None) - 1]
+        help_text = CliRunner().invoke(main, [args[0], "--help"]).output
+        assert f"{flag} INTEGER" in help_text, what
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["degree", "dmax", "seed"]), PADDED)
+@example("degree", "01")
+@example("dmax", "١")
+@example("seed", "1e1")
+def test_integer_options_are_read_by_the_grammar(what, text):
+    """The option's text is read as the id grammar reads it (the command
+    then answers as it does for the number written plainly), or rejected
+    with one `Error:` line that names it; never a traceback."""
+    result = invoke_integer(what, text)
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    read = reference(text, True)
+    if read[0] == "bad":
+        assert result.exit_code == 1
+        assert result.output == f"Error: cannot parse {what} {text!r}: {text!r} is not a decimal id\n"
+        return
+    plain = invoke_integer(what, str(read[0]))
+    assert (result.exit_code, untimed(result.output)) == (plain.exit_code, untimed(plain.output))

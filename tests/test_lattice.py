@@ -94,6 +94,17 @@ def test_a_value_on_an_id_that_is_no_arrow_is_rejected(gr37):
         eta(gr37, stray)
 
 
+def test_make_lattice_point_rejects_a_value_on_an_id_that_is_no_arrow(gr37):
+    """make_lattice_point keeps every id it is given, so that
+    `require_in_lattice` sees the stray one instead of a point without it."""
+    values = {a: 1 for a in enumerate_matchings(gr37)[0].arrow_set}
+    assert make_lattice_point(gr37, 1, values) == lattice_point_of_matching(
+        gr37, enumerate_matchings(gr37)[0])
+    with pytest.raises(ValueError,
+                       match="^lattice point has a value on 999, which is no arrow of the model$"):
+        make_lattice_point(gr37, 1, {**values, 999: 5})
+
+
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES)
 def test_eta_unimodular_on_consistent(name):
     model = fx.FIXTURE_BUILDERS[name]()

@@ -15,13 +15,17 @@ from oracles import (GradedComplexPiece, _forest_size, _piece, first_rotation_fa
 from discdimer import fixtures as fx
 from discdimer import resolution
 from discdimer.kclass_weights import kclass_of_matching
-from discdimer.lattice_maps import _class_vector
 from discdimer.matchings import Matching, _arrow_bits, _mask_of, _matching_of, enumerate_matchings
 from discdimer.model import opposite
 from discdimer.resolution import (check_resolution, degree_table, degrees_toward,
                                   resolution_reports, rotate_matching)
 
 CONSISTENT_FIXTURES = [n for n in sorted(fx.FIXTURE_BUILDERS) if n != "inconsistent"]
+
+
+def flat(model):
+    """The zero height: the walk then reads the rows it is given as they are."""
+    return [0] * len(model.vertices)
 
 
 def build(name):
@@ -152,7 +156,7 @@ def walk_decision(model, mu_mask, S_mask):
     and every other vertex at degree 1, walked to degree 0 with a fresh
     memo."""
     row = bytes(0 if S_mask >> p & 1 else 1 for p in range(len(model.vertices)))
-    report, _ = resolution._walk(model, mu_mask, (row,), 0, {})
+    report, _ = resolution._walk(model, mu_mask, (row,), flat(model), 0, {})
     return not report.failures
 
 
@@ -436,42 +440,40 @@ def test_the_rotation_check_passes_on_every_consistent_fixture(name):
 
 def test_the_rotation_check_fails_on_a_stale_table_entry(gr37, monkeypatch):
     """The rotation check reads both sides from the table: with one
-    matching's rows replaced by another's, it does not pass."""
+    matching's height replaced by another's, so that its rows are the
+    other's, it does not pass."""
     table = degree_table(gr37)
-    rows = list(table.rows)
-    rows[5] = rows[4]
+    heights = list(table.heights)
+    heights[5] = heights[4]
     monkeypatch.setattr(resolution, "degree_table",
-                        lambda model: table._replace(rows=tuple(rows)))
+                        lambda model: table._replace(heights=tuple(heights)))
     assert rotation_failures(gr37)
     assert first_rotation_failure(gr37) is not None
 
 
-def test_rows_with_a_degree_of_256_are_tuples(gr37):
-    """No model here has a degree of 256, so the tuple form of a row is
-    tested on synthetic rows: a degree ≥ 256 gives a tuple with the right
-    `_at_most` masks, and below 256 the tuple and bytes forms of a row give
-    the same `_at_most` masks, the same level pass and the same walk."""
-    row = resolution._as_row([0, 256, 3, 300, 255])
-    assert row == (0, 256, 3, 300, 255)
-    for d in (0, 3, 254, 255, 256, 299, 300, 1000):
-        assert resolution._at_most(row, d) == bytes(e <= d for e in row), d
-    layout, table = resolution._layout(gr37), degree_table(gr37)
-    rng = random.Random("rows")
-    for mu in enumerate_matchings(gr37):
-        mu_mask = _mask_of(gr37, mu)
-        coefficients = _class_vector(gr37, mu_mask)
-        top = rng.choice([3, 255])
-        dist = [rng.randint(0, top) for _ in layout.vertices]
-        as_bytes, as_tuple = resolution._as_row(dist), tuple(dist)
-        assert isinstance(as_bytes, bytes)
-        for d in range(max(dist) + 2):
-            assert resolution._at_most(as_bytes, d) == resolution._at_most(as_tuple, d)
-        assert resolution._levels(layout, coefficients, as_bytes) == \
-            resolution._levels(layout, coefficients, as_tuple)
-        walks = [resolution._walk(gr37, mu_mask, (row,) * len(layout.vertices), None, {}, table)
-                 for row in (as_bytes, as_tuple)]
-        assert report_tuple(walks[0][0]) == report_tuple(walks[1][0])
-        assert walks[0][1] == walks[1][1]
+def test_heights_shifted_past_255_walk_as_the_oracle(gr37):
+    """No model here has a degree of 256, so degrees past 255 are tested on
+    synthetic reference rows and heights, shifted to degrees up to 330:
+    the walk gives the report and the rotation failure of the oracle walk
+    on the rows `resolution._shifted` writes out."""
+    table, shifted = degree_table(gr37), oracles.shifted_table(gr37)
+    n = len(gr37.vertices)
+    rng = random.Random("past 255")
+    memo, oracle_memo, height_levels = {}, {}, {}
+    tops = []
+    for mu_mask in list(table.by_mask)[::5]:
+        h = [rng.randint(0, 30) for _ in range(n)]
+        ref = [[rng.randint(0, 300) + max(0, hj - hp) for hj in h] for hp in h]
+        rows = [resolution._shifted(row, h, p) for p, row in enumerate(ref)]
+        tops.append(max(map(max, rows)))
+        for d_max in (None, 3):
+            report, rotation = resolution._walk(gr37, mu_mask, ref, h, d_max, memo, table,
+                                                height_levels)
+            expected, expected_rotation = oracles.row_levels_walk(gr37, mu_mask, rows, d_max,
+                                                                  oracle_memo, shifted)
+            assert (report_tuple(report), rotation) == \
+                (report_tuple(expected), expected_rotation), (mu_mask, d_max)
+    assert min(tops) > 255
 
 
 def test_rotation_beyond_saturation_is_identity_like(gr37):
@@ -615,7 +617,7 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
     rng = random.Random(name)
     first = {}
     across = 0
-    for mu, rows in zip(enumerate_matchings(model), degree_table(model).rows):
+    for mu, rows in zip(enumerate_matchings(model), oracles.shifted_table(model).rows):
         mu_mask = _mask_of(model, mu)
         q1, q2 = merged_complex_data(model, mu)
         cls = kclass_of_matching(model, mu)
@@ -624,7 +626,7 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
         for row in rows + random_rows:
             sets, keys = oracles._row_levels(layout, mu_mask, coefficients, row)[:2]
             memo = KeyLog()
-            resolution._walk(model, mu_mask, (row,), None, memo)
+            resolution._walk(model, mu_mask, (row,), flat(model), None, memo)
             assert set(memo.asked) <= set(keys), (mu, row)
             for S, key in zip(sets, keys):
                 members = frozenset(v for p, v in enumerate(layout.vertices) if S >> p & 1)
@@ -635,8 +637,11 @@ def test_a_memo_hit_is_the_piece_built_from_the_matching_itself(name):
     assert across > 0
 
 
-@pytest.mark.parametrize("name", ["triangle", "gr37", "uniform-2-5", "uniform-3-6",
-                                  "uniform-4-8"])
+UNIFORM_UP_TO_8 = [name for n in range(3, 9) for k in range(1, n)
+                   if (name := f"uniform-{k}-{n}") not in fx.FIXTURE_BUILDERS]
+
+
+@pytest.mark.parametrize("name", CONSISTENT_FIXTURES + UNIFORM_UP_TO_8)
 def test_the_shared_walk_equals_the_separate_loops(name):
     """One walk of the degree table gives every matching's report, as the
     resolution loop of the oracle does with its own piece keys and the dict
@@ -649,30 +654,31 @@ def test_the_shared_walk_equals_the_separate_loops(name):
     assert first_rotation_failure(model) is None
 
 
-UNIFORM_UP_TO_8 = [name for n in range(3, 9) for k in range(1, n)
-                   if (name := f"uniform-{k}-{n}") not in fx.FIXTURE_BUILDERS]
-
-
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES + UNIFORM_UP_TO_8)
 def test_the_fused_walk_equals_the_row_levels_oracle(name):
-    """The walk that decides each piece from its level's arrow masks gives
-    the report and the rotation failure of the oracle walk, which decides
-    it from `_row_levels` keys and the three-int `_is_exact`: on every
-    matching's rows in the degree table, and on seeded random rows (to
-    saturation + 1 and to degree 1), where most pieces and the rotations
-    fail. Each path keeps one memo across the matchings, as
-    `resolution_reports` does."""
+    """The walk that decides each piece from its level's arrow masks, and
+    compares the sides of each rotation identity as masks, gives the report
+    and the rotation failure of the oracle walk, which decides it from
+    `_row_levels` keys and the three-int `_is_exact` and compares 0/1
+    bytes of the shifted table's rows: on every matching's rows, the walk
+    given ρ's rows and the matching's height, and on seeded random rows
+    (to saturation + 1 and to degree 1), given at height 0, where most
+    pieces and the rotations fail. Each path keeps one memo across the
+    matchings, as `resolution_reports` does."""
     model = build(name)
-    table = degree_table(model)
+    table, shifted = degree_table(model), oracles.shifted_table(model)
     n = len(model.vertices)
     rng = random.Random(name)
-    memo, oracle_memo = {}, {}
+    memo, oracle_memo, height_levels = {}, {}, {}
     for mu_mask, k in table.by_mask.items():
         random_rows = tuple(bytes(rng.randrange(4) for _ in range(n)) for _ in range(n))
-        for rows, d_max in ((table.rows[k], None), (random_rows, None), (random_rows, 1)):
-            report, rotation = resolution._walk(model, mu_mask, rows, d_max, memo, table)
+        for ref, h, rows, d_max in ((table.ref, table.heights[k], shifted.rows[k], None),
+                                    (random_rows, flat(model), random_rows, None),
+                                    (random_rows, flat(model), random_rows, 1)):
+            report, rotation = resolution._walk(model, mu_mask, ref, h, d_max, memo, table,
+                                                height_levels)
             expected, expected_rotation = oracles.row_levels_walk(model, mu_mask, rows, d_max,
-                                                                  oracle_memo, table)
+                                                                  oracle_memo, shifted)
             assert (report_tuple(report), rotation) == \
                 (report_tuple(expected), expected_rotation), (mu_mask, d_max)
 
@@ -680,17 +686,26 @@ def test_the_fused_walk_equals_the_row_levels_oracle(name):
 @pytest.mark.parametrize("name", CONSISTENT_FIXTURES + ["uniform-3-7", "uniform-4-8"])
 def test_every_table_row_equals_degrees_toward(name):
     """The height identity: the first matching's rows shifted by each
-    matching's height are that matching's own rows, searched alone."""
+    matching's height are that matching's own rows, searched alone, and
+    the table's sublevel masks are the first matching's reachable sets."""
     model = build(name)
     table = degree_table(model)
     matchings = enumerate_matchings(model)
-    assert len(table.rows) == len(table.by_mask) == len(matchings)
+    assert len(table.heights) == len(table.by_mask) == len(matchings)
     for k, mu in enumerate(matchings):
         assert table.by_mask[sum(1 << i for i, a in enumerate(model.arrows)
                                if a.id in mu.arrow_set)] == k
-        assert [dict(zip((v.id for v in model.vertices), row)) for row in table.rows[k]] == [
+        rows = [resolution._shifted(row, table.heights[k], p) for p, row in enumerate(table.ref)]
+        assert [dict(zip((v.id for v in model.vertices), row)) for row in rows] == [
             degrees_toward(model, mu, v.id) for v in model.vertices]
-        assert max(map(max, table.rows[k])) == saturation_degree(model, mu)
+        assert max(map(max, rows)) == saturation_degree(model, mu)
+    rho = matchings[0]
+    for v, below in zip(model.vertices, table.sublevels):
+        assert len(below) == max(degrees_toward(model, rho, v.id).values()) + 1
+        assert [frozenset(u.id for p, u in enumerate(model.vertices) if below[x] >> p & 1)
+                for x in range(len(below))] == [
+            frozenset(reachable_set(model, rho, v.id, x).members) for x in range(len(below))]
+        assert below[-1] == (1 << len(model.vertices)) - 1
 
 
 @pytest.mark.parametrize("name", ["gr37", "uniform-4-8"])
@@ -711,7 +726,7 @@ def test_the_degree_table_is_built_once_and_cannot_change(gr37):
     with pytest.raises(TypeError):
         table.by_mask[0] = 0
     with pytest.raises(AttributeError):
-        table.rows = ()
+        table.heights = ()
 
 
 def test_single_matching_checks_do_not_build_the_degree_table():

@@ -4,6 +4,7 @@ the CLI: `tests/golden/verify-<model>.json` is `dimer verify <model>
 
 import gc
 import json
+import re
 import weakref
 from pathlib import Path
 
@@ -63,7 +64,7 @@ def test_the_eta_formula_is_pinned_by_four_checks(monkeypatch):
             "resolution_exactness"} <= failed
 
 
-# Entries of gr37's degree table set to a wrong degree, each as (matching,
+# Entries of gr37's degree rows set to a wrong degree, each as (matching,
 # target position, vertex position, degree), in enumeration and layout order.
 ROTATION_ONLY, PIECE_ONLY = (0, 0, 0, 1), (43, 2, 0, 1)
 CORRUPTIONS = {
@@ -77,20 +78,25 @@ CORRUPTIONS = {
 
 @pytest.mark.parametrize("kind", CORRUPTIONS)
 def test_the_shared_walk_hides_neither_checks_failure(kind, monkeypatch):
-    """With entries of the degree table corrupted, the resolution and the
-    rotation check, which share one walk of the table, each report the
-    witness of their own loop in `oracles`: the walk goes on over every
-    matching after either check's first failure."""
+    """With entries of the degree rows corrupted where ρ's row is shifted
+    by a matching's height (`resolution._shifted`, which the walk and the
+    oracles' shifted table both call), the resolution and the rotation
+    check, which share one walk of the table, each report the witness of
+    their own loop in `oracles`: the walk goes on over every matching after
+    either check's first failure."""
     entries, breaks_a_piece, breaks_a_rotation = CORRUPTIONS[kind]
     model = fx.gr37()
     table = resolution.degree_table(model)
-    rows = [list(matching_rows) for matching_rows in table.rows]
-    for k, p, j, degree in entries:
-        row = bytearray(rows[k][p])
-        row[j] = degree
-        rows[k][p] = bytes(row)
-    monkeypatch.setattr(resolution, "degree_table",
-                        lambda m: table._replace(rows=tuple(map(tuple, rows))))
+    shifted = resolution._shifted
+
+    def corrupted(ref, h, p):
+        row = shifted(ref, h, p)
+        for k, target, j, degree in entries:
+            if h is table.heights[k] and p == target:
+                row[j] = degree
+        return row
+
+    monkeypatch.setattr(resolution, "_shifted", corrupted)
     def ids(mu_mask):
         return list(_matching_of(model, mu_mask).sorted_ids())
 
@@ -147,6 +153,32 @@ def test_a_corrupted_height_fails_both_walk_checks(monkeypatch, matching, vertex
 
     monkeypatch.setattr(resolution, "_heights", corrupted)
     assert failed_walk_checks(fx.gr37()) == WALK_CHECKS
+
+
+def test_a_height_that_gives_a_negative_degree_is_an_error(monkeypatch):
+    """With one vertex's height raised far past any degree for one matching
+    of gr37, the degree from it toward another vertex is negative: the walk
+    stops with an error that names the matching and the vertices, which
+    both walk checks report, not with a level read at a wrapped index."""
+    model = fx.gr37()
+    mu_mask = _enumeration(model)[0][5]
+    heights = resolution._heights
+
+    def corrupted(model, ref_mask, mask):
+        h = heights(model, ref_mask, mask)
+        if mask == mu_mask:
+            h[3] += 50
+        return h
+
+    monkeypatch.setattr(resolution, "_heights", corrupted)
+    ids = re.escape(str(list(_matching_of(model, mu_mask).sorted_ids())))
+    message = rf"matching {ids} has degree -\d+ at vertex \d+ toward vertex \d+"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        list(resolution.resolution_reports(model))
+    checks = {r["name"]: (r["passed"], r["witness"]) for r in verify.run_checks(model, 0)}
+    passed, witness = checks["resolution_exactness"]
+    assert not passed and re.fullmatch(f"ValueError: {message}", witness)
+    assert checks["rotation_identities"] == (False, witness)
 
 
 def test_a_rotation_outside_the_table_fails_the_rotation_check_alone(monkeypatch):
