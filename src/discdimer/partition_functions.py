@@ -14,6 +14,16 @@ Z_I is a maximal minor of one Kasteleyn matrix per weight draw
 one common denominator, reading the values Z_{S∪xy} for one (k−2)-subset S
 at a time into a list in which each relation on S is six fixed positions.
 
+The check decides the relations on S from one pivot. With z_xy = Z_{S∪xy}
+extended to an alternating matrix, the relation on sorted a<b<c<d is its
+Pfaffian z_ab·z_cd − z_ac·z_bd + z_ad·z_bc = 0 (Z_{S∪xy} = ε_x·ε_y·p_S(x, y)
+for the alternating coordinate p_S, and the common sign ε_a·ε_b·ε_c·ε_d
+drops out). For the first nonzero z_ab, the relations on the quads holding
+a and b force every z_xy = (z_ax·z_by − z_ay·z_bx)/z_ab: the pivot's rows
+determine z, z has rank ≤ 2, and so every 4 × 4 Pfaffian of it vanishes.
+Every relation is evaluated only when a pivot relation fails, to name the
+failures (`check_plucker_relations` gives the proof in full).
+
 Laurent polynomials are stored sparsely: each term maps an integer exponent
 vector (indexed by a declared basis, e.g. quiver vertices) to an integer
 coefficient. All arithmetic is exact; boundary measurements are Fractions.
@@ -24,10 +34,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
-from math import comb, lcm
-from typing import Dict, Iterable, List, Mapping, Tuple
+from math import lcm
+from operator import itemgetter
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 from .kasteleyn import boundary_minors
 from .kclass_weights import _weight_columns
@@ -188,36 +199,98 @@ class PluckerReport:
 def check_plucker_relations(vec: PluckerVector, k: int, n: int) -> PluckerReport:
     """Verify every three-term relation
     Z_{S∪ac}·Z_{S∪bd} = Z_{S∪ab}·Z_{S∪cd} + Z_{S∪ad}·Z_{S∪bc}
-    for a<b<c<d and (k−2)-subsets S disjoint from {a,b,c,d}."""
-    vals = vec.as_dict()
-    # Each k-subset once, in lexicographic order; equal counts leave no other key.
-    ordered = [(I, vals.get(I)) for I in combinations(range(1, n + 1), k)]
-    if len(ordered) != len(vals) or any(x is None for _, x in ordered):
-        raise ValueError("vector keys are not exactly the k-subsets of 1..n")
-    if k < 2 or n - k < 2:
-        return PluckerReport(0, [])
+    for a<b<c<d and (k−2)-subsets S disjoint from {a,b,c,d}; `checked`
+    counts all C(n, k−2)·C(m, 4) of them, m = n − k + 2.
+
+    Most relations are decided without being evaluated. Fix S and write
+    z_xy = Z_{S∪xy} for x<y outside S, extended to an alternating matrix
+    (z_yx = −z_xy, z_xx = 0). The relation on a<b<c<d reads
+    z_ab·z_cd − z_ac·z_bd + z_ad·z_bc = 0, the Pfaffian of z on a, b, c, d.
+    (On a point of the Grassmannian, Z_{S∪xy} = ε_x·ε_y·p_S(x, y), where
+    p_S(x, y) is the coordinate of S followed by x, y, alternating in x, y,
+    and ε_x = (−1)^#{s∈S: s>x} is the sign of sorting x into S; each term
+    of a relation carries the same sign ε_a·ε_b·ε_c·ε_d, which drops out.)
+    Take the first nonzero z_ab as pivot. The C(m−2, 2) relations on the
+    quads holding a and b give z_xy = (z_ax·z_by − z_ay·z_bx)/z_ab for
+    every x, y outside {a, b}, and the right side also gives z_ab, z_ax and
+    z_bx. So the pivot's rows determine z = (u·vᵀ − v·uᵀ)/z_ab, with u and
+    v rows a and b: z has rank ≤ 2, every 4 × 4 principal submatrix is
+    singular, and its Pfaffian, a square root of its determinant, is 0, so
+    every relation on S holds. An S with no nonzero value reads 0 = 0 in
+    each relation. Only when a pivot relation fails is every relation of
+    the vector evaluated, to name the failures, by quad, then S."""
+    subsets, relations, through, rows = _plucker_tables(k, n)
+    if [I for I, _ in vec.values] == subsets:  # as `boundary_measurement` orders it
+        xs = [x for _, x in vec.values]
+    else:
+        vals = vec.as_dict()
+        xs = [vals.get(I) for I in subsets]
+        # Each k-subset once; equal counts leave no other key.
+        if len(xs) != len(vals) or any(x is None for x in xs):
+            raise ValueError("vector keys are not exactly the k-subsets of 1..n")
     # The relations are homogeneous, so they hold for the values times one
-    # common denominator exactly when they hold for the values: compare ints,
-    # keyed by subset bitmask.
-    den = lcm(*(x.denominator for _, x in ordered))
-    ints = {_mask(I): x.numerator * (den // x.denominator) for I, x in ordered}
-    # Per S, the m labels outside it give C(m, 2) values Z_{S∪xy}, read once;
-    # each relation is six fixed positions among those pairs.
-    m = n - k + 2
-    at = {pair: i for i, pair in enumerate(combinations(range(m), 2))}
-    relations = [((a, b, c, d), at[a, c], at[b, d], at[a, b], at[c, d], at[a, d], at[b, c])
-                 for a, b, c, d in combinations(range(m), 4)]
+    # common denominator exactly when they hold for the values: compare ints.
+    den = lcm(*{x.denominator for x in xs})
+    ints = [x.numerator * (den // x.denominator) for x in xs]
+    checked = len(rows) * len(relations)
+    for _, _, take in rows:
+        z = take(ints)
+        pivot = next((p for p, x in enumerate(z) if x), None)
+        if pivot is not None and _failing(z, through[pivot]):
+            break
+    else:
+        return PluckerReport(checked, [])
+    return PluckerReport(checked, _all_failures(ints, k, n))
+
+
+def _all_failures(ints: Sequence[int], k: int,
+                  n: int) -> List[Tuple[Tuple[int, ...], Tuple[int, int, int, int]]]:
+    """Every relation evaluated on the values (ints, in lexicographic order
+    of the k-subsets): the failing (S, quad) by quad, then S."""
+    _, relations, _, rows = _plucker_tables(k, n)
+    failures = [(S, tuple(rest[i] for i in q))
+                for S, rest, take in rows for q in _failing(take(ints), relations)]
+    failures.sort(key=lambda f: (f[1], f[0]))
+    return failures
+
+
+def _failing(z: Sequence[int], relations: Iterable[tuple]) -> List[Tuple[int, int, int, int]]:
+    """The quads of the relations that the values z break; each relation is
+    its quad and six positions in z."""
+    return [q for q, ac, bd, ab, cd, ad, bc in relations
+            if z[ac] * z[bd] != z[ab] * z[cd] + z[ad] * z[bc]]
+
+
+@lru_cache(maxsize=16)
+def _plucker_tables(k: int, n: int) -> tuple:
+    """What `check_plucker_relations` reads for type (k, n), built once: the
+    k-subsets of 1..n in lexicographic order and, when k ≥ 2 and m =
+    n − k + 2 ≥ 4, the relations among the C(m, 2) pairs of m positions
+    (a quad and six pair positions each), for each pair the relations whose
+    quad holds it, and for each (k−2)-subset S in order, S, the labels
+    outside it and a getter of the values Z_{S∪xy} by pair from the
+    lexicographic list."""
     labels = range(1, n + 1)
-    failures = []
+    subsets = list(combinations(labels, k))
+    if k < 2 or n - k < 2:
+        return subsets, (), (), ()
+    m = n - k + 2
+    pairs = list(combinations(range(m), 2))
+    at = {pair: i for i, pair in enumerate(pairs)}
+    relations = tuple(((a, b, c, d), at[a, c], at[b, d], at[a, b], at[c, d], at[a, d], at[b, c])
+                      for a, b, c, d in combinations(range(m), 4))
+    through: List[list] = [[] for _ in pairs]
+    for r in relations:
+        for at_pair in r[1:]:  # the six pairs of its quad
+            through[at_pair].append(r)
+    position = {_mask(I): i for i, I in enumerate(subsets)}
+    rows = []
     for S in combinations(labels, k - 2):
         s = _mask(S)
-        rest = [x for x in labels if not s >> x & 1]
-        z = [ints[s | 1 << rest[i] | 1 << rest[j]] for i, j in at]
-        failures.extend((S, tuple(rest[i] for i in q))
-                        for q, ac, bd, ab, cd, ad, bc in relations
-                        if z[ac] * z[bd] != z[ab] * z[cd] + z[ad] * z[bc])
-    failures.sort(key=lambda f: (f[1], f[0]))
-    return PluckerReport(comb(n, k - 2) * len(relations), failures)
+        rest = tuple(x for x in labels if not s >> x & 1)
+        bits = [s | 1 << x for x in rest]
+        rows.append((S, rest, itemgetter(*(position[bits[i] | bits[j]] for i, j in pairs))))
+    return subsets, relations, tuple(map(tuple, through)), tuple(rows)
 
 
 def _mask(subset: Iterable[int]) -> int:

@@ -6,24 +6,25 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb, lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from oracles import shifted, specialize
 
 from discdimer import fixtures as fx
 from discdimer import kasteleyn
+from discdimer.intlinalg import maximal_minors
 from discdimer.kasteleyn import (boundary_minors, kasteleyn_frame,
                                  kasteleyn_signs)
 from discdimer.matchings import (matchings_with_boundary, positroid,
                                  positroid_contains_necklace_test)
 from discdimer.model import BLACK, WHITE, opposite, standardise, type_of
 from discdimer.partition_functions import (LaurentPoly, PluckerVector,
-                                           boundary_measurement,
+                                           _all_failures, boundary_measurement,
                                            check_plucker_relations,
                                            ms_formula,
                                            ms_formula_white_v2,
@@ -460,3 +461,115 @@ def test_plucker_failures_come_in_the_oracles_order_for_every_k(n):
         assert report.checked == plucker_relation_count(k, n)
         assert report.failures == expected
         assert len(expected) > report.checked // 2 or report.checked == 0
+
+
+def full_loop_failures(vec, k, n):
+    """The check's full loop alone, with no pivot: every relation evaluated
+    on the values scaled by one common denominator."""
+    xs = [vec[I] for I in combinations(range(1, n + 1), k)]
+    den = lcm(*(x.denominator for x in xs))
+    return _all_failures([x.numerator * (den // x.denominator) for x in xs], k, n)
+
+
+def minors_vector(rows):
+    k, n = len(rows), len(rows[0])
+    return PluckerVector(k, n, tuple(zip(combinations(range(1, n + 1), k),
+                                         map(Fraction, maximal_minors(rows)))))
+
+
+@st.composite
+def plucker_cases(draw):
+    """(vector, changed subset or None, whether every relation holds) for
+    2 ≤ k ≤ n − 2, n ≤ 9: the maximal minors of an integer matrix with many
+    zero entries and up to two zero columns (so whole S blocks vanish, and
+    a pivot is often not the first pair), the same with any one value
+    changed or with a value off the pivot's row and column of some S
+    changed, or random values."""
+    n = draw(st.integers(4, 9))
+    k = draw(st.integers(2, n - 2))
+    subsets = list(combinations(range(1, n + 1), k))
+    kind = draw(st.sampled_from(["minors", "changed", "off-pivot", "random"]))
+    if kind == "random":
+        values = draw(st.lists(st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3)),
+                               min_size=len(subsets), max_size=len(subsets)))
+        return PluckerVector(k, n, tuple(zip(subsets, values))), None, False
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    entries = st.sampled_from([0, 0, 1, -1, 2, -3])
+    rows = [[0 if j in zero else x for j, x in enumerate(row)]
+            for row in draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                                     min_size=k, max_size=k))]
+    vec = minors_vector(rows)
+    if kind == "minors":
+        return vec, None, True
+    if kind == "changed":
+        i = draw(st.integers(-len(subsets), -1))  # shrinks to late subsets, often off the pivot
+    else:  # a value off the pivot's row and column of some S
+        S = draw(st.sampled_from(list(combinations(range(1, n + 1), k - 2))))
+        rest = [x for x in range(1, n + 1) if x not in S]
+        pivot = next((ab for ab in combinations(rest, 2) if vec[S + ab]), ())
+        xy = draw(st.sampled_from([xy for xy in combinations(rest, 2) if not set(xy) & set(pivot)]))
+        i = subsets.index(tuple(sorted(S + xy)))
+    values = list(vec.values)
+    values[i] = (subsets[i], values[i][1] + draw(st.sampled_from([-2, -1, 1, 3])))
+    return PluckerVector(k, n, tuple(values)), subsets[i], False
+
+
+@given(plucker_cases())
+@example((minors_vector([[0, 1, 2, 0, 1, -1, 3], [0, 0, 1, 1, 2, 0, -1],
+                         [0, 2, 0, -1, 1, 1, 1]]), None, True))
+@example((PluckerVector(3, 7, tuple(
+    (I, x + 1 if I == (2, 4, 6) else x)
+    for I, x in minors_vector([[0, 1, 2, 0, 1, -1, 3], [0, 0, 1, 1, 2, 0, -1],
+                               [0, 2, 0, -1, 1, 1, 1]]).values)), (2, 4, 6), False))
+@settings(max_examples=300, deadline=None)
+def test_pivot_decision_equals_the_full_loop_and_the_fraction_oracle(case):
+    """The pivot decision names the failures of the full loop and of the
+    Fraction oracle; the maximal minors pass; and a changed value z_xy off
+    the pivot's row and column breaks the pivot's relation on {a, b, x, y}
+    (the examples: label 1 a zero column, so every S holding it has no
+    pivot and every other S's pivot is not its first pair)."""
+    vec, changed, holds = case
+    k, n = vec.k, vec.n
+    report = check_plucker_relations(vec, k, n)
+    assert report.checked == plucker_relation_count(k, n)
+    assert report.failures == full_loop_failures(vec, k, n) == fraction_plucker_failures(vec, k, n)
+    if holds:
+        assert report.passed
+    for x, y in combinations(changed or (), 2):
+        S = tuple(sorted(set(changed) - {x, y}))
+        rest = [label for label in range(1, n + 1) if label not in S]
+        pivot = next((ab for ab in combinations(rest, 2) if vec[S + ab]), None)
+        if pivot is not None and not {x, y} & set(pivot):
+            assert (S, tuple(sorted(pivot + (x, y)))) in report.failures
+
+
+@pytest.mark.parametrize("n, values", [(4, (-1, 0, 1)), (5, (0, 1))])
+def test_every_small_vector_gets_the_oracles_failures(n, values):
+    """k = 2: every vector with these values, so every pivot position, with
+    every pattern of zeros before it, meets relations that hold and fail."""
+    subsets = list(combinations(range(1, n + 1), 2))
+    for drawn in product(map(Fraction, values), repeat=len(subsets)):
+        vec = PluckerVector(2, n, tuple(zip(subsets, drawn)))
+        assert check_plucker_relations(vec, 2, n).failures == fraction_plucker_failures(vec, 2, n)
+
+
+@pytest.mark.parametrize("name", ["gr37", "uniform-4-8"])
+def test_a_shuffled_vector_gets_the_report_of_the_ordered_one(name):
+    """Values out of lexicographic order (shuffled, reversed, or the first
+    two swapped) give the report of the same values in order, on a draw
+    that passes, the draw with one value changed, and random values."""
+    model = MINOR_MODELS[name]()
+    k, n = type_of(model)
+    rng = random.Random(f"shuffle/{name}")
+    drawn = boundary_measurement(model, seeded_draws(model, f"shuffle/{name}", 1)[0]).values
+    changed = rng.choice([I for I, x in drawn if x])
+    vectors = [drawn, tuple((I, x * 3 if I == changed else x) for I, x in drawn),
+               tuple((I, Fraction(rng.randint(0, 5), rng.randint(1, 5))) for I, _ in drawn)]
+    for values in vectors:
+        report = check_plucker_relations(PluckerVector(k, n, values), k, n)
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        for reordered in [shuffled, values[::-1], values[1::-1] + values[2:]]:
+            assert check_plucker_relations(PluckerVector(k, n, tuple(reordered)), k, n) == report
+    assert [check_plucker_relations(PluckerVector(k, n, v), k, n).passed for v in vectors] == [
+        True, False, False]
