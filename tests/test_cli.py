@@ -19,7 +19,7 @@ from discdimer import fixtures as fx
 from discdimer import lattice_maps, resolution
 from discdimer import strands as strands_module
 from discdimer.cli import main
-from discdimer.model import save, to_dict
+from discdimer.model import BLACK, WHITE, save, standardise, to_dict
 from discdimer.partition_functions import boundary_measurement
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -445,11 +445,15 @@ def test_a_list_that_is_not_a_json_array_is_a_one_line_error(runner, tmp_path, k
     (["matchings", "uniform-2-4", "--boundary", "5,6"], "expected a 2-subset of 1..4, got [5, 6]"),
     (["twist-expr", "gr37", "--subset", "1,2"], "expected a 3-subset of 1..7, got [1, 2]"),
     (["extremes", "gr37", "--boundary", "0,1,2"], "expected a 3-subset of 1..7, got [0, 1, 2]"),
+    (["wedge", "nosuch", "--arrow", "x"], "cannot parse arrow 'x': 'x' is not a decimal id"),
+    (["rotate", "nosuch", "--matching", "1", "--vertex", "x", "--degree", "1"],
+     "cannot parse vertex 'x': 'x' is not a decimal id"),
 ], ids=["subset-twist-expr", "subset-ms", "boundary-matchings", "boundary-extremes",
         "matching", "negative-dmax", "unknown-arrow-rotate", "unknown-arrow-resolution",
         "unknown-arrow-kclass", "unknown-vertex-rotate", "unknown-arrow-wedge",
         "boundary-too-large",
-        "boundary-out-of-range", "subset-too-small", "boundary-zero"])
+        "boundary-out-of-range", "subset-too-small", "boundary-zero",
+        "bad-arrow-before-bad-model", "bad-vertex-before-bad-model"])
 def test_an_option_value_a_command_cannot_use_is_a_one_line_error(runner, args, message):
     result = runner.invoke(main, args)
     assert result.exit_code == 1
@@ -480,15 +484,78 @@ DIGEST_COMMANDS = [
     *(["extremes", model, "--boundary", boundary] for model, boundary in [
         ("triangle", "1"), ("gr37", "1,3,5"), ("inconsistent", "1"), ("uniform-1-3", "1"),
         ("uniform-2-4", "1,3"), ("uniform-2-5", "1,3"), ("uniform-3-6", "1,3,4")]),
+    *(["validate", model] for model in fx.FIXTURE_BUILDERS),
+    *(["lattice", model] for model in ["gr37", "inconsistent"]),
+    # $WHITE and $BLACK are gr37 standardised with white and black boundary faces.
+    ["ms", "$WHITE", "--subset", "1,3,5"],
+    ["ms", "$BLACK", "--subset", "1,3,5", "--black"],
+    ["ms", "gr37", "--subset", "1,3,5"],
+    ["twist-expr", "gr37", "--subset", "1,3,5"],
+    ["twist-expr", "uniform-2-4", "--subset", "1,3"],
+    *(["measure", model, "--weights", "unit", "--check-plucker"]
+      for model in ["gr37", "uniform-2-5", "inconsistent"]),
+    # A bad id is reported before a model that cannot be resolved.
+    ["wedge", "nosuch", "--arrow", "x"],
+    ["rotate", "nosuch", "--matching", "1", "--vertex", "x", "--degree", "1"],
+]
+
+# Commands with no --format option, recorded as they print.
+PLAIN_COMMANDS = [
+    *([cmd, model] for cmd in ["opposite", "standardise"] for model in ["gr37", "uniform-2-4"]),
+    ["standardise", "gr37", "--black"],
 ]
 
 
-@pytest.mark.parametrize("args", DIGEST_COMMANDS, ids="-".join)
-def test_json_output_is_byte_identical_to_its_recorded_digest(runner, args):
-    """`tests/golden/cli-digests.json` holds the sha256 of stdout and the
-    exit code of each `--format json` command above, recorded before the
-    code behind it was last refactored."""
-    key = " ".join(args)
-    result = runner.invoke(main, [*args, "--format", "json"])
+@pytest.fixture()
+def standardised_files(tmp_path):
+    paths = {}
+    for name, colour in [("$WHITE", WHITE), ("$BLACK", BLACK)]:
+        paths[name] = str(tmp_path / f"{name[1:].lower()}.json")
+        save(standardise(fx.gr37(), colour), paths[name])
+    return paths
+
+
+def _check_digest(runner, files, key, args):
+    result = runner.invoke(main, [files.get(a, a) for a in args])
     recorded = json.loads((GOLDEN / "cli-digests.json").read_text(encoding="utf-8"))
     assert [hashlib.sha256(result.stdout_bytes).hexdigest(), result.exit_code] == recorded[key]
+
+
+@pytest.mark.parametrize("args", DIGEST_COMMANDS, ids="-".join)
+def test_json_output_is_byte_identical_to_its_recorded_digest(runner, standardised_files, args):
+    """`tests/golden/cli-digests.json` holds the sha256 of stdout and the
+    exit code of each command above, recorded before the code behind it was
+    last refactored: under its own key for `--format json`, and with
+    ` --format text` appended for the text report."""
+    _check_digest(runner, standardised_files, " ".join(args), [*args, "--format", "json"])
+
+
+@pytest.mark.parametrize("args", DIGEST_COMMANDS, ids="-".join)
+def test_text_output_is_byte_identical_to_its_recorded_digest(runner, standardised_files, args):
+    _check_digest(runner, standardised_files, " ".join([*args, "--format", "text"]),
+                  [*args, "--format", "text"])
+
+
+@pytest.mark.parametrize("args", PLAIN_COMMANDS, ids="-".join)
+def test_plain_output_is_byte_identical_to_its_recorded_digest(runner, args):
+    _check_digest(runner, {}, " ".join(args), args)
+
+
+def command_signatures() -> dict:
+    """Each command's docstring and parameters as click holds them, with no
+    help layout: the name, the option strings, the type's name, whether it
+    is required or a flag, its default and its help."""
+    def default(value):
+        # A parameter with no default holds a sentinel in newer click, None in older.
+        return value if value is None or isinstance(value, (bool, int, str)) else None
+    return {name: {"doc": cmd.help,
+                   "params": [{"name": p.name, "opts": p.opts, "type": p.type.name,
+                               "required": p.required, "default": default(p.default),
+                               "is_flag": bool(getattr(p, "is_flag", False)),
+                               "help": getattr(p, "help", None)} for p in cmd.params]}
+            for name, cmd in sorted(main.commands.items())}
+
+
+def test_every_command_keeps_its_recorded_signature():
+    recorded = json.loads((GOLDEN / "cli-signatures.json").read_text(encoding="utf-8"))
+    assert command_signatures() == recorded
