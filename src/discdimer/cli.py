@@ -5,22 +5,27 @@ A model argument may be a file path, a file name under the directory named
 by the DIMER_FIXTURES environment variable, or the name of a bundled
 fixture (triangle, gr37, inconsistent, uniform-K-N).
 
-Reports are emitted as plain text by default, or as JSON documents with a
-stable ``"schema": 1`` field under ``--format json``. `dimer verify` runs
-the ordered check suite of `discdimer.verify` and exits 0 iff every check
-passes. Any ValueError a command raises (a malformed file, a model that
+A report command is one function decorated with `model_command`: it takes
+the loaded model and its own options and returns ``(doc, text lines,
+passed)``; the decorator adds the FILE argument and ``--format``, loads the
+model and emits the report, as plain text by default or as a JSON document
+with a stable ``"schema": 1`` field under ``--format json``. Only `dimer
+verify` and the writers (build-uniform, opposite, standardise, fixtures)
+have their own frame. `dimer verify` runs the ordered check suite of
+`discdimer.verify` and exits 0 iff every check passes. Any ValueError a command raises (a malformed file, a model that
 fails validation or consistency, a failed precondition) is reported as one
 ``Error:`` line with exit code 1.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, List, Optional
+from typing import Callable, Iterable, List, Optional
 
 import click
 
@@ -123,24 +128,21 @@ def _matching_from_option(model: DimerModel, text: str) -> Matching:
     return Matching(frozenset(ids))
 
 
-def _serialize_matching(mu: Matching) -> List[int]:
-    return sorted(mu.arrow_set)
+def _poly_report(I: List[int], poly: LaurentPoly) -> tuple:
+    terms = [{"exponents": {str(i): e for i, e in key}, "coefficient": c} for key, c in poly.terms]
+    doc = {"subset": sorted(set(I)), "polynomial": {"basis": poly.basis, "terms": terms}}
+    return doc, [poly.pretty()]
 
 
-def _poly_doc(poly: LaurentPoly) -> dict:
-    return {"basis": poly.basis,
-            "terms": [{"exponents": {str(i): e for i, e in key}, "coefficient": c}
-                      for key, c in poly.terms]}
-
-
-def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]], passed: bool = True) -> None:
-    """Print the report; exit with code 1 after it unless it `passed`."""
+def _emit(doc: dict, fmt: str, text_lines: Iterable[str], passed: bool = True) -> None:
+    """Print the report, reading the text lines only for text; exit with
+    code 1 after it unless it `passed`."""
     # Echoes name sys.stdout: click's default lookup keeps every redirected stdout alive.
     if fmt == "json":
         doc = {"schema": SCHEMA, **doc}
         click.echo(json.dumps(doc, indent=1, sort_keys=True), file=sys.stdout)
     else:
-        for line in text_lines():
+        for line in text_lines:
             click.echo(line, file=sys.stdout)
     if not passed:
         sys.exit(1)
@@ -149,6 +151,9 @@ def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]], passed: bool
 format_option = click.option("--format", "fmt", type=click.Choice(["text", "json"]),
                              default="text", show_default=True,
                              help="Output format.")
+matching_option = click.option("--matching", "matching", required=True,
+                               help="Matching as comma-separated arrow ids.")
+subset_option = click.option("--subset", "subset", required=True, help="k-subset, e.g. 1,3,5.")
 
 
 class _OneLineErrors(click.Group):
@@ -167,34 +172,46 @@ def main() -> None:
     """Combinatorics of consistent dimer models on the disc."""
 
 
+def model_command(name: str, *options: Callable) -> Callable:
+    """Register `dimer <name> FILE [options] [--format]` as a report on a model.
+
+    The body is called as `body(model, **options)` with the model FILE names
+    and returns `(doc, text_lines)` or `(doc, text_lines, passed)`; the doc,
+    with `"command": name` added, or the text lines are printed as `_emit`
+    prints them."""
+    def register(body: Callable) -> click.Command:
+        @functools.wraps(body)
+        def command(file: str, fmt: str, **values) -> None:
+            doc, *rest = body(_load(file), **values)
+            _emit({"command": name, **doc}, fmt, *rest)
+        for option in reversed((click.argument("file"), *options, format_option)):
+            command = option(command)
+        return main.command(name)(command)
+    return register
+
+
 # ---------------------------------------------------------------------------
 # Core model commands
 # ---------------------------------------------------------------------------
 
-@main.command("validate")
-@click.argument("file")
-@format_option
-def cmd_validate(file: str, fmt: str) -> None:
+@model_command("validate")
+def cmd_validate(model: DimerModel) -> tuple:
     """Run the structural validity checks."""
-    model = _load(file)
     report = validate(model)
-    doc = {"command": "validate", "passed": report.passed,
+    doc = {"passed": report.passed,
            "checks": {name: {"ok": ok, "detail": detail}
                       for name, (ok, detail) in report.checks.items()}}
-    _emit(doc, fmt, lambda: [
+    return doc, [
         *(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail and not ok else "")
           for name, (ok, detail) in report.checks.items()),
-        f"valid: {report.passed}"], report.passed)
+        f"valid: {report.passed}"], report.passed
 
 
-@main.command("type")
-@click.argument("file")
-@format_option
-def cmd_type(file: str, fmt: str) -> None:
+@model_command("type")
+def cmd_type(model: DimerModel) -> tuple:
     """Print the type (k, n) of the model."""
-    model = _load(file)
     k, n = type_of(model)
-    _emit({"command": "type", "k": k, "n": n}, fmt, lambda: [f"({k}, {n})"])
+    return {"k": k, "n": n}, [f"({k}, {n})"]
 
 
 @main.command("build-uniform")
@@ -238,120 +255,91 @@ def cmd_standardise(file: str, black: bool, out: Optional[str]) -> None:
 # Strand commands
 # ---------------------------------------------------------------------------
 
-@main.command("strands")
-@click.argument("file")
-@format_option
-def cmd_strands(file: str, fmt: str) -> None:
+@model_command("strands")
+def cmd_strands(model: DimerModel) -> tuple:
     """List the strands (zig-zag paths) of the model."""
-    model = _load(file)
     all_strands = strands_of(model)
-    doc = {"command": "strands",
-           "strands": [{"source": s.start_label, "target": s.end_label,
+    doc = {"strands": [{"source": s.start_label, "target": s.end_label,
                         "arrows": list(s.arrows)} for s in all_strands]}
-    _emit(doc, fmt, lambda: [
-        f"{s.start_label} -> {s.end_label}: arrows {list(s.arrows)}"
-        for s in all_strands])
+    return doc, (f"{s.start_label} -> {s.end_label}: arrows {list(s.arrows)}"
+                 for s in all_strands)
 
 
-@main.command("labels")
-@click.argument("file")
-@click.option("--target", "use_target", is_flag=True,
-              help="Print target labels instead of source labels.")
-@format_option
-def cmd_labels(file: str, use_target: bool, fmt: str) -> None:
+@model_command("labels", click.option("--target", "use_target", is_flag=True,
+                                      help="Print target labels instead of source labels."))
+def cmd_labels(model: DimerModel, use_target: bool) -> tuple:
     """Print the source (or target) label of every quiver vertex."""
-    model = _load(file)
     table = target_labels(model) if use_target else source_labels(model)
     kind = "target" if use_target else "source"
-    doc = {"command": "labels", "kind": kind,
-           "labels": {str(v): sorted(lab) for v, lab in sorted(table.items())}}
-    _emit(doc, fmt, lambda: [f"{v}: {sorted(lab)}" for v, lab in sorted(table.items())])
+    doc = {"kind": kind, "labels": {str(v): sorted(lab) for v, lab in sorted(table.items())}}
+    return doc, (f"{v}: {sorted(lab)}" for v, lab in sorted(table.items()))
 
 
-@main.command("check")
-@click.argument("file")
-@format_option
-def cmd_check(file: str, fmt: str) -> None:
+@model_command("check")
+def cmd_check(model: DimerModel) -> tuple:
     """Check strand consistency; exit 0 iff the model is consistent."""
-    model = _load(file)
     report = check_postnikov(model)
-    doc = {"command": "check", "consistent": report.passed,
+    doc = {"consistent": report.passed,
            "b1_pass": report.b1_pass, "b2_pass": report.b2_pass,
            "closed_loop_arrows": list(report.closed_loop_arrows),
            "b1_witness": list(report.b1_witness) if report.b1_witness else None,
            "b2_witness": list(report.b2_witness) if report.b2_witness else None}
-    _emit(doc, fmt, lambda: [
+    return doc, [
         f"b1 (no double crossing): {'pass' if report.b1_pass else 'FAIL'}",
         f"b2 (opposite orders): {'pass' if report.b2_pass else 'FAIL'}",
         f"closed loops: {list(report.closed_loop_arrows) or 'none'}",
-        f"consistent: {report.passed}"], report.passed)
+        f"consistent: {report.passed}"], report.passed
 
 
 # ---------------------------------------------------------------------------
 # Matching commands
 # ---------------------------------------------------------------------------
 
-@main.command("matchings")
-@click.argument("file")
-@click.option("--boundary", "boundary", default=None,
-              help="Restrict to matchings with this boundary value, e.g. 1,3,5.")
-@format_option
-def cmd_matchings(file: str, boundary: Optional[str], fmt: str) -> None:
+@model_command("matchings", click.option(
+    "--boundary", "boundary", default=None,
+    help="Restrict to matchings with this boundary value, e.g. 1,3,5."))
+def cmd_matchings(model: DimerModel, boundary: Optional[str]) -> tuple:
     """Enumerate perfect matchings as sorted arrow-id arrays."""
-    model = _load(file)
     if boundary is None:
         pool = enumerate_matchings(model)
     else:
         pool = matchings_with_boundary(model, _parse_ints(boundary, "boundary"))
-    arrays = sorted(_serialize_matching(mu) for mu in pool)
-    doc = {"command": "matchings", "count": len(arrays), "matchings": arrays}
-    _emit(doc, fmt, lambda: [str(a) for a in arrays] + [f"count: {len(arrays)}"])
+    arrays = sorted(sorted(mu.arrow_set) for mu in pool)
+    doc = {"count": len(arrays), "matchings": arrays}
+    return doc, [*map(str, arrays), f"count: {len(arrays)}"]
 
 
-@main.command("positroid")
-@click.argument("file")
-@format_option
-def cmd_positroid(file: str, fmt: str) -> None:
+@model_command("positroid")
+def cmd_positroid(model: DimerModel) -> tuple:
     """List the boundary values of perfect matchings."""
-    model = _load(file)
     subsets = sorted(sorted(I) for I in positroid(model))
-    doc = {"command": "positroid", "count": len(subsets), "subsets": subsets}
-    _emit(doc, fmt, lambda: [str(s) for s in subsets] + [f"count: {len(subsets)}"])
+    doc = {"count": len(subsets), "subsets": subsets}
+    return doc, [*map(str, subsets), f"count: {len(subsets)}"]
 
 
-@main.command("extremes")
-@click.argument("file")
-@click.option("--boundary", "boundary", required=True,
-              help="Boundary value, e.g. 1,3,5.")
-@format_option
-def cmd_extremes(file: str, boundary: str, fmt: str) -> None:
+@model_command("extremes", click.option("--boundary", "boundary", required=True,
+                                        help="Boundary value, e.g. 1,3,5."))
+def cmd_extremes(model: DimerModel, boundary: str) -> tuple:
     """The flip-minimal and flip-maximal matchings with a given boundary."""
-    model = _load(file)
     I = _parse_ints(boundary, "boundary")
-    lo, hi = extreme_matchings(model, I)
-    doc = {"command": "extremes", "boundary": sorted(set(I)),
-           "minimal": _serialize_matching(lo), "maximal": _serialize_matching(hi)}
-    _emit(doc, fmt, lambda: [f"minimal: {_serialize_matching(lo)}",
-                             f"maximal: {_serialize_matching(hi)}"])
+    lo, hi = (sorted(mu.arrow_set) for mu in extreme_matchings(model, I))
+    doc = {"boundary": sorted(set(I)), "minimal": lo, "maximal": hi}
+    return doc, [f"minimal: {lo}", f"maximal: {hi}"]
 
 
 # ---------------------------------------------------------------------------
 # Lattice commands
 # ---------------------------------------------------------------------------
 
-@main.command("lattice")
-@click.argument("file")
-@click.option("--check-ensemble", "check_ensemble", is_flag=True,
-              help="Also verify exactness of the cluster-ensemble sequence.")
-@format_option
-def cmd_lattice(file: str, check_ensemble: bool, fmt: str) -> None:
+@model_command("lattice", click.option(
+    "--check-ensemble", "check_ensemble", is_flag=True,
+    help="Also verify exactness of the cluster-ensemble sequence."))
+def cmd_lattice(model: DimerModel, check_ensemble: bool) -> tuple:
     """Rank and invariant factors of the matching-lattice isomorphism."""
-    model = _load(file)
     basis = lattice_basis(model)
     factors = eta_invariant_factors(model)
     unimodular = is_eta_unimodular(model)
-    doc = {"command": "lattice", "rank": len(basis),
-           "eta_invariant_factors": factors, "eta_unimodular": unimodular}
+    doc = {"rank": len(basis), "eta_invariant_factors": factors, "eta_unimodular": unimodular}
     lines = [f"lattice rank: {len(basis)}",
              f"invariant factors of the vertex-lattice map: {factors}",
              f"unimodular: {unimodular}"]
@@ -362,111 +350,77 @@ def cmd_lattice(file: str, check_ensemble: bool, fmt: str) -> None:
         lines.append(f"cluster ensemble exact: {report.passed}")
         lines.extend(f"  witness: {w}" for w in report.witnesses)
         passed = passed and report.passed
-    _emit(doc, fmt, lambda: lines, passed)
+    return doc, lines, passed
 
 
-@main.command("ms-matchings")
-@click.argument("file")
-@format_option
-def cmd_ms_matchings(file: str, fmt: str) -> None:
+@model_command("ms-matchings")
+def cmd_ms_matchings(model: DimerModel) -> tuple:
     """The distinguished matching of each vertex, via downstream wedges."""
-    model = _load(file)
-    table = {v.id: _serialize_matching(muller_speyer_matching(model, v.id))
+    table = {v.id: sorted(muller_speyer_matching(model, v.id).arrow_set)
              for v in model.vertices}
-    doc = {"command": "ms-matchings",
-           "matchings": {str(v): arr for v, arr in sorted(table.items())}}
-    _emit(doc, fmt, lambda: [f"{v}: {arr}" for v, arr in sorted(table.items())])
+    doc = {"matchings": {str(v): arr for v, arr in sorted(table.items())}}
+    return doc, (f"{v}: {arr}" for v, arr in sorted(table.items()))
 
 
 # ---------------------------------------------------------------------------
 # Wedge / weight commands
 # ---------------------------------------------------------------------------
 
-@main.command("wedge")
-@click.argument("file")
-@click.option("--arrow", "arrow_text", required=True, help="Arrow id.")
-@format_option
-def cmd_wedge(file: str, arrow_text: str, fmt: str) -> None:
+@model_command("wedge", click.option("--arrow", "arrow", type=_Integer(), required=True,
+                                     help="Arrow id."))
+def cmd_wedge(model: DimerModel, arrow: int) -> tuple:
     """Vertices in the downstream wedge of an arrow."""
-    arrow = _parse_id(arrow_text, "arrow", arrow_text)
-    model = _load(file)
     members = sorted(downstream_wedge(model, arrow).members)
-    doc = {"command": "wedge", "arrow": arrow, "members": members}
-    _emit(doc, fmt, lambda: [f"arrow {arrow}: {members}"])
+    return {"arrow": arrow, "members": members}, [f"arrow {arrow}: {members}"]
 
 
-@main.command("kclass")
-@click.argument("file")
-@click.option("--matching", "matching", required=True,
-              help="Matching as comma-separated arrow ids.")
-@format_option
-def cmd_kclass(file: str, matching: str, fmt: str) -> None:
+@model_command("kclass", matching_option)
+def cmd_kclass(model: DimerModel, matching: str) -> tuple:
     """The class of the matching module in the vertex lattice."""
-    model = _load(file)
     mu = _matching_from_option(model, matching)
     cls = kclass_of_matching(model, mu)
-    doc = {"command": "kclass",
-           "coefficients": {str(v): c for v, c in cls.coefficients}}
-    _emit(doc, fmt, lambda: [
-        "{" + ",".join(f"{v}:{c}" for v, c in cls.coefficients) + "}"])
+    doc = {"coefficients": {str(v): c for v, c in cls.coefficients}}
+    return doc, ["{" + ",".join(f"{v}:{c}" for v, c in cls.coefficients) + "}"]
 
 
-@main.command("verify-msmatch")
-@click.argument("file")
-@format_option
-def cmd_verify_msmatch(file: str, fmt: str) -> None:
+@model_command("verify-msmatch")
+def cmd_verify_msmatch(model: DimerModel) -> tuple:
     """Three-way equality of the distinguished matchings at every vertex."""
-    model = _load(file)
     ok, witness = three_way_msmatch(model)
-    doc = {"command": "verify-msmatch", "passed": ok, "witness": witness}
-    _emit(doc, fmt, lambda: [f"three-way equality: {'pass' if ok else 'FAIL'}"]
-          + ([f"witness: {witness}"] if witness else []), ok)
+    doc = {"passed": ok, "witness": witness}
+    return doc, [f"three-way equality: {'pass' if ok else 'FAIL'}"] + (
+        [f"witness: {witness}"] if witness else []), ok
 
 
 # ---------------------------------------------------------------------------
 # Partition-function commands
 # ---------------------------------------------------------------------------
 
-@main.command("ms")
-@click.argument("file")
-@click.option("--subset", "subset", required=True, help="k-subset, e.g. 1,3,5.")
-@click.option("--black", "black", is_flag=True,
-              help="Use the black-boundary convention.")
-@format_option
-def cmd_ms(file: str, subset: str, black: bool, fmt: str) -> None:
+@model_command("ms", subset_option,
+               click.option("--black", "black", is_flag=True,
+                            help="Use the black-boundary convention."))
+def cmd_ms(model: DimerModel, subset: str, black: bool) -> tuple:
     """The boundary-weight partition function for a k-subset."""
-    model = _load(file)
     I = _parse_ints(subset, "subset")
-    poly = ms_formula(model, I, BLACK if black else WHITE)
-    doc = {"command": "ms", "subset": sorted(set(I)), "polynomial": _poly_doc(poly)}
-    _emit(doc, fmt, lambda: [poly.pretty()])
+    return _poly_report(I, ms_formula(model, I, BLACK if black else WHITE))
 
 
-@main.command("twist-expr")
-@click.argument("file")
-@click.option("--subset", "subset", required=True, help="k-subset, e.g. 1,3,5.")
-@format_option
-def cmd_twist_expr(file: str, subset: str, fmt: str) -> None:
+@model_command("twist-expr", subset_option)
+def cmd_twist_expr(model: DimerModel, subset: str) -> tuple:
     """The twist partition function for a k-subset in the positroid."""
-    model = _load(file)
     I = _parse_ints(subset, "subset")
-    poly = musp_twist_expression(model, I)
-    doc = {"command": "twist-expr", "subset": sorted(set(I)),
-           "polynomial": _poly_doc(poly)}
-    _emit(doc, fmt, lambda: [poly.pretty()])
+    return _poly_report(I, musp_twist_expression(model, I))
 
 
-@main.command("measure")
-@click.argument("file")
-@click.option("--weights", "weights_arg", required=True,
-              help="Either 'unit' or a JSON file mapping each arrow id, written "
-                   "as its decimal id like \"12\", to a positive rational like \"3/7\".")
-@click.option("--check-plucker", "check", is_flag=True,
-              help="Verify every three-term Plücker relation.")
-@format_option
-def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
+@model_command("measure",
+               click.option("--weights", "weights_arg", required=True,
+                            help="Either 'unit' or a JSON file mapping each arrow id, written "
+                                 "as its decimal id like \"12\", to a positive rational "
+                                 "like \"3/7\"."),
+               click.option("--check-plucker", "check", is_flag=True,
+                            help="Verify every three-term Plücker relation."))
+def cmd_measure(model: DimerModel, weights_arg: str, check: bool) -> tuple:
     """Exact boundary measurement for the given arrow weights."""
-    model = _load(file)
     if weights_arg == "unit":
         w = unit_weights(model)
     else:
@@ -489,62 +443,50 @@ def cmd_measure(file: str, weights_arg: str, check: bool, fmt: str) -> None:
         vec = boundary_measurement(model, w)
     except ValueError as exc:
         raise click.ClickException(f"bad weights: {exc}")
-    doc = {"command": "measure",
-           "values": {",".join(map(str, I)): str(x) for I, x in vec.values}}
-    summary = []
-    report = check_plucker_relations(vec, vec.k, vec.n) if check else None
-    if report is not None:
-        doc["plucker"] = {"checked": report.checked, "passed": report.passed,
-                          "failures": [[list(S), list(q)] for S, q in report.failures]}
-        summary = [f"plucker relations checked: {report.checked}, passed: {report.passed}"]
-    _emit(doc, fmt, lambda: [f"{list(I)}: {x}" for I, x in vec.values] + summary,
-          report is None or report.passed)
+    doc = {"values": {",".join(map(str, I)): str(x) for I, x in vec.values}}
+    lines = [f"{list(I)}: {x}" for I, x in vec.values]
+    if not check:
+        return doc, lines
+    report = check_plucker_relations(vec, vec.k, vec.n)
+    doc["plucker"] = {"checked": report.checked, "passed": report.passed,
+                      "failures": [[list(S), list(q)] for S, q in report.failures]}
+    lines.append(f"plucker relations checked: {report.checked}, passed: {report.passed}")
+    return doc, lines, report.passed
 
 
 # ---------------------------------------------------------------------------
 # Resolution commands
 # ---------------------------------------------------------------------------
 
-@main.command("resolution")
-@click.argument("file")
-@click.option("--matching", "matching", required=True,
-              help="Matching as comma-separated arrow ids.")
-@click.option("--dmax", "dmax", type=_Integer(), default=None,
-              help="Largest degree to check (default: saturation + 1).")
-@format_option
-def cmd_resolution(file: str, matching: str, dmax: Optional[int], fmt: str) -> None:
+@model_command("resolution", matching_option, click.option(
+    "--dmax", "dmax", type=_Integer(), default=None,
+    help="Largest degree to check (default: saturation + 1)."))
+def cmd_resolution(model: DimerModel, matching: str, dmax: Optional[int]) -> tuple:
     """Exactness of all graded resolution pieces for a matching."""
-    model = _load(file)
     mu = _matching_from_option(model, matching)
     report = check_resolution(model, mu, dmax)
-    doc = {"command": "resolution", "d_max": report.d_max,
+    doc = {"d_max": report.d_max,
            "pieces_checked": report.pieces_checked,
            "exact": report.passed,
            "failures": [list(f) for f in report.failures],
            "euler_failures": report.euler_failures}
-    _emit(doc, fmt, lambda: [
+    return doc, [
         f"d_max: {report.d_max}",
         f"pieces checked: {report.pieces_checked}",
-        f"exact: {report.passed}"]
-        + [f"  inexact at (vertex, degree) = {f}" for f in report.failures]
-        + [f"  degree series off at vertex {v}" for v in report.euler_failures], report.passed)
+        f"exact: {report.passed}",
+        *(f"  inexact at (vertex, degree) = {f}" for f in report.failures),
+        *(f"  degree series off at vertex {v}" for v in report.euler_failures)], report.passed
 
 
-@main.command("rotate")
-@click.argument("file")
-@click.option("--matching", "matching", required=True,
-              help="Matching as comma-separated arrow ids.")
-@click.option("--vertex", "vertex_text", required=True, help="Vertex id.")
-@click.option("--degree", "degree", type=_Integer(), required=True)
-@format_option
-def cmd_rotate(file: str, matching: str, vertex_text: str, degree: int, fmt: str) -> None:
+@model_command("rotate", matching_option,
+               click.option("--vertex", "vertex", type=_Integer(), required=True,
+                            help="Vertex id."),
+               click.option("--degree", "degree", type=_Integer(), required=True))
+def cmd_rotate(model: DimerModel, matching: str, vertex: int, degree: int) -> tuple:
     """Rotate a matching one degree step toward a vertex."""
-    vertex = _parse_id(vertex_text, "vertex", vertex_text)
-    model = _load(file)
     mu = _matching_from_option(model, matching)
-    nu = rotate_matching(model, mu, vertex, degree)
-    doc = {"command": "rotate", "matching": _serialize_matching(nu)}
-    _emit(doc, fmt, lambda: [str(_serialize_matching(nu))])
+    arrows = sorted(rotate_matching(model, mu, vertex, degree).arrow_set)
+    return {"matching": arrows}, [str(arrows)]
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +509,7 @@ def cmd_verify(file: str, seed: int, fmt: str) -> None:
     results = run_checks(model, seed)
     passed = all(r["passed"] for r in results)
     doc = {"command": "verify", "seed": seed, "passed": passed, "checks": results}
-    _emit(doc, fmt, lambda: [
+    _emit(doc, fmt, [
         *(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} ({r['seconds']}s)"
           + (f": {r['witness']}" if r["witness"] else "")
           for r in results),

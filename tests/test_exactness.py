@@ -136,19 +136,24 @@ def _reads(module, tree):
     return reads, attributes
 
 
+def _registers_a_command(func: ast.expr) -> bool:
+    return (isinstance(func, ast.Attribute) and func.attr == "command"
+            or isinstance(func, ast.Name) and func.id == "model_command")
+
+
 def _unused_public_names(modules):
     """Public top-level functions and classes, and public methods of public
     classes (dunders excluded), that the library never reads (see `_reads`);
     a function registered as a click command (decorated with
-    `@<group>.command(...)`) counts as read."""
+    `@<group>.command(...)` or `@model_command(...)`) counts as read."""
     defined, reads, attributes = [], set(), set()
     for path, tree in modules:
         module = path.stem
         for stmt in tree.body:
             if (isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
                     and not stmt.name.startswith("_")
-                    and not any(isinstance(d, ast.Call) and isinstance(d.func, ast.Attribute)
-                                and d.func.attr == "command" for d in stmt.decorator_list)):
+                    and not any(isinstance(d, ast.Call) and _registers_a_command(d.func)
+                                for d in stmt.decorator_list)):
                 defined.append((path.name, stmt.name, module))
                 if isinstance(stmt, ast.ClassDef):
                     defined += [(path.name, f"{stmt.name}.{item.name}", None)
@@ -183,6 +188,7 @@ def test_the_readme_shows_each_paper_object_in_use():
 def test_the_use_check_sees_dead_names():
     code = ("import click\n@click.group()\ndef main(): pass\n"
             "@main.command('x')\ndef cmd_x(): helper(); Used().live; takes(1)\n"
+            "@model_command('y')\ndef cmd_y(): pass\n"
             "def helper(): pass\ndef dead(): dead()\nclass Unused: pass\n"
             "def _private(): pass\n"
             "def shadowed(): pass\ndef takes(shadowed): return shadowed\n"
