@@ -19,13 +19,14 @@ fails validation or consistency, a failed precondition) is reported as one
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, Iterator, List, Optional
 
 import click
 
@@ -53,6 +54,13 @@ SCHEMA = 1
 # Shared helpers
 # ---------------------------------------------------------------------------
 
+# A decimal number: ASCII digits with no sign and no leading zero.
+_NUMBER = "(0|[1-9][0-9]*)"
+_ID = re.compile(f" *{_NUMBER} *")
+_UNIFORM = re.compile(f"uniform-{_NUMBER}-{_NUMBER}")
+_WEIGHT = re.compile(f"{_NUMBER}(?:/{_NUMBER})?")
+
+
 def _load(name: str) -> DimerModel:
     if os.path.isfile(name):
         return model_lib.load(name)
@@ -65,7 +73,7 @@ def _load(name: str) -> DimerModel:
     if name in FIXTURE_BUILDERS:
         return FIXTURE_BUILDERS[name]()
     if name.startswith("uniform-"):
-        match = re.fullmatch(r"uniform-(\d+)-(\d+)", name)
+        match = _UNIFORM.fullmatch(name)
         if match is None:
             raise click.ClickException(f"cannot resolve model {name!r}: expected "
                                        "uniform-K-N with integers 1 <= K < N")
@@ -75,9 +83,6 @@ def _load(name: str) -> DimerModel:
             raise click.ClickException(f"cannot resolve model {name!r}: {exc}")
     raise click.ClickException(f"cannot resolve model {name!r}: not a file, "
                                "not under DIMER_FIXTURES, not a bundled fixture")
-
-
-_ID = re.compile(r" *(0|[1-9][0-9]*) *")
 
 
 def _parse_id(token: str, what: str, text: str) -> int:
@@ -96,9 +101,6 @@ class _Integer(click.ParamType):
 
     def convert(self, value, param, ctx) -> int:
         return value if isinstance(value, int) else _parse_id(value, param.name, value)
-
-
-_WEIGHT = re.compile(r"(0|[1-9][0-9]*)(?:/(0|[1-9][0-9]*))?")
 
 
 def _read_weight(key: str, x: object) -> Fraction:
@@ -214,6 +216,23 @@ def cmd_type(model: DimerModel) -> tuple:
     return {"k": k, "n": n}, [f"({k}, {n})"]
 
 
+@contextlib.contextmanager
+def _saving(path: str) -> Iterator[None]:
+    """Report an OSError raised while writing `path` as one `Error:` line."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(f"cannot write {path}: {exc}")
+
+
+def _write_model(model: DimerModel, out: Optional[str]) -> None:
+    if out:
+        with _saving(out):
+            model_lib.save(model, out)
+    else:
+        click.echo(json.dumps(model_lib.to_dict(model), indent=1, sort_keys=True), file=sys.stdout)
+
+
 @main.command("build-uniform")
 @click.option("-k", "k", type=_Integer(), required=True)
 @click.option("-n", "n", type=_Integer(), required=True)
@@ -221,16 +240,9 @@ def cmd_type(model: DimerModel) -> tuple:
 def cmd_build_uniform(k: int, n: int, out: str) -> None:
     """Build the uniform (k,n) model and write it to a file."""
     model = build_uniform(k, n)
-    model_lib.save(model, out)
+    _write_model(model, out)
     click.echo(f"wrote uniform ({k},{n}) model with {len(model.vertices)} vertices to {out}",
                file=sys.stdout)
-
-
-def _write_model(model: DimerModel, out: Optional[str]) -> None:
-    if out:
-        model_lib.save(model, out)
-    else:
-        click.echo(json.dumps(model_lib.to_dict(model), indent=1, sort_keys=True), file=sys.stdout)
 
 
 @main.command("opposite")
@@ -426,7 +438,7 @@ def cmd_measure(model: DimerModel, weights_arg: str, check: bool) -> tuple:
     else:
         try:
             with open(weights_arg, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = json.load(fh, object_pairs_hook=model_lib.unique_keys)
             if not isinstance(raw, dict):
                 raise ValueError("expected a JSON object mapping arrow ids to weights")
             ids = {str(a.id): a.id for a in model.arrows}
@@ -521,13 +533,11 @@ def cmd_verify(file: str, seed: int, fmt: str) -> None:
 def cmd_fixtures(outdir: Optional[str]) -> None:
     """Write the bundled fixtures as JSON model files."""
     outdir = outdir or os.environ.get("DIMER_FIXTURES") or "fixtures"
-    try:
+    with _saving(outdir):
         os.makedirs(outdir, exist_ok=True)
-    except OSError as exc:
-        raise click.ClickException(f"cannot create {outdir}: {exc}")
     for name, builder in FIXTURE_BUILDERS.items():
         path = os.path.join(outdir, f"{name}.json")
-        model_lib.save(builder(), path)
+        _write_model(builder(), path)
         click.echo(f"wrote {path}", file=sys.stdout)
 
 

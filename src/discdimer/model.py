@@ -631,10 +631,39 @@ def _cycle(entries: Any, i: int) -> Tuple[int, ...]:
     return cycle
 
 
+_FIELDS = {"vertices": frozenset({"id", "is_boundary"}),
+           "arrows": frozenset({"id", "tail", "head", "is_boundary", "boundary_label"}),
+           "faces": frozenset({"id", "color", "boundary_cycle"})}
+
+
+def _no_unknown_keys(doc: dict) -> None:
+    for key in doc:
+        if key not in _FIELDS:
+            raise TypeError(f"unknown top-level key {key!r}")
+    for section, fields in _FIELDS.items():
+        for i, record in enumerate(doc[section]):
+            if not record.keys() <= fields:
+                key = next(key for key in record if key not in fields)
+                raise TypeError(f"unknown key {key!r} in {section}[{i}]")
+
+
+def unique_keys(pairs: List[Tuple[str, Any]]) -> dict:
+    """A JSON object read by `json.load(..., object_pairs_hook=unique_keys)`:
+    a key given twice is an error, where `json.load` alone keeps the last
+    value. The error names the key, and the record by its id if it has one."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        key = next(key for i, key in enumerate(keys) if key in keys[:i])
+        record = f" in the record with id {json.dumps(obj['id'])}" if "id" in obj else ""
+        raise ValueError(f"duplicate key {key!r}{record}")
+    return obj
+
+
 def from_dict(doc: dict) -> DimerModel:
     """The model a JSON document describes. Lists must be arrays, ids, endpoints,
     labels and cycle entries integers, colours strings and flags booleans;
-    nothing is coerced."""
+    nothing is coerced, and a key the format does not define is an error."""
     try:
         vertices = tuple(Vertex(_int(v["id"], "vertices[{}].id", i),
                                 _bool(v["is_boundary"], "vertices[{}].is_boundary", i))
@@ -651,6 +680,7 @@ def from_dict(doc: dict) -> DimerModel:
         faces = tuple(Face(_int(f["id"], "faces[{}].id", i),
                            _str(f["color"], "faces[{}].color", i), _cycle(f["boundary_cycle"], i))
                       for i, f in enumerate(_array(doc["faces"], "faces")))
+        _no_unknown_keys(doc)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise StructuralError(f"malformed document: {exc}") from exc
     model = DimerModel(vertices, tuple(arrows), faces)
@@ -667,12 +697,14 @@ def save(model: DimerModel, path) -> None:
 def load(path) -> DimerModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=unique_keys)
         except UnicodeDecodeError as exc:
             raise StructuralError(f"{path}: not UTF-8 text") from exc
         except json.JSONDecodeError as exc:
             raise StructuralError(f"{path}: invalid JSON at line {exc.lineno}, "
                                   f"column {exc.colno}") from exc
+        except ValueError as exc:  # a duplicate key
+            raise StructuralError(f"{path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise StructuralError(f"{path}: top level is not an object")
     return from_dict(doc)

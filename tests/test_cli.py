@@ -80,7 +80,8 @@ def test_any_uniform_name_resolves(runner):
     assert result.output.strip() == "(3, 7)"
 
 
-@pytest.mark.parametrize("name", ["uniform-x-y", "uniform-3-3", "uniform-3", "uniform-1-2"])
+@pytest.mark.parametrize("name", ["uniform-x-y", "uniform-3-3", "uniform-3", "uniform-1-2",
+                                  "uniform-٣-٦", "uniform-03-06"])
 def test_malformed_uniform_name_is_a_one_line_error(runner, name):
     result = runner.invoke(main, ["type", name])
     assert result.exit_code == 1
@@ -105,6 +106,24 @@ def test_fixture_dir_env(runner, tmp_path, monkeypatch):
     result = runner.invoke(main, ["type", "triangle"])
     assert result.exit_code == 0
     assert result.output.strip() == "(1, 3)"
+
+
+@pytest.mark.parametrize("args, written", [
+    (["build-uniform", "-k", "2", "-n", "4", "-o", "$MISSING"], "$MISSING"),
+    (["opposite", "gr37", "-o", "$MISSING"], "$MISSING"),
+    (["standardise", "gr37", "-o", "$MISSING"], "$MISSING"),
+    (["fixtures", "$DIR"], "$DIR/gr37.json"),
+], ids=["build-uniform", "opposite", "standardise", "fixtures"])
+def test_an_unwritable_output_path_is_a_one_line_error(runner, tmp_path, args, written):
+    """$MISSING lies in a directory that does not exist; $DIR holds a
+    directory where the fixtures command writes gr37.json."""
+    (tmp_path / "out" / "gr37.json").mkdir(parents=True)
+    paths = {"$MISSING": str(tmp_path / "missing" / "x.json"), "$DIR": str(tmp_path / "out")}
+    result = runner.invoke(main, [paths.get(a, a) for a in args])
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    written = written.replace("$DIR", paths["$DIR"]).replace("$MISSING", paths["$MISSING"])
+    assert result.stderr.startswith(f"Error: cannot write {written}: ")
+    assert result.stderr.count("\n") == 1
 
 
 def test_validate_exit_codes(runner, gr37_file):
@@ -422,6 +441,55 @@ def test_a_list_that_is_not_a_json_array_is_a_one_line_error(runner, tmp_path, k
     assert result.exit_code == 1
     assert result.output.startswith(f"Error: malformed document: {key} must be an array, got ")
     assert result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("section, index, key, message", [
+    (None, None, "extra", "unknown top-level key 'extra'"),
+    ("vertices", 0, "colour", "unknown key 'colour' in vertices[0]"),
+    ("arrows", 3, "colour", "unknown key 'colour' in arrows[3]"),
+    ("faces", 5, "label", "unknown key 'label' in faces[5]"),
+], ids=["top-level", "vertex", "arrow", "face"])
+def test_a_key_the_format_does_not_define_is_a_one_line_error(runner, tmp_path, section,
+                                                              index, key, message):
+    doc = to_dict(fx.gr37())
+    (doc if section is None else doc[section][index])[key] = "white"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: malformed document: {message}\n"
+
+
+@pytest.mark.parametrize("key", ["id", "tail", "is_boundary"])
+def test_a_key_given_twice_in_a_model_is_a_one_line_error(runner, tmp_path, key):
+    """`json.load` alone keeps the last value given for a key."""
+    doc = to_dict(fx.gr37())
+    record = doc["arrows"][3]
+    text = json.dumps(record)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc).replace(
+        text, f"{text[:-1]}, {json.dumps(key)}: {json.dumps(record[key])}}}"))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert result.output == (f"Error: {path}: duplicate key {key!r} in the record with id "
+                             f"{record['id']}\n")
+
+
+def test_a_top_level_key_given_twice_is_a_one_line_error(runner, tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(to_dict(fx.gr37()))[:-1] + ', "faces": []}')
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: {path}: duplicate key 'faces'\n"
+
+
+def test_a_weight_given_twice_is_a_one_line_error(runner, tmp_path):
+    arrows = [a.id for a in fx.gr37().arrows]
+    path = tmp_path / "w.json"
+    path.write_text("{" + ", ".join(f'"{a}": "1"' for a in arrows) + f', "{arrows[0]}": "5/2"}}')
+    result = runner.invoke(main, ["measure", "gr37", "--weights", str(path)])
+    assert result.exit_code == 1
+    assert result.output == f"Error: cannot read weights: duplicate key '{arrows[0]}'\n"
 
 
 @pytest.mark.parametrize("args, message", [
