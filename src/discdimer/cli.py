@@ -12,9 +12,10 @@ model and emits the report, as plain text by default or as a JSON document
 with a stable ``"schema": 1`` field under ``--format json``. Only `dimer
 verify` and the writers (build-uniform, opposite, standardise, fixtures)
 have their own frame. `dimer verify` runs the ordered check suite of
-`discdimer.verify` and exits 0 iff every check passes. Any ValueError a command raises (a malformed file, a model that
-fails validation or consistency, a failed precondition) is reported as one
-``Error:`` line with exit code 1.
+`discdimer.verify` and exits 0 iff every check passes. Any ValueError a
+command raises (a malformed file, a model that fails validation or
+consistency, a failed precondition) is reported as one ``Error:`` line with
+exit code 1, as is an output path a writer cannot write.
 """
 
 from __future__ import annotations
