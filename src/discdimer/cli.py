@@ -6,8 +6,9 @@ by the DIMER_FIXTURES environment variable, or the name of a bundled
 fixture (triangle, gr37, inconsistent, uniform-K-N).
 
 A report command is one function decorated with `model_command`: it takes
-the loaded model and its own options and returns ``(doc, text lines,
-passed)``; the decorator adds the FILE argument and ``--format``, loads the
+the loaded model and its own options and returns ``(doc, text_lines,
+passed)``, where ``text_lines()`` builds the text report only when it is
+printed; the decorator adds the FILE argument and ``--format``, loads the
 model and emits the report, as plain text by default or as a JSON document
 with a stable ``"schema": 1`` field under ``--format json``. Only `dimer
 verify` and the writers (build-uniform, opposite, standardise, fixtures)
@@ -27,7 +28,7 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 import click
 
@@ -134,18 +135,17 @@ def _matching_from_option(model: DimerModel, text: str) -> Matching:
 def _poly_report(I: List[int], poly: LaurentPoly) -> tuple:
     terms = [{"exponents": {str(i): e for i, e in key}, "coefficient": c} for key, c in poly.terms]
     doc = {"subset": sorted(set(I)), "polynomial": {"basis": poly.basis, "terms": terms}}
-    return doc, [poly.pretty()]
+    return doc, lambda: [poly.pretty()]
 
 
-def _emit(doc: dict, fmt: str, text_lines: Iterable[str], passed: bool = True) -> None:
-    """Print the report, reading the text lines only for text; exit with
-    code 1 after it unless it `passed`."""
+def _emit(doc: dict, fmt: str, text_lines: Callable[[], List[str]], passed: bool = True) -> None:
+    """Print the report; exit with code 1 after it unless it `passed`."""
     # Echoes name sys.stdout: click's default lookup keeps every redirected stdout alive.
     if fmt == "json":
         doc = {"schema": SCHEMA, **doc}
         click.echo(json.dumps(doc, indent=1, sort_keys=True), file=sys.stdout)
     else:
-        for line in text_lines:
+        for line in text_lines():
             click.echo(line, file=sys.stdout)
     if not passed:
         sys.exit(1)
@@ -179,9 +179,9 @@ def model_command(name: str, *options: Callable) -> Callable:
     """Register `dimer <name> FILE [options] [--format]` as a report on a model.
 
     The body is called as `body(model, **options)` with the model FILE names
-    and returns `(doc, text_lines)` or `(doc, text_lines, passed)`; the doc,
-    with `"command": name` added, or the text lines are printed as `_emit`
-    prints them."""
+    and returns `(doc, text_lines)` or `(doc, text_lines, passed)`, where
+    `text_lines()` gives the text report; the doc, with `"command": name`
+    added, or the text lines are printed as `_emit` prints them."""
     def register(body: Callable) -> click.Command:
         @functools.wraps(body)
         def command(file: str, fmt: str, **values) -> None:
@@ -204,7 +204,7 @@ def cmd_validate(model: DimerModel) -> tuple:
     doc = {"passed": report.passed,
            "checks": {name: {"ok": ok, "detail": detail}
                       for name, (ok, detail) in report.checks.items()}}
-    return doc, [
+    return doc, lambda: [
         *(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail and not ok else "")
           for name, (ok, detail) in report.checks.items()),
         f"valid: {report.passed}"], report.passed
@@ -214,7 +214,7 @@ def cmd_validate(model: DimerModel) -> tuple:
 def cmd_type(model: DimerModel) -> tuple:
     """Print the type (k, n) of the model."""
     k, n = type_of(model)
-    return {"k": k, "n": n}, [f"({k}, {n})"]
+    return {"k": k, "n": n}, lambda: [f"({k}, {n})"]
 
 
 @contextlib.contextmanager
@@ -274,8 +274,8 @@ def cmd_strands(model: DimerModel) -> tuple:
     all_strands = strands_of(model)
     doc = {"strands": [{"source": s.start_label, "target": s.end_label,
                         "arrows": list(s.arrows)} for s in all_strands]}
-    return doc, (f"{s.start_label} -> {s.end_label}: arrows {list(s.arrows)}"
-                 for s in all_strands)
+    return doc, lambda: [f"{s.start_label} -> {s.end_label}: arrows {list(s.arrows)}"
+                         for s in all_strands]
 
 
 @model_command("labels", click.option("--target", "use_target", is_flag=True,
@@ -285,7 +285,7 @@ def cmd_labels(model: DimerModel, use_target: bool) -> tuple:
     table = target_labels(model) if use_target else source_labels(model)
     kind = "target" if use_target else "source"
     doc = {"kind": kind, "labels": {str(v): sorted(lab) for v, lab in sorted(table.items())}}
-    return doc, (f"{v}: {sorted(lab)}" for v, lab in sorted(table.items()))
+    return doc, lambda: [f"{v}: {sorted(lab)}" for v, lab in sorted(table.items())]
 
 
 @model_command("check")
@@ -297,7 +297,7 @@ def cmd_check(model: DimerModel) -> tuple:
            "closed_loop_arrows": list(report.closed_loop_arrows),
            "b1_witness": list(report.b1_witness) if report.b1_witness else None,
            "b2_witness": list(report.b2_witness) if report.b2_witness else None}
-    return doc, [
+    return doc, lambda: [
         f"b1 (no double crossing): {'pass' if report.b1_pass else 'FAIL'}",
         f"b2 (opposite orders): {'pass' if report.b2_pass else 'FAIL'}",
         f"closed loops: {list(report.closed_loop_arrows) or 'none'}",
@@ -319,7 +319,7 @@ def cmd_matchings(model: DimerModel, boundary: Optional[str]) -> tuple:
         pool = matchings_with_boundary(model, _parse_ints(boundary, "boundary"))
     arrays = sorted(sorted(mu.arrow_set) for mu in pool)
     doc = {"count": len(arrays), "matchings": arrays}
-    return doc, [*map(str, arrays), f"count: {len(arrays)}"]
+    return doc, lambda: [str(a) for a in arrays] + [f"count: {len(arrays)}"]
 
 
 @model_command("positroid")
@@ -327,7 +327,7 @@ def cmd_positroid(model: DimerModel) -> tuple:
     """List the boundary values of perfect matchings."""
     subsets = sorted(sorted(I) for I in positroid(model))
     doc = {"count": len(subsets), "subsets": subsets}
-    return doc, [*map(str, subsets), f"count: {len(subsets)}"]
+    return doc, lambda: [str(s) for s in subsets] + [f"count: {len(subsets)}"]
 
 
 @model_command("extremes", click.option("--boundary", "boundary", required=True,
@@ -337,7 +337,7 @@ def cmd_extremes(model: DimerModel, boundary: str) -> tuple:
     I = _parse_ints(boundary, "boundary")
     lo, hi = (sorted(mu.arrow_set) for mu in extreme_matchings(model, I))
     doc = {"boundary": sorted(set(I)), "minimal": lo, "maximal": hi}
-    return doc, [f"minimal: {lo}", f"maximal: {hi}"]
+    return doc, lambda: [f"minimal: {lo}", f"maximal: {hi}"]
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def cmd_lattice(model: DimerModel, check_ensemble: bool) -> tuple:
         lines.append(f"cluster ensemble exact: {report.passed}")
         lines.extend(f"  witness: {w}" for w in report.witnesses)
         passed = passed and report.passed
-    return doc, lines, passed
+    return doc, lambda: lines, passed
 
 
 @model_command("ms-matchings")
@@ -372,7 +372,7 @@ def cmd_ms_matchings(model: DimerModel) -> tuple:
     table = {v.id: sorted(muller_speyer_matching(model, v.id).arrow_set)
              for v in model.vertices}
     doc = {"matchings": {str(v): arr for v, arr in sorted(table.items())}}
-    return doc, (f"{v}: {arr}" for v, arr in sorted(table.items()))
+    return doc, lambda: [f"{v}: {arr}" for v, arr in sorted(table.items())]
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +384,7 @@ def cmd_ms_matchings(model: DimerModel) -> tuple:
 def cmd_wedge(model: DimerModel, arrow: int) -> tuple:
     """Vertices in the downstream wedge of an arrow."""
     members = sorted(downstream_wedge(model, arrow).members)
-    return {"arrow": arrow, "members": members}, [f"arrow {arrow}: {members}"]
+    return {"arrow": arrow, "members": members}, lambda: [f"arrow {arrow}: {members}"]
 
 
 @model_command("kclass", matching_option)
@@ -393,7 +393,7 @@ def cmd_kclass(model: DimerModel, matching: str) -> tuple:
     mu = _matching_from_option(model, matching)
     cls = kclass_of_matching(model, mu)
     doc = {"coefficients": {str(v): c for v, c in cls.coefficients}}
-    return doc, ["{" + ",".join(f"{v}:{c}" for v, c in cls.coefficients) + "}"]
+    return doc, lambda: ["{" + ",".join(f"{v}:{c}" for v, c in cls.coefficients) + "}"]
 
 
 @model_command("verify-msmatch")
@@ -401,7 +401,7 @@ def cmd_verify_msmatch(model: DimerModel) -> tuple:
     """Three-way equality of the distinguished matchings at every vertex."""
     ok, witness = three_way_msmatch(model)
     doc = {"passed": ok, "witness": witness}
-    return doc, [f"three-way equality: {'pass' if ok else 'FAIL'}"] + (
+    return doc, lambda: [f"three-way equality: {'pass' if ok else 'FAIL'}"] + (
         [f"witness: {witness}"] if witness else []), ok
 
 
@@ -457,14 +457,14 @@ def cmd_measure(model: DimerModel, weights_arg: str, check: bool) -> tuple:
     except ValueError as exc:
         raise click.ClickException(f"bad weights: {exc}")
     doc = {"values": {",".join(map(str, I)): str(x) for I, x in vec.values}}
-    lines = [f"{list(I)}: {x}" for I, x in vec.values]
-    if not check:
-        return doc, lines
-    report = check_plucker_relations(vec, vec.k, vec.n)
-    doc["plucker"] = {"checked": report.checked, "passed": report.passed,
-                      "failures": [[list(S), list(q)] for S, q in report.failures]}
-    lines.append(f"plucker relations checked: {report.checked}, passed: {report.passed}")
-    return doc, lines, report.passed
+    summary = []
+    report = check_plucker_relations(vec, vec.k, vec.n) if check else None
+    if report is not None:
+        doc["plucker"] = {"checked": report.checked, "passed": report.passed,
+                          "failures": [[list(S), list(q)] for S, q in report.failures]}
+        summary = [f"plucker relations checked: {report.checked}, passed: {report.passed}"]
+    return (doc, lambda: [f"{list(I)}: {x}" for I, x in vec.values] + summary,
+            report is None or report.passed)
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +483,7 @@ def cmd_resolution(model: DimerModel, matching: str, dmax: Optional[int]) -> tup
            "exact": report.passed,
            "failures": [list(f) for f in report.failures],
            "euler_failures": report.euler_failures}
-    return doc, [
+    return doc, lambda: [
         f"d_max: {report.d_max}",
         f"pieces checked: {report.pieces_checked}",
         f"exact: {report.passed}",
@@ -499,7 +499,7 @@ def cmd_rotate(model: DimerModel, matching: str, vertex: int, degree: int) -> tu
     """Rotate a matching one degree step toward a vertex."""
     mu = _matching_from_option(model, matching)
     arrows = sorted(rotate_matching(model, mu, vertex, degree).arrow_set)
-    return {"matching": arrows}, [str(arrows)]
+    return {"matching": arrows}, lambda: [str(arrows)]
 
 
 # ---------------------------------------------------------------------------
@@ -522,7 +522,7 @@ def cmd_verify(file: str, seed: int, fmt: str) -> None:
     results = run_checks(model, seed)
     passed = all(r["passed"] for r in results)
     doc = {"command": "verify", "seed": seed, "passed": passed, "checks": results}
-    _emit(doc, fmt, [
+    _emit(doc, fmt, lambda: [
         *(f"{'PASS' if r['passed'] else 'FAIL'} {r['name']} ({r['seconds']}s)"
           + (f": {r['witness']}" if r["witness"] else "")
           for r in results),
